@@ -47,7 +47,7 @@ from .model import (
     save_calibset,
     save_checkpoint,
 )
-from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize, rounding_error_stats, step_size
+from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize, rounding_error_stats
 from .smoothing import SmoothScale, apply_smoothing, fuse_into_predecessor, power_scale, sqrt_scale
 from .tensor import Rng, matmul, rand_normal, rand_uniform, reduce_absmax
 

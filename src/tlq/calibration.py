@@ -13,9 +13,13 @@ strategies control which activations later layers calibrate on:
 * passact2: a single stream where each calibrated layer's quantized output
   replaces the input of the next layer, matching the real inference path.
 
-All batch work loops sample by sample through the same layer kernels the
-single-sample forwards use, so the distributed calibrator (which ships the
-identical tensors between workers) reproduces these results bit for bit.
+Quantization-exposed batch work runs the whole (B*N, C) activation block
+through `quantizer._qdq_inplace`, which overwrites a freshly divided copy of
+the inputs; only the gemm stays per sample, because the bytes of a flattened
+matmul depend on the BLAS. Full-precision batch work loops sample by sample
+through the layer kernels the single-sample forwards use. The distributed
+calibrator ships the identical tensors between workers and reproduces these
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError, TlqError
 from .importance import (
     SelectedTokens,
     channel_mean_abs,
@@ -46,7 +50,7 @@ from .model import (
     apply_linear_quant,
     backward_token_grads,
 )
-from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize
+from .quantizer import QuantConfig, QuantizedTensor, _qdq_inplace, dequantize, quantize
 from .smoothing import SmoothScale, fuse_into_predecessor, power_scale, sqrt_scale
 from .tensor import matmul
 
@@ -107,10 +111,15 @@ def layer_loss(y_fp: np.ndarray, y_q: np.ndarray) -> float:
     """Mean over the batch of the squared L2 difference (token sum inside)."""
     if y_fp.shape != y_q.shape:
         raise ShapeError(f"layer loss shapes differ: {y_fp.shape} vs {y_q.shape}")
-    d = y_fp - y_q
+    return _squared_loss_inplace(y_fp - y_q)
+
+
+def _squared_loss_inplace(d: np.ndarray) -> float:
+    # layer_loss of a difference d, squaring d in place
+    np.multiply(d, d, out=d)
     if d.ndim == 3:
-        return float(np.mean(np.sum(d * d, axis=(1, 2))))
-    return float(np.sum(d * d))
+        return float(np.mean(np.sum(d, axis=(1, 2))))
+    return float(np.sum(d))
 
 
 def _batch_fp(layer, xs: np.ndarray) -> np.ndarray:
@@ -120,14 +129,32 @@ def _batch_fp(layer, xs: np.ndarray) -> np.ndarray:
 def _batch_quant(
     layer: Linear, xs: np.ndarray, scale: SmoothScale, cfg_w: QuantConfig, cfg_a: QuantConfig
 ) -> np.ndarray:
+    """Quantization-exposed layer output for a (B, N, C) batch, freshly allocated.
+
+    Same bytes as stacking apply_linear_quant over the samples. Every call
+    returns a new array: the in-process transport queues outputs by
+    reference, so a buffer reused across grid points would be overwritten
+    while still in flight.
+    """
+    c_in = layer.weight.shape[1]
+    if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,):
+        raise ShapeError(
+            f"layer {layer.name!r}: inputs {xs.shape} and smoothing scale "
+            f"{scale.values.shape} vs {c_in} input channels"
+        )
     # the weight side is sample independent; quantizing it once gives the
     # same floats as apply_linear_quant on every sample
-    w_hat = dequantize(quantize(layer.weight * scale.values, cfg_w))
-    outs = []
-    for b in range(xs.shape[0]):
-        x_hat = dequantize(quantize(xs[b] / scale.values, cfg_a))
-        outs.append(matmul(x_hat, w_hat.T) + layer.bias)
-    return np.stack(outs)
+    w_hat = layer.weight * scale.values
+    _qdq_inplace(w_hat, cfg_w)
+    b_total, n_tokens = xs.shape[:2]
+    x_hat = (xs / scale.values).reshape(b_total * n_tokens, c_in)
+    _qdq_inplace(x_hat, cfg_a)
+    out = np.empty((b_total, n_tokens, layer.weight.shape[0]))
+    w_hat_t = w_hat.T
+    for b in range(b_total):
+        np.matmul(x_hat[b * n_tokens : (b + 1) * n_tokens], w_hat_t, out=out[b])
+    out += layer.bias
+    return out
 
 
 def select_ratio(curve: Sequence[tuple[float, float]]) -> float:
@@ -156,12 +183,15 @@ def search_ratio(
         raise ShapeError(
             f"layer {layer.name!r}: x_stat length {x_stat.shape} vs {layer.weight.shape[1]} input channels"
         )
+    if q_inputs.shape != fp_inputs.shape:
+        raise ShapeError(f"layer {layer.name!r}: inputs differ: {q_inputs.shape} vs {fp_inputs.shape}")
     y_fp = _batch_fp(layer, fp_inputs)
     curve = []
     for r in grid.points():
         scale = power_scale(x_stat, r)
         y_q = _batch_quant(layer, q_inputs, scale, cfg_w, cfg_a)
-        curve.append((r, layer_loss(y_fp, y_q)))
+        y_q -= y_fp
+        curve.append((r, _squared_loss_inplace(y_q)))
     return select_ratio(curve), tuple(curve)
 
 
@@ -472,9 +502,8 @@ def forward_quantized(qstack: QuantizedStack, x: np.ndarray) -> np.ndarray:
     cur = x
     for layer in qstack.layers:
         if isinstance(layer, QuantizedLinear):
-            if layer.input_scale is not None:
-                cur = cur / layer.input_scale
-            x_s = dequantize(quantize(cur, cfg_a))
+            x_s = cur / layer.input_scale if layer.input_scale is not None else cur.copy()
+            _qdq_inplace(x_s, cfg_a)
             cur = matmul(x_s, dequantize(layer.qweight).T) + layer.bias
         else:
             cur = apply_layer_fp(layer, cur)
@@ -531,36 +560,64 @@ class _TextReader:
         return line
 
 
+def _parse(kind: type, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise CheckpointError("bad_field", f"{what}: expected {kind.__name__}, got {text!r}") from None
+
+
 def result_from_text(text: str) -> CalibrationResult:
     r = _TextReader(text)
     if r.next() != _RESULT_HEADER:
         raise CheckpointError("bad_magic", "not a calibration result document")
     strategy = r.next("strategy ").split(" ", 1)[1]
+    if strategy not in STRATEGIES:
+        raise CheckpointError("bad_field", f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     stat_mode = r.next("stat_mode ").split(" ", 1)[1]
-    bits_w = int(r.next("bits_w ").split(" ", 1)[1])
-    bits_a = int(r.next("bits_a ").split(" ", 1)[1])
-    fraction = float(r.next("fraction ").split(" ", 1)[1])
-    g = r.next("grid ").split()
-    grid = RatioGrid(float(g[1]), float(g[2]), float(g[3]))
-    n_layers = int(r.next("layers ").split(" ", 1)[1])
+    if stat_mode not in STAT_MODES:
+        raise CheckpointError("bad_field", f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
+    bits_w = _parse(int, r.next("bits_w ").split(" ", 1)[1], "bits_w")
+    bits_a = _parse(int, r.next("bits_a ").split(" ", 1)[1], "bits_a")
+    fraction = _parse(float, r.next("fraction ").split(" ", 1)[1], "fraction")
+    g = r.next("grid ").split()[1:]
+    if len(g) != 3:
+        raise CheckpointError("bad_field", f"grid needs start, stop and step, got {g!r}")
+    g = [_parse(float, v, "grid") for v in g]
+    n_layers = _parse(int, r.next("layers ").split(" ", 1)[1], "layers")
     rows = []
     for _ in range(n_layers):
         name = r.next("layer ").split(" ", 1)[1]
-        ratio = float(r.next("ratio ").split(" ", 1)[1])
+        ratio = _parse(float, r.next("ratio ").split(" ", 1)[1], f"ratio of {name!r}")
+        if not 0.0 <= ratio <= 1.0:
+            raise CheckpointError("bad_field", f"ratio of {name!r} must be in [0, 1], got {ratio!r}")
         origin = r.next("origin ").split(" ", 1)[1]
-        parts = r.next("scale ").split()
-        count = int(parts[1])
-        values = np.array([float(v) for v in parts[2:]])
+        parts = r.next("scale ").split()[1:]
+        if not parts:
+            raise CheckpointError("bad_field", f"scale of {name!r} has no length")
+        count = _parse(int, parts[0], f"scale length of {name!r}")
+        values = np.array([_parse(float, v, f"scale of {name!r}") for v in parts[1:]])
         if values.shape[0] != count:
             raise CheckpointError("bad_dims", f"scale for {name!r}: expected {count} values, got {values.shape[0]}")
-        n_curve = int(r.next("curve ").split(" ", 1)[1])
+        n_curve = _parse(int, r.next("curve ").split(" ", 1)[1], f"curve length of {name!r}")
         curve = []
         for _ in range(n_curve):
-            a, b = r.next().split()
-            curve.append((float(a), float(b)))
-        scale = SmoothScale(values, origin=origin, ratio=None if origin == "sqrt_baseline" else ratio)
+            point = r.next().split()
+            if len(point) != 2:
+                raise CheckpointError("bad_field", f"curve point of {name!r}: expected 'ratio loss', got {point!r}")
+            curve.append(tuple(_parse(float, v, f"curve of {name!r}") for v in point))
+        try:
+            scale = SmoothScale(values, origin=origin, ratio=None if origin == "sqrt_baseline" else ratio)
+        except TlqError as exc:
+            raise CheckpointError("bad_field", f"scale of {name!r}: {exc}") from None
         rows.append(LayerCalibration(name, scale, ratio, tuple(curve)))
     r.next("end")
+    try:
+        grid = RatioGrid(*g)
+        QuantConfig(bits_w)
+        QuantConfig(bits_a)
+    except TlqError as exc:
+        raise CheckpointError("bad_field", str(exc)) from None
     return CalibrationResult(tuple(rows), strategy, stat_mode, bits_w, bits_a, fraction, grid)
 
 

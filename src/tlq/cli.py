@@ -36,20 +36,38 @@ PRESETS = {
     "tlq": {"stat_mode": "topk", "strategy": "passact2", "grid_start": 0.0, "grid_stop": 1.0},
 }
 
-_CAL_DEFAULTS = {
-    "bits_w": 4,
-    "bits_a": 8,
-    "strategy": "passact2",
-    "stat_mode": "topk",
-    "fraction": 0.5,
-    "grid_start": 0.0,
-    "grid_stop": 1.0,
-    "grid_step": 0.05,
-    "workers": 3,
-    "transport": "in_process",
-    "timeout": 30.0,
-    "overhead_coeff": 1.0,
+# every calibration option: its default and what a config file may hold for
+# it, an int, a float (an int is widened, as a float flag would parse it) or
+# one of a tuple of names
+_CAL_OPTIONS = {
+    "bits_w": (4, int),
+    "bits_a": (8, int),
+    "strategy": ("passact2", calibration.STRATEGIES),
+    "stat_mode": ("topk", calibration.STAT_MODES),
+    "fraction": (0.5, float),
+    "grid_start": (0.0, float),
+    "grid_stop": (1.0, float),
+    "grid_step": (0.05, float),
+    "workers": (3, int),
+    "transport": ("in_process", distcal.TRANSPORTS),
+    "timeout": (30.0, float),
+    "overhead_coeff": (1.0, float),
 }
+
+
+def _config_value(key: str, value):
+    kind = _CAL_OPTIONS[key][1]
+    if isinstance(kind, tuple):
+        if isinstance(value, str) and value in kind:
+            return value
+        raise ConfigError(f"config key {key!r} must be one of {kind}, got {value!r}")
+    numeric, what = ((int,), "an integer") if kind is int else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"config key {key!r} is out of range: {value!r}") from None
 
 
 class _UsageError(Exception):
@@ -146,10 +164,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _resolve_options(args: argparse.Namespace, extra_keys: tuple[str, ...] = ()) -> dict:
+def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge calibration options: flags > config file > preset > defaults."""
-    keys = tuple(_CAL_DEFAULTS) if not extra_keys else tuple(_CAL_DEFAULTS) + extra_keys
-    merged = dict(_CAL_DEFAULTS)
+    merged = {key: default for key, (default, _) in _CAL_OPTIONS.items()}
     if args.preset:
         merged.update(PRESETS[args.preset])
     if args.config:
@@ -160,11 +177,13 @@ def _resolve_options(args: argparse.Namespace, extra_keys: tuple[str, ...] = ())
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         for key, value in loaded.items():
-            if key not in keys:
+            if key not in _CAL_OPTIONS:
                 raise ConfigError(f"unknown config key: {key!r}")
-            merged[key] = value
-    for key in keys:
+            merged[key] = _config_value(key, value)
+    for key in _CAL_OPTIONS:
         explicit = getattr(args, key, None)
         if explicit is not None:
             merged[key] = explicit

@@ -155,14 +155,6 @@ class MemoryLedger:
         return tuple(sorted(self._accounts))
 
 
-def ledger_alloc(ledger: MemoryLedger, worker, nbytes: int, tag: str) -> None:
-    ledger.alloc(worker, nbytes, tag)
-
-
-def ledger_free(ledger: MemoryLedger, worker, nbytes: int, tag: str) -> None:
-    ledger.free(worker, nbytes, tag)
-
-
 def schedule_to_least_loaded(ledger: MemoryLedger, candidates: Sequence[WorkerId]) -> WorkerId:
     """Candidate with the smallest current footprint; ties go to the lowest id."""
     pool = list(candidates)

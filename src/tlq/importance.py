@@ -26,7 +26,7 @@ from .model import (
     forward_fp_from,
     loss_value,
 )
-from .quantizer import QuantConfig, dequantize, quantize
+from .quantizer import QuantConfig, _qdq_inplace
 from .smoothing import SmoothScale
 
 
@@ -145,7 +145,10 @@ def activation_error_probe(
         raise ShapeError(f"layer index {layer_index} out of range")
     x_l = trace.inputs[layer_index]
     s = scale.values if scale is not None else np.ones(x_l.shape[1])
-    delta = dequantize(quantize(x_l / s, cfg_a)) * s - x_l
+    delta = x_l / s
+    _qdq_inplace(delta, cfg_a)
+    delta *= s
+    delta -= x_l
     grads = backward_token_grads(stack, x, loss)
     estimate = first_order_output_error(grads.grads[layer_index], delta)
     y_pert = forward_fp_from(stack, layer_index, x_l + delta)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .layers import Activation, LayerSpec, LayerStack, Linear, RMSNorm
-from .quantizer import QuantConfig, dequantize, quantize
+from .quantizer import QuantConfig, _qdq_inplace
 from .smoothing import SmoothScale
 from .tensor import matmul
 
@@ -124,8 +124,10 @@ def apply_linear_quant(
             f"layer {layer.name!r}: smoothing scale length {scale.values.shape[0]} "
             f"vs {layer.weight.shape[1]} input channels"
         )
-    x_s = dequantize(quantize(x / scale.values, cfg_a))
-    w_s = dequantize(quantize(layer.weight * scale.values, cfg_w))
+    x_s = x / scale.values
+    _qdq_inplace(x_s, cfg_a)
+    w_s = layer.weight * scale.values
+    _qdq_inplace(w_s, cfg_w)
     return matmul(x_s, w_s.T) + layer.bias
 
 

@@ -5,12 +5,14 @@ s = max(absmax(row) / (2^(n-1) - 1), scale_floor) and integer codes
 q = round(row / s) with round-half-away-from-zero. Rows are tokens for
 per-token activation quantization and output channels for per-channel
 weight quantization; the granularity field only records which orientation
-the caller intends.
+the caller intends. The spacing between representable values of a row is
+exactly its scale s.
 
-The spacing between representable values of a row is exactly its scale s.
-The closed-form step 2*max|x| / (2^n - 1) returned by `step_size` differs
-from s by the factor (2^n - 2) / (2^n - 1); error-law checks therefore use
-the actual per-row spacing.
+`quantize` returns int32 codes for the artifact codec. Simulated
+quantization (calibration, quantized forwards, error probes) instead calls
+`_qdq_inplace`, which overwrites a float block with the bytes of
+`dequantize(quantize(x))` without building the codes. Both share the scale
+and rounding helpers below, so the rounding rule lives in one place.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import reduce_absmax
 
 DEFAULT_SCALE_FLOOR = 1e-12
 
@@ -57,22 +58,49 @@ class QuantizedTensor:
     config: QuantConfig
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # numpy's round() is half-to-even; ties here must move away from zero.
-    return np.copysign(np.floor(np.fabs(x) + 0.5), x)
+# rows per pass of _qdq_inplace are sized to keep its temporaries in cache
+_QDQ_CHUNK_ELEMS = 1 << 15
+
+
+def _scaled_magnitudes(x: np.ndarray, cfg: QuantConfig, out: np.ndarray | None = None):
+    """Row scales s and |x| / s (written to `out` when given).
+
+    |x| / s equals |x / s| bit for bit, since division by s > 0 is
+    sign-symmetric, so the sign can be restored from x afterwards.
+    """
+    if x.ndim != 2:
+        raise ShapeError(f"quantize expects a rank-2 tensor, got shape {x.shape}")
+    if x.shape[1] == 0:
+        raise ShapeError(f"cannot quantize rows of length 0, got shape {x.shape}")
+    t = np.abs(x, out=out)
+    absmax = np.max(t, axis=1)
+    # the row absmax is non-finite exactly when the row holds NaN or Inf
+    if not np.all(np.isfinite(absmax)):
+        raise NumericError("quantize input contains NaN or Inf")
+    scales = np.maximum(absmax / cfg.qmax, cfg.scale_floor)
+    t /= scales[:, None]
+    return t, scales
+
+
+def _signed_codes(t: np.ndarray, x: np.ndarray, cfg: QuantConfig, out: np.ndarray) -> None:
+    """Codes from magnitudes t = |x| / s, into `out` (which may be t or x).
+
+    Rounding is half away from zero (numpy's round() is half-to-even):
+    floor(t + 0.5) on the magnitude, then the sign of x.
+    """
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, x, out=out)
+    np.clip(out, cfg.qmin, cfg.qmax, out=out)
 
 
 def quantize(x: np.ndarray, cfg: QuantConfig) -> QuantizedTensor:
     """Row-wise symmetric quantization of a rank-2 tensor."""
-    if x.ndim != 2:
-        raise ShapeError(f"quantize expects a rank-2 tensor, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NumericError("quantize input contains NaN or Inf")
-    absmax = reduce_absmax(x, axis=1)
-    scales = np.maximum(absmax / cfg.qmax, cfg.scale_floor)
-    q = _round_half_away(x / scales[:, None])
-    q = np.clip(q, cfg.qmin, cfg.qmax)
-    return QuantizedTensor(q.astype(np.int32), scales, cfg)
+    # integer input is quantized from its float64 values
+    x = x.astype(np.result_type(x, 1.0), copy=False)
+    t, scales = _scaled_magnitudes(x, cfg)
+    _signed_codes(t, x, cfg, out=t)
+    return QuantizedTensor(t.astype(np.int32), scales, cfg)
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
@@ -82,19 +110,24 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     return qt.q * qt.scales[:, None]
 
 
-def step_size(max_abs: float, bits: int, scale_floor: float = DEFAULT_SCALE_FLOOR) -> float:
-    """Closed-form quantization step 2*max_abs / (2^bits - 1).
+def _qdq_inplace(x: np.ndarray, cfg: QuantConfig) -> None:
+    """Overwrite rank-2 float64 `x` with the bytes of dequantize(quantize(x, cfg)).
 
-    A zero max_abs falls back to the floored scale, i.e. the value the step
-    would take for a row whose scale was clamped to scale_floor.
+    Works through blocks of whole rows with one cache-sized scratch buffer,
+    so no temporary of x's size is allocated.
     """
-    if max_abs < 0:
-        raise ConfigError(f"max_abs must be >= 0, got {max_abs}")
-    if not 2 <= bits <= 16:
-        raise ConfigError(f"bits must be in [2, 16], got {bits}")
-    qmax = 2 ** (bits - 1) - 1
-    effective = max(max_abs, scale_floor * qmax)
-    return 2.0 * effective / (2**bits - 1)
+    if x.ndim != 2:
+        raise ShapeError(f"quantize expects a rank-2 tensor, got shape {x.shape}")
+    rows = max(1, _QDQ_CHUNK_ELEMS // max(1, x.shape[1]))
+    scratch = np.empty((min(rows, x.shape[0]), x.shape[1]))
+    # one pass even for zero rows, so the shape checks still run
+    for start in range(0, max(x.shape[0], 1), rows):
+        block = x[start : start + rows]
+        t, scales = _scaled_magnitudes(block, cfg, out=scratch[: block.shape[0]])
+        _signed_codes(t, block, cfg, out=block)
+        # a -0 code comes back as +0 through int32; adding +0 does the same
+        block += 0.0
+        block *= scales[:, None]
 
 
 @dataclass(frozen=True)

@@ -167,24 +167,6 @@ def evaluate(
     )
 
 
-def end_to_end_gap(
-    stack: LayerStack,
-    result: CalibrationResult,
-    calib: CalibrationSet,
-    loss: ProxyLossSpec = ProxyLossSpec(),
-) -> float:
-    """Absolute change of the mean proxy loss caused by quantized inference."""
-    cfg_w = QuantConfig(result.bits_w, "per_channel")
-    cfg_a = QuantConfig(result.bits_a, "per_token")
-    scales = scales_from_result(result)
-    fp_total = q_total = 0.0
-    for b in range(calib.batch):
-        x = calib.activations[b]
-        fp_total += loss_value(forward_fp(stack, x).output, loss)
-        q_total += loss_value(forward_quant(stack, x, scales, cfg_w, cfg_a).output, loss)
-    return abs(q_total - fp_total) / calib.batch
-
-
 def accuracy_proxy_gap(
     stack: LayerStack, result: CalibrationResult, calib: CalibrationSet
 ) -> float:

@@ -3,7 +3,9 @@
 Values are plain numpy ndarrays of rank 1 to 3, row major, float64 by
 default (a global float32 mode exists for float-sensitivity experiments).
 Functions here are pure: inputs are never mutated and results are freshly
-allocated.
+allocated. The package's one in-place numeric kernel lives elsewhere:
+`quantizer._qdq_inplace` overwrites its rank-2 argument, and its callers
+always hand it a freshly computed array.
 """
 
 from __future__ import annotations

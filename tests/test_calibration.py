@@ -4,6 +4,8 @@ import pytest
 from conftest import random_block_stack, single_linear_stack
 from tlq.calibration import (
     CalibrationWalk,
+    _batch_fp,
+    _batch_quant,
     RatioGrid,
     calibrate,
     forward_quantized,
@@ -17,10 +19,10 @@ from tlq.calibration import (
     search_ratio,
     select_ratio,
 )
-from tlq.errors import ConfigError, ShapeError
+from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.layers import LayerStack, Linear
-from tlq.model import forward_fp, forward_quant
+from tlq.model import apply_linear_quant, forward_fp, forward_quant
 from tlq.quantizer import QuantConfig
 from tlq.smoothing import power_scale
 from tlq.tensor import Rng, rand_normal
@@ -86,6 +88,61 @@ def conditioned_layer(seed, c=64, b=16, n=64, outliers=4):
     x = _calib_inputs(seed + 1, b, n, c)
     x[:, :, :outliers] *= 50.0
     return lin, x
+
+
+def test_batch_quant_matches_per_sample_apply_linear_quant():
+    lin, xs = _planted_layer(3, 6)
+    scale = power_scale(np.max(np.abs(xs.reshape(-1, 6)), axis=0), 0.35)
+    before = xs.copy()
+    got = _batch_quant(lin, xs, scale, CFG_W, CFG_A)
+    want = np.stack([apply_linear_quant(lin, xs[b], scale, CFG_W, CFG_A) for b in range(xs.shape[0])])
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(xs, before)  # the inputs are copied, never overwritten
+
+
+def test_batch_quant_returns_fresh_arrays():
+    # queued y_q frames are held by reference, so no call may reuse a buffer
+    lin, xs = _planted_layer(4, 6)
+    stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
+    a = _batch_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
+    b = _batch_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
+    assert a is not b and not np.shares_memory(a, b)
+    assert not np.shares_memory(a, xs)
+    assert np.array_equal(a, b)
+
+
+def test_search_ratio_curve_is_layer_loss_of_batch_outputs():
+    lin, xs = _planted_layer(5, 6)
+    fp_in = xs * 1.01
+    stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
+    grid = RatioGrid(0.0, 1.0, 0.1)
+    _, curve = search_ratio(lin, xs, fp_in, stat, grid, CFG_W, CFG_A)
+    y_fp = _batch_fp(lin, fp_in)
+    for r, loss in curve:
+        assert loss == layer_loss(y_fp, _batch_quant(lin, xs, power_scale(stat, r), CFG_W, CFG_A))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise_numeric_error(bad):
+    lin, xs = _planted_layer(6, 6)
+    stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
+    xs[1, 2, 3] = bad
+    with pytest.raises(NumericError):
+        _batch_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
+    with pytest.raises(NumericError):
+        search_ratio(lin, xs, xs, stat, RatioGrid(), CFG_W, CFG_A)
+
+
+def test_batch_kernels_reject_mismatched_shapes():
+    lin, xs = _planted_layer(7, 6)
+    stat = np.ones(6)
+    with pytest.raises(ShapeError):
+        _batch_quant(lin, xs, power_scale(np.ones(5), 0.5), CFG_W, CFG_A)
+    with pytest.raises(ShapeError):
+        _batch_quant(lin, xs[:, :, :5], power_scale(stat, 0.5), CFG_W, CFG_A)
+    with pytest.raises(ShapeError):
+        # one fp sample would otherwise broadcast against the whole q batch
+        search_ratio(lin, xs, xs[:1], stat, RatioGrid(), CFG_W, CFG_A)
 
 
 def test_search_ratio_matches_exhaustive_oracle():
@@ -243,6 +300,49 @@ def test_result_text_roundtrip_is_exact():
     again = result_from_text(text)
     assert result_to_text(again) == text
     assert np.array_equal(again.layers[0].scale.values, res.layers[0].scale.values)
+
+
+def _mutated_result_text(field, value):
+    stack = build_stack(21, 1, 32)
+    calib = build_calibset(21, 3, 8, 32, visual_fraction=0.5)
+    res = calibrate(stack, calib.activations, strategy="passact2", stat_mode="topk", cfg_w=CFG_W, cfg_a=CFG_A)
+    lines = result_to_text(res).splitlines()
+    if field == "curve_point":
+        i = lines.index(next(l for l in lines if l.startswith("curve "))) + 1
+    else:
+        i = next(i for i, l in enumerate(lines) if l.split(" ", 1)[0] == field)
+        value = f"{field} {value}"
+    lines[i] = value
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("strategy", "bogus"),
+        ("stat_mode", "median"),
+        ("bits_w", "four"),
+        ("bits_a", "6.5"),
+        ("bits_w", "40"),
+        ("fraction", "half"),
+        ("grid", "0.0 1.0 x"),
+        ("grid", "0.0 1.0"),
+        ("grid", "0.9 0.1 0.05"),
+        ("layers", "one"),
+        ("ratio", "0.3.5"),
+        ("ratio", "nan"),
+        ("ratio", "1.5"),
+        ("origin", "guess"),
+        ("scale", "32 1.0"),
+        ("scale", "x"),
+        ("curve", "many"),
+        ("curve_point", "0.0 lots"),
+        ("curve_point", "0.0"),
+    ],
+)
+def test_result_from_text_rejects_invalid_fields(field, value):
+    with pytest.raises(CheckpointError):
+        result_from_text(_mutated_result_text(field, value))
 
 
 # --- quantized artifact --------------------------------------------------------

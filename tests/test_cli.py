@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from tlq.calibration import result_from_text
 from tlq.cli import main
@@ -101,6 +102,74 @@ def test_config_file_applies_but_flags_win(tmp_path):
     res = result_from_text(out.read_text())
     assert res.bits_a == 6  # flag beat the config file
     assert res.strategy == "none"  # config beat the default
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[1, 2]", '{"fraction": "0.5"}', '{"bits_w": 4.0}', '{"strategy": 3}', '{"grid_step": true}'],
+)
+def test_bad_config_value_exits_one(tmp_path, capsys, content):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code = main([
+        "calibrate", "--model", str(model), "--calib", str(calib),
+        "--config", str(cfg), "--out", str(tmp_path / "r.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_integer_config_value_counts_as_float(tmp_path):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_start": 0, "grid_stop": 1}))
+    from_config = _calibrate(tmp_path, model, calib, name="c.txt", extra=("--config", str(cfg)))
+    from_flags = _calibrate(
+        tmp_path, model, calib, name="f.txt", extra=("--grid-start", "0", "--grid-stop", "1")
+    )
+    assert from_config.read_text() == from_flags.read_text()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("strategy passact2", "strategy bogus"),
+        ("stat_mode topk", "stat_mode bogus"),
+        ("bits_w 4", "bits_w four"),
+        ("fraction 0.5", "fraction half"),
+    ],
+)
+def test_invalid_result_exits_two(tmp_path, capsys, old, new):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    result = _calibrate(tmp_path, model, calib)
+    text = result.read_text()
+    assert old + "\n" in text
+    result.write_text(text.replace(old + "\n", new + "\n"))
+    for argv in (
+        ["quantize", "--model", str(model), "--result", str(result), "--out", str(tmp_path / "q")],
+        ["eval", "--model", str(model), "--result", str(result), "--calib", str(calib),
+         "--out", str(tmp_path / "e.txt")],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "q").exists()
+
+
+def test_non_numeric_ratio_exits_two(tmp_path, capsys):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    result = _calibrate(tmp_path, model, calib)
+    lines = result.read_text().splitlines()
+    i = next(i for i, l in enumerate(lines) if l.startswith("ratio "))
+    lines[i] = "ratio abc"
+    result.write_text("\n".join(lines) + "\n")
+    code = main(["quantize", "--model", str(model), "--result", str(result), "--out", str(tmp_path / "q")])
+    assert code == 2
+    assert "ratio" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -18,8 +18,6 @@ from tlq.distcal import (
     decode_message,
     default_workers,
     encode_message,
-    ledger_alloc,
-    ledger_free,
     message_envelope_bytes,
     run_distributed_calibration,
     schedule_to_least_loaded,
@@ -34,14 +32,6 @@ CFG_A = QuantConfig(6, "per_token")
 
 
 # --- ledger ---------------------------------------------------------------------
-
-
-def test_ledger_alloc_free_cycle():
-    ledger = MemoryLedger([0])
-    ledger_alloc(ledger, 0, 100, "x")
-    ledger_free(ledger, 0, 100, "x")
-    assert ledger.current(0) == 0
-    assert ledger.peak(0) == 100
 
 
 def test_ledger_running_peak():

@@ -7,10 +7,10 @@ from hypothesis.extra.numpy import arrays
 from tlq.errors import ConfigError, NumericError, ShapeError
 from tlq.quantizer import (
     QuantConfig,
+    _qdq_inplace,
     dequantize,
     quantize,
     rounding_error_stats,
-    step_size,
 )
 from tlq.tensor import Rng, rand_uniform
 
@@ -54,6 +54,13 @@ def test_quantize_rejects_bad_input():
         quantize(np.zeros(4), QuantConfig(8))
 
 
+def test_quantize_accepts_integer_input():
+    x = np.array([[-3, 0, 5], [7, -7, 1]])
+    got = quantize(x, QuantConfig(4))
+    want = quantize(x.astype(np.float64), QuantConfig(4))
+    assert np.array_equal(got.q, want.q) and got.scales.tobytes() == want.scales.tobytes()
+
+
 def test_grid_multiples_roundtrip_exactly():
     # rows whose values are integer multiples of their own pitch absmax/qmax
     cfg = QuantConfig(6)
@@ -70,16 +77,6 @@ def test_dequantize_error_bounded_by_half_pitch():
     err = np.abs(dequantize(qt) - x)
     bound = qt.scales[:, None] / 2 * (1 + 1e-12)
     assert np.all(err <= bound)
-
-
-def test_step_size_values():
-    assert step_size(127.0, 8) == pytest.approx(254.0 / 255.0, rel=1e-15)
-    assert step_size(1.0, 2) == pytest.approx(2.0 / 3.0, rel=1e-15)
-    floored = step_size(0.0, 8)
-    assert floored > 0
-    assert floored == pytest.approx(2 * 1e-12 * 127 / 255, rel=1e-12)
-    with pytest.raises(ConfigError):
-        step_size(-1.0, 8)
 
 
 def test_error_variance_matches_uniform_law():
@@ -143,3 +140,71 @@ def test_codes_stay_in_range():
         x = rand_uniform(Rng(bits), (10, 20), -7.0, 7.0)
         qt = quantize(x, cfg)
         assert qt.q.min() >= cfg.qmin and qt.q.max() <= cfg.qmax
+
+
+# --- in-place quantize-dequantize kernel ---------------------------------------
+
+
+def _reference_codes(x, cfg):
+    # the textbook rule, written independently of the quantizer's helpers
+    scales = np.maximum(np.max(np.abs(x), axis=1) / cfg.qmax, cfg.scale_floor)
+    t = x / scales[:, None]
+    q = np.clip(np.copysign(np.floor(np.fabs(t) + 0.5), t), cfg.qmin, cfg.qmax)
+    return q.astype(np.int32), scales
+
+
+@st.composite
+def _qdq_case(draw):
+    bits = draw(st.integers(2, 16))
+    qmax = 2 ** (bits - 1) - 1
+    cols = draw(st.integers(2, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("floats", "ties", "zeros", "one_hot", "tiny_negative")))
+        if kind == "floats":
+            row = draw(st.lists(st.floats(-1e6, 1e6), min_size=cols, max_size=cols))
+        elif kind == "ties":
+            # pitch s = 2^e is exact, so every (k + 0.5) * s lands on a .5 tie
+            s = 2.0 ** draw(st.integers(-8, 8))
+            ks = draw(st.lists(st.integers(-qmax, qmax - 1), min_size=cols - 1, max_size=cols - 1))
+            row = [qmax * s] + [(k + 0.5) * s for k in ks]
+        elif kind == "zeros":
+            row = [draw(st.sampled_from((0.0, -0.0)))] * cols
+        elif kind == "one_hot":
+            row = [0.0] * cols
+            row[draw(st.integers(0, cols - 1))] = draw(st.floats(-1e3, 1e3))
+        else:
+            # with scale 1/qmax these round to a -0 code, which int32 makes +0
+            row = [1.0] + [-draw(st.floats(1e-300, 0.49 / qmax)) for _ in range(cols - 1)]
+        rows.append(row)
+    return np.array(rows, dtype=np.float64), QuantConfig(bits)
+
+
+@given(_qdq_case())
+@settings(max_examples=300, deadline=None)
+def test_qdq_inplace_is_bytewise_dequantize_of_quantize(case):
+    x, cfg = case
+    q_ref, scales_ref = _reference_codes(x, cfg)
+    qt = quantize(x, cfg)
+    assert np.array_equal(qt.q, q_ref)
+    assert qt.scales.tobytes() == scales_ref.tobytes()
+    expected = dequantize(qt)
+    assert expected.tobytes() == (q_ref * scales_ref[:, None]).tobytes()
+    got = x.copy()
+    _qdq_inplace(got, cfg)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_qdq_inplace_turns_negative_zero_codes_positive():
+    x = np.array([[1.0, -0.2, -0.0]])
+    _qdq_inplace(x, QuantConfig(2))
+    assert x.tobytes() == np.array([[1.0, 0.0, 0.0]]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qdq_inplace_rejects_non_finite(bad):
+    x = np.array([[1.0, 2.0], [3.0, bad]])
+    with pytest.raises(NumericError):
+        _qdq_inplace(x, QuantConfig(8))
+    with pytest.raises(ShapeError):
+        _qdq_inplace(np.zeros((2, 0)), QuantConfig(8))
