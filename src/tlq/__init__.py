@@ -49,6 +49,6 @@ from .model import (
 )
 from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize, rounding_error_stats
 from .smoothing import SmoothScale, apply_smoothing, fuse_into_predecessor, power_scale, sqrt_scale
-from .tensor import Rng, matmul, rand_normal, rand_uniform, reduce_absmax
+from .tensor import Rng, matmul, rand_normal, rand_uniform
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -62,6 +62,9 @@ QUANTIZED_MAGIC = b"TLQQNT01"
 # relative tolerance under which two grid losses count as tied
 TIE_REL_TOL = 1e-12
 
+# largest ratio grid (0..1 at step 0.001); every point is a full layer search
+MAX_GRID_POINTS = 1001
+
 
 @dataclass(frozen=True)
 class RatioGrid:
@@ -74,12 +77,24 @@ class RatioGrid:
             raise ConfigError(f"ratio grid must satisfy 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]")
         if not self.step > 0:
             raise ConfigError(f"ratio grid step must be > 0, got {self.step}")
+        if self.start != self.stop:
+            # counted, not built: a tiny step would otherwise allocate for minutes
+            n = self._steps()
+            count = n + 1 + (self.start + n * self.step < self.stop - 1e-12)
+            if count > MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"ratio grid step {self.step} gives {count:.6g} points; at most {MAX_GRID_POINTS} are allowed"
+                )
+
+    def _steps(self) -> float:
+        """Whole steps from start that stay within stop (a float: huge, or inf, for a tiny step)."""
+        return float(np.floor((self.stop - self.start) / self.step + 1e-9))
 
     def points(self) -> tuple[float, ...]:
         """Grid values including both endpoints."""
         if self.start == self.stop:
             return (self.start,)
-        n = int(np.floor((self.stop - self.start) / self.step + 1e-9))
+        n = int(self._steps())
         pts = [self.start + i * self.step for i in range(n + 1)]
         if pts[-1] < self.stop - 1e-12:
             pts.append(self.stop)
@@ -433,6 +448,21 @@ def scales_from_result(result: CalibrationResult) -> dict[str, SmoothScale]:
     return {row.name: row.scale for row in result.layers}
 
 
+def check_result_layers(stack: LayerStack, result: CalibrationResult) -> None:
+    """Raise ConfigError unless the result has exactly one row per linear of the stack."""
+    want = [lin.name for _, lin in stack.linears()]
+    got = [row.name for row in result.layers]
+    if sorted(got) == sorted(want):
+        return
+    missing = [n for n in want if n not in got]
+    extra = [n for n in got if n not in want]
+    repeated = sorted({n for n in got if got.count(n) > 1})
+    raise ConfigError(
+        f"calibration result layers do not match the stack's linear layers: "
+        f"missing {missing}, extra {extra}, repeated {repeated}"
+    )
+
+
 # --- quantized stack artifact -------------------------------------------------
 
 
@@ -466,10 +496,8 @@ def quantize_with_result(
     scale. Weights are stored as per-channel quantized tensors.
     """
     _validate_quant_cfgs(cfg_w, cfg_a)
+    check_result_layers(stack, result)
     by_name = scales_from_result(result)
-    missing = [l.name for _, l in stack.linears() if l.name not in by_name]
-    if missing:
-        raise ConfigError(f"calibration result does not cover linear layers: {missing}")
 
     # fold every linear's input scale into its predecessor first, then quantize
     fused: list = list(stack.layers)

@@ -187,7 +187,13 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         explicit = getattr(args, key, None)
         if explicit is not None:
             merged[key] = explicit
+    _check_fraction(merged["fraction"])
     return merged
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:  # NaN fails too
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -254,9 +260,10 @@ def _calibration_kwargs(opts: dict) -> dict:
 
 def _cmd_calibrate(args) -> int:
     opts = _resolve_options(args)
+    kwargs = _calibration_kwargs(opts)
     stack, calib = _load_inputs(args)
     out = _prepare_out(args.out)
-    result = calibration.calibrate(stack, calib.activations, **_calibration_kwargs(opts))
+    result = calibration.calibrate(stack, calib.activations, **kwargs)
     out.write_text(calibration.result_to_text(result))
     print(f"wrote {args.out}: {len(result.layers)} layers ({opts['strategy']}/{opts['stat_mode']})")
     return 0
@@ -264,6 +271,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_dist_calibrate(args) -> int:
     opts = _resolve_options(args)
+    kwargs = _calibration_kwargs(opts)
     stack, calib = _load_inputs(args)
     out = _prepare_out(args.out)
     mem_path = _prepare_out(args.memory_report) if args.memory_report else None
@@ -274,7 +282,7 @@ def _cmd_dist_calibrate(args) -> int:
         transport=opts["transport"],
         timeout=opts["timeout"],
         overhead_coeff=opts["overhead_coeff"],
-        **_calibration_kwargs(opts),
+        **kwargs,
     )
     out.write_text(calibration.result_to_text(result))
     if mem_path is not None:
@@ -324,6 +332,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
+    _check_fraction(args.fraction)
     stack = load_checkpoint(_require_file(args.model, "model checkpoint").read_bytes())
     calib = load_calibset(_require_file(args.calib, "calibration set").read_bytes())
     pre_path = _prepare_out(args.out_pre)

@@ -20,6 +20,7 @@ from .errors import ShapeError
 from .layers import LayerStack
 from .model import (
     ForwardTrace,
+    GradTrace,
     ProxyLossSpec,
     backward_token_grads,
     forward_fp,
@@ -132,15 +133,21 @@ def activation_error_probe(
     cfg_a: QuantConfig,
     scale: SmoothScale | None = None,
     loss: ProxyLossSpec = ProxyLossSpec(),
+    *,
+    trace: ForwardTrace | None = None,
+    grads: GradTrace | None = None,
 ) -> tuple[float, float]:
     """Quantize one layer's input activation and compare loss-change estimates.
 
     Returns (first-order estimate, measured loss change) where the estimate
     is the gradient inner product with the effective input perturbation
     delta = (dequantize(quantize(x/s)) * s) - x and the measured value reruns
-    the full-precision tail on the perturbed input.
+    the full-precision tail on the perturbed input. A caller probing several
+    layers of one sample passes that sample's `forward_fp` trace and its
+    gradients, so only the tail forward is recomputed per layer.
     """
-    trace: ForwardTrace = forward_fp(stack, x)
+    if trace is None:
+        trace = forward_fp(stack, x)
     if not 0 <= layer_index < len(stack.layers):
         raise ShapeError(f"layer index {layer_index} out of range")
     x_l = trace.inputs[layer_index]
@@ -149,7 +156,8 @@ def activation_error_probe(
     _qdq_inplace(delta, cfg_a)
     delta *= s
     delta -= x_l
-    grads = backward_token_grads(stack, x, loss)
+    if grads is None:
+        grads = backward_token_grads(stack, x, loss)
     estimate = first_order_output_error(grads.grads[layer_index], delta)
     y_pert = forward_fp_from(stack, layer_index, x_l + delta)
     measured = loss_value(y_pert, loss) - loss_value(trace.output, loss)

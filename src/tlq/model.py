@@ -212,7 +212,15 @@ def backward_token_grads(
     relu uses subgradient 0 at 0; silu uses its exact derivative. The last
     trace entry is the gradient at the final output.
     """
-    trace = forward_fp(stack, x)
+    return backward_from_trace(stack, forward_fp(stack, x), loss)
+
+
+def backward_from_trace(
+    stack: LayerStack, trace: ForwardTrace, loss: ProxyLossSpec = ProxyLossSpec()
+) -> GradTrace:
+    """The backward half of `backward_token_grads`, on a recorded FP trace."""
+    if len(trace.inputs) != len(stack.layers):
+        raise ShapeError(f"trace has {len(trace.inputs)} layer inputs, stack has {len(stack.layers)} layers")
     g = loss_grad(trace.output, loss)
     grads = [g]
     for layer, x_l in zip(reversed(stack.layers), reversed(trace.inputs)):
@@ -382,4 +390,11 @@ def load_calibset(data: bytes) -> CalibrationSet:
     modality = np.frombuffer(r.take(b * n), dtype=np.uint8).copy().reshape(b, n)
     acts = r.f64s(b * n * c).reshape(b, n, c)
     r.done()
+    if not np.isfinite(acts).all():
+        sample, token, channel = (int(i) for i in np.argwhere(~np.isfinite(acts))[0])
+        raise CheckpointError(
+            "non_finite",
+            f"activation at sample {sample}, token {token}, channel {channel} "
+            f"is {float(acts[sample, token, channel])}",
+        )
     return CalibrationSet(acts, modality)

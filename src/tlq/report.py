@@ -20,6 +20,7 @@ from .calibration import (
     CalibrationWalk,
     _batch_fp,
     _batch_quant,
+    check_result_layers,
     layer_loss,
     scales_from_result,
 )
@@ -36,6 +37,7 @@ from .layers import LayerStack
 from .model import (
     CalibrationSet,
     ProxyLossSpec,
+    backward_from_trace,
     backward_token_grads,
     forward_fp,
     forward_quant,
@@ -98,11 +100,16 @@ def evaluate(
     calib: CalibrationSet,
     loss: ProxyLossSpec = ProxyLossSpec(),
 ) -> EvalReport:
-    """Replay a calibration result on evaluation data."""
+    """Replay a calibration result on evaluation data.
+
+    Each sample gets one FP trace, one backward pass over it and one
+    quantized forward; every layer probe, the loss totals, the output MSE
+    and the CE gap read from those. Totals accumulate in sample order.
+    """
+    check_result_layers(stack, result)
     cfg_w = QuantConfig(result.bits_w, "per_channel")
     cfg_a = QuantConfig(result.bits_a, "per_token")
     scales = scales_from_result(result)
-    by_name = {row.name: row for row in result.layers}
     acts = calib.activations
     b_total = acts.shape[0]
 
@@ -110,46 +117,37 @@ def evaluate(
     walk = CalibrationWalk(stack, acts, result.strategy, cfg_w, cfg_a)
     layer_losses: dict[str, float] = {}
     while (task := walk.next_linear()) is not None:
-        if task.layer.name not in by_name:
-            raise ConfigError(f"result does not cover linear layer {task.layer.name!r}")
-        row = by_name[task.layer.name]
+        scale = scales[task.layer.name]
         y_fp = _batch_fp(task.layer, task.fp_inputs)
-        y_q = _batch_quant(task.layer, task.q_inputs, row.scale, cfg_w, cfg_a)
+        y_q = _batch_quant(task.layer, task.q_inputs, scale, cfg_w, cfg_a)
         layer_losses[task.layer.name] = layer_loss(y_fp, y_q)
-        walk.fix_scale(row.scale)
+        walk.fix_scale(scale)
 
     # first-order estimate vs measured loss change, per layer, summed over batch
-    probes: dict[str, tuple[float, float]] = {name: (0.0, 0.0) for name in by_name}
-    for idx, lin in stack.linears():
-        row = by_name[lin.name]
-        est_total = meas_total = 0.0
-        for b in range(b_total):
-            est, meas = activation_error_probe(
-                stack, acts[b], idx, cfg_a, scale=row.scale, loss=loss
-            )
-            est_total += est
-            meas_total += meas
-        probes[lin.name] = (est_total, meas_total)
-
-    fp_total = q_total = mse_total = 0.0
+    linears = stack.linears()
+    probes = {lin.name: [0.0, 0.0] for _, lin in linears}
+    fp_total = q_total = mse_total = ce_total = 0.0
     for b in range(b_total):
-        t_fp = forward_fp(stack, acts[b])
-        t_q = forward_quant(stack, acts[b], scales, cfg_w, cfg_a)
+        x = acts[b]
+        t_fp = forward_fp(stack, x)
+        grads = backward_from_trace(stack, t_fp, loss)
+        for idx, lin in linears:
+            est, meas = activation_error_probe(
+                stack, x, idx, cfg_a, scale=scales[lin.name], loss=loss, trace=t_fp, grads=grads
+            )
+            probes[lin.name][0] += est
+            probes[lin.name][1] += meas
+        y_q = forward_quant(stack, x, scales, cfg_w, cfg_a).output
         fp_total += loss_value(t_fp.output, loss)
-        q_total += loss_value(t_q.output, loss)
-        d = t_q.output - t_fp.output
+        q_total += loss_value(y_q, loss)
+        d = y_q - t_fp.output
         mse_total += float(np.sum(d * d)) / acts.shape[1]
+        ce_total += _ce_term(t_fp.output, y_q)
 
     fp_loss = fp_total / b_total
     quant_loss = q_total / b_total
     rows = tuple(
-        LayerEval(
-            row.name,
-            row.ratio,
-            layer_losses[row.name],
-            probes[row.name][0],
-            probes[row.name][1],
-        )
+        LayerEval(row.name, row.ratio, layer_losses[row.name], *probes[row.name])
         for row in result.layers
     )
     return EvalReport(
@@ -163,8 +161,14 @@ def evaluate(
         quant_loss,
         abs(quant_loss - fp_loss),
         mse_total / b_total,
-        accuracy_proxy_gap(stack, result, calib),
+        abs(ce_total) / b_total,
     )
+
+
+def _ce_term(y_fp: np.ndarray, y_q: np.ndarray) -> float:
+    """One sample's CE increase, labeled by the full-precision argmax."""
+    spec = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=1))
+    return loss_value(y_q, spec) - loss_value(y_fp, spec)
 
 
 def accuracy_proxy_gap(
@@ -183,9 +187,7 @@ def accuracy_proxy_gap(
     for b in range(calib.batch):
         x = calib.activations[b]
         y_fp = forward_fp(stack, x).output
-        spec = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=1))
-        y_q = forward_quant(stack, x, scales, cfg_w, cfg_a).output
-        total += loss_value(y_q, spec) - loss_value(y_fp, spec)
+        total += _ce_term(y_fp, forward_quant(stack, x, scales, cfg_w, cfg_a).output)
     return abs(total) / calib.batch
 
 

@@ -114,11 +114,3 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return a @ b
 
-
-def reduce_absmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Per-slice maximum of |x| along `axis`; the reduced axis is dropped."""
-    if not 0 <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} out of range for rank-{x.ndim} tensor")
-    if x.shape[axis] == 0:
-        raise ShapeError(f"cannot reduce over empty axis {axis} of shape {x.shape}")
-    return np.max(np.abs(x), axis=axis)

@@ -47,6 +47,16 @@ def test_ratio_grid_validation():
         RatioGrid(-0.1, 1.0)
 
 
+def test_ratio_grid_size_is_bounded():
+    assert len(RatioGrid(0.0, 1.0, 0.01).points()) == 101
+    assert len(RatioGrid(0.0, 1.0, 0.001).points()) == 1001
+    assert len(RatioGrid(0.0, 0.5, 0.0005).points()) == 1001
+    for step in (0.0009999, 1e-7, 5e-324):  # 1002 points, 10^7 points, an infinite count
+        with pytest.raises(ConfigError, match="at most 1001"):
+            RatioGrid(0.0, 1.0, step)
+    assert RatioGrid(0.4, 0.4, 1e-7).points() == (0.4,)
+
+
 def test_layer_loss_cases():
     assert layer_loss(np.ones((2, 3)), np.ones((2, 3))) == 0.0
     assert layer_loss(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])) == 2.0

@@ -1,11 +1,12 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from tlq.calibration import result_from_text
 from tlq.cli import main
-from tlq.model import load_calibset, load_checkpoint
+from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset
 from tlq.report import parse_heatmap_csv
 
 
@@ -119,6 +120,90 @@ def test_bad_config_value_exits_one(tmp_path, capsys, content):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("fraction", ["2", "0", "-0.5", "nan"])
+def test_out_of_range_fraction_flag_exits_one(tmp_path, capsys, fraction):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    for command in ("calibrate", "dist-calibrate"):
+        code = main([
+            command, "--model", str(model), "--calib", str(calib),
+            "--fraction", fraction, "--out", str(tmp_path / "r.txt"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: fraction")
+    assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("content", ['{"fraction": NaN}', '{"fraction": 1.5}', '{"fraction": 0}'])
+def test_out_of_range_fraction_config_exits_one(tmp_path, capsys, content):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    code = main([
+        "calibrate", "--model", str(model), "--calib", str(calib),
+        "--config", str(cfg), "--out", str(tmp_path / "r.txt"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_out_of_range_heatmap_fraction_exits_one(tmp_path, capsys):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    code = main([
+        "heatmap", "--model", str(model), "--calib", str(calib), "--layer", "1",
+        "--fraction", "2", "--out-pre", str(tmp_path / "p.csv"), "--out-post", str(tmp_path / "q.csv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: fraction")
+
+
+def test_oversized_grid_exits_one_quickly(tmp_path, capsys):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_step": 1e-7}))
+    start = time.perf_counter()
+    code = main([
+        "calibrate", "--model", str(model), "--calib", str(calib),
+        "--config", str(cfg), "--out", str(tmp_path / "r.txt"),
+    ])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "points" in capsys.readouterr().err
+
+
+def test_result_for_another_stack_exits_one(tmp_path, capsys):
+    deep = _gen_model(tmp_path, depth=3, name="deep.ckpt")
+    shallow = _gen_model(tmp_path, depth=2, name="shallow.ckpt")
+    calib = _gen_calib(tmp_path)
+    result = _calibrate(tmp_path, deep, calib)
+    for argv, out in (
+        (["quantize", "--model", str(shallow), "--result", str(result)], tmp_path / "q"),
+        (["eval", "--model", str(shallow), "--result", str(result), "--calib", str(calib)],
+         tmp_path / "e.txt"),
+    ):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "lin2" in err
+        assert not out.exists()
+
+
+def test_non_finite_calibration_set_exits_two(tmp_path, capsys):
+    model = _gen_model(tmp_path)
+    calib = load_calibset(_gen_calib(tmp_path).read_bytes())
+    acts = calib.activations.copy()
+    acts[2, 5, 7] = np.nan
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(save_calibset(CalibrationSet(acts, calib.modality)))
+    code = main([
+        "calibrate", "--model", str(model), "--calib", str(bad), "--out", str(tmp_path / "r.txt"),
+    ])
+    assert code == 2
+    assert "sample 2, token 5, channel 7" in capsys.readouterr().err
 
 
 def test_integer_config_value_counts_as_float(tmp_path):

@@ -8,6 +8,7 @@ from tlq.model import (
     CalibrationSet,
     ProxyLossSpec,
     apply_layer_fp,
+    backward_from_trace,
     backward_token_grads,
     forward_fp,
     forward_quant,
@@ -162,6 +163,25 @@ def test_grad_trace_mirrors_forward_trace():
         assert g.shape == v.shape
 
 
+@pytest.mark.parametrize("loss_kind", ["sum_sq_output", "ce_pseudo"])
+def test_backward_from_trace_equals_backward_token_grads(loss_kind):
+    stack = random_block_stack(26, 3, 6)
+    x = rand_normal(Rng(27), (4, 6))
+    labels = np.arange(4) % 6 if loss_kind == "ce_pseudo" else None
+    loss = ProxyLossSpec(loss_kind, labels)
+    want = backward_token_grads(stack, x, loss).grads
+    got = backward_from_trace(stack, forward_fp(stack, x), loss).grads
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_backward_from_trace_rejects_another_stacks_trace():
+    trace = forward_fp(random_block_stack(28, 1, 5), rand_normal(Rng(29), (2, 5)))
+    with pytest.raises(ShapeError):
+        backward_from_trace(random_block_stack(28, 2, 5), trace)
+
+
 def test_quant_error_decreases_with_bits():
     stack = random_block_stack(26, 2, 8)
     x = rand_normal(Rng(27), (6, 8))
@@ -270,3 +290,14 @@ def test_calibset_truncation_and_magic():
 def test_calibset_validates_modality():
     with pytest.raises(NumericError):
         CalibrationSet(np.zeros((1, 2, 3)), np.full((1, 2), 7, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_calibset_rejects_non_finite_activations(bad):
+    acts = rand_normal(Rng(43), (3, 4, 5))
+    acts[1, 2, 3] = bad
+    acts[2, 0, 0] = bad  # only the first bad entry is named
+    blob = save_calibset(CalibrationSet(acts, np.zeros((3, 4), dtype=np.uint8)))
+    with pytest.raises(CheckpointError, match=r"sample 1, token 2, channel 3") as exc:
+        load_calibset(blob)
+    assert exc.value.code == "non_finite"

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from tlq import importance, model, report
 from tlq.calibration import calibrate, scales_from_result
 from tlq.errors import ConfigError
 from tlq.fixtures import build_calibset, build_stack
+from tlq.importance import activation_error_probe
 from tlq.model import ProxyLossSpec, forward_fp, forward_quant, loss_value
 from tlq.quantizer import QuantConfig
 from tlq.report import (
+    accuracy_proxy_gap,
     build_heatmaps,
     evaluate,
     heatmap_csv,
@@ -18,13 +21,13 @@ CFG_W = QuantConfig(4, "per_channel")
 CFG_A = QuantConfig(6, "per_token")
 
 
-def _calibrated(seed=1, bits=(4, 6), depth=2, c=32, b=4, n=12):
+def _calibrated(seed=1, bits=(4, 6), depth=2, c=32, b=4, n=12, strategy="passact2"):
     stack = build_stack(seed, depth, c)
     calib = build_calibset(seed, b, n, c, visual_fraction=0.5)
     res = calibrate(
         stack,
         calib.activations,
-        strategy="passact2",
+        strategy=strategy,
         stat_mode="topk",
         cfg_w=QuantConfig(bits[0], "per_channel"),
         cfg_a=QuantConfig(bits[1], "per_token"),
@@ -79,6 +82,65 @@ def test_estimate_tracks_measured_loss_change():
     for layer in rep.layers:
         if abs(layer.measured) > 1e-12:
             assert abs(layer.estimate - layer.measured) <= 0.6 * abs(layer.measured)
+
+
+@pytest.mark.parametrize("seed, depth, strategy", [(12, 4, "passact1"), (13, 2, "passact2")])
+def test_shared_trace_eval_equals_standalone_probes(seed, depth, strategy):
+    """evaluate's single trace per sample gives the bytes of the standalone calls."""
+    stack, calib, res = _calibrated(seed=seed, depth=depth, strategy=strategy)
+    rep = evaluate(stack, res, calib)
+    scales = scales_from_result(res)
+    cfg_w = QuantConfig(res.bits_w, "per_channel")
+    cfg_a = QuantConfig(res.bits_a, "per_token")
+    index = {lin.name: idx for idx, lin in stack.linears()}
+    assert [l.name for l in rep.layers] == [row.name for row in res.layers]
+    for layer in rep.layers:
+        est_total = meas_total = 0.0
+        for b in range(calib.batch):
+            est, meas = activation_error_probe(
+                stack, calib.activations[b], index[layer.name], cfg_a, scale=scales[layer.name]
+            )
+            est_total += est
+            meas_total += meas
+        assert layer.estimate == est_total
+        assert layer.measured == meas_total
+    assert rep.ce_gap == accuracy_proxy_gap(stack, res, calib)
+    ce_total = 0.0
+    for b in range(calib.batch):
+        y_fp = forward_fp(stack, calib.activations[b]).output
+        y_q = forward_quant(stack, calib.activations[b], scales, cfg_w, cfg_a).output
+        labels = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=1))
+        ce_total += loss_value(y_q, labels) - loss_value(y_fp, labels)
+    assert rep.ce_gap == abs(ce_total) / calib.batch
+
+
+def test_evaluate_runs_one_trace_and_one_backward_per_sample(monkeypatch):
+    stack, calib, res = _calibrated(seed=14, depth=3)
+    counts = {"forward": 0, "backward": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fwd = counted(model.forward_fp, "forward")
+    bwd = counted(model.backward_from_trace, "backward")
+    # every namespace a forward or backward pass can be reached through
+    for module in (model, importance, report):
+        monkeypatch.setattr(module, "forward_fp", fwd)
+    for module in (model, report):
+        monkeypatch.setattr(module, "backward_from_trace", bwd)
+    evaluate(stack, res, calib)
+    assert counts["forward"] == calib.batch
+    assert 0 < counts["backward"] <= calib.batch
+
+
+def test_evaluate_rejects_result_for_another_stack():
+    stack, calib, res = _calibrated(seed=15, depth=3)
+    shallow = build_stack(15, 2, 32)
+    with pytest.raises(ConfigError, match="lin2"):
+        evaluate(shallow, res, calib)
 
 
 # --- heatmaps -------------------------------------------------------------------

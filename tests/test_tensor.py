@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from tlq.errors import ShapeError
 from tlq.tensor import (
@@ -12,10 +9,7 @@ from tlq.tensor import (
     matmul,
     rand_normal,
     rand_uniform,
-    reduce_absmax,
 )
-
-FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
 def test_matmul_identity_exact():
@@ -52,40 +46,6 @@ def test_matmul_shape_error_names_both_shapes():
         matmul(np.zeros(3), np.zeros((3, 2)))
 
 
-def test_reduce_absmax_hand_case():
-    x = np.array([[-3.0, 1.0], [2.0, -5.0]])
-    assert np.array_equal(reduce_absmax(x, axis=0), [3.0, 5.0])
-
-
-def test_reduce_absmax_zeros():
-    assert np.array_equal(reduce_absmax(np.zeros((4, 3)), axis=1), np.zeros(4))
-
-
-def test_reduce_absmax_matches_scan_oracle():
-    x = rand_normal(Rng(3), (16, 8))
-    for axis in (0, 1):
-        got = reduce_absmax(x, axis)
-        other = 1 - axis
-        for i in range(x.shape[other]):
-            row = x[i, :] if axis == 1 else x[:, i]
-            best = 0.0
-            for v in row:
-                best = max(best, abs(v))
-            assert got[i] == best
-
-
-def test_reduce_absmax_errors():
-    with pytest.raises(ShapeError):
-        reduce_absmax(np.zeros((2, 0)), axis=1)
-    with pytest.raises(ShapeError):
-        reduce_absmax(np.zeros((2, 2)), axis=2)
-
-
-@given(arrays(np.float64, (4, 5), elements=FINITE))
-def test_reduce_absmax_negation_symmetry(x):
-    assert np.array_equal(reduce_absmax(x, 1), reduce_absmax(-x, 1))
-
-
 def test_rand_deterministic_per_seed():
     assert np.array_equal(rand_uniform(Rng(42), (6, 7)), rand_uniform(Rng(42), (6, 7)))
     assert not np.array_equal(rand_uniform(Rng(42), (6, 7)), rand_uniform(Rng(43), (6, 7)))
@@ -119,7 +79,6 @@ def test_operations_do_not_mutate_inputs():
     b = rand_normal(Rng(3), (4, 4))
     a0, b0 = a.copy(), b.copy()
     matmul(a, b)
-    reduce_absmax(a, 0)
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
