@@ -17,9 +17,14 @@ Quantization-exposed batch work runs the whole (B*N, C) activation block
 through `quantizer._qdq_inplace`, which overwrites a freshly divided copy of
 the inputs; only the gemm stays per sample, because the bytes of a flattened
 matmul depend on the BLAS. Full-precision batch work loops sample by sample
-through the layer kernels the single-sample forwards use. The distributed
-calibrator ships the identical tensors between workers and reproduces these
-results bit for bit.
+through the layer kernels the single-sample forwards use.
+
+The distributed calibrator is this single-context loop with a remote grid
+search: `calibrate` and `distcal.run_distributed_calibration` both run
+`_calibration_loop` (selection, walk, statistic, search, `scale_for`,
+`fix_scale`) and differ only in the per-layer search and in the
+`WalkObserver` that ledgers memory. The workers receive the identical
+tensors, so the two results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -75,8 +80,8 @@ class RatioGrid:
     def __post_init__(self):
         if not 0.0 <= self.start <= self.stop <= 1.0:
             raise ConfigError(f"ratio grid must satisfy 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]")
-        if not self.step > 0:
-            raise ConfigError(f"ratio grid step must be > 0, got {self.step}")
+        if not 0 < self.step < float("inf"):
+            raise ConfigError(f"ratio grid step must be finite and > 0, got {self.step}")
         if self.start != self.stop:
             # counted, not built: a tiny step would otherwise allocate for minutes
             n = self._steps()
@@ -215,31 +220,52 @@ def gradient_pass_bytes(stack: LayerStack, n_tokens: int) -> int:
     return 2 * sum(8 * n_tokens * w for w in stack.widths())
 
 
+class WalkObserver:
+    """Memory hooks of the calibration loop; the default hooks do nothing.
+
+    The distributed calibrator ledgers them for its coordinator. Besides the
+    walk's stream and parameter lifetimes, `compute_token_selections`
+    brackets each sample's gradient pass with `stream_new(nbytes,
+    "grad-pass")` and `stream_drop(nbytes, "grad-pass")`.
+    """
+
+    def layer_begin(self, index: int, param_bytes: int) -> None:
+        pass
+
+    def layer_end(self, index: int, param_bytes: int) -> None:
+        pass
+
+    def stream_new(self, nbytes: int, tag: str) -> None:
+        pass
+
+    def stream_drop(self, nbytes: int, tag: str) -> None:
+        pass
+
+
 def compute_token_selections(
     stack: LayerStack,
     activations: np.ndarray,
     fraction: float,
     loss: ProxyLossSpec,
-    sample_hook: Callable[[int, bool], None] | None = None,
+    observer: WalkObserver | None = None,
 ) -> list[SelectedTokens]:
     """Per-layer top-token sets from full-precision gradients over the batch.
 
     Gradients are taken once on the unquantized model, sample by sample, so
     selection never depends on partially fixed scales and only one sample's
-    traces are alive at a time. `sample_hook(nbytes, alive)` brackets each
-    sample's trace lifetime for memory accounting.
+    traces are alive at a time. The observer's "grad-pass" stream brackets
+    each sample's trace lifetime for memory accounting.
     """
+    obs = observer or WalkObserver()
     b_total, n_tokens = activations.shape[0], activations.shape[1]
     trace_bytes = gradient_pass_bytes(stack, n_tokens)
     totals = [np.zeros(n_tokens) for _ in stack.layers]
     for b in range(b_total):
-        if sample_hook is not None:
-            sample_hook(trace_bytes, True)
+        obs.stream_new(trace_bytes, "grad-pass")
         gt = backward_token_grads(stack, activations[b], loss)
         for l in range(len(stack.layers)):
             totals[l] = totals[l] + channel_mean_abs(gt.grads[l])
-        if sample_hook is not None:
-            sample_hook(trace_bytes, False)
+        obs.stream_drop(trace_bytes, "grad-pass")
     return [
         select_top_tokens(TokenImportance(totals[l], b_total, l), fraction)
         for l in range(len(stack.layers))
@@ -283,25 +309,6 @@ class LinearTask:
     stat_inputs: np.ndarray  # (B, N, C) inputs that feed the scale statistic
     fp_inputs: np.ndarray  # inputs of the full-precision reference output
     q_inputs: np.ndarray  # inputs consumed by the quantized function
-
-
-class WalkObserver:
-    """Hooks the distributed calibrator uses to ledger stream lifetimes.
-
-    The single-context calibrator runs with the default no-op hooks.
-    """
-
-    def layer_begin(self, index: int, param_bytes: int) -> None:  # pragma: no cover
-        pass
-
-    def layer_end(self, index: int, param_bytes: int) -> None:  # pragma: no cover
-        pass
-
-    def stream_new(self, nbytes: int, tag: str) -> None:  # pragma: no cover
-        pass
-
-    def stream_drop(self, nbytes: int, tag: str) -> None:  # pragma: no cover
-        pass
 
 
 def _param_bytes(layer) -> int:
@@ -406,6 +413,10 @@ class CalibrationWalk:
         self._idx += 1
 
 
+# one layer's grid search: (task, x_stat) -> (r*, loss curve)
+LayerSearch = Callable[[LinearTask, np.ndarray], tuple[float, tuple[tuple[float, float], ...]]]
+
+
 def calibrate(
     stack: LayerStack,
     activations: np.ndarray,
@@ -423,19 +434,37 @@ def calibrate(
     `activations` is the (B, N, C) calibration tensor (CalibrationSet
     modality tags play no role here; selection is purely gradient-driven).
     """
+
+    def search(task: LinearTask, stat: np.ndarray):
+        return search_ratio(task.layer, task.q_inputs, task.fp_inputs, stat, grid, cfg_w, cfg_a)
+
+    return _calibration_loop(
+        stack, activations, search, WalkObserver(),
+        strategy=strategy, stat_mode=stat_mode, grid=grid, cfg_w=cfg_w, cfg_a=cfg_a, fraction=fraction, loss=loss,
+    )
+
+
+def _calibration_loop(
+    stack: LayerStack, activations: np.ndarray, search: LayerSearch, observer: WalkObserver, *,
+    strategy: str, stat_mode: str, grid: RatioGrid, cfg_w: QuantConfig, cfg_a: QuantConfig,
+    fraction: float, loss: ProxyLossSpec,
+) -> CalibrationResult:
+    """The layer-wise loop of `calibrate` and the distributed calibrator.
+
+    `search` scores one layer's grid; `observer` sees every memory event of
+    the selection passes and the walk, in order.
+    """
     if stat_mode not in STAT_MODES:
         raise ConfigError(f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
     selections = None
     if stat_mode == "topk":
-        selections = compute_token_selections(stack, activations, fraction, loss)
-    walk = CalibrationWalk(stack, activations, strategy, cfg_w, cfg_a)
+        selections = compute_token_selections(stack, activations, fraction, loss, observer)
+    walk = CalibrationWalk(stack, activations, strategy, cfg_w, cfg_a, observer)
     rows: list[LayerCalibration] = []
     while (task := walk.next_linear()) is not None:
         sel = selections[task.index] if selections is not None else None
         stat = layer_stat(task.stat_inputs, stat_mode, task.layer, sel)
-        r_star, curve = search_ratio(
-            task.layer, task.q_inputs, task.fp_inputs, stat, grid, cfg_w, cfg_a
-        )
+        r_star, curve = search(task, stat)
         scale = scale_for(stat_mode, stat, r_star)
         rows.append(LayerCalibration(task.layer.name, scale, r_star, curve))
         walk.fix_scale(scale)

@@ -17,9 +17,13 @@ message is consumed. Every worker frees its per-layer state before its
 final send for the layer, so all accounts are settled whenever the
 coordinator makes a scheduling decision, which keeps runs deterministic.
 
-The numeric kernels are the same functions the single-context calibrator
-uses, on bit-identical tensors (float64 survives the wire exactly), so the
-distributed result equals the single-context result bit for bit.
+The coordinator runs the single-context calibration loop
+(`calibration._calibration_loop`) with a remote grid search: each layer's
+search dispatches the statistic and outputs to the workers and waits for
+`ratio_fixed`, and a ledger observer charges its streams. The numeric
+kernels are the single-context ones on bit-identical tensors (float64
+survives the wire exactly), so the distributed result equals the
+single-context result bit for bit.
 """
 
 from __future__ import annotations
@@ -36,21 +40,18 @@ import numpy as np
 
 from .calibration import (
     CalibrationResult,
-    CalibrationWalk,
-    LayerCalibration,
+    LinearTask,
     RatioGrid,
     WalkObserver,
     _batch_fp,
     _batch_quant,
-    compute_token_selections,
+    _calibration_loop,
     layer_loss,
-    layer_stat,
-    scale_for,
     select_ratio,
 )
 from .errors import ConfigError, LedgerError, ProtocolError
 from .layers import LayerStack
-from .model import ProxyLossSpec
+from .model import ProxyLossSpec, _Reader
 from .quantizer import QuantConfig
 from .smoothing import power_scale
 
@@ -215,23 +216,7 @@ def _encode_tensor(t: np.ndarray) -> bytes:
     return head + struct.pack("<I", zlib.crc32(payload)) + payload
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ProtocolError(f"frame truncated at byte {self.pos + n}/{len(self.data)}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _decode_tensor(c: _Cursor) -> np.ndarray:
+def _decode_tensor(c: _Reader) -> np.ndarray:
     (ndim,) = c.unpack("<B")
     shape = tuple(c.unpack("<I")[0] for _ in range(ndim))
     (crc,) = c.unpack("<I")
@@ -274,7 +259,7 @@ def encode_message(msg: CalMessage) -> bytes:
 
 
 def decode_message(blob: bytes) -> CalMessage:
-    c = _Cursor(blob)
+    c = _Reader(blob, error=ProtocolError)
     code, sender, receiver, seq = c.unpack("<BHHQ")
     if code not in _KIND_NAMES:
         raise ProtocolError(f"unknown message kind code {code}")
@@ -307,8 +292,7 @@ def decode_message(blob: bytes) -> CalMessage:
     elif kind == "abort":
         (n,) = c.unpack("<H")
         msg = replace(msg, reason=c.take(n).decode("utf-8"))
-    if c.pos != len(blob):
-        raise ProtocolError(f"frame has {len(blob) - c.pos} trailing bytes")
+    c.done()
     return msg
 
 
@@ -321,10 +305,15 @@ def message_envelope_bytes(msg: CalMessage) -> int:
 
 
 class _BaseTransport:
-    """Point-to-point ordered channels with per-channel sequence numbers."""
+    """Point-to-point ordered channels with per-channel sequence numbers.
+
+    `send_timeout` bounds how long a send may block on a full channel
+    (None: no bound); a send that runs out of it raises ProtocolError.
+    """
 
     def __init__(self, worker_ids: Sequence[int]):
         self.worker_ids = tuple(worker_ids)
+        self.send_timeout: float | None = None
         self._send_seq: dict[tuple[int, int], int] = {}
         self._recv_seq: dict[tuple[int, int], int] = {}
 
@@ -397,7 +386,12 @@ class SocketTransport(_BaseTransport):
     def send(self, msg: CalMessage) -> None:
         seq = self._next_seq(msg.sender, msg.receiver)
         frame = encode_message(replace(msg, seq=seq))
-        self._ends[(msg.sender, msg.receiver)].sendall(frame)
+        sock = self._ends[(msg.sender, msg.receiver)]
+        sock.settimeout(self.send_timeout)
+        try:
+            sock.sendall(frame)
+        except OSError as exc:  # TimeoutError included: the receiver stopped reading
+            raise ProtocolError(f"send to worker {msg.receiver} (sender {msg.sender}) failed: {exc}") from None
 
     def _read_exact(self, sock: socket.socket, n: int, who: str) -> bytes:
         chunks = []
@@ -619,7 +613,7 @@ def _cal_worker_loop(ctx: _WorkerCtx) -> None:
 
 
 class _LedgerObserver(WalkObserver):
-    """Routes calibration-walk stream and parameter lifetimes into the ledger."""
+    """Routes the calibration loop's memory events (grad passes, streams, parameters) into the ledger."""
 
     def __init__(self, ledger: MemoryLedger, worker: int):
         self.ledger = ledger
@@ -681,6 +675,7 @@ def run_distributed_calibration(
         )
 
     chans = make_transport(transport, ids)
+    chans.send_timeout = timeout
     ledger = MemoryLedger(ids)
     fault_injection = fault_injection or {}
     errors: list[BaseException] = []
@@ -712,29 +707,59 @@ def run_distributed_calibration(
     for t in threads:
         t.start()
 
+    me, points = infer.id, grid.points()
+
+    def remote_search(task: LinearTask, stat: np.ndarray):
+        """Score one layer's grid on the scale and loss workers; (r*, curve) from ratio_fixed."""
+        layer_idx, lin = task.index, task.layer
+        s_w = schedule_to_least_loaded(ledger, scale_cap)
+        # charge the statistic to the scale worker at dispatch; the follow-up
+        # loss dispatch then sees it and lands elsewhere when possible
+        ledger.alloc(s_w.id, stat.nbytes, f"x_stat[L{layer_idx}]")
+        l_w = schedule_to_least_loaded(ledger, loss_cap)
+
+        def dispatch(kind: str, receiver: WorkerId, **fields) -> None:
+            chans.send(CalMessage(kind, me, receiver.id, layer=layer_idx, count=len(points), **fields))
+
+        dispatch("stat_request", s_w, tensor=stat, peer=l_w.id)
+        y_fp = _batch_fp(lin, task.fp_inputs)
+        ledger.alloc(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
+        dispatch("layer_output", l_w, stream="fp", tensor=y_fp, peer=s_w.id)
+        ledger.free(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
+        del y_fp
+
+        for r in points:
+            y_q = _batch_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a)
+            ledger.alloc(me, y_q.nbytes, f"y_q[L{layer_idx}]")
+            dispatch("layer_output", l_w, stream="q", ratio=r, tensor=y_q)
+            ledger.free(me, y_q.nbytes, f"y_q[L{layer_idx}]")
+            del y_q
+
+        fixed = chans.recv(me, s_w.id, timeout)
+        if fixed.kind != "ratio_fixed" or fixed.layer != layer_idx:
+            raise ProtocolError(
+                f"coordinator expected ratio_fixed for layer {layer_idx}, got "
+                f"{fixed.kind} (layer {fixed.layer})"
+            )
+        if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):
+            raise ProtocolError(
+                f"layer {lin.name!r}: scale from worker {s_w.id} does not match "
+                "the coordinator's statistic"
+            )
+        return fixed.ratio, tuple(fixed.curve)
+
     try:
-        result = _coordinate(
-            stack,
-            activations,
-            strategy=strategy,
-            stat_mode=stat_mode,
-            grid=grid,
-            cfg_w=cfg_w,
-            cfg_a=cfg_a,
-            fraction=fraction,
-            loss=loss,
-            chans=chans,
-            ledger=ledger,
-            infer=infer,
-            scale_cap=scale_cap,
-            loss_cap=loss_cap,
-            timeout=timeout,
+        result = _calibration_loop(
+            stack, activations, remote_search, _LedgerObserver(ledger, me),
+            strategy=strategy, stat_mode=stat_mode, grid=grid, cfg_w=cfg_w, cfg_a=cfg_a, fraction=fraction, loss=loss,
         )
+        for wid in sorted({w.id for w in scale_cap + loss_cap}):
+            chans.send(CalMessage("done", sender=me, receiver=wid))
     except BaseException:
         for peer in ids:
-            if peer != infer.id:
+            if peer != me:
                 try:
-                    chans.send(CalMessage("abort", infer.id, peer, reason="coordinator failed"))
+                    chans.send(CalMessage("abort", me, peer, reason="coordinator failed"))
                 except Exception:
                     pass
         for t in threads:
@@ -773,117 +798,3 @@ def run_distributed_calibration(
     )
     return result, report
 
-
-def _coordinate(
-    stack: LayerStack,
-    activations: np.ndarray,
-    *,
-    strategy: str,
-    stat_mode: str,
-    grid: RatioGrid,
-    cfg_w: QuantConfig,
-    cfg_a: QuantConfig,
-    fraction: float,
-    loss: ProxyLossSpec,
-    chans: _BaseTransport,
-    ledger: MemoryLedger,
-    infer: WorkerId,
-    scale_cap: list[WorkerId],
-    loss_cap: list[WorkerId],
-    timeout: float,
-) -> CalibrationResult:
-    me = infer.id
-    points = grid.points()
-
-    selections = None
-    if stat_mode == "topk":
-
-        def _sample_hook(nbytes: int, alive: bool) -> None:
-            if alive:
-                ledger.alloc(me, nbytes, "grad-pass")
-            else:
-                ledger.free(me, nbytes, "grad-pass")
-
-        selections = compute_token_selections(stack, activations, fraction, loss, _sample_hook)
-
-    walk = CalibrationWalk(
-        stack, activations, strategy, cfg_w, cfg_a, observer=_LedgerObserver(ledger, me)
-    )
-    rows: list[LayerCalibration] = []
-    while (task := walk.next_linear()) is not None:
-        layer_idx, lin = task.index, task.layer
-        sel = selections[layer_idx] if selections is not None else None
-        stat = layer_stat(task.stat_inputs, stat_mode, lin, sel)
-
-        s_w = schedule_to_least_loaded(ledger, scale_cap)
-        # charge the statistic to the scale worker at dispatch; the follow-up
-        # loss dispatch then sees it and lands elsewhere when possible
-        ledger.alloc(s_w.id, stat.nbytes, f"x_stat[L{layer_idx}]")
-        l_w = schedule_to_least_loaded(ledger, loss_cap)
-        chans.send(
-            CalMessage(
-                "stat_request",
-                sender=me,
-                receiver=s_w.id,
-                layer=layer_idx,
-                tensor=stat,
-                peer=l_w.id,
-                count=len(points),
-            )
-        )
-
-        y_fp = _batch_fp(lin, task.fp_inputs)
-        ledger.alloc(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
-        chans.send(
-            CalMessage(
-                "layer_output",
-                sender=me,
-                receiver=l_w.id,
-                layer=layer_idx,
-                stream="fp",
-                tensor=y_fp,
-                peer=s_w.id,
-                count=len(points),
-            )
-        )
-        ledger.free(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
-        del y_fp
-
-        for r in points:
-            y_q = _batch_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a)
-            ledger.alloc(me, y_q.nbytes, f"y_q[L{layer_idx}]")
-            chans.send(
-                CalMessage(
-                    "layer_output",
-                    sender=me,
-                    receiver=l_w.id,
-                    layer=layer_idx,
-                    stream="q",
-                    ratio=r,
-                    tensor=y_q,
-                    count=len(points),
-                )
-            )
-            ledger.free(me, y_q.nbytes, f"y_q[L{layer_idx}]")
-            del y_q
-
-        fixed = chans.recv(me, s_w.id, timeout)
-        if fixed.kind != "ratio_fixed" or fixed.layer != layer_idx:
-            raise ProtocolError(
-                f"coordinator expected ratio_fixed for layer {layer_idx}, got "
-                f"{fixed.kind} (layer {fixed.layer})"
-            )
-        scale = scale_for(stat_mode, stat, fixed.ratio)
-        if not np.array_equal(scale.values, fixed.tensor):
-            raise ProtocolError(
-                f"layer {lin.name!r}: scale from worker {s_w.id} does not match "
-                "the coordinator's statistic"
-            )
-        rows.append(LayerCalibration(lin.name, scale, fixed.ratio, tuple(fixed.curve)))
-        walk.fix_scale(scale)
-
-    for wid in sorted({w.id for w in scale_cap + loss_cap}):
-        chans.send(CalMessage("done", sender=me, receiver=wid))
-    return CalibrationResult(
-        tuple(rows), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid
-    )

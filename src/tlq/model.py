@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError, TlqError
 from .layers import Activation, LayerSpec, LayerStack, Linear, RMSNorm
 from .quantizer import QuantConfig, _qdq_inplace
 from .smoothing import SmoothScale
@@ -244,32 +244,48 @@ _FN_NAMES = {v: k for k, v in _FN_CODES.items()}
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Bounds-checked cursor over a binary payload.
+
+    Files fail with CheckpointError and its code ("truncated", "trailing");
+    wire frames pass `error=ProtocolError`, which takes the code into its
+    message.
+    """
+
+    def __init__(self, data: bytes, error: type[TlqError] = CheckpointError):
         self.data = data
         self.pos = 0
+        self.error = error
+
+    def _fail(self, code: str, message: str) -> TlqError:
+        if self.error is CheckpointError:
+            return CheckpointError(code, message)
+        return self.error(f"{code}: {message}")
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise CheckpointError("truncated", f"payload ends at byte {len(self.data)}, needed {self.pos + n}")
+            raise self._fail("truncated", f"payload ends at byte {len(self.data)}, needed {self.pos + n}")
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def u8(self) -> int:
         return self.take(1)[0]
 
     def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+        return self.unpack("<H")[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return self.unpack("<I")[0]
 
     def f64s(self, n: int) -> np.ndarray:
         return np.frombuffer(self.take(8 * n), dtype="<f8").copy()
 
     def done(self) -> None:
         if self.pos != len(self.data):
-            raise CheckpointError("trailing", f"{len(self.data) - self.pos} unread trailing bytes")
+            raise self._fail("trailing", f"{len(self.data) - self.pos} unread trailing bytes")
 
 
 def _pack_name(name: str) -> bytes:

@@ -4,10 +4,13 @@ import pytest
 from conftest import random_block_stack, single_linear_stack
 from tlq.calibration import (
     CalibrationWalk,
+    WalkObserver,
     _batch_fp,
     _batch_quant,
+    _calibration_loop,
     RatioGrid,
     calibrate,
+    gradient_pass_bytes,
     forward_quantized,
     layer_loss,
     load_quantized,
@@ -22,7 +25,7 @@ from tlq.calibration import (
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.layers import LayerStack, Linear
-from tlq.model import apply_linear_quant, forward_fp, forward_quant
+from tlq.model import ProxyLossSpec, apply_linear_quant, forward_fp, forward_quant
 from tlq.quantizer import QuantConfig
 from tlq.smoothing import power_scale
 from tlq.tensor import Rng, rand_normal
@@ -277,6 +280,46 @@ def test_passact1_fp_stream_matches_forward_fp():
         walk.fix_scale(scales[task.layer.name])
 
 
+class _Recorder(WalkObserver):
+    def __init__(self):
+        self.events = []
+
+    def layer_begin(self, index, param_bytes):
+        self.events.append(("begin", param_bytes, f"L{index}"))
+
+    def layer_end(self, index, param_bytes):
+        self.events.append(("end", param_bytes, f"L{index}"))
+
+    def stream_new(self, nbytes, tag):
+        self.events.append(("new", nbytes, tag))
+
+    def stream_drop(self, nbytes, tag):
+        self.events.append(("drop", nbytes, tag))
+
+
+def test_calibration_loop_reports_to_one_observer():
+    stack = build_stack(22, 2, 16)
+    xs = build_calibset(22, 3, 8, 16, visual_fraction=0.5).activations
+    opts = dict(strategy="passact2", stat_mode="topk", grid=RatioGrid(), cfg_w=CFG_W, cfg_a=CFG_A,
+                fraction=0.5, loss=ProxyLossSpec())
+    searched = []
+
+    def search(task, stat):
+        searched.append(task.index)
+        return search_ratio(task.layer, task.q_inputs, task.fp_inputs, stat, opts["grid"], CFG_W, CFG_A)
+
+    rec = _Recorder()
+    res = _calibration_loop(stack, xs, search, rec, **opts)
+    assert result_to_text(res) == result_to_text(calibrate(stack, xs, **opts))
+    assert searched == [i for i, _ in stack.linears()]
+    # selection's grad passes come first, then the walk's streams; all settle
+    assert rec.events[:6] == [("new", gradient_pass_bytes(stack, 8), "grad-pass"),
+                              ("drop", gradient_pass_bytes(stack, 8), "grad-pass")] * 3
+    assert rec.events[6] == ("new", xs.nbytes, "stream:main")
+    signs = {"new": 1, "begin": 1, "drop": -1, "end": -1}
+    assert sum(signs[kind] * nbytes for kind, nbytes, _ in rec.events) == 0
+
+
 def test_calibration_is_deterministic():
     stack = build_stack(18, 2, 32)
     calib = build_calibset(18, 4, 10, 32, visual_fraction=0.5)
@@ -338,6 +381,7 @@ def _mutated_result_text(field, value):
         ("grid", "0.0 1.0 x"),
         ("grid", "0.0 1.0"),
         ("grid", "0.9 0.1 0.05"),
+        ("grid", "0.0 1.0 inf"),
         ("layers", "one"),
         ("ratio", "0.3.5"),
         ("ratio", "nan"),

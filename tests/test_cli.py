@@ -107,7 +107,10 @@ def test_config_file_applies_but_flags_win(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ["[1, 2]", '{"fraction": "0.5"}', '{"bits_w": 4.0}', '{"strategy": 3}', '{"grid_step": true}'],
+    [
+        "[1, 2]", '{"fraction": "0.5"}', '{"bits_w": 4.0}', '{"strategy": 3}', '{"grid_step": true}',
+        '{"grid_step": Infinity}',
+    ],
 )
 def test_bad_config_value_exits_one(tmp_path, capsys, content):
     model = _gen_model(tmp_path)

@@ -1,3 +1,4 @@
+import threading
 import time
 
 import numpy as np
@@ -176,6 +177,12 @@ def test_wire_truncation_rejected():
         decode_message(frame[4:-1] if len(frame) > 5 else b"")
 
 
+def test_wire_trailing_bytes_rejected():
+    frame = encode_message(CalMessage("loss_report", 2, 1, seq=0, layer=0, ratio=0.5, loss=1.0))
+    with pytest.raises(ProtocolError, match="trailing"):
+        decode_message(frame[4:] + b"\x00")
+
+
 def test_transport_rejects_stale_sequence():
     chans = InProcessTransport([0, 1])
     chans.send(CalMessage("done", 0, 1))
@@ -298,6 +305,69 @@ def test_worker_crash_aborts_without_result():
             fault_injection={1: 3},
         )
     assert time.time() - t0 < 10
+
+
+def test_socket_loss_worker_crash_aborts_within_bound():
+    # each 1 MiB y_q frame overflows the socket buffer of the crashed loss
+    # worker, so without a send deadline the coordinator blocks forever
+    stack = build_stack(6, 1, 64)
+    acts = build_calibset(6, 32, 64, 64, visual_fraction=0.5).activations
+    outcome = []
+
+    def run():
+        try:
+            run_distributed_calibration(
+                stack, acts, workers=3, transport="sockets", strategy="passact2",
+                stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=1.0,
+                fault_injection={2: 3},
+            )
+            outcome.append(None)
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            outcome.append(exc)
+
+    t0 = time.time()
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "distributed run still blocked after 10 s"
+    assert time.time() - t0 < 10
+    assert isinstance(outcome[0], ProtocolError)
+
+
+# the C08 fixture's exact memory report: worker 0 is the infer worker, 1 holds
+# the statistic and scale, 2 the loss outputs; topk adds 16 grad-pass events
+_C08_REPORT = """tlq-memory-report v1
+baseline_bytes 294912
+workers 3
+worker 0 roles infer peak 163840 current 0 events {events}
+worker 1 roles loss,scale peak 1024 current 0 events 26
+worker 2 roles loss,scale peak 131392 current 0 events 66
+end
+"""
+
+
+@pytest.mark.parametrize("transport", ["in_process", "sockets"])
+@pytest.mark.parametrize("stat_mode, infer_events", [("max", 56), ("topk", 72)])
+def test_memory_report_text_is_pinned(transport, stat_mode, infer_events):
+    stack = build_stack(5, 1, 64)
+    calib = build_calibset(5, 8, 16, 64, visual_fraction=0.5)
+    _, mem = run_distributed_calibration(
+        stack, calib.activations, workers=3, transport=transport,
+        strategy="passact2", stat_mode=stat_mode, cfg_w=CFG_W, cfg_a=CFG_A,
+    )
+    assert mem.to_text() == _C08_REPORT.format(events=infer_events)
+
+
+@pytest.mark.parametrize("transport", ["in_process", "sockets"])
+def test_sqrt_stat_distributed_equivalence(transport):
+    stack, acts = _fixture(seed=8)
+    single = calibrate(stack, acts, strategy="passact2", stat_mode="sqrt", cfg_w=CFG_W, cfg_a=CFG_A)
+    dist, _ = run_distributed_calibration(
+        stack, acts, workers=3, transport=transport, strategy="passact2", stat_mode="sqrt",
+        cfg_w=CFG_W, cfg_a=CFG_A,
+    )
+    assert result_to_text(dist) == result_to_text(single)
+    assert all(row.scale.origin == "sqrt_baseline" for row in dist.layers)
 
 
 def test_worker_validation():
