@@ -44,16 +44,16 @@ from .importance import (
     x_stat_baselines,
     x_stat_from_tokens,
 )
-from .layers import Activation, LayerStack, Linear, RMSNorm
+from .layers import LayerStack, Linear, RMSNorm
 from .model import (
     ProxyLossSpec,
-    _FN_CODES,
-    _FN_NAMES,
     _Reader,
     _validate_quant_cfgs,
     apply_layer_fp,
     apply_linear_quant,
     backward_token_grads,
+    pack_layers,
+    unpack_layers,
 )
 from .quantizer import QuantConfig, QuantizedTensor, _qdq_inplace, dequantize, quantize
 from .smoothing import SmoothScale, fuse_into_predecessor, power_scale, sqrt_scale
@@ -624,6 +624,12 @@ def _parse(kind: type, text: str, what: str):
         raise CheckpointError("bad_field", f"{what}: expected {kind.__name__}, got {text!r}") from None
 
 
+def load_result(data: bytes) -> CalibrationResult:
+    """A result document read from a file: UTF-8 text for `result_from_text`."""
+    r = _Reader(data)
+    return result_from_text(r.text(len(data)))
+
+
 def result_from_text(text: str) -> CalibrationResult:
     r = _TextReader(text)
     if r.next() != _RESULT_HEADER:
@@ -637,6 +643,8 @@ def result_from_text(text: str) -> CalibrationResult:
     bits_w = _parse(int, r.next("bits_w ").split(" ", 1)[1], "bits_w")
     bits_a = _parse(int, r.next("bits_a ").split(" ", 1)[1], "bits_a")
     fraction = _parse(float, r.next("fraction ").split(" ", 1)[1], "fraction")
+    if not 0.0 < fraction <= 1.0:  # NaN fails too
+        raise CheckpointError("bad_field", f"fraction must be in (0, 1], got {fraction!r}")
     g = r.next("grid ").split()[1:]
     if len(g) != 3:
         raise CheckpointError("bad_field", f"grid needs start, stop and step, got {g!r}")
@@ -680,76 +688,48 @@ def result_from_text(text: str) -> CalibrationResult:
 
 # --- quantized artifact file format (TLQQNT01) --------------------------------
 #
-# magic(8) | u8 bits_w | u8 bits_a | u32 input_channels | u32 layer_count
-# layer: u8 kind | u16 name_len | name
-#   kind 0 rmsnorm: u32 C | f64[C] gain | f64 eps
-#   kind 1 qlinear: u32 C_out | u32 C_in | u8 has_input_scale
-#                   [f64[C_in] input scale] | f64[C_out] quant scales
-#                   | i32[C_out*C_in] codes | f64[C_out] bias
-#   kind 2 act:     u32 fn_code (0 relu, 1 silu)
+# magic(8) | u8 bits_w | u8 bits_a | u32 input_channels | layer table (model.py)
+# kind 1 qlinear: u32 C_out | u32 C_in | u8 has_input_scale
+#                 [f64[C_in] input scale] | f64[C_out] quant scales
+#                 | i32[C_out*C_in] codes | f64[C_out] bias
+
+
+def _pack_qlinear(layer: QuantizedLinear) -> list[bytes]:
+    c_out, c_in = layer.qweight.q.shape
+    out = [struct.pack("<IIB", c_out, c_in, 1 if layer.input_scale is not None else 0)]
+    if layer.input_scale is not None:
+        out.append(np.asarray(layer.input_scale, dtype="<f8").tobytes())
+    out.append(np.asarray(layer.qweight.scales, dtype="<f8").tobytes())
+    out.append(np.asarray(layer.qweight.q, dtype="<i4").tobytes())
+    out.append(np.asarray(layer.bias, dtype="<f8").tobytes())
+    return out
 
 
 def save_quantized(qstack: QuantizedStack) -> bytes:
-    out = [
-        QUANTIZED_MAGIC,
-        struct.pack("<BBII", qstack.bits_w, qstack.bits_a, qstack.input_channels, len(qstack.layers)),
-    ]
-    for layer in qstack.layers:
-        raw = layer.name.encode("utf-8")
-        if isinstance(layer, RMSNorm):
-            out.append(struct.pack("<BH", 0, len(raw)) + raw)
-            out.append(struct.pack("<I", layer.gain.shape[0]))
-            out.append(np.asarray(layer.gain, dtype="<f8").tobytes())
-            out.append(struct.pack("<d", layer.eps))
-        elif isinstance(layer, QuantizedLinear):
-            c_out, c_in = layer.qweight.q.shape
-            out.append(struct.pack("<BH", 1, len(raw)) + raw)
-            out.append(struct.pack("<IIB", c_out, c_in, 1 if layer.input_scale is not None else 0))
-            if layer.input_scale is not None:
-                out.append(np.asarray(layer.input_scale, dtype="<f8").tobytes())
-            out.append(np.asarray(layer.qweight.scales, dtype="<f8").tobytes())
-            out.append(np.asarray(layer.qweight.q, dtype="<i4").tobytes())
-            out.append(np.asarray(layer.bias, dtype="<f8").tobytes())
-        elif isinstance(layer, Activation):
-            out.append(struct.pack("<BH", 2, len(raw)) + raw)
-            out.append(struct.pack("<I", _FN_CODES[layer.fn]))
-        else:
-            raise ConfigError(f"cannot serialize layer of type {type(layer).__name__}")
-    return b"".join(out)
+    head = struct.pack("<BBI", qstack.bits_w, qstack.bits_a, qstack.input_channels)
+    return QUANTIZED_MAGIC + head + pack_layers(qstack.layers, _pack_qlinear)
 
 
 def load_quantized(data: bytes) -> QuantizedStack:
     r = _Reader(data)
     if r.take(len(QUANTIZED_MAGIC)) != QUANTIZED_MAGIC:
         raise CheckpointError("bad_magic", "bad magic: not a quantized stack payload")
-    bits_w, bits_a = r.u8(), r.u8()
-    input_channels = r.u32()
-    n_layers = r.u32()
-    cfg_w = QuantConfig(bits_w, "per_channel")
-    layers: list = []
-    for _ in range(n_layers):
-        kind = r.u8()
-        name = r.take(r.u16()).decode("utf-8")
-        if kind == 0:
-            c = r.u32()
-            gain = r.f64s(c)
-            eps = struct.unpack("<d", r.take(8))[0]
-            layers.append(RMSNorm(name, gain, eps))
-        elif kind == 1:
-            c_out, c_in = r.u32(), r.u32()
-            input_scale = r.f64s(c_in) if r.u8() else None
-            scales = r.f64s(c_out)
-            q = np.frombuffer(r.take(4 * c_out * c_in), dtype="<i4").copy().reshape(c_out, c_in)
-            bias = r.f64s(c_out)
-            layers.append(
-                QuantizedLinear(name, QuantizedTensor(q, scales, cfg_w), bias, input_scale)
-            )
-        elif kind == 2:
-            code = r.u32()
-            if code not in _FN_NAMES:
-                raise CheckpointError("bad_kind", f"unknown activation code {code}")
-            layers.append(Activation(name, _FN_NAMES[code]))
-        else:
-            raise CheckpointError("bad_kind", f"unknown layer kind {kind}")
+    bits_w, bits_a, input_channels = r.unpack("<BBI")
+    try:
+        cfg_w = QuantConfig(bits_w, "per_channel")
+        QuantConfig(bits_a)
+    except ConfigError as exc:
+        raise CheckpointError("bad_field", str(exc)) from None
+
+    def unpack_qlinear(r: _Reader, name: str) -> QuantizedLinear:
+        c_out, c_in, has_input_scale = r.unpack("<IIB")
+        if has_input_scale > 1:
+            raise CheckpointError("bad_field", f"layer {name!r}: input-scale flag {has_input_scale}")
+        input_scale = r.f64s(c_in) if has_input_scale else None
+        scales = r.f64s(c_out)
+        q = r.array("<i4", c_out, c_in)
+        return QuantizedLinear(name, QuantizedTensor(q, scales, cfg_w), r.f64s(c_out), input_scale)
+
+    layers = unpack_layers(r, unpack_qlinear)
     r.done()
-    return QuantizedStack(tuple(layers), input_channels, bits_w, bits_a)
+    return QuantizedStack(layers, input_channels, bits_w, bits_a)

@@ -296,7 +296,7 @@ def _cmd_dist_calibrate(args) -> int:
 
 def _cmd_quantize(args) -> int:
     stack = load_checkpoint(_require_file(args.model, "model checkpoint").read_bytes())
-    result = calibration.result_from_text(_require_file(args.result, "calibration result").read_text())
+    result = calibration.load_result(_require_file(args.result, "calibration result").read_bytes())
     out = _prepare_out(args.out)
     qstack = calibration.quantize_with_result(
         stack,
@@ -311,7 +311,7 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_eval(args) -> int:
     stack = load_checkpoint(_require_file(args.model, "model checkpoint").read_bytes())
-    result = calibration.result_from_text(_require_file(args.result, "calibration result").read_text())
+    result = calibration.load_result(_require_file(args.result, "calibration result").read_bytes())
     if (args.calib is None) == (args.fresh_seed is None):
         raise ConfigError("eval needs exactly one of --calib or --fresh-seed")
     if args.calib:

@@ -218,13 +218,12 @@ def _encode_tensor(t: np.ndarray) -> bytes:
 
 def _decode_tensor(c: _Reader) -> np.ndarray:
     (ndim,) = c.unpack("<B")
-    shape = tuple(c.unpack("<I")[0] for _ in range(ndim))
+    shape = c.unpack(f"<{ndim}I")
     (crc,) = c.unpack("<I")
-    n = int(np.prod(shape)) if shape else 1
-    payload = c.take(8 * n)
-    if zlib.crc32(payload) != crc:
+    tensor = c.f64s(*shape)
+    if zlib.crc32(tensor) != crc:
         raise ProtocolError("tensor checksum mismatch")
-    return np.frombuffer(payload, dtype="<f8").copy().reshape(shape)
+    return tensor
 
 
 def encode_message(msg: CalMessage) -> bytes:
@@ -267,6 +266,8 @@ def decode_message(blob: bytes) -> CalMessage:
     msg = CalMessage(kind, sender, receiver, seq)
     if kind == "layer_output":
         layer, stream_code, peer, count, ratio = c.unpack("<IBHId")
+        if stream_code > 1:
+            raise ProtocolError(f"unknown stream code {stream_code}")
         tensor = _decode_tensor(c)
         msg = replace(
             msg,
@@ -291,7 +292,7 @@ def decode_message(blob: bytes) -> CalMessage:
         msg = replace(msg, layer=layer, ratio=ratio, tensor=tensor, curve=curve)
     elif kind == "abort":
         (n,) = c.unpack("<H")
-        msg = replace(msg, reason=c.take(n).decode("utf-8"))
+        msg = replace(msg, reason=c.text(n))
     c.done()
     return msg
 
@@ -332,6 +333,22 @@ class _BaseTransport:
         self._recv_seq[key] = msg.seq
 
     def send(self, msg: CalMessage) -> None:
+        self._send(msg, self.send_timeout)
+
+    def abort_peers(self, sender: int, reason: str) -> None:
+        """Best-effort abort to every other worker, for failure paths.
+
+        It never waits on a full channel: the peer behind it has stopped
+        reading, and waiting would add a second full timeout to the run.
+        """
+        for peer in self.worker_ids:
+            if peer != sender:
+                try:
+                    self._send(CalMessage("abort", sender, peer, reason=reason), 0.0)
+                except Exception:  # noqa: BLE001 - the run is failing already
+                    pass
+
+    def _send(self, msg: CalMessage, timeout: float | None) -> None:
         raise NotImplementedError
 
     def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
@@ -350,9 +367,9 @@ class InProcessTransport(_BaseTransport):
             (a, b): queue.SimpleQueue() for a in worker_ids for b in worker_ids if a != b
         }
 
-    def send(self, msg: CalMessage) -> None:
+    def _send(self, msg: CalMessage, timeout: float | None) -> None:
         seq = self._next_seq(msg.sender, msg.receiver)
-        self._queues[(msg.sender, msg.receiver)].put(replace(msg, seq=seq))
+        self._queues[(msg.sender, msg.receiver)].put(replace(msg, seq=seq))  # unbounded: never waits
 
     def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
         try:
@@ -383,11 +400,11 @@ class SocketTransport(_BaseTransport):
                 self._ends[(a, b)] = end_a  # a's endpoint for peer b
                 self._ends[(b, a)] = end_b
 
-    def send(self, msg: CalMessage) -> None:
+    def _send(self, msg: CalMessage, timeout: float | None) -> None:
         seq = self._next_seq(msg.sender, msg.receiver)
         frame = encode_message(replace(msg, seq=seq))
         sock = self._ends[(msg.sender, msg.receiver)]
-        sock.settimeout(self.send_timeout)
+        sock.settimeout(timeout)
         try:
             sock.sendall(frame)
         except OSError as exc:  # TimeoutError included: the receiver stopped reading
@@ -690,14 +707,7 @@ def run_distributed_calibration(
             pass  # simulated hard crash: no abort message, the peer times out
         except BaseException as exc:  # noqa: BLE001 - propagated to the coordinator
             errors.append(exc)
-            for peer in ids:
-                if peer != worker.id:
-                    try:
-                        chans.send(
-                            CalMessage("abort", worker.id, peer, reason=f"{type(exc).__name__}: {exc}")
-                        )
-                    except Exception:
-                        pass
+            chans.abort_peers(worker.id, f"{type(exc).__name__}: {exc}")
 
     threads = [
         threading.Thread(target=_run_worker, args=(w,), daemon=True, name=f"calworker-{w.id}")
@@ -756,12 +766,7 @@ def run_distributed_calibration(
         for wid in sorted({w.id for w in scale_cap + loss_cap}):
             chans.send(CalMessage("done", sender=me, receiver=wid))
     except BaseException:
-        for peer in ids:
-            if peer != me:
-                try:
-                    chans.send(CalMessage("abort", me, peer, reason="coordinator failed"))
-                except Exception:
-                    pass
+        chans.abort_peers(me, "coordinator failed")
         for t in threads:
             t.join(timeout=timeout)
         chans.close()

@@ -13,9 +13,10 @@ default 0.5*||y||^2/N needs no labels and is deterministic.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -229,12 +230,12 @@ def backward_from_trace(
     return GradTrace(tuple(reversed(grads)))
 
 
-# --- checkpoint format (TLQCKPT1) -------------------------------------------
+# --- layer table, shared by the checkpoint and the quantized artifact ---------
 #
-# magic(8) | u32 input_channels | u32 layer_count | layers...
+# u32 layer_count | layers...
 # layer: u8 kind | u16 name_len | name utf-8 | kind-specific body
-#   kind 0 rmsnorm: u32 C   | f64[C] gain | f64 eps
-#   kind 1 linear:  u32 C_out | u32 C_in | f64[C_out*C_in] weight | f64[C_out] bias
+#   kind 0 rmsnorm: u32 C | f64[C] gain | f64 eps
+#   kind 1 linear:  the format's own body (float in TLQCKPT1, quantized in TLQQNT01)
 #   kind 2 act:     u32 fn_code (0 relu, 1 silu)
 # All integers little-endian; payloads are row-major float64.
 
@@ -271,50 +272,100 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return self.unpack("<H")[0]
-
     def u32(self) -> int:
         return self.unpack("<I")[0]
 
-    def f64s(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n), dtype="<f8").copy()
+    def array(self, dtype: str, *shape: int) -> np.ndarray:
+        """A row-major array; a shape numpy cannot hold fails as "bad_dims"."""
+        data = self.take(np.dtype(dtype).itemsize * math.prod(shape))
+        try:
+            return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        except ValueError:  # a zero dimension beside huge ones, or ndim > 64
+            raise self._fail("bad_dims", f"shape {shape} cannot be allocated") from None
+
+    def f64s(self, *shape: int) -> np.ndarray:
+        return self.array("<f8", *shape)
+
+    def text(self, n: int) -> str:
+        """n bytes of UTF-8; anything else is the payload's own error ("bad_text")."""
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self._fail("bad_text", f"invalid UTF-8 at byte {self.pos - n + exc.start}") from None
 
     def done(self) -> None:
         if self.pos != len(self.data):
             raise self._fail("trailing", f"{len(self.data) - self.pos} unread trailing bytes")
 
 
-def _pack_name(name: str) -> bytes:
-    raw = name.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise CheckpointError("bad_name", f"layer name too long ({len(raw)} bytes)")
-    return struct.pack("<H", len(raw)) + raw
+def pack_layers(layers, pack_linear: Callable[[Any], list[bytes]]) -> bytes:
+    """The layer table; the format's `pack_linear` gives the parts of a kind-1 body."""
+    out = [struct.pack("<I", len(layers))]
+    for layer in layers:
+        if isinstance(layer, RMSNorm):
+            gain = np.asarray(layer.gain, dtype="<f8")
+            kind = _KIND_RMSNORM
+            body = [struct.pack("<I", gain.shape[0]), gain.tobytes(), struct.pack("<d", layer.eps)]
+        elif isinstance(layer, Activation):
+            kind, body = _KIND_ACT, [struct.pack("<I", _FN_CODES[layer.fn])]
+        else:
+            kind, body = _KIND_LINEAR, pack_linear(layer)
+        name = layer.name.encode("utf-8")
+        if len(name) > 0xFFFF:
+            raise CheckpointError("bad_name", f"layer name too long ({len(name)} bytes)")
+        out += [struct.pack("<BH", kind, len(name)), name, *body]
+    return b"".join(out)
+
+
+def unpack_layers(r: _Reader, unpack_linear: Callable[[_Reader, str], Any]) -> tuple:
+    """Read the layer table written by `pack_layers`.
+
+    Every failure is a CheckpointError: a name that is not UTF-8, an unknown
+    kind or activation code, a short payload, or a record that fails its
+    own layer validation.
+    """
+    layers = []
+    for _ in range(r.u32()):
+        kind, name_len = r.unpack("<BH")
+        name = r.text(name_len)
+        try:
+            if kind == _KIND_RMSNORM:
+                gain = r.f64s(r.u32())
+                layers.append(RMSNorm(name, gain, r.unpack("<d")[0]))
+            elif kind == _KIND_LINEAR:
+                layers.append(unpack_linear(r, name))
+            elif kind == _KIND_ACT:
+                code = r.u32()
+                if code not in _FN_NAMES:
+                    raise CheckpointError("bad_kind", f"unknown activation code {code}")
+                layers.append(Activation(name, _FN_NAMES[code]))
+            else:
+                raise CheckpointError("bad_kind", f"unknown layer kind {kind}")
+        except (ConfigError, ShapeError, NumericError) as exc:
+            raise CheckpointError("bad_layer", f"layer {len(layers)}: {exc}") from None
+    return tuple(layers)
+
+
+# --- checkpoint format (TLQCKPT1) -------------------------------------------
+#
+# magic(8) | u32 input_channels | layer table
+# kind 1 linear: u32 C_out | u32 C_in | f64[C_out*C_in] weight | f64[C_out] bias
+
+
+def _pack_linear(layer: Linear) -> list[bytes]:
+    weight, bias = np.asarray(layer.weight, dtype="<f8"), np.asarray(layer.bias, dtype="<f8")
+    return [struct.pack("<II", *weight.shape), weight.tobytes(), bias.tobytes()]
+
+
+def _unpack_linear(r: _Reader, name: str) -> Linear:
+    c_out, c_in = r.unpack("<II")
+    weight = r.f64s(c_out, c_in)
+    return Linear(name, weight, r.f64s(c_out))
 
 
 def save_checkpoint(stack: LayerStack) -> bytes:
-    out = [CHECKPOINT_MAGIC, struct.pack("<II", stack.input_channels, len(stack.layers))]
-    for layer in stack.layers:
-        if isinstance(layer, RMSNorm):
-            out.append(struct.pack("<B", _KIND_RMSNORM))
-            out.append(_pack_name(layer.name))
-            out.append(struct.pack("<I", layer.gain.shape[0]))
-            out.append(np.asarray(layer.gain, dtype="<f8").tobytes())
-            out.append(struct.pack("<d", layer.eps))
-        elif isinstance(layer, Linear):
-            out.append(struct.pack("<B", _KIND_LINEAR))
-            out.append(_pack_name(layer.name))
-            out.append(struct.pack("<II", *layer.weight.shape))
-            out.append(np.asarray(layer.weight, dtype="<f8").tobytes())
-            out.append(np.asarray(layer.bias, dtype="<f8").tobytes())
-        else:
-            out.append(struct.pack("<B", _KIND_ACT))
-            out.append(_pack_name(layer.name))
-            out.append(struct.pack("<I", _FN_CODES[layer.fn]))
-    return b"".join(out)
+    head = CHECKPOINT_MAGIC + struct.pack("<I", stack.input_channels)
+    return head + pack_layers(stack.layers, _pack_linear)
 
 
 def load_checkpoint(data: bytes) -> LayerStack:
@@ -322,31 +373,10 @@ def load_checkpoint(data: bytes) -> LayerStack:
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("bad_magic", "bad magic: not a checkpoint payload")
     input_channels = r.u32()
-    n_layers = r.u32()
-    layers: list[LayerSpec] = []
-    for _ in range(n_layers):
-        kind = r.u8()
-        name = r.take(r.u16()).decode("utf-8")
-        if kind == _KIND_RMSNORM:
-            c = r.u32()
-            gain = r.f64s(c)
-            eps = struct.unpack("<d", r.take(8))[0]
-            layers.append(RMSNorm(name, gain, eps))
-        elif kind == _KIND_LINEAR:
-            c_out, c_in = r.u32(), r.u32()
-            weight = r.f64s(c_out * c_in).reshape(c_out, c_in)
-            bias = r.f64s(c_out)
-            layers.append(Linear(name, weight, bias))
-        elif kind == _KIND_ACT:
-            code = r.u32()
-            if code not in _FN_NAMES:
-                raise CheckpointError("bad_kind", f"unknown activation code {code}")
-            layers.append(Activation(name, _FN_NAMES[code]))
-        else:
-            raise CheckpointError("bad_kind", f"unknown layer kind {kind}")
+    layers = unpack_layers(r, _unpack_linear)
     r.done()
     try:
-        return LayerStack(tuple(layers), input_channels)
+        return LayerStack(layers, input_channels)
     except (ShapeError, ConfigError, NumericError) as exc:
         raise CheckpointError("bad_dims", f"inconsistent stack: {exc}") from exc
 
@@ -402,9 +432,9 @@ def load_calibset(data: bytes) -> CalibrationSet:
     r = _Reader(data)
     if r.take(len(CALIBSET_MAGIC)) != CALIBSET_MAGIC:
         raise CheckpointError("bad_magic", "bad magic: not a calibration-set payload")
-    b, n, c = r.u32(), r.u32(), r.u32()
-    modality = np.frombuffer(r.take(b * n), dtype=np.uint8).copy().reshape(b, n)
-    acts = r.f64s(b * n * c).reshape(b, n, c)
+    b, n, c = r.unpack("<III")
+    modality = r.array("u1", b, n)
+    acts = r.f64s(b, n, c)
     r.done()
     if not np.isfinite(acts).all():
         sample, token, channel = (int(i) for i in np.argwhere(~np.isfinite(acts))[0])
@@ -413,4 +443,7 @@ def load_calibset(data: bytes) -> CalibrationSet:
             f"activation at sample {sample}, token {token}, channel {channel} "
             f"is {float(acts[sample, token, channel])}",
         )
-    return CalibrationSet(acts, modality)
+    try:
+        return CalibrationSet(acts, modality)
+    except (NumericError, ShapeError) as exc:
+        raise CheckpointError("bad_field", str(exc)) from None

@@ -1,7 +1,6 @@
 """Dense numeric core shared by every other module.
 
-Values are plain numpy ndarrays of rank 1 to 3, row major, float64 by
-default (a global float32 mode exists for float-sensitivity experiments).
+Values are plain numpy float64 ndarrays of rank 1 to 3, row major.
 Functions here are pure: inputs are never mutated and results are freshly
 allocated. The package's one in-place numeric kernel lives elsewhere:
 `quantizer._qdq_inplace` overwrites its rank-2 argument, and its callers
@@ -11,47 +10,14 @@ always hand it a freshly computed array.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
 
 _MASK64 = (1 << 64) - 1
-
-_default_dtype: np.dtype = np.dtype(np.float64)
-
-
-def set_default_dtype(name: str) -> None:
-    """Select the global creation precision: "float64" (default) or "float32"."""
-    global _default_dtype
-    if name not in ("float64", "float32"):
-        raise ValueError(f"unsupported default dtype {name!r}")
-    _default_dtype = np.dtype(name)
-
-
-def get_default_dtype() -> np.dtype:
-    return _default_dtype
-
-
-@contextmanager
-def default_dtype(name: str) -> Iterator[None]:
-    """Temporarily switch the global precision (used by float32-mode tests)."""
-    old = _default_dtype.name
-    set_default_dtype(name)
-    try:
-        yield
-    finally:
-        set_default_dtype(old)
-
-
-def _tag_to_int(tag: int | str) -> int:
-    if isinstance(tag, (int, np.integer)):
-        return int(tag) & _MASK64
-    digest = hashlib.blake2b(str(tag).encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
 
 
 @dataclass(frozen=True)
@@ -91,8 +57,7 @@ def rand_uniform(
 ) -> np.ndarray:
     """Uniform(low, high) tensor, deterministic for a fixed (rng, shape)."""
     shape = _check_shape(shape)
-    out = rng.generator().uniform(low, high, size=shape)
-    return out.astype(_default_dtype, copy=False)
+    return rng.generator().uniform(low, high, size=shape)
 
 
 def rand_normal(
@@ -102,8 +67,7 @@ def rand_normal(
     shape = _check_shape(shape)
     if std < 0:
         raise ValueError(f"std must be >= 0, got {std}")
-    out = rng.generator().normal(mean, std, size=shape)
-    return out.astype(_default_dtype, copy=False)
+    return rng.generator().normal(mean, std, size=shape)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

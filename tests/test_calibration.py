@@ -378,6 +378,8 @@ def _mutated_result_text(field, value):
         ("bits_a", "6.5"),
         ("bits_w", "40"),
         ("fraction", "half"),
+        ("fraction", "nan"),
+        ("fraction", "7.0"),
         ("grid", "0.0 1.0 x"),
         ("grid", "0.0 1.0"),
         ("grid", "0.9 0.1 0.05"),

@@ -1,4 +1,5 @@
 import json
+import struct
 import time
 
 import numpy as np
@@ -282,6 +283,37 @@ def test_corrupt_model_exits_two(tmp_path):
         "--out", str(tmp_path / "r.txt"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("how", ["non_utf8_name", "nan_eps"])
+def test_corrupt_layer_record_exits_two(tmp_path, capsys, how):
+    blob = _gen_model(tmp_path).read_bytes()
+    if how == "non_utf8_name":
+        # magic | u32 channels | u32 count | u8 kind | u16 name_len | name
+        blob = blob[:19] + b"\xff" + blob[20:]
+    else:
+        eps = load_checkpoint(blob).layers[0].eps
+        blob = blob.replace(struct.pack("<d", eps), struct.pack("<d", float("nan")), 1)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    calib = _gen_calib(tmp_path)
+    code = main([
+        "calibrate", "--model", str(bad), "--calib", str(calib), "--out", str(tmp_path / "r.txt"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_non_utf8_result_exits_two(tmp_path, capsys):
+    model = _gen_model(tmp_path)
+    result = _calibrate(tmp_path, model, _gen_calib(tmp_path))
+    result.write_bytes(result.read_bytes().replace(b"lin0", b"lin\xff"))
+    code = main(["quantize", "--model", str(model), "--result", str(result), "--out", str(tmp_path / "q")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_presets(tmp_path):

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import random_block_stack, single_linear_stack
+from tlq.calibration import QuantizedLinear, QuantizedStack, load_quantized, save_quantized
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
 from tlq.model import (
@@ -226,26 +229,108 @@ def test_checkpoint_roundtrip_is_identity():
     assert save_checkpoint(again) == blob
 
 
+# the two file formats that carry the layer table
+LAYER_TABLE_FORMATS = ("checkpoint", "artifact")
+
+
+def _layer_table_file(fmt: str):
+    """(blob, loader, offset of the layer table) for one small stack."""
+    stack = random_block_stack(31, 1, 4)
+    if fmt == "checkpoint":
+        return save_checkpoint(stack), load_checkpoint, 12
+    norm, lin, act = stack.layers
+    qlin = QuantizedLinear(lin.name, quantize(lin.weight, CFG_W8), lin.bias, np.full(4, 0.5))
+    return save_quantized(QuantizedStack((norm, qlin, act), 4, 8, 8)), load_quantized, 14
+
+
 def test_checkpoint_bad_magic():
-    blob = bytearray(save_checkpoint(single_linear_stack(1, 3, 3)))
-    blob[0] ^= 0xFF
-    with pytest.raises(CheckpointError) as err:
-        load_checkpoint(bytes(blob))
-    assert err.value.code == "bad_magic"
+    for fmt in LAYER_TABLE_FORMATS:
+        blob, load, _ = _layer_table_file(fmt)
+        with pytest.raises(CheckpointError) as err:
+            load(bytes([blob[0] ^ 0xFF]) + blob[1:])
+        assert err.value.code == "bad_magic"
 
 
 def test_checkpoint_truncation_never_yields_partial_stack():
-    blob = save_checkpoint(random_block_stack(31, 1, 4))
-    for cut in range(len(blob)):
-        with pytest.raises(CheckpointError):
-            load_checkpoint(blob[:cut])
+    for fmt in LAYER_TABLE_FORMATS:
+        blob, load, _ = _layer_table_file(fmt)
+        for cut in range(len(blob)):
+            with pytest.raises(CheckpointError):
+                load(blob[:cut])
 
 
 def test_checkpoint_trailing_bytes_rejected():
-    blob = save_checkpoint(single_linear_stack(2, 3, 3))
-    with pytest.raises(CheckpointError) as err:
-        load_checkpoint(blob + b"\x00")
-    assert err.value.code == "trailing"
+    for fmt in LAYER_TABLE_FORMATS:
+        blob, load, _ = _layer_table_file(fmt)
+        with pytest.raises(CheckpointError) as err:
+            load(blob + b"\x00")
+        assert err.value.code == "trailing"
+
+
+def _first_record(blob: bytes, table: int):
+    """Offsets of the first layer's kind byte, name and body."""
+    (name_len,) = struct.unpack_from("<H", blob, table + 5)
+    return table + 4, table + 7, table + 7 + name_len
+
+
+@pytest.mark.parametrize("fmt", LAYER_TABLE_FORMATS)
+def test_layer_table_unknown_kind_rejected(fmt):
+    blob, load, table = _layer_table_file(fmt)
+    kind, _, _ = _first_record(blob, table)
+    with pytest.raises(CheckpointError, match="unknown layer kind 9") as err:
+        load(blob[:kind] + b"\x09" + blob[kind + 1 :])
+    assert err.value.code == "bad_kind"
+    # the activation record is the last one: u32 fn_code ends the payload
+    with pytest.raises(CheckpointError, match="unknown activation code 7") as err:
+        load(blob[:-4] + struct.pack("<I", 7))
+    assert err.value.code == "bad_kind"
+
+
+@pytest.mark.parametrize("fmt", LAYER_TABLE_FORMATS)
+def test_layer_table_non_utf8_name_rejected(fmt):
+    blob, load, table = _layer_table_file(fmt)
+    _, name, _ = _first_record(blob, table)
+    with pytest.raises(CheckpointError, match="invalid UTF-8") as err:
+        load(blob[:name] + b"\xff" + blob[name + 1 :])
+    assert err.value.code == "bad_text"
+
+
+@pytest.mark.parametrize("fmt", LAYER_TABLE_FORMATS)
+@pytest.mark.parametrize("eps", [np.nan, 0.0, -1e-6])
+def test_layer_table_invalid_record_rejected(fmt, eps):
+    blob, load, _ = _layer_table_file(fmt)
+    good = struct.pack("<d", 1e-6)
+    assert blob.count(good) == 1
+    with pytest.raises(CheckpointError, match="layer 0: rmsnorm 'norm0': eps") as err:
+        load(blob.replace(good, struct.pack("<d", eps)))
+    assert err.value.code == "bad_layer"
+
+
+def test_checkpoint_non_finite_weight_rejected():
+    stack = single_linear_stack(3, 2, 2)
+    good = struct.pack("<d", stack.layers[0].weight[1, 0])
+    blob = save_checkpoint(stack)
+    with pytest.raises(CheckpointError, match="non-finite") as err:
+        load_checkpoint(blob.replace(good, struct.pack("<d", np.inf)))
+    assert err.value.code == "bad_layer"
+
+
+def test_artifact_header_and_flag_validated():
+    blob, _, _ = _layer_table_file("artifact")
+    with pytest.raises(CheckpointError, match="bits") as err:
+        load_quantized(blob[:8] + b"\x01" + blob[9:])
+    assert err.value.code == "bad_field"
+    with pytest.raises(CheckpointError, match="bits") as err:
+        load_quantized(blob[:9] + b"\x11" + blob[10:])
+    assert err.value.code == "bad_field"
+    # after the rmsnorm body (u32 C | f64[4] gain | f64 eps) comes the qlinear
+    # record: kind | name_len | name | u32 C_out | u32 C_in | u8 has_input_scale
+    _, _, body = _first_record(blob, 14)
+    flag = body + (4 + 4 * 8 + 8) + (1 + 2 + len("lin0")) + 8
+    assert blob[flag] == 1
+    with pytest.raises(CheckpointError, match="input-scale flag 2") as err:
+        load_quantized(blob[:flag] + b"\x02" + blob[flag + 1 :])
+    assert err.value.code == "bad_field"
 
 
 def test_checkpoint_dim_inconsistency_rejected():
@@ -290,6 +375,19 @@ def test_calibset_truncation_and_magic():
 def test_calibset_validates_modality():
     with pytest.raises(NumericError):
         CalibrationSet(np.zeros((1, 2, 3)), np.full((1, 2), 7, dtype=np.uint8))
+    blob = bytearray(save_calibset(CalibrationSet(np.zeros((1, 2, 3)), np.zeros((1, 2), dtype=np.uint8))))
+    blob[20] = 7  # the first modality tag follows magic | B | N | C
+    with pytest.raises(CheckpointError, match="modality") as err:
+        load_calibset(bytes(blob))
+    assert err.value.code == "bad_field"
+
+
+def test_calibset_unallocatable_shape_rejected():
+    # no activation bytes are needed, but (0, 2^32-1, 2^32-1) overflows numpy
+    blob = b"TLQCAL01" + struct.pack("<III", 0, 0xFFFFFFFF, 0xFFFFFFFF)
+    with pytest.raises(CheckpointError, match="cannot be allocated") as err:
+        load_calibset(blob)
+    assert err.value.code == "bad_dims"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -4,8 +4,6 @@ import pytest
 from tlq.errors import ShapeError
 from tlq.tensor import (
     Rng,
-    default_dtype,
-    get_default_dtype,
     matmul,
     rand_normal,
     rand_uniform,
@@ -80,13 +78,6 @@ def test_operations_do_not_mutate_inputs():
     a0, b0 = a.copy(), b.copy()
     matmul(a, b)
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
-
-
-def test_float32_mode_is_selectable():
-    assert get_default_dtype() == np.float64
-    with default_dtype("float32"):
-        assert rand_uniform(Rng(1), (3,)).dtype == np.float32
-    assert rand_uniform(Rng(1), (3,)).dtype == np.float64
 
 
 def test_bad_shapes_rejected():
