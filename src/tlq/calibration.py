@@ -478,18 +478,23 @@ def scales_from_result(result: CalibrationResult) -> dict[str, SmoothScale]:
 
 
 def check_result_layers(stack: LayerStack, result: CalibrationResult) -> None:
-    """Raise ConfigError unless the result has exactly one row per linear of the stack."""
-    want = [lin.name for _, lin in stack.linears()]
+    """Raise ConfigError unless the result has one row per linear, each scale as wide as its input."""
+    widths = {lin.name: lin.weight.shape[1] for _, lin in stack.linears()}
     got = [row.name for row in result.layers]
-    if sorted(got) == sorted(want):
-        return
-    missing = [n for n in want if n not in got]
-    extra = [n for n in got if n not in want]
-    repeated = sorted({n for n in got if got.count(n) > 1})
-    raise ConfigError(
-        f"calibration result layers do not match the stack's linear layers: "
-        f"missing {missing}, extra {extra}, repeated {repeated}"
-    )
+    if sorted(got) != sorted(widths):
+        missing = [n for n in widths if n not in got]
+        extra = [n for n in got if n not in widths]
+        repeated = sorted({n for n in got if got.count(n) > 1})
+        raise ConfigError(
+            f"calibration result layers do not match the stack's linear layers: "
+            f"missing {missing}, extra {extra}, repeated {repeated}"
+        )
+    for row in result.layers:
+        if row.scale.values.shape[0] != widths[row.name]:
+            raise ConfigError(
+                f"calibration result scale for {row.name!r} has {row.scale.values.shape[0]} "
+                f"channels; the linear takes {widths[row.name]}"
+            )
 
 
 # --- quantized stack artifact -------------------------------------------------

@@ -140,7 +140,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--result", required=True)
     q.add_argument("--out", required=True)
 
-    e = sub.add_parser("eval", help="replay a result: per-layer losses and loss gaps")
+    e = sub.add_parser("eval", help="score a result: per-layer losses and loss gaps")
     e.add_argument("--model", required=True)
     e.add_argument("--result", required=True)
     e.add_argument("--calib", help="evaluation calibration set")

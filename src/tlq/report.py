@@ -1,12 +1,11 @@
 """Evaluation reports and gradient heatmap exports.
 
-The eval report replays a calibration result against a stack: per-layer
-reconstruction losses at the fixed ratios (under the result's propagation
-strategy), the end-to-end proxy-loss gap between the full-precision and
-quantization-exposed forward passes, and the first-order estimate of each
+The eval report scores a calibration result from one full-precision and one
+quantized forward trace per sample: per-layer reconstruction losses at the
+fixed ratios (under the result's propagation strategy), the end-to-end
+proxy-loss gap between the two passes, and the first-order estimate of each
 layer's activation-error contribution against the measured loss change.
-Reports are versioned structured text with repr()-exact floats so byte
-comparison is meaningful.
+Reports are versioned structured text with repr()-exact floats.
 """
 
 from __future__ import annotations
@@ -15,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import (
-    CalibrationResult,
-    CalibrationWalk,
-    _batch_fp,
-    _batch_quant,
-    check_result_layers,
-    layer_loss,
-    scales_from_result,
-)
+from .calibration import STRATEGIES, CalibrationResult, check_result_layers, scales_from_result
 from .errors import CheckpointError, ConfigError, ShapeError
 from .importance import (
     SelectedTokens,
@@ -37,6 +28,8 @@ from .layers import LayerStack
 from .model import (
     CalibrationSet,
     ProxyLossSpec,
+    apply_layer_fp,
+    apply_linear_quant,
     backward_from_trace,
     backward_token_grads,
     forward_fp,
@@ -100,12 +93,18 @@ def evaluate(
     calib: CalibrationSet,
     loss: ProxyLossSpec = ProxyLossSpec(),
 ) -> EvalReport:
-    """Replay a calibration result on evaluation data.
+    """Score a calibration result on evaluation data.
 
-    Each sample gets one FP trace, one backward pass over it and one
-    quantized forward; every layer probe, the loss totals, the output MSE
-    and the CE gap read from those. Totals accumulate in sample order.
+    Each sample gets one FP trace `t_fp`, one backward pass over it and one
+    quantized trace `t_q`, and every number reads from those. With `t[l]` the
+    input of layer `l`, a linear's loss compares the outputs its strategy
+    calibrated on: passact1 `t_fp[l+1]` and `t_q[l+1]`; passact2 the FP layer
+    on `t_q[l]` and `t_q[l+1]`; none `t_fp[l+1]` and the quantized layer on
+    `t_fp[l]`. The batch mean of the per-sample squared sums has the bytes of
+    `calibration.layer_loss`. Totals accumulate in sample order.
     """
+    if result.strategy not in STRATEGIES:
+        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {result.strategy!r}")
     check_result_layers(stack, result)
     cfg_w = QuantConfig(result.bits_w, "per_channel")
     cfg_a = QuantConfig(result.bits_a, "per_token")
@@ -113,31 +112,30 @@ def evaluate(
     acts = calib.activations
     b_total = acts.shape[0]
 
-    # per-layer reconstruction losses under the result's propagation strategy
-    walk = CalibrationWalk(stack, acts, result.strategy, cfg_w, cfg_a)
-    layer_losses: dict[str, float] = {}
-    while (task := walk.next_linear()) is not None:
-        scale = scales[task.layer.name]
-        y_fp = _batch_fp(task.layer, task.fp_inputs)
-        y_q = _batch_quant(task.layer, task.q_inputs, scale, cfg_w, cfg_a)
-        layer_losses[task.layer.name] = layer_loss(y_fp, y_q)
-        walk.fix_scale(scale)
-
-    # first-order estimate vs measured loss change, per layer, summed over batch
     linears = stack.linears()
+    sq_sums = {lin.name: np.empty(b_total) for _, lin in linears}
+    # first-order estimate vs measured loss change, per layer, summed over batch
     probes = {lin.name: [0.0, 0.0] for _, lin in linears}
     fp_total = q_total = mse_total = ce_total = 0.0
     for b in range(b_total):
         x = acts[b]
         t_fp = forward_fp(stack, x)
         grads = backward_from_trace(stack, t_fp, loss)
+        t_q = forward_quant(stack, x, scales, cfg_w, cfg_a)
+        fp_vals, q_vals = t_fp.values(), t_q.values()
         for idx, lin in linears:
-            est, meas = activation_error_probe(
-                stack, x, idx, cfg_a, scale=scales[lin.name], loss=loss, trace=t_fp, grads=grads
-            )
+            s = scales[lin.name]
+            est, meas = activation_error_probe(stack, x, idx, cfg_a, scale=s, loss=loss, trace=t_fp, grads=grads)
             probes[lin.name][0] += est
             probes[lin.name][1] += meas
-        y_q = forward_quant(stack, x, scales, cfg_w, cfg_a).output
+            if result.strategy == "passact2":
+                d = apply_layer_fp(lin, t_q.inputs[idx]) - q_vals[idx + 1]
+            elif result.strategy == "passact1":
+                d = fp_vals[idx + 1] - q_vals[idx + 1]
+            else:
+                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx], s, cfg_w, cfg_a)
+            sq_sums[lin.name][b] = np.sum(d * d)
+        y_q = t_q.output
         fp_total += loss_value(t_fp.output, loss)
         q_total += loss_value(y_q, loss)
         d = y_q - t_fp.output
@@ -147,7 +145,7 @@ def evaluate(
     fp_loss = fp_total / b_total
     quant_loss = q_total / b_total
     rows = tuple(
-        LayerEval(row.name, row.ratio, layer_losses[row.name], *probes[row.name])
+        LayerEval(row.name, row.ratio, float(np.mean(sq_sums[row.name])), *probes[row.name])
         for row in result.layers
     )
     return EvalReport(

@@ -411,6 +411,10 @@ def test_quantize_with_result_requires_full_coverage():
     partial = res.__class__(res.layers[:1], res.strategy, res.stat_mode, res.bits_w, res.bits_a, res.fraction, res.grid)
     with pytest.raises(ConfigError, match="lin1"):
         quantize_with_result(stack, partial, CFG_W, CFG_A)
+    wide = random_block_stack(22, 2, 12)
+    res = calibrate(wide, _calib_inputs(23, 2, 4, 12), strategy="none", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+    with pytest.raises(ConfigError, match="lin0"):
+        quantize_with_result(stack, res, CFG_W, CFG_A)
 
 
 def test_artifact_forward_matches_forward_quant():

@@ -182,18 +182,24 @@ def test_oversized_grid_exits_one_quickly(tmp_path, capsys):
 
 def test_result_for_another_stack_exits_one(tmp_path, capsys):
     deep = _gen_model(tmp_path, depth=3, name="deep.ckpt")
+    wide = _gen_model(tmp_path, depth=2, channels=64, name="wide.ckpt")
     shallow = _gen_model(tmp_path, depth=2, name="shallow.ckpt")
     calib = _gen_calib(tmp_path)
-    result = _calibrate(tmp_path, deep, calib)
-    for argv, out in (
-        (["quantize", "--model", str(shallow), "--result", str(result)], tmp_path / "q"),
-        (["eval", "--model", str(shallow), "--result", str(result), "--calib", str(calib)],
-         tmp_path / "e.txt"),
+    wide_calib = _gen_calib(tmp_path, channels=64, name="wide.bin")
+    for result, layer in (
+        (_calibrate(tmp_path, deep, calib, name="deep.txt"), "lin2"),
+        (_calibrate(tmp_path, wide, wide_calib, name="wide.txt"), "lin0"),  # scale width 64, not 32
     ):
-        assert main([*argv, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "lin2" in err
-        assert not out.exists()
+        for argv, out in (
+            (["quantize", "--model", str(shallow), "--result", str(result)], tmp_path / "q"),
+            (["eval", "--model", str(shallow), "--result", str(result), "--calib", str(calib)],
+             tmp_path / "e.txt"),
+        ):
+            assert main([*argv, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and layer in err
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
 
 
 def test_non_finite_calibration_set_exits_two(tmp_path, capsys):

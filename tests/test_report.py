@@ -1,8 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from tlq import importance, model, report
-from tlq.calibration import calibrate, scales_from_result
+from tlq import calibration, importance, model, report
+from tlq.calibration import (
+    CalibrationWalk,
+    _batch_fp,
+    _batch_quant,
+    calibrate,
+    layer_loss,
+    scales_from_result,
+)
 from tlq.errors import ConfigError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.importance import activation_error_probe
@@ -84,7 +93,9 @@ def test_estimate_tracks_measured_loss_change():
             assert abs(layer.estimate - layer.measured) <= 0.6 * abs(layer.measured)
 
 
-@pytest.mark.parametrize("seed, depth, strategy", [(12, 4, "passact1"), (13, 2, "passact2")])
+@pytest.mark.parametrize(
+    "seed, depth, strategy", [(12, 4, "passact1"), (13, 2, "passact2"), (16, 3, "none")]
+)
 def test_shared_trace_eval_equals_standalone_probes(seed, depth, strategy):
     """evaluate's single trace per sample gives the bytes of the standalone calls."""
     stack, calib, res = _calibrated(seed=seed, depth=depth, strategy=strategy)
@@ -114,9 +125,30 @@ def test_shared_trace_eval_equals_standalone_probes(seed, depth, strategy):
     assert rep.ce_gap == abs(ce_total) / calib.batch
 
 
+@pytest.mark.parametrize("strategy", ["none", "passact1", "passact2"])
+def test_layer_losses_equal_the_walk_reference(strategy):
+    """Per-sample squared sums give the bytes of layer_loss over whole-batch walk outputs."""
+    stack, calib, res = _calibrated(seed=17, depth=3, b=5, strategy=strategy)
+    cfg_w = QuantConfig(res.bits_w, "per_channel")
+    cfg_a = QuantConfig(res.bits_a, "per_token")
+    scales = scales_from_result(res)
+    walk = CalibrationWalk(stack, calib.activations, strategy, cfg_w, cfg_a)
+    want = {}
+    while (task := walk.next_linear()) is not None:
+        scale = scales[task.layer.name]
+        y_fp = _batch_fp(task.layer, task.fp_inputs)
+        y_q = _batch_quant(task.layer, task.q_inputs, scale, cfg_w, cfg_a)
+        want[task.layer.name] = layer_loss(y_fp, y_q)
+        walk.fix_scale(scale)
+    rep = evaluate(stack, res, calib)
+    assert len(rep.layers) == len(want) == 3
+    for layer in rep.layers:
+        assert layer.loss == want[layer.name]
+
+
 def test_evaluate_runs_one_trace_and_one_backward_per_sample(monkeypatch):
     stack, calib, res = _calibrated(seed=14, depth=3)
-    counts = {"forward": 0, "backward": 0}
+    counts = {"forward": 0, "backward": 0, "quant": 0}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -126,14 +158,22 @@ def test_evaluate_runs_one_trace_and_one_backward_per_sample(monkeypatch):
 
     fwd = counted(model.forward_fp, "forward")
     bwd = counted(model.backward_from_trace, "backward")
+    fq = counted(model.forward_quant, "quant")
     # every namespace a forward or backward pass can be reached through
     for module in (model, importance, report):
         monkeypatch.setattr(module, "forward_fp", fwd)
     for module in (model, report):
         monkeypatch.setattr(module, "backward_from_trace", bwd)
+        monkeypatch.setattr(module, "forward_quant", fq)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("evaluate constructed a CalibrationWalk")
+
+    monkeypatch.setattr(calibration.CalibrationWalk, "__init__", no_walk)
     evaluate(stack, res, calib)
     assert counts["forward"] == calib.batch
     assert 0 < counts["backward"] <= calib.batch
+    assert counts["quant"] == calib.batch
 
 
 def test_evaluate_rejects_result_for_another_stack():
@@ -141,6 +181,15 @@ def test_evaluate_rejects_result_for_another_stack():
     shallow = build_stack(15, 2, 32)
     with pytest.raises(ConfigError, match="lin2"):
         evaluate(shallow, res, calib)
+    _, _, wide = _calibrated(seed=15, depth=3, c=64)
+    with pytest.raises(ConfigError, match="lin0"):
+        evaluate(stack, wide, calib)
+
+
+def test_evaluate_rejects_unknown_strategy():
+    stack, calib, res = _calibrated(seed=15)
+    with pytest.raises(ConfigError, match="strategy"):
+        evaluate(stack, dataclasses.replace(res, strategy="passact3"), calib)
 
 
 # --- heatmaps -------------------------------------------------------------------
