@@ -26,7 +26,6 @@ from .errors import (
 )
 from .importance import (
     SelectedTokens,
-    TokenImportance,
     first_order_output_error,
     select_top_tokens,
     token_importance_sums,

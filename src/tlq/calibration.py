@@ -13,11 +13,10 @@ strategies control which activations later layers calibrate on:
 * passact2: a single stream where each calibrated layer's quantized output
   replaces the input of the next layer, matching the real inference path.
 
-Quantization-exposed batch work runs the whole (B*N, C) activation block
-through `quantizer._qdq_inplace`, which overwrites a freshly divided copy of
-the inputs; only the gemm stays per sample, because the bytes of a flattened
-matmul depend on the BLAS. Full-precision batch work loops sample by sample
-through the layer kernels the single-sample forwards use.
+Quantization-exposed batch work calls `model.apply_linear_quant`, the one
+quantized linear, which the single-sample forwards call on a batch of one.
+Full-precision batch work loops sample by sample through the layer kernels
+the single-sample forwards use.
 
 The distributed calibrator is this single-context loop with a remote grid
 search: `calibrate` and `distcal.run_distributed_calibration` both run
@@ -38,9 +37,8 @@ import numpy as np
 from .errors import CheckpointError, ConfigError, ShapeError, TlqError
 from .importance import (
     SelectedTokens,
-    channel_mean_abs,
     select_top_tokens,
-    TokenImportance,
+    token_importance_sums,
     x_stat_baselines,
     x_stat_from_tokens,
 )
@@ -146,37 +144,6 @@ def _batch_fp(layer, xs: np.ndarray) -> np.ndarray:
     return np.stack([apply_layer_fp(layer, xs[b]) for b in range(xs.shape[0])])
 
 
-def _batch_quant(
-    layer: Linear, xs: np.ndarray, scale: SmoothScale, cfg_w: QuantConfig, cfg_a: QuantConfig
-) -> np.ndarray:
-    """Quantization-exposed layer output for a (B, N, C) batch, freshly allocated.
-
-    Same bytes as stacking apply_linear_quant over the samples. Every call
-    returns a new array: the in-process transport queues outputs by
-    reference, so a buffer reused across grid points would be overwritten
-    while still in flight.
-    """
-    c_in = layer.weight.shape[1]
-    if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,):
-        raise ShapeError(
-            f"layer {layer.name!r}: inputs {xs.shape} and smoothing scale "
-            f"{scale.values.shape} vs {c_in} input channels"
-        )
-    # the weight side is sample independent; quantizing it once gives the
-    # same floats as apply_linear_quant on every sample
-    w_hat = layer.weight * scale.values
-    _qdq_inplace(w_hat, cfg_w)
-    b_total, n_tokens = xs.shape[:2]
-    x_hat = (xs / scale.values).reshape(b_total * n_tokens, c_in)
-    _qdq_inplace(x_hat, cfg_a)
-    out = np.empty((b_total, n_tokens, layer.weight.shape[0]))
-    w_hat_t = w_hat.T
-    for b in range(b_total):
-        np.matmul(x_hat[b * n_tokens : (b + 1) * n_tokens], w_hat_t, out=out[b])
-    out += layer.bias
-    return out
-
-
 def select_ratio(curve: Sequence[tuple[float, float]]) -> float:
     """Grid minimizer; losses within TIE_REL_TOL of the best tie to smaller r."""
     if len(curve) == 0:
@@ -209,7 +176,7 @@ def search_ratio(
     curve = []
     for r in grid.points():
         scale = power_scale(x_stat, r)
-        y_q = _batch_quant(layer, q_inputs, scale, cfg_w, cfg_a)
+        y_q = apply_linear_quant(layer, q_inputs, scale, cfg_w, cfg_a)
         y_q -= y_fp
         curve.append((r, _squared_loss_inplace(y_q)))
     return select_ratio(curve), tuple(curve)
@@ -257,19 +224,16 @@ def compute_token_selections(
     each sample's trace lifetime for memory accounting.
     """
     obs = observer or WalkObserver()
-    b_total, n_tokens = activations.shape[0], activations.shape[1]
-    trace_bytes = gradient_pass_bytes(stack, n_tokens)
-    totals = [np.zeros(n_tokens) for _ in stack.layers]
-    for b in range(b_total):
-        obs.stream_new(trace_bytes, "grad-pass")
-        gt = backward_token_grads(stack, activations[b], loss)
-        for l in range(len(stack.layers)):
-            totals[l] = totals[l] + channel_mean_abs(gt.grads[l])
-        obs.stream_drop(trace_bytes, "grad-pass")
-    return [
-        select_top_tokens(TokenImportance(totals[l], b_total, l), fraction)
-        for l in range(len(stack.layers))
-    ]
+    trace_bytes = gradient_pass_bytes(stack, activations.shape[1])
+
+    def grad_passes():
+        for x in activations:
+            obs.stream_new(trace_bytes, "grad-pass")
+            yield backward_token_grads(stack, x, loss)
+            obs.stream_drop(trace_bytes, "grad-pass")
+
+    sums = token_importance_sums(grad_passes())
+    return [select_top_tokens(sums[l], fraction) for l in range(len(stack.layers))]
 
 
 def layer_stat(
@@ -399,10 +363,10 @@ class CalibrationWalk:
         if self.strategy == "none":
             updates["main"] = _batch_fp(layer, self._streams["main"])
         elif self.strategy == "passact2":
-            updates["main"] = _batch_quant(layer, self._streams["main"], scale, self.cfg_w, self.cfg_a)
+            updates["main"] = apply_linear_quant(layer, self._streams["main"], scale, self.cfg_w, self.cfg_a)
         else:
             updates["fp"] = _batch_fp(layer, self._streams["fp"])
-            updates["q"] = _batch_quant(layer, self._streams["q"], scale, self.cfg_w, self.cfg_a)
+            updates["q"] = apply_linear_quant(layer, self._streams["q"], scale, self.cfg_w, self.cfg_a)
         for name, new in updates.items():
             old = self._streams[name]
             self.obs.stream_new(new.nbytes, f"stream:{name}")

@@ -1,12 +1,13 @@
 """Memory-decoupled distributed calibration.
 
-The layer-wise search is split across workers by role: the infer worker
-(worker 0, also the coordinator) owns the stack and the activation streams
-and produces every layer output; a scale worker receives the per-layer
-activation statistic, recomputes the winning scale, and fixes the ratio; a
-loss worker holds the full-precision reference output and scores each grid
-point's quantized output as it arrives. Scale and loss tasks go to the
-capable worker with the lowest ledgered memory at dispatch time.
+The layer-wise search is split across a count of k >= 2 workers with fixed
+roles. Worker 0 infers and coordinates: it owns the stack and the
+activation streams and produces every layer output. Workers 1..k-1 score
+losses and fix scales: for each layer one of them, the loss worker, holds
+the full-precision reference output and scores each grid point's quantized
+output as it arrives, and one, the scale worker, receives the activation
+statistic, recomputes the winning scale and fixes the ratio. Each task goes
+to the worker with the lowest ledgered memory at dispatch time.
 
 Memory is tracked by an explicit byte ledger rather than the host
 allocator: the quantities under test are tensor footprints per worker, and
@@ -44,39 +45,18 @@ from .calibration import (
     RatioGrid,
     WalkObserver,
     _batch_fp,
-    _batch_quant,
     _calibration_loop,
     layer_loss,
     select_ratio,
 )
 from .errors import ConfigError, LedgerError, ProtocolError
 from .layers import LayerStack
-from .model import ProxyLossSpec, _Reader
+from .model import ProxyLossSpec, _Reader, apply_linear_quant
 from .quantizer import QuantConfig
 from .smoothing import power_scale
 
-ROLES = ("infer", "scale", "loss")
 TRANSPORTS = ("in_process", "sockets")
-
-
-@dataclass(frozen=True)
-class WorkerId:
-    id: int
-    roles: frozenset
-
-    def __post_init__(self):
-        bad = set(self.roles) - set(ROLES)
-        if bad:
-            raise ConfigError(f"unknown worker roles {sorted(bad)}")
-
-
-def default_workers(count: int) -> tuple[WorkerId, ...]:
-    """Worker 0 infers; every other worker can compute scales and losses."""
-    if count < 2:
-        raise ConfigError(f"distributed calibration needs >= 2 workers, got {count}")
-    out = [WorkerId(0, frozenset({"infer"}))]
-    out += [WorkerId(i, frozenset({"scale", "loss"})) for i in range(1, count)]
-    return tuple(out)
+COORDINATOR = 0  # the worker that infers; every other worker scores losses and fixes scales
 
 
 # --- memory ledger -------------------------------------------------------------
@@ -110,14 +90,13 @@ class MemoryLedger:
         if not self._accounts:
             raise ConfigError("ledger needs at least one worker")
 
-    def _account(self, worker) -> _Account:
-        wid = worker.id if isinstance(worker, WorkerId) else int(worker)
+    def _account(self, worker: int) -> _Account:
         try:
-            return self._accounts[wid]
+            return self._accounts[worker]
         except KeyError:
-            raise LedgerError(f"unknown worker {wid}") from None
+            raise LedgerError(f"unknown worker {worker}") from None
 
-    def alloc(self, worker, nbytes: int, tag: str) -> None:
+    def alloc(self, worker: int, nbytes: int, tag: str) -> None:
         if nbytes <= 0:
             raise LedgerError(f"allocation must be > 0 bytes, got {nbytes} ({tag})")
         with self._lock:
@@ -127,7 +106,7 @@ class MemoryLedger:
             acc.tick += 1
             acc.events.append(LedgerEvent(acc.tick, int(nbytes), tag))
 
-    def free(self, worker, nbytes: int, tag: str) -> None:
+    def free(self, worker: int, nbytes: int, tag: str) -> None:
         if nbytes <= 0:
             raise LedgerError(f"free must be > 0 bytes, got {nbytes} ({tag})")
         with self._lock:
@@ -140,15 +119,15 @@ class MemoryLedger:
             acc.tick += 1
             acc.events.append(LedgerEvent(acc.tick, -int(nbytes), tag))
 
-    def current(self, worker) -> int:
+    def current(self, worker: int) -> int:
         with self._lock:
             return self._account(worker).current
 
-    def peak(self, worker) -> int:
+    def peak(self, worker: int) -> int:
         with self._lock:
             return self._account(worker).peak
 
-    def events(self, worker) -> tuple[LedgerEvent, ...]:
+    def events(self, worker: int) -> tuple[LedgerEvent, ...]:
         with self._lock:
             return tuple(self._account(worker).events)
 
@@ -156,12 +135,11 @@ class MemoryLedger:
         return tuple(sorted(self._accounts))
 
 
-def schedule_to_least_loaded(ledger: MemoryLedger, candidates: Sequence[WorkerId]) -> WorkerId:
+def schedule_to_least_loaded(ledger: MemoryLedger, candidates: Sequence[int]) -> int:
     """Candidate with the smallest current footprint; ties go to the lowest id."""
-    pool = list(candidates)
-    if not pool:
+    if not candidates:
         raise ConfigError("no candidate workers to schedule")
-    return min(pool, key=lambda w: (ledger.current(w), w.id))
+    return min(candidates, key=lambda w: (ledger.current(w), w))
 
 
 def baseline_peak(
@@ -461,7 +439,6 @@ def make_transport(name: str, worker_ids: Sequence[int]) -> _BaseTransport:
 @dataclass(frozen=True)
 class WorkerMemory:
     worker: int
-    roles: tuple[str, ...]
     peak_bytes: int
     current_bytes: int
     events: int
@@ -481,8 +458,9 @@ class MemoryReport:
     def to_text(self) -> str:
         lines = ["tlq-memory-report v1", f"baseline_bytes {self.baseline_bytes}", f"workers {len(self.workers)}"]
         for w in self.workers:
+            roles = "infer" if w.worker == COORDINATOR else "loss,scale"
             lines.append(
-                f"worker {w.worker} roles {','.join(w.roles)} peak {w.peak_bytes} "
+                f"worker {w.worker} roles {roles} peak {w.peak_bytes} "
                 f"current {w.current_bytes} events {w.events}"
             )
         lines.append("end")
@@ -498,8 +476,7 @@ class _InjectedCrash(Exception):
 
 @dataclass
 class _WorkerCtx:
-    me: WorkerId
-    infer: int
+    me: int
     transport: _BaseTransport
     ledger: MemoryLedger
     timeout: float
@@ -519,14 +496,14 @@ def _loss_phase(ctx: _WorkerCtx, first: CalMessage) -> list[tuple[float, float]]
     outputs are charged when consumed and freed right after scoring, so the
     ledgered footprint is y_fp + one y_q + the loss curve.
     """
-    wid = ctx.me.id
+    wid = ctx.me
     layer, count = first.layer, first.count
     y_fp = first.tensor
     ctx.ledger.alloc(wid, y_fp.nbytes, f"y_fp[L{layer}]")
     curve: list[tuple[float, float]] = []
     curve_bytes = 0
     for _ in range(count):
-        msg = ctx.transport.recv(wid, ctx.infer, ctx.timeout)
+        msg = ctx.transport.recv(wid, COORDINATOR, ctx.timeout)
         ctx.tick()
         if msg.kind != "layer_output" or msg.stream != "q" or msg.layer != layer:
             raise ProtocolError(
@@ -546,7 +523,7 @@ def _loss_phase(ctx: _WorkerCtx, first: CalMessage) -> list[tuple[float, float]]
 
 def _scale_phase(ctx: _WorkerCtx, req: CalMessage, curve: list[tuple[float, float]]) -> None:
     """Fix the ratio from a complete loss curve and report it to the coordinator."""
-    wid = ctx.me.id
+    wid = ctx.me
     layer = req.layer
     x_stat = req.tensor
     r_star = select_ratio(curve)
@@ -560,7 +537,7 @@ def _scale_phase(ctx: _WorkerCtx, req: CalMessage, curve: list[tuple[float, floa
         CalMessage(
             "ratio_fixed",
             sender=wid,
-            receiver=ctx.infer,
+            receiver=COORDINATOR,
             layer=layer,
             ratio=r_star,
             tensor=scale_values,
@@ -570,16 +547,16 @@ def _scale_phase(ctx: _WorkerCtx, req: CalMessage, curve: list[tuple[float, floa
 
 
 def _cal_worker_loop(ctx: _WorkerCtx) -> None:
-    """Event loop for a scale/loss-capable worker.
+    """Event loop of a worker that scores losses and fixes scales.
 
     All dispatches arrive from the coordinator: a stat_request makes this
     worker the scale owner for one layer, a full-precision layer_output
     makes it the loss owner. When one worker holds both roles for a layer it
     runs the loss phase inline and skips the self-addressed loss reports.
     """
-    wid = ctx.me.id
+    wid = ctx.me
     while True:
-        msg = ctx.transport.recv(wid, ctx.infer, ctx.timeout)
+        msg = ctx.transport.recv(wid, COORDINATOR, ctx.timeout)
         ctx.tick()
         if msg.kind == "done":
             return
@@ -588,7 +565,7 @@ def _cal_worker_loop(ctx: _WorkerCtx) -> None:
             # dispatch time; only the frees happen here
             layer, loss_worker, count = msg.layer, msg.peer, msg.count
             if loss_worker == wid:
-                first = ctx.transport.recv(wid, ctx.infer, ctx.timeout)
+                first = ctx.transport.recv(wid, COORDINATOR, ctx.timeout)
                 ctx.tick()
                 if first.kind != "layer_output" or first.stream != "fp":
                     raise ProtocolError(
@@ -655,7 +632,7 @@ def run_distributed_calibration(
     stack: LayerStack,
     activations: np.ndarray,
     *,
-    workers: int | Sequence[WorkerId] = 3,
+    workers: int = 3,
     transport: str = "in_process",
     strategy: str = "passact2",
     stat_mode: str = "topk",
@@ -668,84 +645,71 @@ def run_distributed_calibration(
     overhead_coeff: float = 1.0,
     fault_injection: dict[int, int] | None = None,
 ) -> tuple[CalibrationResult, MemoryReport]:
-    """Distribute the layer-wise search across role-separated workers.
+    """Distribute the layer-wise search across `workers` workers.
 
     Returns the calibration result (bit-identical to the single-context
     calibrator for the same inputs) and the per-worker memory report. The
-    caller's thread acts as the infer worker and coordinator; the other
-    workers run as threads and exchange CalMessages only.
+    caller's thread acts as worker 0, which infers and coordinates; workers
+    1..k-1 run as threads, score losses and fix scales, and exchange
+    CalMessages only.
     """
-    if isinstance(workers, int):
-        team = default_workers(workers)
-    else:
-        team = tuple(workers)
-    ids = [w.id for w in team]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"duplicate worker ids: {ids}")
-    infer = next((w for w in team if "infer" in w.roles), None)
-    scale_cap = [w for w in team if "scale" in w.roles and w is not infer]
-    loss_cap = [w for w in team if "loss" in w.roles and w is not infer]
-    if infer is None or not scale_cap or not loss_cap:
-        raise ConfigError(
-            "need one infer worker plus at least one scale-capable and one "
-            "loss-capable worker"
-        )
-
-    chans = make_transport(transport, ids)
+    if workers < 2:
+        raise ConfigError(f"distributed calibration needs >= 2 workers, got {workers}")
+    if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN and inf fail too; longer waits overflow
+        raise ConfigError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} seconds, got {timeout}")
+    me, helpers = COORDINATOR, range(1, workers)
+    chans = make_transport(transport, range(workers))
     chans.send_timeout = timeout
-    ledger = MemoryLedger(ids)
+    ledger = MemoryLedger(range(workers))
     fault_injection = fault_injection or {}
     errors: list[BaseException] = []
 
-    def _run_worker(worker: WorkerId) -> None:
-        ctx = _WorkerCtx(
-            worker, infer.id, chans, ledger, timeout, fault_injection.get(worker.id)
-        )
+    def _run_worker(wid: int) -> None:
+        ctx = _WorkerCtx(wid, chans, ledger, timeout, fault_injection.get(wid))
         try:
             _cal_worker_loop(ctx)
         except _InjectedCrash:
             pass  # simulated hard crash: no abort message, the peer times out
         except BaseException as exc:  # noqa: BLE001 - propagated to the coordinator
             errors.append(exc)
-            chans.abort_peers(worker.id, f"{type(exc).__name__}: {exc}")
+            chans.abort_peers(wid, f"{type(exc).__name__}: {exc}")
 
     threads = [
-        threading.Thread(target=_run_worker, args=(w,), daemon=True, name=f"calworker-{w.id}")
-        for w in team
-        if w is not infer
+        threading.Thread(target=_run_worker, args=(w,), daemon=True, name=f"calworker-{w}")
+        for w in helpers
     ]
     for t in threads:
         t.start()
 
-    me, points = infer.id, grid.points()
+    points = grid.points()
 
     def remote_search(task: LinearTask, stat: np.ndarray):
         """Score one layer's grid on the scale and loss workers; (r*, curve) from ratio_fixed."""
         layer_idx, lin = task.index, task.layer
-        s_w = schedule_to_least_loaded(ledger, scale_cap)
+        s_w = schedule_to_least_loaded(ledger, helpers)
         # charge the statistic to the scale worker at dispatch; the follow-up
         # loss dispatch then sees it and lands elsewhere when possible
-        ledger.alloc(s_w.id, stat.nbytes, f"x_stat[L{layer_idx}]")
-        l_w = schedule_to_least_loaded(ledger, loss_cap)
+        ledger.alloc(s_w, stat.nbytes, f"x_stat[L{layer_idx}]")
+        l_w = schedule_to_least_loaded(ledger, helpers)
 
-        def dispatch(kind: str, receiver: WorkerId, **fields) -> None:
-            chans.send(CalMessage(kind, me, receiver.id, layer=layer_idx, count=len(points), **fields))
+        def dispatch(kind: str, receiver: int, **fields) -> None:
+            chans.send(CalMessage(kind, me, receiver, layer=layer_idx, count=len(points), **fields))
 
-        dispatch("stat_request", s_w, tensor=stat, peer=l_w.id)
+        dispatch("stat_request", s_w, tensor=stat, peer=l_w)
         y_fp = _batch_fp(lin, task.fp_inputs)
         ledger.alloc(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
-        dispatch("layer_output", l_w, stream="fp", tensor=y_fp, peer=s_w.id)
+        dispatch("layer_output", l_w, stream="fp", tensor=y_fp, peer=s_w)
         ledger.free(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
         del y_fp
 
         for r in points:
-            y_q = _batch_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a)
+            y_q = apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a)
             ledger.alloc(me, y_q.nbytes, f"y_q[L{layer_idx}]")
             dispatch("layer_output", l_w, stream="q", ratio=r, tensor=y_q)
             ledger.free(me, y_q.nbytes, f"y_q[L{layer_idx}]")
             del y_q
 
-        fixed = chans.recv(me, s_w.id, timeout)
+        fixed = chans.recv(me, s_w, timeout)
         if fixed.kind != "ratio_fixed" or fixed.layer != layer_idx:
             raise ProtocolError(
                 f"coordinator expected ratio_fixed for layer {layer_idx}, got "
@@ -753,7 +717,7 @@ def run_distributed_calibration(
             )
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):
             raise ProtocolError(
-                f"layer {lin.name!r}: scale from worker {s_w.id} does not match "
+                f"layer {lin.name!r}: scale from worker {s_w} does not match "
                 "the coordinator's statistic"
             )
         return fixed.ratio, tuple(fixed.curve)
@@ -763,7 +727,7 @@ def run_distributed_calibration(
             stack, activations, remote_search, _LedgerObserver(ledger, me),
             strategy=strategy, stat_mode=stat_mode, grid=grid, cfg_w=cfg_w, cfg_a=cfg_a, fraction=fraction, loss=loss,
         )
-        for wid in sorted({w.id for w in scale_cap + loss_cap}):
+        for wid in helpers:
             chans.send(CalMessage("done", sender=me, receiver=wid))
     except BaseException:
         chans.abort_peers(me, "coordinator failed")
@@ -787,19 +751,11 @@ def run_distributed_calibration(
         )
         for _, lin in stack.linears()
     )
-    by_id = {w.id: w for w in team}
     report = MemoryReport(
         base,
         tuple(
-            WorkerMemory(
-                wid,
-                tuple(sorted(by_id[wid].roles)),
-                ledger.peak(wid),
-                ledger.current(wid),
-                len(ledger.events(wid)),
-            )
+            WorkerMemory(wid, ledger.peak(wid), ledger.current(wid), len(ledger.events(wid)))
             for wid in ledger.workers()
         ),
     )
     return result, report
-

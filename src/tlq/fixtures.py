@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError
 from .layers import Activation, LayerStack, Linear, RMSNorm
 from .model import CalibrationSet, ProxyLossSpec, apply_layer_fp, backward_token_grads
-from .importance import channel_mean_abs
+from .importance import token_importance_sums
 from .tensor import Rng, rand_normal
 
 # default plant strengths; tests pin fixtures through these defaults
@@ -134,6 +134,8 @@ def build_calibset(
     generic perturbation. Text tokens are dense gaussians, damped on the
     visual channels so visual magnitudes clearly dominate there.
     """
+    if batch < 1 or tokens < 1:
+        raise ConfigError(f"calibration set needs batch and tokens >= 1, got batch {batch}, tokens {tokens}")
     if not 0.0 <= visual_fraction <= 1.0:
         raise ConfigError(f"visual fraction must be in [0, 1], got {visual_fraction}")
     profile = plant_profile(seed, channels)
@@ -173,7 +175,7 @@ def build_calibset(
     return CalibrationSet(acts, modality)
 
 
-# --- fixture self-checks (used by tests and the CLI demos) --------------------
+# --- fixture self-checks (the tests check the planted structure with these) ---
 
 
 def first_linear_inputs(stack: LayerStack, calib: CalibrationSet) -> np.ndarray:
@@ -202,11 +204,7 @@ def modality_gradient_ratio(
     Measured at the first linear layer's input, aggregated over the batch.
     """
     first_linear = next(i for i, l in enumerate(stack.layers) if isinstance(l, Linear))
-    n = calib.tokens
-    sums = np.zeros(n)
-    for b in range(calib.batch):
-        gt = backward_token_grads(stack, calib.activations[b], loss)
-        sums += channel_mean_abs(gt.grads[first_linear])
+    sums = token_importance_sums(backward_token_grads(stack, x, loss) for x in calib.activations)[first_linear]
     visual = calib.modality[0] == 1
     if not visual.any() or visual.all():
         raise ConfigError("gradient ratio needs both visual and text tokens")

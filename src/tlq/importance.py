@@ -32,13 +32,6 @@ from .smoothing import SmoothScale
 
 
 @dataclass(frozen=True)
-class TokenImportance:
-    sums: np.ndarray  # (N,) nonnegative aggregated gradient magnitude
-    batch: int
-    layer: int
-
-
-@dataclass(frozen=True)
 class SelectedTokens:
     indices: tuple[int, ...]  # sorted ascending
     fraction: float
@@ -58,36 +51,32 @@ def channel_mean_abs(g: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(g), axis=1)
 
 
-def token_importance_sums(
-    grads: Iterable[np.ndarray], layer: int = 0
-) -> TokenImportance:
-    """Aggregate per-sample gradient magnitudes into one statistic per token."""
-    total = None
-    batch = 0
-    for g in grads:
-        contrib = channel_mean_abs(g)
-        if total is None:
-            total = contrib
-        else:
-            if contrib.shape != total.shape:
-                raise ShapeError(f"inconsistent token count: {contrib.shape} vs {total.shape}")
-            total = total + contrib
-        batch += 1
-    if total is None:
+def token_importance_sums(traces: Iterable[GradTrace]) -> list[np.ndarray]:
+    """Per trace entry, sum_b channel_mean_abs(g_b) over the samples' traces, added in sample order.
+
+    Given a generator, each sample's trace is computed only when it is summed.
+    """
+    sums = None
+    for gt in traces:
+        rows = [channel_mean_abs(g) for g in gt.grads]
+        if sums is not None and [r.shape for r in rows] != [t.shape for t in sums]:
+            raise ShapeError(f"inconsistent token counts: {[r.shape for r in rows]} vs {[t.shape for t in sums]}")
+        sums = rows if sums is None else [t + r for t, r in zip(sums, rows)]
+    if sums is None:
         raise ShapeError("token importance needs at least one gradient sample")
-    return TokenImportance(total, batch, layer)
+    return sums
 
 
-def select_top_tokens(imp: TokenImportance, fraction: float = 0.5) -> SelectedTokens:
-    """Indices of the ceil(fraction*N) largest sums; ties go to the lower index."""
+def select_top_tokens(sums: np.ndarray, fraction: float = 0.5) -> SelectedTokens:
+    """Indices of the ceil(fraction*N) largest token sums; ties go to the lower index."""
     if not 0.0 < fraction <= 1.0:
         raise ShapeError(f"fraction must be in (0, 1], got {fraction}")
-    n = imp.sums.shape[0]
+    n = sums.shape[0]
     k = ceil(fraction * n)
     if k < 2:
         warnings.warn(f"token selection kept only {k} of {n} tokens", stacklevel=2)
     # stable sort on the negated sums keeps lower indices first among ties
-    order = np.argsort(-imp.sums, kind="stable")
+    order = np.argsort(-sums, kind="stable")
     chosen = np.sort(order[:k])
     return SelectedTokens(tuple(int(i) for i in chosen), fraction)
 

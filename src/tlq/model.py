@@ -108,28 +108,36 @@ def apply_layer_fp(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
 
 def apply_linear_quant(
     layer: Linear,
-    x: np.ndarray,
+    xs: np.ndarray,
     scale: SmoothScale,
     cfg_w: QuantConfig,
     cfg_a: QuantConfig,
 ) -> np.ndarray:
-    """Quantization-exposed linear layer: Qa(x/s) against Qw(W*s), plus bias.
+    """Quantization-exposed linear layer on a (B, N, C) batch: Qa(x/s) against Qw(W*s), plus bias.
 
     Quantization is simulated (dequantize then float matmul); the claims
-    under test are about error, not integer-kernel speed.
+    under test are about error, not integer-kernel speed. The activations
+    are quantized as one (B*N, C) block; only the gemm stays per sample,
+    because the bytes of a flattened matmul depend on the BLAS. Every call
+    returns a new array: the in-process transport queues outputs by
+    reference, so a buffer reused across grid points would be overwritten
+    while still in flight.
     """
-    if x.shape[1] != layer.weight.shape[1]:
-        raise ShapeError(f"layer {layer.name!r}: input width {x.shape[1]} vs weight {layer.weight.shape}")
-    if scale.values.shape[0] != layer.weight.shape[1]:
+    c_in = layer.weight.shape[1]
+    if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,):
         raise ShapeError(
-            f"layer {layer.name!r}: smoothing scale length {scale.values.shape[0]} "
-            f"vs {layer.weight.shape[1]} input channels"
+            f"layer {layer.name!r}: inputs {xs.shape} and smoothing scale "
+            f"{scale.values.shape} vs {c_in} input channels"
         )
-    x_s = x / scale.values
-    _qdq_inplace(x_s, cfg_a)
-    w_s = layer.weight * scale.values
-    _qdq_inplace(w_s, cfg_w)
-    return matmul(x_s, w_s.T) + layer.bias
+    w_hat = layer.weight * scale.values
+    _qdq_inplace(w_hat, cfg_w)
+    x_hat = (xs / scale.values).reshape(-1, c_in)
+    _qdq_inplace(x_hat, cfg_a)
+    out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
+    for x_b, out_b in zip(x_hat.reshape(xs.shape), out):
+        np.matmul(x_b, w_hat.T, out=out_b)
+    out += layer.bias
+    return out
 
 
 def _check_input(stack: LayerStack, x: np.ndarray) -> None:
@@ -184,7 +192,7 @@ def forward_quant(
         if isinstance(layer, Linear):
             if layer.name not in scales:
                 raise ConfigError(f"missing smoothing scale for linear layer {layer.name!r}")
-            cur = apply_linear_quant(layer, cur, scales[layer.name], cfg_w, cfg_a)
+            cur = apply_linear_quant(layer, cur[None], scales[layer.name], cfg_w, cfg_a)[0]
         else:
             cur = apply_layer_fp(layer, cur)
     return ForwardTrace(tuple(inputs), cur)
@@ -395,6 +403,8 @@ class CalibrationSet:
     def __post_init__(self):
         if self.activations.ndim != 3:
             raise ShapeError(f"activations must be (B, N, C), got {self.activations.shape}")
+        if 0 in self.activations.shape[:2]:
+            raise ShapeError(f"calibration set needs at least one sample and one token, got {self.activations.shape}")
         if self.modality.shape != self.activations.shape[:2]:
             raise ShapeError(
                 f"modality shape {self.modality.shape} does not match activations "

@@ -18,11 +18,10 @@ from .calibration import STRATEGIES, CalibrationResult, check_result_layers, sca
 from .errors import CheckpointError, ConfigError, ShapeError
 from .importance import (
     SelectedTokens,
-    TokenImportance,
     activation_error_probe,
-    channel_mean_abs,
     heatmap_rows,
     select_top_tokens,
+    token_importance_sums,
 )
 from .layers import LayerStack
 from .model import (
@@ -133,7 +132,7 @@ def evaluate(
             elif result.strategy == "passact1":
                 d = fp_vals[idx + 1] - q_vals[idx + 1]
             else:
-                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx], s, cfg_w, cfg_a)
+                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx][None], s, cfg_w, cfg_a)[0]
             sq_sums[lin.name][b] = np.sum(d * d)
         y_q = t_q.output
         fp_total += loss_value(t_fp.output, loss)
@@ -239,15 +238,13 @@ def build_heatmaps(
         raise ConfigError(f"layer index {layer_index} out of range (stack has {len(stack.layers)} layers)")
     if not 0 <= sample < calib.batch:
         raise ConfigError(f"sample {sample} out of range for batch {calib.batch}")
+    for what, limit in (("max tokens", max_tokens), ("max channels", max_channels)):
+        if limit is not None and limit < 1:
+            raise ConfigError(f"{what} must be >= 1, got {limit}")
     n = calib.tokens
-    sums = np.zeros(n)
-    grads_sample = None
-    for b in range(calib.batch):
-        gt = backward_token_grads(stack, calib.activations[b], loss)
-        sums += channel_mean_abs(gt.grads[layer_index])
-        if b == sample:
-            grads_sample = gt.grads[layer_index]
-    selection = select_top_tokens(TokenImportance(sums, calib.batch, layer_index), fraction)
+    sums = token_importance_sums(backward_token_grads(stack, x, loss) for x in calib.activations)
+    selection = select_top_tokens(sums[layer_index], fraction)
+    grads_sample = backward_token_grads(stack, calib.activations[sample], loss).grads[layer_index]
 
     modality = calib.modality[sample]
     rng = Rng(seed).split("heatmap")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
+from tlq.quantizer import dequantize, quantize
 from tlq.tensor import Rng, rand_normal, rand_uniform
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
@@ -44,3 +45,9 @@ def single_linear_stack(seed: int, n_in: int, n_out: int) -> LayerStack:
     w = rand_normal(rng.split("w"), (n_out, n_in)) / np.sqrt(n_in)
     b = rand_normal(rng.split("b"), (n_out,), 0.0, 0.1)
     return LayerStack((Linear("lin", w, b),), n_in)
+
+
+def reference_linear_quant(lin: Linear, x: np.ndarray, scale, cfg_w, cfg_a) -> np.ndarray:
+    """One sample's quantized linear from the public quantizer: Qa(x/s) @ Qw(W*s).T + b."""
+    w_hat = dequantize(quantize(lin.weight * scale.values, cfg_w))
+    return dequantize(quantize(x / scale.values, cfg_a)) @ w_hat.T + lin.bias

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import random_block_stack
+from conftest import random_block_stack, reference_linear_quant
 from test_calibration import conditioned_layer
 from tlq.calibration import (
     RatioGrid,
@@ -26,7 +26,6 @@ from tlq.importance import activation_error_probe
 from tlq.layers import Linear, RMSNorm
 from tlq.model import (
     apply_layer_fp,
-    apply_linear_quant,
     backward_token_grads,
     forward_fp,
     forward_fp_from,
@@ -144,7 +143,7 @@ def test_c05_argmin_correctness():
         for r in coarse.points():
             scale = power_scale(stat, r)
             y_q = np.stack(
-                [apply_linear_quant(lin, xs[b], scale, CFG_W4, CFG_A6) for b in range(xs.shape[0])]
+                [reference_linear_quant(lin, xs[b], scale, CFG_W4, CFG_A6) for b in range(xs.shape[0])]
             )
             loss = layer_loss(y_fp, y_q)
             if loss < best_loss * (1 - 1e-12):

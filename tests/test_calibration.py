@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_block_stack, single_linear_stack
+from conftest import random_block_stack, reference_linear_quant, single_linear_stack
 from tlq.calibration import (
     CalibrationWalk,
     WalkObserver,
     _batch_fp,
-    _batch_quant,
     _calibration_loop,
     RatioGrid,
     calibrate,
@@ -107,18 +106,20 @@ def test_batch_quant_matches_per_sample_apply_linear_quant():
     lin, xs = _planted_layer(3, 6)
     scale = power_scale(np.max(np.abs(xs.reshape(-1, 6)), axis=0), 0.35)
     before = xs.copy()
-    got = _batch_quant(lin, xs, scale, CFG_W, CFG_A)
-    want = np.stack([apply_linear_quant(lin, xs[b], scale, CFG_W, CFG_A) for b in range(xs.shape[0])])
+    got = apply_linear_quant(lin, xs, scale, CFG_W, CFG_A)
+    want = np.stack([reference_linear_quant(lin, xs[b], scale, CFG_W, CFG_A) for b in range(xs.shape[0])])
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(xs, before)  # the inputs are copied, never overwritten
+    # a column-major batch divides into a column-major block; its bytes must not change
+    assert apply_linear_quant(lin, np.asfortranarray(xs), scale, CFG_W, CFG_A).tobytes() == want.tobytes()
 
 
 def test_batch_quant_returns_fresh_arrays():
     # queued y_q frames are held by reference, so no call may reuse a buffer
     lin, xs = _planted_layer(4, 6)
     stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
-    a = _batch_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
-    b = _batch_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
+    a = apply_linear_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
+    b = apply_linear_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
     assert a is not b and not np.shares_memory(a, b)
     assert not np.shares_memory(a, xs)
     assert np.array_equal(a, b)
@@ -132,7 +133,7 @@ def test_search_ratio_curve_is_layer_loss_of_batch_outputs():
     _, curve = search_ratio(lin, xs, fp_in, stat, grid, CFG_W, CFG_A)
     y_fp = _batch_fp(lin, fp_in)
     for r, loss in curve:
-        assert loss == layer_loss(y_fp, _batch_quant(lin, xs, power_scale(stat, r), CFG_W, CFG_A))
+        assert loss == layer_loss(y_fp, apply_linear_quant(lin, xs, power_scale(stat, r), CFG_W, CFG_A))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -141,7 +142,7 @@ def test_non_finite_inputs_raise_numeric_error(bad):
     stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
     xs[1, 2, 3] = bad
     with pytest.raises(NumericError):
-        _batch_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
+        apply_linear_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
     with pytest.raises(NumericError):
         search_ratio(lin, xs, xs, stat, RatioGrid(), CFG_W, CFG_A)
 
@@ -150,9 +151,9 @@ def test_batch_kernels_reject_mismatched_shapes():
     lin, xs = _planted_layer(7, 6)
     stat = np.ones(6)
     with pytest.raises(ShapeError):
-        _batch_quant(lin, xs, power_scale(np.ones(5), 0.5), CFG_W, CFG_A)
+        apply_linear_quant(lin, xs, power_scale(np.ones(5), 0.5), CFG_W, CFG_A)
     with pytest.raises(ShapeError):
-        _batch_quant(lin, xs[:, :, :5], power_scale(stat, 0.5), CFG_W, CFG_A)
+        apply_linear_quant(lin, xs[:, :, :5], power_scale(stat, 0.5), CFG_W, CFG_A)
     with pytest.raises(ShapeError):
         # one fp sample would otherwise broadcast against the whole q batch
         search_ratio(lin, xs, xs[:1], stat, RatioGrid(), CFG_W, CFG_A)
@@ -171,9 +172,7 @@ def test_search_ratio_matches_exhaustive_oracle():
             losses = []
             for b in range(xs.shape[0]):
                 y_fp = xs[b] @ lin.weight.T + lin.bias
-                from tlq.model import apply_linear_quant
-
-                y_q = apply_linear_quant(lin, xs[b], scale, CFG_W, CFG_A)
+                y_q = reference_linear_quant(lin, xs[b], scale, CFG_W, CFG_A)
                 losses.append(np.sum((y_fp - y_q) ** 2))
             loss = float(np.mean(losses))
             if loss < best_loss * (1 - 1e-12):

@@ -423,3 +423,87 @@ def test_heatmap_subsample_flags(tmp_path):
     rows = parse_heatmap_csv(pre.read_text())
     assert len(rows) == 10
     assert len(rows[0][3]) == 6
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("timeout, json_value", [("-1", "-1"), ("0", "0"), ("nan", "NaN"), ("inf", "Infinity")])
+def test_bad_timeout_exits_one(tmp_path, capsys, source, timeout, json_value):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    if source == "flag":
+        extra = ["--timeout", timeout]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"timeout": {json_value}}}')
+        extra = ["--config", str(cfg)]
+    out, mem = tmp_path / "r.txt", tmp_path / "mem.txt"
+    capsys.readouterr()
+    code = main([
+        "dist-calibrate", "--model", str(model), "--calib", str(calib),
+        "--out", str(out), "--memory-report", str(mem), *extra,
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error: timeout")
+    assert not out.exists() and not mem.exists()
+
+
+@pytest.mark.parametrize("flags", [("--batch", "0"), ("--batch", "-1"), ("--tokens", "0")])
+def test_gen_calib_empty_batch_exits_one(tmp_path, capsys, flags):
+    out = tmp_path / "c.bin"
+    code = main(["gen-calib", "--seed", "1", "--channels", "16", *flags, "--out", str(out)])
+    assert code == 1
+    _one_error_line(capsys, "config error: calibration set needs batch and tokens >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--batch", "0"), ("--tokens", "0")])
+def test_eval_fresh_empty_batch_exits_one(tmp_path, capsys, flags):
+    model = _gen_model(tmp_path, channels=16)
+    result = _calibrate(tmp_path, model, _gen_calib(tmp_path, batch=2, tokens=4, channels=16))
+    out = tmp_path / "e.txt"
+    capsys.readouterr()
+    code = main([
+        "eval", "--model", str(model), "--result", str(result), "--fresh-seed", "1", *flags, "--out", str(out),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error: calibration set needs batch and tokens >= 1")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("b, n", [(0, 4), (2, 0)])
+@pytest.mark.parametrize("command", ["calibrate", "dist-calibrate", "heatmap"])
+def test_empty_calibration_file_exits_two(tmp_path, capsys, b, n, command):
+    model = _gen_model(tmp_path, channels=16)
+    calib = tmp_path / "empty.bin"
+    calib.write_bytes(b"TLQCAL01" + struct.pack("<III", b, n, 16))
+    outs = [tmp_path / "r.csv", tmp_path / "s.csv"]
+    if command == "heatmap":
+        argv = ["--layer", "1", "--out-pre", str(outs[0]), "--out-post", str(outs[1])]
+    else:
+        argv = ["--out", str(outs[0])]
+    capsys.readouterr()
+    assert main([command, "--model", str(model), "--calib", str(calib), *argv]) == 2
+    _one_error_line(capsys, "error: ")
+    assert not any(p.exists() for p in outs)
+
+
+@pytest.mark.parametrize("flag", ["--max-tokens", "--max-channels"])
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_bad_heatmap_limits_exit_one(tmp_path, capsys, flag, value):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    pre, post = tmp_path / "p.csv", tmp_path / "q.csv"
+    capsys.readouterr()
+    code = main([
+        "heatmap", "--model", str(model), "--calib", str(calib), "--layer", "1",
+        flag, value, "--out-pre", str(pre), "--out-post", str(post),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error: max")
+    assert not pre.exists() and not post.exists()

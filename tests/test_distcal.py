@@ -15,12 +15,10 @@ from tlq.distcal import (
     InProcessTransport,
     MemoryLedger,
     SocketTransport,
-    WorkerId,
     _cal_worker_loop,
     _WorkerCtx,
     baseline_peak,
     decode_message,
-    default_workers,
     encode_message,
     message_envelope_bytes,
     run_distributed_calibration,
@@ -109,12 +107,11 @@ def test_baseline_peak_batch_linearity():
 
 def test_schedule_least_loaded():
     ledger = MemoryLedger([0, 1])
-    workers = [WorkerId(0, frozenset({"scale"})), WorkerId(1, frozenset({"scale"}))]
     ledger.alloc(0, 100, "a")
     ledger.alloc(1, 50, "b")
-    assert schedule_to_least_loaded(ledger, workers).id == 1
+    assert schedule_to_least_loaded(ledger, [0, 1]) == 1
     ledger.alloc(1, 50, "b")
-    assert schedule_to_least_loaded(ledger, workers).id == 0  # tie -> lowest id
+    assert schedule_to_least_loaded(ledger, [0, 1]) == 0  # tie -> lowest id
     with pytest.raises(ConfigError):
         schedule_to_least_loaded(ledger, [])
 
@@ -124,12 +121,11 @@ def test_schedule_matches_scan_oracle():
     for _ in range(20):
         loads = gen.integers(0, 1000, size=5)
         ledger = MemoryLedger(range(5))
-        workers = [WorkerId(i, frozenset({"loss"})) for i in range(5)]
         for i, load in enumerate(loads):
             if load:
                 ledger.alloc(i, int(load), "x")
         want = min(range(5), key=lambda i: (loads[i], i))
-        assert schedule_to_least_loaded(ledger, workers).id == want
+        assert schedule_to_least_loaded(ledger, range(5)) == want
 
 
 # --- wire format -----------------------------------------------------------------
@@ -257,7 +253,7 @@ def test_worker_rejects_out_of_phase_message():
     chans = InProcessTransport([0, 1])
     ledger = MemoryLedger([0, 1])
     chans.send(CalMessage("loss_report", 0, 1, layer=0, ratio=0.0, loss=1.0))
-    ctx = _WorkerCtx(WorkerId(1, frozenset({"scale", "loss"})), 0, chans, ledger, timeout=1.0)
+    ctx = _WorkerCtx(1, chans, ledger, timeout=1.0)
     with pytest.raises(ProtocolError, match="unexpected"):
         _cal_worker_loop(ctx)
 
@@ -414,14 +410,15 @@ def test_sqrt_stat_distributed_equivalence(transport):
 
 def test_worker_validation():
     stack, acts = _fixture(seed=7, depth=1)
-    with pytest.raises(ConfigError):
-        run_distributed_calibration(stack, acts, workers=1, cfg_w=CFG_W, cfg_a=CFG_A)
-    with pytest.raises(ConfigError):
-        run_distributed_calibration(
-            stack, acts,
-            workers=[WorkerId(0, frozenset({"infer"})), WorkerId(0, frozenset({"scale", "loss"}))],
-            cfg_w=CFG_W, cfg_a=CFG_A,
-        )
-    with pytest.raises(ConfigError):
-        WorkerId(0, frozenset({"gpu"}))
-    assert [w.id for w in default_workers(3)] == [0, 1, 2]
+    for workers in (1, 0, -2):
+        with pytest.raises(ConfigError, match="workers"):
+            run_distributed_calibration(stack, acts, workers=workers, cfg_w=CFG_W, cfg_a=CFG_A)
+
+
+@pytest.mark.parametrize("timeout", [-1.0, 0.0, math.nan, math.inf, 1e12])
+def test_bad_timeout_fails_before_any_worker_starts(timeout):
+    stack, acts = _fixture(seed=7, depth=1)
+    before = threading.active_count()
+    with pytest.raises(ConfigError, match="timeout"):
+        run_distributed_calibration(stack, acts, timeout=timeout, cfg_w=CFG_W, cfg_a=CFG_A)
+    assert threading.active_count() <= before

@@ -11,7 +11,7 @@ from tlq.fixtures import (
     plant_profile,
 )
 from tlq.layers import Linear
-from tlq.model import save_checkpoint
+from tlq.model import backward_token_grads, save_checkpoint
 
 
 def test_same_seed_gives_identical_stacks():
@@ -55,6 +55,16 @@ def test_visual_tokens_have_near_zero_gradients():
     assert modality_gradient_ratio(stack, calib) <= 0.1
 
 
+def test_modality_gradient_ratio_equals_the_per_sample_reference():
+    stack = build_stack(6, 2, 64)
+    calib = build_calibset(6, 6, 24, 64, visual_fraction=0.8)
+    sums = np.zeros(calib.tokens)
+    for b in range(calib.batch):
+        sums += np.mean(np.abs(backward_token_grads(stack, calib.activations[b]).grads[1]), axis=1)
+    visual = calib.modality[0] == 1
+    assert modality_gradient_ratio(stack, calib) == float(sums[visual].mean() / sums[~visual].mean())
+
+
 def test_visual_tokens_are_near_duplicates():
     calib = build_calibset(7, 6, 24, 64, visual_fraction=0.8, redundancy=0.95)
     assert min_visual_cosine(calib) >= 0.95
@@ -74,3 +84,9 @@ def test_fixture_validation():
         build_calibset(1, 2, 4, 32, visual_fraction=1.5)
     with pytest.raises(ConfigError):
         build_calibset(1, 2, 4, 32, redundancy=1.0)
+
+
+@pytest.mark.parametrize("batch, tokens", [(0, 8), (-1, 8), (2, 0), (2, -3)])
+def test_calibset_builder_rejects_empty_batches(batch, tokens):
+    with pytest.raises(ConfigError, match="batch and tokens"):
+        build_calibset(1, batch, tokens, 16)

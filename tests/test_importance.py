@@ -8,7 +8,6 @@ from conftest import random_block_stack, single_linear_stack
 from tlq.errors import ShapeError
 from tlq.importance import (
     SelectedTokens,
-    TokenImportance,
     activation_error_probe,
     first_order_output_error,
     select_top_tokens,
@@ -16,7 +15,7 @@ from tlq.importance import (
     x_stat_baselines,
     x_stat_from_tokens,
 )
-from tlq.model import backward_token_grads, forward_fp, loss_value, ProxyLossSpec
+from tlq.model import GradTrace, backward_token_grads, forward_fp, loss_value, ProxyLossSpec
 from tlq.quantizer import QuantConfig
 from tlq.tensor import Rng, rand_normal
 
@@ -47,22 +46,33 @@ def test_first_order_estimate_matches_measured_small_perturbation():
     assert abs(est - measured) <= 0.05 * abs(measured)
 
 
+def _sums(grads):
+    """Importance sums of one-entry traces, one trace per sample."""
+    return token_importance_sums(GradTrace((g,)) for g in grads)[0]
+
+
 def test_token_importance_hand_case():
-    imp = token_importance_sums([np.array([[1.0, -1.0], [0.0, 0.0]])])
-    assert np.array_equal(imp.sums, [1.0, 0.0])
-    assert imp.batch == 1
+    assert np.array_equal(_sums([np.array([[1.0, -1.0], [0.0, 0.0]])]), [1.0, 0.0])
 
 
 def test_token_importance_zero_gradients():
-    imp = token_importance_sums([np.zeros((3, 4)), np.zeros((3, 4))])
-    assert np.array_equal(imp.sums, np.zeros(3))
+    assert np.array_equal(_sums([np.zeros((3, 4)), np.zeros((3, 4))]), np.zeros(3))
 
 
 def test_token_importance_batch_order_invariant():
     grads = [rand_normal(Rng(i), (5, 3)) for i in range(4)]
-    fwd = token_importance_sums(grads).sums
-    rev = token_importance_sums(list(reversed(grads))).sums
-    assert np.allclose(fwd, rev, rtol=1e-15)
+    assert np.allclose(_sums(grads), _sums(list(reversed(grads))), rtol=1e-15)
+
+
+def test_token_importance_sums_every_entry_in_sample_order():
+    traces = [GradTrace((rand_normal(Rng(i), (5, 3)), rand_normal(Rng(10 + i), (5, 2)))) for i in range(3)]
+    sums = token_importance_sums(iter(traces))
+    assert len(sums) == 2
+    for entry, got in enumerate(sums):
+        want = np.zeros(5)
+        for gt in traces:
+            want += np.mean(np.abs(gt.grads[entry]), axis=1)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_token_importance_rejects_empty_batch():
@@ -70,33 +80,34 @@ def test_token_importance_rejects_empty_batch():
         token_importance_sums([])
 
 
+def test_token_importance_rejects_ragged_batch():
+    with pytest.raises(ShapeError, match="inconsistent"):
+        _sums([np.zeros((3, 4)), np.zeros((2, 4))])
+
+
 def test_select_top_tokens_hand_case():
-    imp = TokenImportance(np.array([3.0, 1.0, 4.0, 2.0]), 1, 0)
-    assert select_top_tokens(imp, 0.5).indices == (0, 2)
+    assert select_top_tokens(np.array([3.0, 1.0, 4.0, 2.0]), 0.5).indices == (0, 2)
 
 
 def test_select_top_tokens_full_fraction():
-    imp = TokenImportance(np.array([3.0, 1.0, 4.0]), 1, 0)
-    assert select_top_tokens(imp, 1.0).indices == (0, 1, 2)
+    assert select_top_tokens(np.array([3.0, 1.0, 4.0]), 1.0).indices == (0, 1, 2)
 
 
 def test_select_top_tokens_tie_break_prefers_low_index():
-    imp = TokenImportance(np.ones(6), 1, 0)
-    assert select_top_tokens(imp, 0.5).indices == (0, 1, 2)
+    assert select_top_tokens(np.ones(6), 0.5).indices == (0, 1, 2)
 
 
 def test_select_top_tokens_small_selection_warns():
-    imp = TokenImportance(np.array([1.0, 2.0]), 1, 0)
     with pytest.warns(UserWarning):
-        sel = select_top_tokens(imp, 0.1)
+        sel = select_top_tokens(np.array([1.0, 2.0]), 0.1)
     assert len(sel.indices) == 1
 
 
 @given(st.permutations(list(range(5))))
 def test_selection_invariant_under_batch_permutation(order):
     grads = [rand_normal(Rng(100 + i), (6, 4)) for i in range(5)]
-    base = select_top_tokens(token_importance_sums(grads))
-    perm = select_top_tokens(token_importance_sums([grads[i] for i in order]))
+    base = select_top_tokens(_sums(grads))
+    perm = select_top_tokens(_sums([grads[i] for i in order]))
     assert base.indices == perm.indices
 
 

@@ -399,3 +399,13 @@ def test_calibset_rejects_non_finite_activations(bad):
     with pytest.raises(CheckpointError, match=r"sample 1, token 2, channel 3") as exc:
         load_calibset(blob)
     assert exc.value.code == "non_finite"
+
+
+@pytest.mark.parametrize("b, n", [(0, 4), (2, 0), (0, 0)])
+def test_calibset_rejects_empty_batch_or_token_axis(b, n):
+    with pytest.raises(ShapeError, match="at least one sample and one token"):
+        CalibrationSet(np.zeros((b, n, 3)), np.zeros((b, n), dtype=np.uint8))
+    blob = b"TLQCAL01" + struct.pack("<III", b, n, 3)
+    with pytest.raises(CheckpointError, match="at least one sample") as err:
+        load_calibset(blob)
+    assert err.value.code == "bad_field"

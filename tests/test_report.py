@@ -1,4 +1,5 @@
 import dataclasses
+from math import ceil
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from tlq import calibration, importance, model, report
 from tlq.calibration import (
     CalibrationWalk,
     _batch_fp,
-    _batch_quant,
     calibrate,
     layer_loss,
     scales_from_result,
@@ -15,7 +15,7 @@ from tlq.calibration import (
 from tlq.errors import ConfigError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.importance import activation_error_probe
-from tlq.model import ProxyLossSpec, forward_fp, forward_quant, loss_value
+from tlq.model import ProxyLossSpec, apply_linear_quant, backward_token_grads, forward_fp, forward_quant, loss_value
 from tlq.quantizer import QuantConfig
 from tlq.report import (
     accuracy_proxy_gap,
@@ -137,7 +137,7 @@ def test_layer_losses_equal_the_walk_reference(strategy):
     while (task := walk.next_linear()) is not None:
         scale = scales[task.layer.name]
         y_fp = _batch_fp(task.layer, task.fp_inputs)
-        y_q = _batch_quant(task.layer, task.q_inputs, scale, cfg_w, cfg_a)
+        y_q = apply_linear_quant(task.layer, task.q_inputs, scale, cfg_w, cfg_a)
         want[task.layer.name] = layer_loss(y_fp, y_q)
         walk.fix_scale(scale)
     rep = evaluate(stack, res, calib)
@@ -232,6 +232,55 @@ def test_heatmap_csv_roundtrip():
     assert len(rows) == len(pair.pre)
     assert rows[0][2] == pair.pre[0][2]
     assert rows[0][3] == pair.pre[0][3]
+
+
+def _reference_heatmap(stack, calib, layer_index, fraction, sample):
+    """The per-sample loop build_heatmaps replaced: batch sums, selection and one sample's rows."""
+    sums = np.zeros(calib.tokens)
+    for b in range(calib.batch):
+        g = backward_token_grads(stack, calib.activations[b], ProxyLossSpec()).grads[layer_index]
+        sums += np.mean(np.abs(g), axis=1)
+        if b == sample:
+            g_sample = g
+    selection = tuple(int(i) for i in np.sort(np.argsort(-sums, kind="stable")[: ceil(fraction * calib.tokens)]))
+    modality = calib.modality[sample]
+
+    def rows(tokens, channels):
+        return [
+            (int(t), int(modality[t]), float(np.mean(np.abs(g_sample[t]))), [float(abs(g_sample[t, c])) for c in channels])
+            for t in tokens
+        ]
+
+    return selection, rows
+
+
+@pytest.mark.parametrize("layer_index, fraction, sample", [(1, 0.5, 0), (0, 0.3, 2), (4, 0.75, 3)])
+def test_heatmaps_equal_the_per_sample_reference(layer_index, fraction, sample):
+    stack = build_stack(21, 2, 32)
+    calib = build_calibset(21, 4, 20, 32, visual_fraction=0.6)
+    selection, rows = _reference_heatmap(stack, calib, layer_index, fraction, sample)
+    channels = tuple(range(32))
+    pair = build_heatmaps(stack, calib, layer_index, fraction=fraction, seed=5, sample=sample)
+    assert pair.selection.indices == selection
+    assert pair.channel_indices == channels
+    assert pair.pre == rows(range(calib.tokens), channels)
+    assert pair.post == rows(selection, channels)
+    assert heatmap_csv(pair.pre, channels) == heatmap_csv(rows(range(calib.tokens), channels), channels)
+    assert heatmap_csv(pair.post, channels) == heatmap_csv(rows(selection, channels), channels)
+    # subsampled exports keep the same values for the tokens and channels they keep
+    sub = build_heatmaps(stack, calib, layer_index, fraction=fraction, seed=5, sample=sample, max_tokens=7, max_channels=9)
+    assert sub.selection.indices == selection
+    assert sub.pre == rows([r[0] for r in sub.pre], sub.channel_indices)
+    assert sub.post == rows([r[0] for r in sub.post], sub.channel_indices)
+    assert {r[0] for r in sub.post} <= set(selection)
+
+
+@pytest.mark.parametrize("limits", [{"max_tokens": 0}, {"max_tokens": -1}, {"max_channels": 0}, {"max_channels": -1}])
+def test_heatmap_rejects_limits_below_one(limits):
+    stack = build_stack(11, 1, 32)
+    calib = build_calibset(11, 2, 8, 32, visual_fraction=0.5)
+    with pytest.raises(ConfigError, match="max"):
+        build_heatmaps(stack, calib, 0, **limits)
 
 
 def test_heatmap_layer_out_of_range():
