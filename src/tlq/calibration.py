@@ -190,22 +190,17 @@ def gradient_pass_bytes(stack: LayerStack, n_tokens: int) -> int:
 class WalkObserver:
     """Memory hooks of the calibration loop; the default hooks do nothing.
 
-    The distributed calibrator ledgers them for its coordinator. Besides the
-    walk's stream and parameter lifetimes, `compute_token_selections`
-    brackets each sample's gradient pass with `stream_new(nbytes,
-    "grad-pass")` and `stream_drop(nbytes, "grad-pass")`.
+    The distributed calibrator ledgers them for its coordinator. The walk
+    tags its streams `stream:<name>` and each layer's parameters
+    `params[L<index>]`; `compute_token_selections` brackets each sample's
+    gradient pass with `alloc(nbytes, "grad-pass")` and `free(nbytes,
+    "grad-pass")`.
     """
 
-    def layer_begin(self, index: int, param_bytes: int) -> None:
+    def alloc(self, nbytes: int, tag: str) -> None:
         pass
 
-    def layer_end(self, index: int, param_bytes: int) -> None:
-        pass
-
-    def stream_new(self, nbytes: int, tag: str) -> None:
-        pass
-
-    def stream_drop(self, nbytes: int, tag: str) -> None:
+    def free(self, nbytes: int, tag: str) -> None:
         pass
 
 
@@ -220,7 +215,7 @@ def compute_token_selections(
 
     Gradients are taken once on the unquantized model, sample by sample, so
     selection never depends on partially fixed scales and only one sample's
-    traces are alive at a time. The observer's "grad-pass" stream brackets
+    traces are alive at a time. The observer's "grad-pass" bytes bracket
     each sample's trace lifetime for memory accounting.
     """
     obs = observer or WalkObserver()
@@ -228,9 +223,9 @@ def compute_token_selections(
 
     def grad_passes():
         for x in activations:
-            obs.stream_new(trace_bytes, "grad-pass")
+            obs.alloc(trace_bytes, "grad-pass")
             yield backward_token_grads(stack, x, loss)
-            obs.stream_drop(trace_bytes, "grad-pass")
+            obs.free(trace_bytes, "grad-pass")
 
     sums = token_importance_sums(grad_passes())
     return [select_top_tokens(sums[l], fraction) for l in range(len(stack.layers))]
@@ -318,20 +313,26 @@ class CalibrationWalk:
         else:
             self._streams = {"main": activations}
         for name, arr in self._streams.items():
-            self.obs.stream_new(arr.nbytes, f"stream:{name}")
+            self.obs.alloc(arr.nbytes, f"stream:{name}")
         self._idx = 0
         self._pending: Linear | None = None
 
+    def _params(self, hook) -> None:
+        # parameter lifetime of the current layer; activations have none
+        nbytes = _param_bytes(self.stack.layers[self._idx])
+        if nbytes:
+            hook(nbytes, f"params[L{self._idx}]")
+
+    def _replace_stream(self, name: str, new: np.ndarray) -> None:
+        self.obs.alloc(new.nbytes, f"stream:{name}")
+        self.obs.free(self._streams[name].nbytes, f"stream:{name}")
+        self._streams[name] = new
+
     def _advance_fp(self, layer) -> None:
-        pbytes = _param_bytes(layer)
-        self.obs.layer_begin(self._idx, pbytes)
+        self._params(self.obs.alloc)
         for name in self._streams:
-            old = self._streams[name]
-            new = _batch_fp(layer, old)
-            self.obs.stream_new(new.nbytes, f"stream:{name}")
-            self.obs.stream_drop(old.nbytes, f"stream:{name}")
-            self._streams[name] = new
-        self.obs.layer_end(self._idx, pbytes)
+            self._replace_stream(name, _batch_fp(layer, self._streams[name]))
+        self._params(self.obs.free)
         self._idx += 1
 
     def next_linear(self) -> LinearTask | None:
@@ -341,7 +342,7 @@ class CalibrationWalk:
             layer = self.stack.layers[self._idx]
             if isinstance(layer, Linear):
                 self._pending = layer
-                self.obs.layer_begin(self._idx, _param_bytes(layer))
+                self._params(self.obs.alloc)
                 if self.strategy == "passact1":
                     fp_in, q_in = self._streams["fp"], self._streams["q"]
                 else:
@@ -351,7 +352,7 @@ class CalibrationWalk:
                 return LinearTask(self._idx, layer, q_in, fp_in, q_in)
             self._advance_fp(layer)
         for name, arr in self._streams.items():
-            self.obs.stream_drop(arr.nbytes, f"stream:{name}")
+            self.obs.free(arr.nbytes, f"stream:{name}")
         self._streams = {}
         return None
 
@@ -368,11 +369,8 @@ class CalibrationWalk:
             updates["fp"] = _batch_fp(layer, self._streams["fp"])
             updates["q"] = apply_linear_quant(layer, self._streams["q"], scale, self.cfg_w, self.cfg_a)
         for name, new in updates.items():
-            old = self._streams[name]
-            self.obs.stream_new(new.nbytes, f"stream:{name}")
-            self.obs.stream_drop(old.nbytes, f"stream:{name}")
-            self._streams[name] = new
-        self.obs.layer_end(self._idx, _param_bytes(layer))
+            self._replace_stream(name, new)
+        self._params(self.obs.free)
         self._pending = None
         self._idx += 1
 

@@ -51,7 +51,6 @@ _CAL_OPTIONS = {
     "workers": (3, int),
     "transport": ("in_process", distcal.TRANSPORTS),
     "timeout": (30.0, float),
-    "overhead_coeff": (1.0, float),
 }
 
 
@@ -132,7 +131,6 @@ def _build_parser() -> _Parser:
     dist.add_argument("--workers", type=int, default=None)
     dist.add_argument("--transport", choices=distcal.TRANSPORTS, default=None)
     dist.add_argument("--timeout", type=float, default=None)
-    dist.add_argument("--overhead-coeff", type=float, dest="overhead_coeff", default=None)
     dist.add_argument("--memory-report", dest="memory_report", help="memory report output path")
 
     q = sub.add_parser("quantize", help="emit the fused, weight-quantized artifact")
@@ -281,7 +279,6 @@ def _cmd_dist_calibrate(args) -> int:
         workers=opts["workers"],
         transport=opts["transport"],
         timeout=opts["timeout"],
-        overhead_coeff=opts["overhead_coeff"],
         **kwargs,
     )
     out.write_text(calibration.result_to_text(result))
@@ -384,6 +381,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

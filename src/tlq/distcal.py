@@ -1,22 +1,20 @@
 """Memory-decoupled distributed calibration.
 
-The layer-wise search is split across a count of k >= 2 workers with fixed
-roles. Worker 0 infers and coordinates: it owns the stack and the
-activation streams and produces every layer output. Workers 1..k-1 score
-losses and fix scales: for each layer one of them, the loss worker, holds
-the full-precision reference output and scores each grid point's quantized
-output as it arrives, and one, the scale worker, receives the activation
-statistic, recomputes the winning scale and fixes the ratio. Each task goes
-to the worker with the lowest ledgered memory at dispatch time.
+The layer-wise search is split across 2 or 3 workers with fixed roles.
+Worker 0 infers and coordinates: it owns the stack and the activation
+streams and produces every layer output. Worker 1, the scale worker,
+receives each layer's activation statistic, recomputes the winning scale
+and fixes the ratio. The last worker, the loss worker, holds each layer's
+full-precision reference output and scores each grid point's quantized
+output as it arrives; with 2 workers, worker 1 holds both roles.
 
 Memory is tracked by an explicit byte ledger rather than the host
 allocator: the quantities under test are tensor footprints per worker, and
 a ledger makes the per-role peak decomposition exactly checkable at desk
 scale. Tensors are ledgered where the protocol holds them; transfers free
 the sender account when a send completes and charge the receiver when the
-message is consumed. Every worker frees its per-layer state before its
-final send for the layer, so all accounts are settled whenever the
-coordinator makes a scheduling decision, which keeps runs deterministic.
+message is consumed. Every account is per worker and every worker handles
+its messages in a fixed order, so the event logs are deterministic.
 
 The coordinator runs the single-context calibration loop
 (`calibration._calibration_loop`) with a remote grid search: each layer's
@@ -56,7 +54,8 @@ from .quantizer import QuantConfig
 from .smoothing import power_scale
 
 TRANSPORTS = ("in_process", "sockets")
-COORDINATOR = 0  # the worker that infers; every other worker scores losses and fixes scales
+COORDINATOR = 0  # infers and coordinates
+SCALE_WORKER = 1  # fixes scales; the last worker scores losses
 
 
 # --- memory ledger -------------------------------------------------------------
@@ -135,32 +134,17 @@ class MemoryLedger:
         return tuple(sorted(self._accounts))
 
 
-def schedule_to_least_loaded(ledger: MemoryLedger, candidates: Sequence[int]) -> int:
-    """Candidate with the smallest current footprint; ties go to the lowest id."""
-    if not candidates:
-        raise ConfigError("no candidate workers to schedule")
-    return min(candidates, key=lambda w: (ledger.current(w), w))
+def baseline_peak(model_dims: tuple[int, int], batch_dims: tuple[int, int]) -> int:
+    """Single-context float64 peak for one layer's calibration step.
 
-
-def baseline_peak(
-    model_dims: tuple[int, int],
-    batch_dims: tuple[int, int],
-    precision_bytes: int = 8,
-    overhead_coeff: float = 1.0,
-) -> int:
-    """Single-context peak for one layer's calibration step.
-
-    input + FP output + quantized output + weight matrix + workspace
-    proportional to the input (coefficient configurable).
+    input + FP output + quantized output + weight matrix + a workspace the
+    size of the input.
     """
     c_in, c_out = model_dims
     b, n = batch_dims
-    if min(c_in, c_out, b, n, precision_bytes) <= 0:
+    if min(c_in, c_out, b, n) <= 0:
         raise ConfigError("baseline_peak dims must be positive")
-    x = b * n * c_in * precision_bytes
-    y = b * n * c_out * precision_bytes
-    layer = c_in * c_out * precision_bytes
-    return int(round(x + 2 * y + layer + overhead_coeff * x))
+    return 8 * (2 * b * n * c_in + 2 * b * n * c_out + c_in * c_out)
 
 
 # --- messages and wire format ---------------------------------------------------
@@ -183,7 +167,6 @@ class CalMessage:
     tensor: np.ndarray | None = None
     loss: float | None = None
     curve: tuple | None = None  # ratio_fixed carries the full loss curve
-    peer: int | None = None  # stat_request: loss worker; layer_output fp: scale worker
     count: int | None = None  # grid length, so receivers know how much to expect
     reason: str | None = None  # abort
 
@@ -209,12 +192,10 @@ def encode_message(msg: CalMessage) -> bytes:
     if msg.kind == "layer_output":
         stream_code = 0 if msg.stream == "fp" else 1
         ratio = float("nan") if msg.ratio is None else msg.ratio
-        body.append(
-            struct.pack("<IBHId", msg.layer, stream_code, msg.peer or 0, msg.count or 0, ratio)
-        )
+        body.append(struct.pack("<IBId", msg.layer, stream_code, msg.count or 0, ratio))
         body.append(_encode_tensor(msg.tensor))
     elif msg.kind == "stat_request":
-        body.append(struct.pack("<IHI", msg.layer, msg.peer, msg.count))
+        body.append(struct.pack("<II", msg.layer, msg.count))
         body.append(_encode_tensor(msg.tensor))
     elif msg.kind == "loss_report":
         body.append(struct.pack("<Idd", msg.layer, msg.ratio, msg.loss))
@@ -243,7 +224,7 @@ def decode_message(blob: bytes) -> CalMessage:
     kind = _KIND_NAMES[code]
     msg = CalMessage(kind, sender, receiver, seq)
     if kind == "layer_output":
-        layer, stream_code, peer, count, ratio = c.unpack("<IBHId")
+        layer, stream_code, count, ratio = c.unpack("<IBId")
         if stream_code > 1:
             raise ProtocolError(f"unknown stream code {stream_code}")
         tensor = _decode_tensor(c)
@@ -251,14 +232,13 @@ def decode_message(blob: bytes) -> CalMessage:
             msg,
             layer=layer,
             stream="fp" if stream_code == 0 else "q",
-            peer=peer,
             count=count,
             ratio=None if np.isnan(ratio) else ratio,
             tensor=tensor,
         )
     elif kind == "stat_request":
-        layer, peer, count = c.unpack("<IHI")
-        msg = replace(msg, layer=layer, peer=peer, count=count, tensor=_decode_tensor(c))
+        layer, count = c.unpack("<II")
+        msg = replace(msg, layer=layer, count=count, tensor=_decode_tensor(c))
     elif kind == "loss_report":
         layer, ratio, loss = c.unpack("<Idd")
         msg = replace(msg, layer=layer, ratio=ratio, loss=loss)
@@ -301,15 +281,6 @@ class _BaseTransport:
         self._send_seq[(src, dst)] = seq
         return seq
 
-    def _check_seq(self, msg: CalMessage) -> None:
-        key = (msg.sender, msg.receiver)
-        last = self._recv_seq.get(key, -1)
-        if msg.seq <= last:
-            raise ProtocolError(
-                f"out-of-order message on channel {key}: seq {msg.seq} after {last}"
-            )
-        self._recv_seq[key] = msg.seq
-
     def send(self, msg: CalMessage) -> None:
         self._send(msg, self.send_timeout)
 
@@ -326,10 +297,28 @@ class _BaseTransport:
                 except Exception:  # noqa: BLE001 - the run is failing already
                     pass
 
+    def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
+        """Next message on channel sender->receiver, checked for route, order and abort."""
+        msg = self._recv(receiver, sender, timeout)
+        key = (sender, receiver)
+        if (msg.sender, msg.receiver) != key:
+            raise ProtocolError(
+                f"misrouted frame: {msg.sender}->{msg.receiver} on channel {sender}->{receiver}"
+            )
+        last = self._recv_seq.get(key, -1)
+        if msg.seq <= last:
+            raise ProtocolError(
+                f"out-of-order message on channel {key}: seq {msg.seq} after {last}"
+            )
+        self._recv_seq[key] = msg.seq
+        if msg.kind == "abort":
+            raise ProtocolError(f"worker {msg.sender} aborted: {msg.reason}")
+        return msg
+
     def _send(self, msg: CalMessage, timeout: float | None) -> None:
         raise NotImplementedError
 
-    def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
+    def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -349,17 +338,13 @@ class InProcessTransport(_BaseTransport):
         seq = self._next_seq(msg.sender, msg.receiver)
         self._queues[(msg.sender, msg.receiver)].put(replace(msg, seq=seq))  # unbounded: never waits
 
-    def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
+    def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
         try:
-            msg = self._queues[(sender, receiver)].get(timeout=timeout)
+            return self._queues[(sender, receiver)].get(timeout=timeout)
         except queue.Empty:
             raise ProtocolError(
                 f"timeout waiting for worker {sender} (receiver {receiver})"
             ) from None
-        self._check_seq(msg)
-        if msg.kind == "abort":
-            raise ProtocolError(f"worker {msg.sender} aborted: {msg.reason}")
-        return msg
 
 
 class SocketTransport(_BaseTransport):
@@ -402,20 +387,12 @@ class SocketTransport(_BaseTransport):
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
+    def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
         sock = self._ends[(receiver, sender)]
         sock.settimeout(timeout)
         who = f"worker {sender} (receiver {receiver})"
         (length,) = struct.unpack("<I", self._read_exact(sock, 4, who))
-        msg = decode_message(self._read_exact(sock, length, who))
-        if (msg.sender, msg.receiver) != (sender, receiver):
-            raise ProtocolError(
-                f"misrouted frame: {msg.sender}->{msg.receiver} on channel {sender}->{receiver}"
-            )
-        self._check_seq(msg)
-        if msg.kind == "abort":
-            raise ProtocolError(f"worker {msg.sender} aborted: {msg.reason}")
-        return msg
+        return decode_message(self._read_exact(sock, length, who))
 
     def close(self) -> None:
         for sock in self._ends.values():
@@ -529,8 +506,6 @@ def _scale_phase(ctx: _WorkerCtx, req: CalMessage, curve: list[tuple[float, floa
     r_star = select_ratio(curve)
     scale_values = power_scale(x_stat, r_star).values
     ctx.ledger.alloc(wid, scale_values.nbytes, f"scale[L{layer}]")
-    # settle the account before the final send so the coordinator's next
-    # scheduling decision sees a quiesced worker
     ctx.ledger.free(wid, scale_values.nbytes, f"scale[L{layer}]")
     ctx.ledger.free(wid, x_stat.nbytes, f"x_stat[L{layer}]")
     ctx.transport.send(
@@ -547,23 +522,23 @@ def _scale_phase(ctx: _WorkerCtx, req: CalMessage, curve: list[tuple[float, floa
 
 
 def _cal_worker_loop(ctx: _WorkerCtx) -> None:
-    """Event loop of a worker that scores losses and fixes scales.
+    """Event loop of the scale worker and the loss worker.
 
-    All dispatches arrive from the coordinator: a stat_request makes this
-    worker the scale owner for one layer, a full-precision layer_output
-    makes it the loss owner. When one worker holds both roles for a layer it
-    runs the loss phase inline and skips the self-addressed loss reports.
+    All dispatches arrive from the coordinator: a stat_request goes to the
+    scale worker, a full-precision layer_output to the loss worker (the
+    last one). When one worker holds both roles it runs the loss phase
+    inline and skips the self-addressed loss reports.
     """
     wid = ctx.me
+    loss_worker = ctx.transport.worker_ids[-1]
     while True:
         msg = ctx.transport.recv(wid, COORDINATOR, ctx.timeout)
         ctx.tick()
         if msg.kind == "done":
             return
         if msg.kind == "stat_request":
-            # the coordinator already charged the statistic to this worker at
-            # dispatch time; only the frees happen here
-            layer, loss_worker, count = msg.layer, msg.peer, msg.count
+            layer, count = msg.layer, msg.count
+            ctx.ledger.alloc(wid, msg.tensor.nbytes, f"x_stat[L{layer}]")
             if loss_worker == wid:
                 first = ctx.transport.recv(wid, COORDINATOR, ctx.timeout)
                 ctx.tick()
@@ -589,14 +564,13 @@ def _cal_worker_loop(ctx: _WorkerCtx) -> None:
                 ctx.ledger.free(wid, curve_bytes, f"curve[L{layer}]")
             _scale_phase(ctx, msg, curve)
         elif msg.kind == "layer_output" and msg.stream == "fp":
-            scale_worker = msg.peer
             curve = _loss_phase(ctx, msg)
             for r, loss in curve:
                 ctx.transport.send(
                     CalMessage(
                         "loss_report",
                         sender=wid,
-                        receiver=scale_worker,
+                        receiver=SCALE_WORKER,
                         layer=msg.layer,
                         ratio=r,
                         loss=loss,
@@ -613,18 +587,10 @@ class _LedgerObserver(WalkObserver):
         self.ledger = ledger
         self.worker = worker
 
-    def layer_begin(self, index: int, param_bytes: int) -> None:
-        if param_bytes:
-            self.ledger.alloc(self.worker, param_bytes, f"params[L{index}]")
-
-    def layer_end(self, index: int, param_bytes: int) -> None:
-        if param_bytes:
-            self.ledger.free(self.worker, param_bytes, f"params[L{index}]")
-
-    def stream_new(self, nbytes: int, tag: str) -> None:
+    def alloc(self, nbytes: int, tag: str) -> None:
         self.ledger.alloc(self.worker, nbytes, tag)
 
-    def stream_drop(self, nbytes: int, tag: str) -> None:
+    def free(self, nbytes: int, tag: str) -> None:
         self.ledger.free(self.worker, nbytes, tag)
 
 
@@ -642,22 +608,21 @@ def run_distributed_calibration(
     fraction: float = 0.5,
     loss: ProxyLossSpec = ProxyLossSpec(),
     timeout: float = 30.0,
-    overhead_coeff: float = 1.0,
     fault_injection: dict[int, int] | None = None,
 ) -> tuple[CalibrationResult, MemoryReport]:
-    """Distribute the layer-wise search across `workers` workers.
+    """Distribute the layer-wise search across 2 or 3 workers.
 
     Returns the calibration result (bit-identical to the single-context
     calibrator for the same inputs) and the per-worker memory report. The
-    caller's thread acts as worker 0, which infers and coordinates; workers
-    1..k-1 run as threads, score losses and fix scales, and exchange
-    CalMessages only.
+    caller's thread acts as worker 0, which infers and coordinates; worker 1
+    fixes scales and the last worker scores losses. They run as threads and
+    exchange CalMessages only.
     """
-    if workers < 2:
-        raise ConfigError(f"distributed calibration needs >= 2 workers, got {workers}")
+    if workers not in (2, 3):
+        raise ConfigError(f"distributed calibration needs 2 or 3 workers, got {workers}")
     if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN and inf fail too; longer waits overflow
         raise ConfigError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} seconds, got {timeout}")
-    me, helpers = COORDINATOR, range(1, workers)
+    me, loss_worker, helpers = COORDINATOR, workers - 1, range(1, workers)
     chans = make_transport(transport, range(workers))
     chans.send_timeout = timeout
     ledger = MemoryLedger(range(workers))
@@ -686,30 +651,25 @@ def run_distributed_calibration(
     def remote_search(task: LinearTask, stat: np.ndarray):
         """Score one layer's grid on the scale and loss workers; (r*, curve) from ratio_fixed."""
         layer_idx, lin = task.index, task.layer
-        s_w = schedule_to_least_loaded(ledger, helpers)
-        # charge the statistic to the scale worker at dispatch; the follow-up
-        # loss dispatch then sees it and lands elsewhere when possible
-        ledger.alloc(s_w, stat.nbytes, f"x_stat[L{layer_idx}]")
-        l_w = schedule_to_least_loaded(ledger, helpers)
 
         def dispatch(kind: str, receiver: int, **fields) -> None:
             chans.send(CalMessage(kind, me, receiver, layer=layer_idx, count=len(points), **fields))
 
-        dispatch("stat_request", s_w, tensor=stat, peer=l_w)
+        dispatch("stat_request", SCALE_WORKER, tensor=stat)
         y_fp = _batch_fp(lin, task.fp_inputs)
         ledger.alloc(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
-        dispatch("layer_output", l_w, stream="fp", tensor=y_fp, peer=s_w)
+        dispatch("layer_output", loss_worker, stream="fp", tensor=y_fp)
         ledger.free(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
         del y_fp
 
         for r in points:
             y_q = apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a)
             ledger.alloc(me, y_q.nbytes, f"y_q[L{layer_idx}]")
-            dispatch("layer_output", l_w, stream="q", ratio=r, tensor=y_q)
+            dispatch("layer_output", loss_worker, stream="q", ratio=r, tensor=y_q)
             ledger.free(me, y_q.nbytes, f"y_q[L{layer_idx}]")
             del y_q
 
-        fixed = chans.recv(me, s_w, timeout)
+        fixed = chans.recv(me, SCALE_WORKER, timeout)
         if fixed.kind != "ratio_fixed" or fixed.layer != layer_idx:
             raise ProtocolError(
                 f"coordinator expected ratio_fixed for layer {layer_idx}, got "
@@ -717,7 +677,7 @@ def run_distributed_calibration(
             )
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):
             raise ProtocolError(
-                f"layer {lin.name!r}: scale from worker {s_w} does not match "
+                f"layer {lin.name!r}: scale from worker {SCALE_WORKER} does not match "
                 "the coordinator's statistic"
             )
         return fixed.ratio, tuple(fixed.curve)
@@ -731,26 +691,16 @@ def run_distributed_calibration(
             chans.send(CalMessage("done", sender=me, receiver=wid))
     except BaseException:
         chans.abort_peers(me, "coordinator failed")
+        raise
+    finally:
         for t in threads:
             t.join(timeout=timeout)
         chans.close()
-        raise
-    for t in threads:
-        t.join(timeout=timeout)
-    chans.close()
     if errors:
         raise ProtocolError(f"worker failed: {errors[0]}") from errors[0]
 
     b, n = activations.shape[0], activations.shape[1]
-    base = max(
-        baseline_peak(
-            (lin.weight.shape[1], lin.weight.shape[0]),
-            (b, n),
-            activations.itemsize,
-            overhead_coeff,
-        )
-        for _, lin in stack.linears()
-    )
+    base = max(baseline_peak((lin.weight.shape[1], lin.weight.shape[0]), (b, n)) for _, lin in stack.linears())
     report = MemoryReport(
         base,
         tuple(

@@ -87,6 +87,8 @@ def build_stack(
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
+    if not (0 < outlier_gain < np.inf and 0 < visual_weight_gain < np.inf):  # NaN fails too
+        raise ConfigError(f"gains must be finite and > 0, got outlier {outlier_gain}, visual weight {visual_weight_gain}")
     profile = plant_profile(seed, channels, outlier_fraction)
     rng = Rng(seed)
     layers = []

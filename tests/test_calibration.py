@@ -23,7 +23,7 @@ from tlq.calibration import (
 )
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.fixtures import build_calibset, build_stack
-from tlq.layers import LayerStack, Linear
+from tlq.layers import Activation, LayerStack, Linear
 from tlq.model import ProxyLossSpec, apply_linear_quant, forward_fp, forward_quant
 from tlq.quantizer import QuantConfig
 from tlq.smoothing import power_scale
@@ -283,17 +283,11 @@ class _Recorder(WalkObserver):
     def __init__(self):
         self.events = []
 
-    def layer_begin(self, index, param_bytes):
-        self.events.append(("begin", param_bytes, f"L{index}"))
+    def alloc(self, nbytes, tag):
+        self.events.append(("alloc", nbytes, tag))
 
-    def layer_end(self, index, param_bytes):
-        self.events.append(("end", param_bytes, f"L{index}"))
-
-    def stream_new(self, nbytes, tag):
-        self.events.append(("new", nbytes, tag))
-
-    def stream_drop(self, nbytes, tag):
-        self.events.append(("drop", nbytes, tag))
+    def free(self, nbytes, tag):
+        self.events.append(("free", nbytes, tag))
 
 
 def test_calibration_loop_reports_to_one_observer():
@@ -312,10 +306,15 @@ def test_calibration_loop_reports_to_one_observer():
     assert result_to_text(res) == result_to_text(calibrate(stack, xs, **opts))
     assert searched == [i for i, _ in stack.linears()]
     # selection's grad passes come first, then the walk's streams; all settle
-    assert rec.events[:6] == [("new", gradient_pass_bytes(stack, 8), "grad-pass"),
-                              ("drop", gradient_pass_bytes(stack, 8), "grad-pass")] * 3
-    assert rec.events[6] == ("new", xs.nbytes, "stream:main")
-    signs = {"new": 1, "begin": 1, "drop": -1, "end": -1}
+    assert rec.events[:6] == [("alloc", gradient_pass_bytes(stack, 8), "grad-pass"),
+                              ("free", gradient_pass_bytes(stack, 8), "grad-pass")] * 3
+    assert rec.events[6] == ("alloc", xs.nbytes, "stream:main")
+    # the first layer is the rmsnorm: its gain vector, then its output stream
+    assert rec.events[7] == ("alloc", stack.layers[0].gain.nbytes, "params[L0]")
+    # activation layers have no parameters and log none
+    param_tags = {tag for _, _, tag in rec.events if tag.startswith("params")}
+    assert param_tags == {f"params[L{i}]" for i, layer in enumerate(stack.layers) if not isinstance(layer, Activation)}
+    signs = {"alloc": 1, "free": -1}
     assert sum(signs[kind] * nbytes for kind, nbytes, _ in rec.events) == 0
 
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from tlq import fixtures
 from tlq.calibration import result_from_text
 from tlq.cli import main
 from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset
@@ -507,3 +508,47 @@ def test_bad_heatmap_limits_exit_one(tmp_path, capsys, flag, value):
     assert code == 1
     _one_error_line(capsys, "config error: max")
     assert not pre.exists() and not post.exists()
+
+
+@pytest.mark.parametrize("source", ["workers", "overhead_flag", "overhead_config"])
+def test_bad_dist_option_exits_one(tmp_path, capsys, source):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"overhead_coeff": 1.0}')
+    extra, prefix = {
+        "workers": (["--workers", "4"], "config error: distributed calibration needs 2 or 3 workers"),
+        "overhead_flag": (["--overhead-coeff", "1"], "error: unrecognized arguments: --overhead-coeff"),
+        "overhead_config": (["--config", str(cfg)], "config error: unknown config key: 'overhead_coeff'"),
+    }[source]
+    out, mem = tmp_path / "r.txt", tmp_path / "mem.txt"
+    capsys.readouterr()
+    code = main([
+        "dist-calibrate", "--model", str(model), "--calib", str(calib),
+        "--out", str(out), "--memory-report", str(mem), *extra,
+    ])
+    assert code == 1
+    _one_error_line(capsys, prefix)
+    assert not out.exists() and not mem.exists()
+
+
+@pytest.mark.parametrize("flag", ["--outlier-gain", "--visual-weight-gain"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_generator_gain_exits_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "m.ckpt"
+    code = main(["gen-model", "--seed", "1", "--depth", "1", "--channels", "16", flag, value, "--out", str(out)])
+    assert code == 1
+    _one_error_line(capsys, "config error: gains must be finite and > 0")
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(fixtures, "build_stack", out_of_memory)
+    out = tmp_path / "m.ckpt"
+    code = main(["gen-model", "--seed", "1", "--depth", "1", "--channels", "100000", "--out", str(out)])
+    assert code == 2
+    _one_error_line(capsys, "error: out of memory: Unable to allocate")
+    assert not out.exists()

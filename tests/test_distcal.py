@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlq import distcal
 from tlq.calibration import calibrate, result_to_text
 from tlq.distcal import (
     CalMessage,
@@ -22,7 +23,6 @@ from tlq.distcal import (
     encode_message,
     message_envelope_bytes,
     run_distributed_calibration,
-    schedule_to_least_loaded,
 )
 from tlq.errors import ConfigError, LedgerError, ProtocolError
 from tlq.fixtures import build_calibset, build_stack
@@ -85,47 +85,18 @@ def test_ledger_event_ticks_are_per_worker_monotone():
     assert ticks == sorted(ticks) == [1, 2]
 
 
-# --- baseline and scheduling ------------------------------------------------------
+# --- baseline ----------------------------------------------------------------------
 
 
 def test_baseline_peak_documented_fixture():
-    assert baseline_peak((64, 64), (8, 16), 8) == 294912
-
-
-def test_baseline_peak_overhead_linearity():
-    full = baseline_peak((64, 64), (8, 16), 8, overhead_coeff=1.0)
-    none = baseline_peak((64, 64), (8, 16), 8, overhead_coeff=0.0)
-    assert full - none == 8 * 16 * 64 * 8  # exactly bytes(x)
+    assert baseline_peak((64, 64), (8, 16)) == 294912
 
 
 def test_baseline_peak_batch_linearity():
-    b1 = baseline_peak((64, 64), (8, 16), 8)
-    b2 = baseline_peak((64, 64), (16, 16), 8)
+    b1 = baseline_peak((64, 64), (8, 16))
+    b2 = baseline_peak((64, 64), (16, 16))
     layer = 64 * 64 * 8
     assert b2 - layer == 2 * (b1 - layer)
-
-
-def test_schedule_least_loaded():
-    ledger = MemoryLedger([0, 1])
-    ledger.alloc(0, 100, "a")
-    ledger.alloc(1, 50, "b")
-    assert schedule_to_least_loaded(ledger, [0, 1]) == 1
-    ledger.alloc(1, 50, "b")
-    assert schedule_to_least_loaded(ledger, [0, 1]) == 0  # tie -> lowest id
-    with pytest.raises(ConfigError):
-        schedule_to_least_loaded(ledger, [])
-
-
-def test_schedule_matches_scan_oracle():
-    gen = Rng(5).generator()
-    for _ in range(20):
-        loads = gen.integers(0, 1000, size=5)
-        ledger = MemoryLedger(range(5))
-        for i, load in enumerate(loads):
-            if load:
-                ledger.alloc(i, int(load), "x")
-        want = min(range(5), key=lambda i: (loads[i], i))
-        assert schedule_to_least_loaded(ledger, range(5)) == want
 
 
 # --- wire format -----------------------------------------------------------------
@@ -146,9 +117,9 @@ def test_wire_roundtrip_layer_output():
 
 
 def test_wire_roundtrip_all_small_kinds():
-    stat = CalMessage("stat_request", 0, 1, seq=0, layer=2, tensor=np.arange(4.0), peer=2, count=21)
+    stat = CalMessage("stat_request", 0, 1, seq=0, layer=2, tensor=np.arange(4.0), count=21)
     back = _roundtrip(stat)
-    assert back.peer == 2 and back.count == 21 and np.array_equal(back.tensor, np.arange(4.0))
+    assert back.layer == 2 and back.count == 21 and np.array_equal(back.tensor, np.arange(4.0))
 
     rep = _roundtrip(CalMessage("loss_report", 2, 1, seq=1, layer=2, ratio=0.5, loss=1.25))
     assert (rep.layer, rep.ratio, rep.loss) == (2, 0.5, 1.25)
@@ -184,20 +155,20 @@ def test_wire_trailing_bytes_rejected():
 
 def test_wire_forged_shape_is_truncated():
     frame = bytearray(encode_message(
-        CalMessage("stat_request", 0, 1, seq=0, layer=0, tensor=np.ones((2, 2)), peer=2, count=1)
+        CalMessage("stat_request", 0, 1, seq=0, layer=0, tensor=np.ones((2, 2)), count=1)
     )[4:])
-    # header (13) | u32 layer | u16 peer | u32 count (10) | u8 ndim | u32 dims
-    frame[24:32] = b"\xff" * 8  # 2^64-ish elements: too many for numpy to count
+    # header (13) | u32 layer | u32 count (8) | u8 ndim | u32 dims
+    frame[22:30] = b"\xff" * 8  # 2^64-ish elements: too many for numpy to count
     with pytest.raises(ProtocolError, match="truncated"):
         decode_message(bytes(frame))
 
 
 @pytest.mark.parametrize("shape", [(0, 0xFFFFFFFF, 0xFFFFFFFF), (1,) * 65])
 def test_wire_unallocatable_shape_rejected(shape):
-    # length prefix (4) | header (13) | u32 layer | u16 peer | u32 count (10) | tensor
+    # length prefix (4) | header (13) | u32 layer | u32 count (8) | tensor
     frame = encode_message(
-        CalMessage("stat_request", 0, 1, seq=0, layer=0, tensor=np.ones(1), peer=2, count=1)
-    )[4:27] + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+        CalMessage("stat_request", 0, 1, seq=0, layer=0, tensor=np.ones(1), count=1)
+    )[4:25] + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
     frame += struct.pack("<I", zlib.crc32(b"")) + b"\x00" * 8 * math.prod(shape)
     with pytest.raises(ProtocolError, match="bad_dims"):
         decode_message(frame)
@@ -289,15 +260,42 @@ def test_three_worker_socket_equivalence():
     assert all(w.current_bytes == 0 for w in mem.workers)
 
 
-def test_scheduler_separates_scale_and_loss_roles():
-    stack, acts = _fixture(seed=4)
+def _run_keeping_ledger(monkeypatch, stack, acts, workers):
+    ledgers = []
+
+    class KeptLedger(MemoryLedger):
+        def __init__(self, worker_ids):
+            super().__init__(worker_ids)
+            ledgers.append(self)
+
+    monkeypatch.setattr(distcal, "MemoryLedger", KeptLedger)
     _, mem = run_distributed_calibration(
-        stack, acts, workers=3, transport="in_process", strategy="passact2", stat_mode="max",
+        stack, acts, workers=workers, transport="in_process", strategy="passact2", stat_mode="max",
         cfg_w=CFG_W, cfg_a=CFG_A,
     )
+    return mem, ledgers[0]
+
+
+def _tags_by_layer(ledger, worker):
+    tags = {}
+    for event in ledger.events(worker):
+        name, layer = event.tag.rstrip("]").split("[L")
+        tags.setdefault(int(layer), set()).add(name)
+    return tags
+
+
+def test_scheduler_separates_scale_and_loss_roles(monkeypatch):
+    stack, acts = _fixture(seed=4)
+    linears = [i for i, _ in stack.linears()]
+    mem, ledger = _run_keeping_ledger(monkeypatch, stack, acts, workers=3)
     peaks = mem.peak_by_worker()
     # worker 1 carries the stat/scale bookkeeping, worker 2 the output tensors
     assert peaks[1] < peaks[2] < peaks[0]
+    assert _tags_by_layer(ledger, 1) == {i: {"x_stat", "curve", "scale"} for i in linears}
+    assert _tags_by_layer(ledger, 2) == {i: {"y_fp", "y_q", "curve"} for i in linears}
+    # with 2 workers, worker 1 holds both roles
+    _, ledger = _run_keeping_ledger(monkeypatch, stack, acts, workers=2)
+    assert _tags_by_layer(ledger, 1) == {i: {"x_stat", "curve", "scale", "y_fp", "y_q"} for i in linears}
 
 
 def test_memory_report_text_shape():
@@ -408,11 +406,15 @@ def test_sqrt_stat_distributed_equivalence(transport):
     assert all(row.scale.origin == "sqrt_baseline" for row in dist.layers)
 
 
-def test_worker_validation():
+def test_worker_validation(monkeypatch):
     stack, acts = _fixture(seed=7, depth=1)
-    for workers in (1, 0, -2):
-        with pytest.raises(ConfigError, match="workers"):
-            run_distributed_calibration(stack, acts, workers=workers, cfg_w=CFG_W, cfg_a=CFG_A)
+    # rejected before any thread or socket exists
+    monkeypatch.setattr(distcal, "make_transport", lambda *args: pytest.fail("transport was built"))
+    before = threading.active_count()
+    for workers in (1, 0, -2, 4, 10):
+        with pytest.raises(ConfigError, match="2 or 3 workers"):
+            run_distributed_calibration(stack, acts, workers=workers, transport="sockets", cfg_w=CFG_W, cfg_a=CFG_A)
+    assert threading.active_count() <= before
 
 
 @pytest.mark.parametrize("timeout", [-1.0, 0.0, math.nan, math.inf, 1e12])
