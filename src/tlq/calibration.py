@@ -190,7 +190,8 @@ def gradient_pass_bytes(stack: LayerStack, n_tokens: int) -> int:
 class WalkObserver:
     """Memory hooks of the calibration loop; the default hooks do nothing.
 
-    The distributed calibrator ledgers them for its coordinator. The walk
+    Each distributed worker charges its own `distcal.MemoryAccount`, which
+    is an observer; the coordinator passes its account to the loop. The walk
     tags its streams `stream:<name>` and each layer's parameters
     `params[L<index>]`; `compute_token_selections` brackets each sample's
     gradient pass with `alloc(nbytes, "grad-pass")` and `free(nbytes,

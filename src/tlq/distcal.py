@@ -11,18 +11,20 @@ output as it arrives; with 2 workers, worker 1 holds both roles.
 Memory is tracked by an explicit byte ledger rather than the host
 allocator: the quantities under test are tensor footprints per worker, and
 a ledger makes the per-role peak decomposition exactly checkable at desk
-scale. Tensors are ledgered where the protocol holds them; transfers free
-the sender account when a send completes and charge the receiver when the
-message is consumed. Every account is per worker and every worker handles
-its messages in a fixed order, so the event logs are deterministic.
+scale. Each worker has one `MemoryAccount`, and that account is the
+`WalkObserver` its code charges. Tensors are ledgered where the protocol
+holds them; transfers free the sender account when a send completes and
+charge the receiver when the message is consumed. Every worker handles its
+messages in a fixed order, so the event logs are deterministic.
 
 The coordinator runs the single-context calibration loop
-(`calibration._calibration_loop`) with a remote grid search: each layer's
-search dispatches the statistic and outputs to the workers and waits for
-`ratio_fixed`, and a ledger observer charges its streams. The numeric
-kernels are the single-context ones on bit-identical tensors (float64
-survives the wire exactly), so the distributed result equals the
-single-context result bit for bit.
+(`calibration._calibration_loop`) with its account as the observer and a
+remote grid search: each layer's search dispatches the statistic and
+outputs to the workers and waits for `ratio_fixed`. Every receive goes
+through `_WorkerCtx.recv`, which checks that the message is the step the
+protocol expects. The numeric kernels are the single-context ones on
+bit-identical tensors (float64 survives the wire exactly), so the
+distributed result equals the single-context result bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import socket
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,7 +60,7 @@ COORDINATOR = 0  # infers and coordinates
 SCALE_WORKER = 1  # fixes scales; the last worker scores losses
 
 
-# --- memory ledger -------------------------------------------------------------
+# --- memory accounts -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -68,70 +70,35 @@ class LedgerEvent:
     tag: str
 
 
-@dataclass
-class _Account:
-    current: int = 0
-    peak: int = 0
-    tick: int = 0
-    events: list = field(default_factory=list)
+class MemoryAccount(WalkObserver):
+    """One worker's byte account with peak tracking.
 
-
-class MemoryLedger:
-    """Per-worker byte accounting with peak tracking.
-
-    Thread safe; event timestamps are per-worker logical counters so event
-    logs are deterministic regardless of thread interleaving.
+    Thread safe; event ticks count this account's own events, so event logs
+    are deterministic regardless of thread interleaving.
     """
 
-    def __init__(self, worker_ids: Iterable[int]):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._accounts = {int(w): _Account() for w in worker_ids}
-        if not self._accounts:
-            raise ConfigError("ledger needs at least one worker")
+        self.current = 0
+        self.peak = 0
+        self.events: list[LedgerEvent] = []
 
-    def _account(self, worker: int) -> _Account:
-        try:
-            return self._accounts[worker]
-        except KeyError:
-            raise LedgerError(f"unknown worker {worker}") from None
-
-    def alloc(self, worker: int, nbytes: int, tag: str) -> None:
+    def alloc(self, nbytes: int, tag: str) -> None:
         if nbytes <= 0:
             raise LedgerError(f"allocation must be > 0 bytes, got {nbytes} ({tag})")
         with self._lock:
-            acc = self._account(worker)
-            acc.current += int(nbytes)
-            acc.peak = max(acc.peak, acc.current)
-            acc.tick += 1
-            acc.events.append(LedgerEvent(acc.tick, int(nbytes), tag))
+            self.current += int(nbytes)
+            self.peak = max(self.peak, self.current)
+            self.events.append(LedgerEvent(len(self.events) + 1, int(nbytes), tag))
 
-    def free(self, worker: int, nbytes: int, tag: str) -> None:
+    def free(self, nbytes: int, tag: str) -> None:
         if nbytes <= 0:
             raise LedgerError(f"free must be > 0 bytes, got {nbytes} ({tag})")
         with self._lock:
-            acc = self._account(worker)
-            if nbytes > acc.current:
-                raise LedgerError(
-                    f"over-free of {nbytes} bytes ({tag}): worker holds {acc.current}"
-                )
-            acc.current -= int(nbytes)
-            acc.tick += 1
-            acc.events.append(LedgerEvent(acc.tick, -int(nbytes), tag))
-
-    def current(self, worker: int) -> int:
-        with self._lock:
-            return self._account(worker).current
-
-    def peak(self, worker: int) -> int:
-        with self._lock:
-            return self._account(worker).peak
-
-    def events(self, worker: int) -> tuple[LedgerEvent, ...]:
-        with self._lock:
-            return tuple(self._account(worker).events)
-
-    def workers(self) -> tuple[int, ...]:
-        return tuple(sorted(self._accounts))
+            if nbytes > self.current:
+                raise LedgerError(f"over-free of {nbytes} bytes ({tag}): worker holds {self.current}")
+            self.current -= int(nbytes)
+            self.events.append(LedgerEvent(len(self.events) + 1, -int(nbytes), tag))
 
 
 def baseline_peak(model_dims: tuple[int, int], batch_dims: tuple[int, int]) -> int:
@@ -253,11 +220,6 @@ def decode_message(blob: bytes) -> CalMessage:
         msg = replace(msg, reason=c.text(n))
     c.done()
     return msg
-
-
-def message_envelope_bytes(msg: CalMessage) -> int:
-    """Serialized size of a message, the slack unit for peak-memory bounds."""
-    return len(encode_message(msg))
 
 
 # --- transports -----------------------------------------------------------------
@@ -426,9 +388,6 @@ class MemoryReport:
     baseline_bytes: int
     workers: tuple[WorkerMemory, ...]
 
-    def peak_by_worker(self) -> dict[int, int]:
-        return {w.worker: w.peak_bytes for w in self.workers}
-
     def max_peak(self) -> int:
         return max(w.peak_bytes for w in self.workers)
 
@@ -455,70 +414,54 @@ class _InjectedCrash(Exception):
 class _WorkerCtx:
     me: int
     transport: _BaseTransport
-    ledger: MemoryLedger
+    account: MemoryAccount
     timeout: float
-    crash_after: int | None = None  # fault injection: die after N processed messages
-    processed: int = 0
+    crash_after: int | None = None  # fault injection: die after N received messages
+    received: int = 0
 
-    def tick(self) -> None:
-        self.processed += 1
-        if self.crash_after is not None and self.processed >= self.crash_after:
+    def recv(self, sender: int, kind: str | None = None, layer: int | None = None, stream: str | None = None):
+        """Next message from `sender`, counted for fault injection.
+
+        With a `kind`, the message must be exactly that step: the same kind,
+        layer and stream.
+        """
+        msg = self.transport.recv(self.me, sender, self.timeout)
+        self.received += 1
+        if self.crash_after is not None and self.received >= self.crash_after:
             raise _InjectedCrash()
+        if kind is not None and (msg.kind, msg.layer, msg.stream) != (kind, layer, stream):
+            raise ProtocolError(
+                f"worker {self.me} expected {kind} (layer {layer}, stream {stream}), "
+                f"got {msg.kind} (layer {msg.layer}, stream {msg.stream})"
+            )
+        return msg
 
 
-def _loss_phase(ctx: _WorkerCtx, first: CalMessage) -> list[tuple[float, float]]:
-    """Score every grid point against the reference output; returns the curve.
+def _scored_points(ctx: _WorkerCtx, fp: CalMessage):
+    """Yield (ratio, loss) for each quantized output of fp's layer as it arrives.
 
     The reference (fp) output stays resident for the whole grid; quantized
-    outputs are charged when consumed and freed right after scoring, so the
-    ledgered footprint is y_fp + one y_q + the loss curve.
+    outputs are charged when consumed and freed right after scoring.
     """
-    wid = ctx.me
-    layer, count = first.layer, first.count
-    y_fp = first.tensor
-    ctx.ledger.alloc(wid, y_fp.nbytes, f"y_fp[L{layer}]")
-    curve: list[tuple[float, float]] = []
-    curve_bytes = 0
-    for _ in range(count):
-        msg = ctx.transport.recv(wid, COORDINATOR, ctx.timeout)
-        ctx.tick()
-        if msg.kind != "layer_output" or msg.stream != "q" or msg.layer != layer:
-            raise ProtocolError(
-                f"worker {wid} expected quantized output for layer {layer}, got "
-                f"{msg.kind} (layer {msg.layer}, stream {msg.stream})"
-            )
-        ctx.ledger.alloc(wid, msg.tensor.nbytes, f"y_q[L{layer}]")
+    layer, y_fp = fp.layer, fp.tensor
+    ctx.account.alloc(y_fp.nbytes, f"y_fp[L{layer}]")
+    for _ in range(fp.count):
+        msg = ctx.recv(COORDINATOR, "layer_output", layer, "q")
+        ctx.account.alloc(msg.tensor.nbytes, f"y_q[L{layer}]")
         loss = layer_loss(y_fp, msg.tensor)
-        ctx.ledger.free(wid, msg.tensor.nbytes, f"y_q[L{layer}]")
-        ctx.ledger.alloc(wid, 16, f"curve[L{layer}]")
-        curve_bytes += 16
-        curve.append((msg.ratio, loss))
-    ctx.ledger.free(wid, y_fp.nbytes, f"y_fp[L{layer}]")
-    ctx.ledger.free(wid, curve_bytes, f"curve[L{layer}]")
+        ctx.account.free(msg.tensor.nbytes, f"y_q[L{layer}]")
+        yield msg.ratio, loss
+    ctx.account.free(y_fp.nbytes, f"y_fp[L{layer}]")
+
+
+def _charged_curve(account: MemoryAccount, layer: int, points: Iterable[tuple[float, float]]) -> list:
+    """Collect a loss curve, charging 16 B per point; the whole curve is freed once complete."""
+    curve = []
+    for point in points:
+        account.alloc(16, f"curve[L{layer}]")
+        curve.append(point)
+    account.free(16 * len(curve), f"curve[L{layer}]")
     return curve
-
-
-def _scale_phase(ctx: _WorkerCtx, req: CalMessage, curve: list[tuple[float, float]]) -> None:
-    """Fix the ratio from a complete loss curve and report it to the coordinator."""
-    wid = ctx.me
-    layer = req.layer
-    x_stat = req.tensor
-    r_star = select_ratio(curve)
-    scale_values = power_scale(x_stat, r_star).values
-    ctx.ledger.alloc(wid, scale_values.nbytes, f"scale[L{layer}]")
-    ctx.ledger.free(wid, scale_values.nbytes, f"scale[L{layer}]")
-    ctx.ledger.free(wid, x_stat.nbytes, f"x_stat[L{layer}]")
-    ctx.transport.send(
-        CalMessage(
-            "ratio_fixed",
-            sender=wid,
-            receiver=COORDINATOR,
-            layer=layer,
-            ratio=r_star,
-            tensor=scale_values,
-            curve=tuple(curve),
-        )
-    )
 
 
 def _cal_worker_loop(ctx: _WorkerCtx) -> None:
@@ -526,72 +469,37 @@ def _cal_worker_loop(ctx: _WorkerCtx) -> None:
 
     All dispatches arrive from the coordinator: a stat_request goes to the
     scale worker, a full-precision layer_output to the loss worker (the
-    last one). When one worker holds both roles it runs the loss phase
-    inline and skips the self-addressed loss reports.
+    last one). The loss worker scores the layer's grid and sends the curve
+    to the scale worker as loss reports; when one worker holds both roles
+    it scores the grid inline. The scale worker fixes the ratio from the
+    complete curve and reports it to the coordinator.
     """
-    wid = ctx.me
+    me, account = ctx.me, ctx.account
     loss_worker = ctx.transport.worker_ids[-1]
-    while True:
-        msg = ctx.transport.recv(wid, COORDINATOR, ctx.timeout)
-        ctx.tick()
-        if msg.kind == "done":
-            return
-        if msg.kind == "stat_request":
-            layer, count = msg.layer, msg.count
-            ctx.ledger.alloc(wid, msg.tensor.nbytes, f"x_stat[L{layer}]")
-            if loss_worker == wid:
-                first = ctx.transport.recv(wid, COORDINATOR, ctx.timeout)
-                ctx.tick()
-                if first.kind != "layer_output" or first.stream != "fp":
-                    raise ProtocolError(
-                        f"worker {wid} expected fp output for layer {layer}, got {first.kind}"
-                    )
-                curve = _loss_phase(ctx, first)
-            else:
-                curve = []
-                curve_bytes = 0
-                for _ in range(count):
-                    rep = ctx.transport.recv(wid, loss_worker, ctx.timeout)
-                    ctx.tick()
-                    if rep.kind != "loss_report" or rep.layer != layer:
-                        raise ProtocolError(
-                            f"worker {wid} expected loss_report for layer {layer}, got "
-                            f"{rep.kind} (layer {rep.layer})"
-                        )
-                    ctx.ledger.alloc(wid, 16, f"curve[L{layer}]")
-                    curve_bytes += 16
-                    curve.append((rep.ratio, rep.loss))
-                ctx.ledger.free(wid, curve_bytes, f"curve[L{layer}]")
-            _scale_phase(ctx, msg, curve)
-        elif msg.kind == "layer_output" and msg.stream == "fp":
-            curve = _loss_phase(ctx, msg)
-            for r, loss in curve:
-                ctx.transport.send(
-                    CalMessage(
-                        "loss_report",
-                        sender=wid,
-                        receiver=SCALE_WORKER,
-                        layer=msg.layer,
-                        ratio=r,
-                        loss=loss,
-                    )
-                )
+    while (msg := ctx.recv(COORDINATOR)).kind != "done":
+        layer = msg.layer
+        if msg.kind == "layer_output" and msg.stream == "fp":
+            for r, loss in _charged_curve(account, layer, _scored_points(ctx, msg)):
+                ctx.transport.send(CalMessage("loss_report", me, SCALE_WORKER, layer=layer, ratio=r, loss=loss))
+            continue
+        if msg.kind != "stat_request":
+            raise ProtocolError(f"worker {me} got unexpected {msg.kind} from coordinator")
+        x_stat = msg.tensor
+        account.alloc(x_stat.nbytes, f"x_stat[L{layer}]")
+        if loss_worker == me:
+            points = _scored_points(ctx, ctx.recv(COORDINATOR, "layer_output", layer, "fp"))
         else:
-            raise ProtocolError(f"worker {wid} got unexpected {msg.kind} from coordinator")
-
-
-class _LedgerObserver(WalkObserver):
-    """Routes the calibration loop's memory events (grad passes, streams, parameters) into the ledger."""
-
-    def __init__(self, ledger: MemoryLedger, worker: int):
-        self.ledger = ledger
-        self.worker = worker
-
-    def alloc(self, nbytes: int, tag: str) -> None:
-        self.ledger.alloc(self.worker, nbytes, tag)
-
-    def free(self, nbytes: int, tag: str) -> None:
-        self.ledger.free(self.worker, nbytes, tag)
+            reports = (ctx.recv(loss_worker, "loss_report", layer) for _ in range(msg.count))
+            points = ((rep.ratio, rep.loss) for rep in reports)
+        curve = _charged_curve(account, layer, points)
+        r_star = select_ratio(curve)
+        scale = power_scale(x_stat, r_star).values
+        account.alloc(scale.nbytes, f"scale[L{layer}]")
+        account.free(scale.nbytes, f"scale[L{layer}]")
+        account.free(x_stat.nbytes, f"x_stat[L{layer}]")
+        ctx.transport.send(
+            CalMessage("ratio_fixed", me, COORDINATOR, layer=layer, ratio=r_star, tensor=scale, curve=tuple(curve))
+        )
 
 
 def run_distributed_calibration(
@@ -625,12 +533,13 @@ def run_distributed_calibration(
     me, loss_worker, helpers = COORDINATOR, workers - 1, range(1, workers)
     chans = make_transport(transport, range(workers))
     chans.send_timeout = timeout
-    ledger = MemoryLedger(range(workers))
+    accounts = [MemoryAccount() for _ in range(workers)]
+    coordinator = _WorkerCtx(me, chans, accounts[me], timeout)
     fault_injection = fault_injection or {}
     errors: list[BaseException] = []
 
     def _run_worker(wid: int) -> None:
-        ctx = _WorkerCtx(wid, chans, ledger, timeout, fault_injection.get(wid))
+        ctx = _WorkerCtx(wid, chans, accounts[wid], timeout, fault_injection.get(wid))
         try:
             _cal_worker_loop(ctx)
         except _InjectedCrash:
@@ -652,29 +561,20 @@ def run_distributed_calibration(
         """Score one layer's grid on the scale and loss workers; (r*, curve) from ratio_fixed."""
         layer_idx, lin = task.index, task.layer
 
-        def dispatch(kind: str, receiver: int, **fields) -> None:
-            chans.send(CalMessage(kind, me, receiver, layer=layer_idx, count=len(points), **fields))
+        def hand_off(stream: str, y: np.ndarray, ratio: float | None = None) -> None:
+            """Send one output to the loss worker; the coordinator holds it until the send completes."""
+            tag = f"y_{stream}[L{layer_idx}]"
+            accounts[me].alloc(y.nbytes, tag)
+            chans.send(CalMessage("layer_output", me, loss_worker, layer=layer_idx, count=len(points),
+                                  stream=stream, ratio=ratio, tensor=y))
+            accounts[me].free(y.nbytes, tag)
 
-        dispatch("stat_request", SCALE_WORKER, tensor=stat)
-        y_fp = _batch_fp(lin, task.fp_inputs)
-        ledger.alloc(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
-        dispatch("layer_output", loss_worker, stream="fp", tensor=y_fp)
-        ledger.free(me, y_fp.nbytes, f"y_fp[L{layer_idx}]")
-        del y_fp
-
+        chans.send(CalMessage("stat_request", me, SCALE_WORKER, layer=layer_idx, count=len(points), tensor=stat))
+        hand_off("fp", _batch_fp(lin, task.fp_inputs))
         for r in points:
-            y_q = apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a)
-            ledger.alloc(me, y_q.nbytes, f"y_q[L{layer_idx}]")
-            dispatch("layer_output", loss_worker, stream="q", ratio=r, tensor=y_q)
-            ledger.free(me, y_q.nbytes, f"y_q[L{layer_idx}]")
-            del y_q
+            hand_off("q", apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a), r)
 
-        fixed = chans.recv(me, SCALE_WORKER, timeout)
-        if fixed.kind != "ratio_fixed" or fixed.layer != layer_idx:
-            raise ProtocolError(
-                f"coordinator expected ratio_fixed for layer {layer_idx}, got "
-                f"{fixed.kind} (layer {fixed.layer})"
-            )
+        fixed = coordinator.recv(SCALE_WORKER, "ratio_fixed", layer_idx)
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):
             raise ProtocolError(
                 f"layer {lin.name!r}: scale from worker {SCALE_WORKER} does not match "
@@ -684,7 +584,7 @@ def run_distributed_calibration(
 
     try:
         result = _calibration_loop(
-            stack, activations, remote_search, _LedgerObserver(ledger, me),
+            stack, activations, remote_search, accounts[me],
             strategy=strategy, stat_mode=stat_mode, grid=grid, cfg_w=cfg_w, cfg_a=cfg_a, fraction=fraction, loss=loss,
         )
         for wid in helpers:
@@ -702,10 +602,6 @@ def run_distributed_calibration(
     b, n = activations.shape[0], activations.shape[1]
     base = max(baseline_peak((lin.weight.shape[1], lin.weight.shape[0]), (b, n)) for _, lin in stack.linears())
     report = MemoryReport(
-        base,
-        tuple(
-            WorkerMemory(wid, ledger.peak(wid), ledger.current(wid), len(ledger.events(wid)))
-            for wid in ledger.workers()
-        ),
+        base, tuple(WorkerMemory(wid, acc.peak, acc.current, len(acc.events)) for wid, acc in enumerate(accounts))
     )
     return result, report

@@ -29,7 +29,7 @@ from .model import CalibrationSet, ProxyLossSpec, apply_layer_fp, backward_token
 from .importance import token_importance_sums
 from .tensor import Rng, rand_normal
 
-# default plant strengths; tests pin fixtures through these defaults
+# plant strengths; tests pin fixtures through these values
 OUTLIER_GAIN = 50.0
 VISUAL_AMP = 20.0
 VISUAL_NOISE = 1e-8  # off-subspace leak; keeps visual gradients far below text
@@ -124,9 +124,6 @@ def build_calibset(
     channels: int,
     visual_fraction: float = 0.5,
     redundancy: float = 0.95,
-    visual_amp: float = VISUAL_AMP,
-    noise: float = VISUAL_NOISE,
-    text_visual_sigma: float = TEXT_VISUAL_SIGMA,
 ) -> CalibrationSet:
     """Calibration batch whose visual tokens are redundant and gradient-dead.
 
@@ -153,7 +150,7 @@ def build_calibset(
     for b in range(batch):
         sample_rng = rng.split(f"sample{b}")
         text = rand_normal(sample_rng.split("text"), (tokens, channels))
-        text[:, profile.visual_channels] *= text_visual_sigma
+        text[:, profile.visual_channels] *= TEXT_VISUAL_SIGMA
         acts[b] = text
         if n_vis == 0:
             continue
@@ -170,9 +167,9 @@ def build_calibset(
         norms = np.linalg.norm(jitter, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         jitter *= rho / norms
-        amp = visual_amp * (1.0 + 0.1 * gen.uniform(-1.0, 1.0, size=(n_vis, 1)))
+        amp = VISUAL_AMP * (1.0 + 0.1 * gen.uniform(-1.0, 1.0, size=(n_vis, 1)))
         rows = amp * (template + jitter)
-        rows += noise * gen.standard_normal((n_vis, channels))
+        rows += VISUAL_NOISE * gen.standard_normal((n_vis, channels))
         acts[b, :n_vis] = rows
     return CalibrationSet(acts, modality)
 

@@ -26,8 +26,8 @@ class RMSNorm:
     def __post_init__(self):
         if self.gain.ndim != 1:
             raise ShapeError(f"rmsnorm {self.name!r}: gain must be rank 1, got {self.gain.shape}")
-        if not self.eps > 0:
-            raise ConfigError(f"rmsnorm {self.name!r}: eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < float("inf"):  # NaN fails too
+            raise ConfigError(f"rmsnorm {self.name!r}: eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)

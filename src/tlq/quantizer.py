@@ -1,7 +1,7 @@
 """Symmetric round-to-nearest quantization and rounding-error statistics.
 
 A rank-2 tensor is quantized row by row: each row gets one positive scale
-s = max(absmax(row) / (2^(n-1) - 1), scale_floor) and integer codes
+s = max(absmax(row) / (2^(n-1) - 1), DEFAULT_SCALE_FLOOR) and integer codes
 q = round(row / s) with round-half-away-from-zero. Rows are tokens for
 per-token activation quantization and output channels for per-channel
 weight quantization; the granularity field only records which orientation
@@ -32,15 +32,12 @@ GRANULARITIES = ("per_token", "per_channel")
 class QuantConfig:
     bits: int
     granularity: str = "per_token"
-    scale_floor: float = DEFAULT_SCALE_FLOOR
 
     def __post_init__(self):
         if not isinstance(self.bits, (int, np.integer)) or not 2 <= self.bits <= 16:
             raise ConfigError(f"bits must be an integer in [2, 16], got {self.bits!r}")
         if self.granularity not in GRANULARITIES:
             raise ConfigError(f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}")
-        if not self.scale_floor > 0:
-            raise ConfigError(f"scale_floor must be > 0, got {self.scale_floor!r}")
 
     @property
     def qmax(self) -> int:
@@ -77,7 +74,7 @@ def _scaled_magnitudes(x: np.ndarray, cfg: QuantConfig, out: np.ndarray | None =
     # the row absmax is non-finite exactly when the row holds NaN or Inf
     if not np.all(np.isfinite(absmax)):
         raise NumericError("quantize input contains NaN or Inf")
-    scales = np.maximum(absmax / cfg.qmax, cfg.scale_floor)
+    scales = np.maximum(absmax / cfg.qmax, DEFAULT_SCALE_FLOOR)
     t /= scales[:, None]
     return t, scales
 

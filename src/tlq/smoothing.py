@@ -40,30 +40,24 @@ def unit_scale(channels: int) -> SmoothScale:
     return SmoothScale(np.ones(channels), origin="stat_ratio", ratio=0.0)
 
 
-def sqrt_scale(
-    x_absmax: np.ndarray,
-    w_absmax: np.ndarray,
-    scale_floor: float = DEFAULT_SCALE_FLOOR,
-) -> SmoothScale:
+def sqrt_scale(x_absmax: np.ndarray, w_absmax: np.ndarray) -> SmoothScale:
     """sqrt(max|X| / max|W|) per channel, both sides floored before dividing."""
     if x_absmax.shape != w_absmax.shape or x_absmax.ndim != 1:
         raise ShapeError(
             f"absmax vectors must be rank 1 and equal length, got {x_absmax.shape} vs {w_absmax.shape}"
         )
-    num = np.maximum(x_absmax, scale_floor)
-    den = np.maximum(w_absmax, scale_floor)
+    num = np.maximum(x_absmax, DEFAULT_SCALE_FLOOR)
+    den = np.maximum(w_absmax, DEFAULT_SCALE_FLOOR)
     return SmoothScale(np.sqrt(num / den), origin="sqrt_baseline")
 
 
-def power_scale(
-    x_stat: np.ndarray, r: float, scale_floor: float = DEFAULT_SCALE_FLOOR
-) -> SmoothScale:
+def power_scale(x_stat: np.ndarray, r: float) -> SmoothScale:
     """Elementwise x_stat^r with r in [0, 1]; r=0 is no smoothing, r=1 full."""
     if not 0.0 <= r <= 1.0:
         raise ConfigError(f"smoothing ratio must be in [0, 1], got {r}")
     if x_stat.ndim != 1:
         raise ShapeError(f"x_stat must be rank 1, got {x_stat.shape}")
-    return SmoothScale(np.maximum(x_stat, scale_floor) ** r, origin="stat_ratio", ratio=r)
+    return SmoothScale(np.maximum(x_stat, DEFAULT_SCALE_FLOOR) ** r, origin="stat_ratio", ratio=r)
 
 
 def apply_smoothing(

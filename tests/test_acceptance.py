@@ -20,7 +20,7 @@ from tlq.calibration import (
     search_ratio,
 )
 from tlq.cli import main
-from tlq.distcal import CalMessage, message_envelope_bytes, run_distributed_calibration
+from tlq.distcal import CalMessage, encode_message, run_distributed_calibration
 from tlq.fixtures import build_calibset, build_stack
 from tlq.importance import activation_error_probe
 from tlq.layers import Linear, RMSNorm
@@ -246,13 +246,13 @@ def test_c08_memory_decomposition():
     """Per-role peaks follow the decoupled decomposition; peak beats baseline."""
     start = time.monotonic()
     mem = _memory_run(5, 8, 16, 64)
-    envelope = message_envelope_bytes(
+    envelope = len(encode_message(
         CalMessage(
             "layer_output", 0, 2, seq=0, layer=0, stream="fp",
             tensor=np.zeros((8, 16, 64)), count=21,
         )
-    )
-    infer_peak = mem.peak_by_worker()[0]
+    ))
+    infer_peak = mem.workers[0].peak_bytes
     assert abs(infer_peak - 163840) <= envelope
     assert mem.baseline_bytes == 294912
     ratio_small = mem.max_peak() / mem.baseline_bytes

@@ -292,7 +292,7 @@ def test_corrupt_model_exits_two(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("how", ["non_utf8_name", "nan_eps"])
+@pytest.mark.parametrize("how", ["non_utf8_name", "nan_eps", "inf_eps"])
 def test_corrupt_layer_record_exits_two(tmp_path, capsys, how):
     blob = _gen_model(tmp_path).read_bytes()
     if how == "non_utf8_name":
@@ -300,7 +300,7 @@ def test_corrupt_layer_record_exits_two(tmp_path, capsys, how):
         blob = blob[:19] + b"\xff" + blob[20:]
     else:
         eps = load_checkpoint(blob).layers[0].eps
-        blob = blob.replace(struct.pack("<d", eps), struct.pack("<d", float("nan")), 1)
+        blob = blob.replace(struct.pack("<d", eps), struct.pack("<d", float(how[:3])), 1)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(blob)
     calib = _gen_calib(tmp_path)
@@ -539,6 +539,15 @@ def test_bad_generator_gain_exits_one(tmp_path, capsys, flag, value):
     code = main(["gen-model", "--seed", "1", "--depth", "1", "--channels", "16", flag, value, "--out", str(out)])
     assert code == 1
     _one_error_line(capsys, "config error: gains must be finite and > 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "nan", "inf"])
+def test_bad_generator_eps_exits_one(tmp_path, capsys, value):
+    out = tmp_path / "m.ckpt"
+    code = main(["gen-model", "--seed", "1", "--depth", "1", "--channels", "16", "--eps", value, "--out", str(out)])
+    assert code == 1
+    _one_error_line(capsys, "config error: rmsnorm 'norm0': eps must be finite and > 0")
     assert not out.exists()
 
 

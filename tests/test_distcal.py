@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import struct
 import threading
@@ -10,18 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlq import distcal
-from tlq.calibration import calibrate, result_to_text
+from tlq.calibration import RatioGrid, calibrate, result_to_text
 from tlq.distcal import (
     CalMessage,
     InProcessTransport,
-    MemoryLedger,
+    MemoryAccount,
     SocketTransport,
     _cal_worker_loop,
     _WorkerCtx,
     baseline_peak,
     decode_message,
     encode_message,
-    message_envelope_bytes,
     run_distributed_calibration,
 )
 from tlq.errors import ConfigError, LedgerError, ProtocolError
@@ -33,55 +34,53 @@ CFG_W = QuantConfig(4, "per_channel")
 CFG_A = QuantConfig(6, "per_token")
 
 
-# --- ledger ---------------------------------------------------------------------
+# --- memory accounts ------------------------------------------------------------
 
 
 def test_ledger_running_peak():
-    ledger = MemoryLedger([0])
-    ledger.alloc(0, 100, "a")
-    ledger.alloc(0, 50, "b")
-    ledger.free(0, 100, "a")
-    assert ledger.current(0) == 50
-    assert ledger.peak(0) == 150
+    account = MemoryAccount()
+    account.alloc(100, "a")
+    account.alloc(50, "b")
+    account.free(100, "a")
+    assert account.current == 50
+    assert account.peak == 150
 
 
 def test_ledger_rejects_zero_alloc_and_overfree():
-    ledger = MemoryLedger([0])
+    account = MemoryAccount()
     with pytest.raises(LedgerError):
-        ledger.alloc(0, 0, "zero")
-    ledger.alloc(0, 10, "a")
+        account.alloc(0, "zero")
+    account.alloc(10, "a")
     with pytest.raises(LedgerError):
-        ledger.free(0, 11, "a")
-    with pytest.raises(LedgerError):
-        ledger.alloc(1, 5, "unknown worker")
+        account.free(11, "a")
 
 
 @given(st.lists(st.integers(1, 1000), min_size=1, max_size=30))
 @settings(max_examples=50)
 def test_ledger_peak_matches_running_max_oracle(sizes):
-    ledger = MemoryLedger([7])
+    account = MemoryAccount()
     held = []
     current = peak = 0
     for i, nbytes in enumerate(sizes):
         if held and i % 3 == 2:
             freed = held.pop()
-            ledger.free(7, freed, "op")
+            account.free(freed, "op")
             current -= freed
-        ledger.alloc(7, nbytes, "op")
+        account.alloc(nbytes, "op")
         held.append(nbytes)
         current += nbytes
         peak = max(peak, current)
-    assert ledger.current(7) == current
-    assert ledger.peak(7) == peak
-    assert len(ledger.events(7)) > 0
+    assert account.current == current
+    assert account.peak == peak
+    assert len(account.events) > 0
 
 
 def test_ledger_event_ticks_are_per_worker_monotone():
-    ledger = MemoryLedger([0, 1])
-    ledger.alloc(0, 5, "a")
-    ledger.alloc(1, 6, "b")
-    ledger.alloc(0, 7, "c")
-    ticks = [e.tick for e in ledger.events(0)]
+    a, b = MemoryAccount(), MemoryAccount()
+    a.alloc(5, "a")
+    b.alloc(6, "b")
+    a.alloc(7, "c")
+    ticks = [e.tick for e in a.events]
     assert ticks == sorted(ticks) == [1, 2]
 
 
@@ -220,12 +219,32 @@ def test_socket_transport_carries_tensors_exactly():
     chans.close()
 
 
-def test_worker_rejects_out_of_phase_message():
-    chans = InProcessTransport([0, 1])
-    ledger = MemoryLedger([0, 1])
-    chans.send(CalMessage("loss_report", 0, 1, layer=0, ratio=0.0, loss=1.0))
-    ctx = _WorkerCtx(1, chans, ledger, timeout=1.0)
-    with pytest.raises(ProtocolError, match="unexpected"):
+def _stat(layer):
+    return CalMessage("stat_request", 0, 1, layer=layer, count=1, tensor=np.ones(2))
+
+
+def _output(stream, layer):
+    return CalMessage("layer_output", 0, 1, layer=layer, stream=stream, ratio=0.0, tensor=np.ones(2), count=1)
+
+
+# one case per receive of the scale and loss workers: the loop, the inline
+# fp output, a quantized output and a loss report
+@pytest.mark.parametrize("workers, messages, error", [
+    pytest.param(2, [CalMessage("loss_report", 0, 1, layer=0, ratio=0.0, loss=1.0)], "unexpected loss_report",
+                 id="loop"),
+    pytest.param(2, [_stat(0), _output("fp", 1), _output("q", 1)], r"expected layer_output \(layer 0, stream fp\)",
+                 id="inline_fp"),
+    pytest.param(2, [_stat(0), _output("fp", 0), _output("q", 1)], r"expected layer_output \(layer 0, stream q\)",
+                 id="q_output"),
+    pytest.param(3, [_stat(0), CalMessage("loss_report", 2, 1, layer=1, ratio=0.0, loss=1.0)],
+                 r"expected loss_report \(layer 0, stream None\)", id="loss_report"),
+])
+def test_worker_rejects_out_of_phase_message(workers, messages, error):
+    chans = InProcessTransport(range(workers))
+    for msg in messages + [CalMessage("done", 0, 1)]:
+        chans.send(msg)
+    ctx = _WorkerCtx(1, chans, MemoryAccount(), timeout=1.0)
+    with pytest.raises(ProtocolError, match=error):
         _cal_worker_loop(ctx)
 
 
@@ -260,25 +279,27 @@ def test_three_worker_socket_equivalence():
     assert all(w.current_bytes == 0 for w in mem.workers)
 
 
-def _run_keeping_ledger(monkeypatch, stack, acts, workers):
-    ledgers = []
+def _run_keeping_accounts(monkeypatch, stack, acts, workers, transport="in_process", strategy="passact2",
+                          stat_mode="max", **opts):
+    """Run a distributed calibration; returns its memory report and every worker's account."""
+    accounts = []
 
-    class KeptLedger(MemoryLedger):
-        def __init__(self, worker_ids):
-            super().__init__(worker_ids)
-            ledgers.append(self)
+    class KeptAccount(MemoryAccount):
+        def __init__(self):
+            super().__init__()
+            accounts.append(self)
 
-    monkeypatch.setattr(distcal, "MemoryLedger", KeptLedger)
+    monkeypatch.setattr(distcal, "MemoryAccount", KeptAccount)
     _, mem = run_distributed_calibration(
-        stack, acts, workers=workers, transport="in_process", strategy="passact2", stat_mode="max",
-        cfg_w=CFG_W, cfg_a=CFG_A,
+        stack, acts, workers=workers, transport=transport, strategy=strategy, stat_mode=stat_mode,
+        cfg_w=CFG_W, cfg_a=CFG_A, **opts,
     )
-    return mem, ledgers[0]
+    return mem, accounts
 
 
-def _tags_by_layer(ledger, worker):
+def _tags_by_layer(account):
     tags = {}
-    for event in ledger.events(worker):
+    for event in account.events:
         name, layer = event.tag.rstrip("]").split("[L")
         tags.setdefault(int(layer), set()).add(name)
     return tags
@@ -287,15 +308,35 @@ def _tags_by_layer(ledger, worker):
 def test_scheduler_separates_scale_and_loss_roles(monkeypatch):
     stack, acts = _fixture(seed=4)
     linears = [i for i, _ in stack.linears()]
-    mem, ledger = _run_keeping_ledger(monkeypatch, stack, acts, workers=3)
-    peaks = mem.peak_by_worker()
+    mem, accounts = _run_keeping_accounts(monkeypatch, stack, acts, workers=3)
+    peaks = {w.worker: w.peak_bytes for w in mem.workers}
     # worker 1 carries the stat/scale bookkeeping, worker 2 the output tensors
     assert peaks[1] < peaks[2] < peaks[0]
-    assert _tags_by_layer(ledger, 1) == {i: {"x_stat", "curve", "scale"} for i in linears}
-    assert _tags_by_layer(ledger, 2) == {i: {"y_fp", "y_q", "curve"} for i in linears}
+    assert _tags_by_layer(accounts[1]) == {i: {"x_stat", "curve", "scale"} for i in linears}
+    assert _tags_by_layer(accounts[2]) == {i: {"y_fp", "y_q", "curve"} for i in linears}
     # with 2 workers, worker 1 holds both roles
-    _, ledger = _run_keeping_ledger(monkeypatch, stack, acts, workers=2)
-    assert _tags_by_layer(ledger, 1) == {i: {"x_stat", "curve", "scale", "y_fp", "y_q"} for i in linears}
+    _, accounts = _run_keeping_accounts(monkeypatch, stack, acts, workers=2)
+    assert _tags_by_layer(accounts[1]) == {i: {"x_stat", "curve", "scale", "y_fp", "y_q"} for i in linears}
+
+
+# sha256 of every worker's full event log over the matrix below; event sizes
+# depend only on tensor shapes, so the digest does not depend on the BLAS
+_EVENT_LOG_DIGEST = "4cf6ef7a8ea1a53dc8ffb940881ef620925acc358ade1322122fd11138fe8473"
+
+
+def test_ledger_event_logs_are_pinned(monkeypatch):
+    stack = build_stack(5, 2, 16)
+    acts = build_calibset(5, 4, 8, 16, visual_fraction=0.5).activations
+    digest = hashlib.sha256()
+    matrix = itertools.product((2, 3), ("in_process", "sockets"), ("none", "passact1", "passact2"))
+    for workers, transport, strategy in matrix:
+        _, accounts = _run_keeping_accounts(
+            monkeypatch, stack, acts, workers, transport, strategy, stat_mode="topk", grid=RatioGrid(0.0, 1.0, 0.25),
+        )
+        for worker, account in enumerate(accounts):
+            for e in account.events:
+                digest.update(f"{workers} {transport} {strategy} {worker} {e.tick} {e.delta} {e.tag}\n".encode())
+    assert digest.hexdigest() == _EVENT_LOG_DIGEST
 
 
 def test_memory_report_text_shape():
@@ -318,11 +359,11 @@ def test_documented_memory_fixture_peaks():
         strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A,
     )
     assert mem.baseline_bytes == 294912
-    peaks = mem.peak_by_worker()
-    envelope = message_envelope_bytes(
+    peaks = {w.worker: w.peak_bytes for w in mem.workers}
+    envelope = len(encode_message(
         CalMessage("layer_output", 0, 2, seq=0, layer=0, stream="fp",
                    tensor=np.zeros((8, 16, 64)), count=21)
-    )
+    ))
     assert abs(peaks[0] - 163840) <= envelope
     # loss worker holds both outputs plus the curve buffer
     y = 8 * 16 * 64 * 8

@@ -296,7 +296,7 @@ def test_layer_table_non_utf8_name_rejected(fmt):
 
 
 @pytest.mark.parametrize("fmt", LAYER_TABLE_FORMATS)
-@pytest.mark.parametrize("eps", [np.nan, 0.0, -1e-6])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-6])
 def test_layer_table_invalid_record_rejected(fmt, eps):
     blob, load, _ = _layer_table_file(fmt)
     good = struct.pack("<d", 1e-6)

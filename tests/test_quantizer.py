@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from tlq.errors import ConfigError, NumericError, ShapeError
 from tlq.quantizer import (
+    DEFAULT_SCALE_FLOOR,
     QuantConfig,
     _qdq_inplace,
     dequantize,
@@ -28,15 +29,13 @@ def test_config_validation():
             QuantConfig(bits)
     with pytest.raises(ConfigError):
         QuantConfig(8, granularity="per_row")
-    with pytest.raises(ConfigError):
-        QuantConfig(8, scale_floor=0.0)
 
 
 def test_zero_row_uses_scale_floor():
     cfg = QuantConfig(8)
     qt = quantize(np.zeros((2, 4)), cfg)
     assert np.array_equal(qt.q, np.zeros((2, 4), dtype=np.int32))
-    assert np.all(qt.scales == cfg.scale_floor)
+    assert np.all(qt.scales == DEFAULT_SCALE_FLOOR)
     assert np.array_equal(dequantize(qt), np.zeros((2, 4)))
 
 
@@ -147,7 +146,7 @@ def test_codes_stay_in_range():
 
 def _reference_codes(x, cfg):
     # the textbook rule, written independently of the quantizer's helpers
-    scales = np.maximum(np.max(np.abs(x), axis=1) / cfg.qmax, cfg.scale_floor)
+    scales = np.maximum(np.max(np.abs(x), axis=1) / cfg.qmax, DEFAULT_SCALE_FLOOR)
     t = x / scales[:, None]
     q = np.clip(np.copysign(np.floor(np.fabs(t) + 0.5), t), cfg.qmin, cfg.qmax)
     return q.astype(np.int32), scales
