@@ -46,8 +46,8 @@ from .model import (
     save_calibset,
     save_checkpoint,
 )
-from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize, rounding_error_stats
+from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize
 from .smoothing import SmoothScale, apply_smoothing, fuse_into_predecessor, power_scale, sqrt_scale
-from .tensor import Rng, matmul, rand_normal, rand_uniform
+from .tensor import Rng, matmul, rand_normal
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -174,9 +174,10 @@ def search_ratio(
         raise ShapeError(f"layer {layer.name!r}: inputs differ: {q_inputs.shape} vs {fp_inputs.shape}")
     y_fp = _batch_fp(layer, fp_inputs)
     curve = []
+    x_hat = np.empty(q_inputs.shape)
     for r in grid.points():
         scale = power_scale(x_stat, r)
-        y_q = apply_linear_quant(layer, q_inputs, scale, cfg_w, cfg_a)
+        y_q = apply_linear_quant(layer, q_inputs, scale, cfg_w, cfg_a, scratch=x_hat)
         y_q -= y_fp
         curve.append((r, _squared_loss_inplace(y_q)))
     return select_ratio(curve), tuple(curve)

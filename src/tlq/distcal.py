@@ -33,6 +33,7 @@ import queue
 import socket
 import struct
 import threading
+import time
 import zlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -138,12 +139,6 @@ class CalMessage:
     reason: str | None = None  # abort
 
 
-def _encode_tensor(t: np.ndarray) -> bytes:
-    payload = np.ascontiguousarray(t, dtype="<f8").tobytes()
-    head = struct.pack("<B", t.ndim) + b"".join(struct.pack("<I", d) for d in t.shape)
-    return head + struct.pack("<I", zlib.crc32(payload)) + payload
-
-
 def _decode_tensor(c: _Reader) -> np.ndarray:
     (ndim,) = c.unpack("<B")
     shape = c.unpack(f"<{ndim}I")
@@ -154,36 +149,57 @@ def _decode_tensor(c: _Reader) -> np.ndarray:
     return tensor
 
 
-def encode_message(msg: CalMessage) -> bytes:
-    body = [struct.pack("<BHHQ", _KIND_CODES[msg.kind], msg.sender, msg.receiver, msg.seq)]
+def _frame_parts(msg: CalMessage) -> list:
+    """One frame as a short list of parts whose concatenation is the frame.
+
+    The length prefix and the fields are packed into the first part; a
+    tensor's payload follows as a byte view of its own (C-order, float64)
+    buffer, not a copy, and then any trailing fields.
+    """
+    head = struct.pack("<BHHQ", _KIND_CODES[msg.kind], msg.sender, msg.receiver, msg.seq)
+    tensor, tail = None, b""
     if msg.kind == "layer_output":
         stream_code = 0 if msg.stream == "fp" else 1
         ratio = float("nan") if msg.ratio is None else msg.ratio
-        body.append(struct.pack("<IBId", msg.layer, stream_code, msg.count or 0, ratio))
-        body.append(_encode_tensor(msg.tensor))
+        head += struct.pack("<IBId", msg.layer, stream_code, msg.count or 0, ratio)
+        tensor = msg.tensor
     elif msg.kind == "stat_request":
-        body.append(struct.pack("<II", msg.layer, msg.count))
-        body.append(_encode_tensor(msg.tensor))
+        head += struct.pack("<II", msg.layer, msg.count)
+        tensor = msg.tensor
     elif msg.kind == "loss_report":
-        body.append(struct.pack("<Idd", msg.layer, msg.ratio, msg.loss))
+        head += struct.pack("<Idd", msg.layer, msg.ratio, msg.loss)
     elif msg.kind == "ratio_fixed":
-        body.append(struct.pack("<Id", msg.layer, msg.ratio))
-        body.append(_encode_tensor(msg.tensor))
-        body.append(struct.pack("<I", len(msg.curve)))
-        for r, loss in msg.curve:
-            body.append(struct.pack("<dd", r, loss))
+        head += struct.pack("<Id", msg.layer, msg.ratio)
+        tensor = msg.tensor
+        tail = struct.pack("<I", len(msg.curve)) + b"".join(struct.pack("<dd", r, loss) for r, loss in msg.curve)
     elif msg.kind == "done":
         pass
     elif msg.kind == "abort":
         raw = (msg.reason or "").encode("utf-8")
-        body.append(struct.pack("<H", len(raw)) + raw)
+        head += struct.pack("<H", len(raw)) + raw
     else:
         raise ProtocolError(f"cannot encode message kind {msg.kind!r}")
-    blob = b"".join(body)
-    return struct.pack("<I", len(blob)) + blob
+    parts = [head]
+    if tensor is not None:
+        payload = np.ascontiguousarray(tensor, dtype="<f8").reshape(-1).view(np.uint8)
+        parts[0] += struct.pack(f"<B{tensor.ndim}II", tensor.ndim, *tensor.shape, zlib.crc32(payload))
+        parts.append(payload)
+    if tail:
+        parts.append(tail)
+    parts[0] = struct.pack("<I", sum(len(p) for p in parts)) + parts[0]
+    return parts
 
 
-def decode_message(blob: bytes) -> CalMessage:
+def encode_message(msg: CalMessage) -> bytes:
+    return b"".join(_frame_parts(msg))
+
+
+def decode_message(blob) -> CalMessage:
+    """Decode a frame without its length prefix.
+
+    The tensor views a writable `blob` (a received frame's private buffer)
+    and copies out of a read-only one.
+    """
     c = _Reader(blob, error=ProtocolError)
     code, sender, receiver, seq = c.unpack("<BHHQ")
     if code not in _KIND_NAMES:
@@ -326,28 +342,39 @@ class SocketTransport(_BaseTransport):
                 self._ends[(b, a)] = end_b
 
     def _send(self, msg: CalMessage, timeout: float | None) -> None:
+        """Write the frame's parts in order under one deadline for the whole frame."""
         seq = self._next_seq(msg.sender, msg.receiver)
-        frame = encode_message(replace(msg, seq=seq))
+        parts = _frame_parts(replace(msg, seq=seq))
         sock = self._ends[(msg.sender, msg.receiver)]
-        sock.settimeout(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
         try:
-            sock.sendall(frame)
+            for part in parts:
+                sock.settimeout(None if deadline is None else max(0.0, deadline - time.monotonic()))
+                sock.sendall(part)
         except OSError as exc:  # TimeoutError included: the receiver stopped reading
             raise ProtocolError(f"send to worker {msg.receiver} (sender {msg.sender}) failed: {exc}") from None
 
-    def _read_exact(self, sock: socket.socket, n: int, who: str) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
+    def _read_exact(self, sock: socket.socket, n: int, who: str) -> np.ndarray:
+        """n bytes read straight into one new buffer.
+
+        `np.empty` leaves the pages untouched, so a forged length costs
+        nothing until bytes actually arrive.
+        """
+        try:
+            buf = np.empty(n, np.uint8)
+        except MemoryError:
+            raise ProtocolError(f"cannot allocate a {n}-byte frame from {who}") from None
+        view = memoryview(buf)
+        got = 0
+        while got < n:
             try:
-                chunk = sock.recv(remaining)
+                k = sock.recv_into(view[got:])
             except TimeoutError:
                 raise ProtocolError(f"timeout waiting for {who}") from None
-            if not chunk:
+            if not k:
                 raise ProtocolError(f"connection closed while waiting for {who}")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            got += k
+        return buf
 
     def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
         sock = self._ends[(receiver, sender)]
@@ -571,8 +598,9 @@ def run_distributed_calibration(
 
         chans.send(CalMessage("stat_request", me, SCALE_WORKER, layer=layer_idx, count=len(points), tensor=stat))
         hand_off("fp", _batch_fp(lin, task.fp_inputs))
+        x_hat = np.empty(task.q_inputs.shape)
         for r in points:
-            hand_off("q", apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a), r)
+            hand_off("q", apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a, scratch=x_hat), r)
 
         fixed = coordinator.recv(SCALE_WORKER, "ratio_fixed", layer_idx)
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):

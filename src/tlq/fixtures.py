@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .layers import Activation, LayerStack, Linear, RMSNorm
-from .model import CalibrationSet, ProxyLossSpec, apply_layer_fp, backward_token_grads
-from .importance import token_importance_sums
+from .model import CalibrationSet
 from .tensor import Rng, rand_normal
 
 # plant strengths; tests pin fixtures through these values
@@ -173,52 +172,3 @@ def build_calibset(
         acts[b, :n_vis] = rows
     return CalibrationSet(acts, modality)
 
-
-# --- fixture self-checks (the tests check the planted structure with these) ---
-
-
-def first_linear_inputs(stack: LayerStack, calib: CalibrationSet) -> np.ndarray:
-    """Activations entering the first linear layer, stacked over the batch."""
-    first_linear = next(i for i, l in enumerate(stack.layers) if isinstance(l, Linear))
-    out = []
-    for b in range(calib.batch):
-        x = calib.activations[b]
-        for layer in stack.layers[:first_linear]:
-            x = apply_layer_fp(layer, x)
-        out.append(x)
-    return np.stack(out)
-
-
-def outlier_absmax_ratio(stack: LayerStack, calib: CalibrationSet, profile: PlantProfile) -> float:
-    """Smallest planted-channel absmax over the median channel absmax."""
-    pooled = np.abs(first_linear_inputs(stack, calib)).max(axis=(0, 1))
-    return float(pooled[profile.outlier_channels].min() / np.median(pooled))
-
-
-def modality_gradient_ratio(
-    stack: LayerStack, calib: CalibrationSet, loss: ProxyLossSpec = ProxyLossSpec()
-) -> float:
-    """Mean visual-token gradient magnitude over mean text-token magnitude.
-
-    Measured at the first linear layer's input, aggregated over the batch.
-    """
-    first_linear = next(i for i, l in enumerate(stack.layers) if isinstance(l, Linear))
-    sums = token_importance_sums(backward_token_grads(stack, x, loss) for x in calib.activations)[first_linear]
-    visual = calib.modality[0] == 1
-    if not visual.any() or visual.all():
-        raise ConfigError("gradient ratio needs both visual and text tokens")
-    return float(sums[visual].mean() / sums[~visual].mean())
-
-
-def min_visual_cosine(calib: CalibrationSet) -> float:
-    """Minimum pairwise cosine among each sample's visual tokens."""
-    worst = 1.0
-    for b in range(calib.batch):
-        rows = calib.activations[b][calib.modality[b] == 1]
-        if rows.shape[0] < 2:
-            continue
-        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-        cos = unit @ unit.T
-        off = cos[~np.eye(cos.shape[0], dtype=bool)]
-        worst = min(worst, float(off.min()))
-    return worst

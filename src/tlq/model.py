@@ -112,6 +112,7 @@ def apply_linear_quant(
     scale: SmoothScale,
     cfg_w: QuantConfig,
     cfg_a: QuantConfig,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Quantization-exposed linear layer on a (B, N, C) batch: Qa(x/s) against Qw(W*s), plus bias.
 
@@ -121,7 +122,10 @@ def apply_linear_quant(
     because the bytes of a flattened matmul depend on the BLAS. Every call
     returns a new array: the in-process transport queues outputs by
     reference, so a buffer reused across grid points would be overwritten
-    while still in flight.
+    while still in flight. The quantized activations are only a temporary,
+    so a grid search passes one float64 `scratch` of the inputs' shape for
+    all its points; without it each point allocates, and frees, one more
+    batch-sized array, whose fresh pages cost page faults.
     """
     c_in = layer.weight.shape[1]
     if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,):
@@ -131,7 +135,7 @@ def apply_linear_quant(
         )
     w_hat = layer.weight * scale.values
     _qdq_inplace(w_hat, cfg_w)
-    x_hat = (xs / scale.values).reshape(-1, c_in)
+    x_hat = np.divide(xs, scale.values, out=scratch).reshape(-1, c_in)
     _qdq_inplace(x_hat, cfg_a)
     out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
     for x_b, out_b in zip(x_hat.reshape(xs.shape), out):
@@ -257,11 +261,11 @@ class _Reader:
 
     Files fail with CheckpointError and its code ("truncated", "trailing");
     wire frames pass `error=ProtocolError`, which takes the code into its
-    message.
+    message. Fields are memoryview slices of the payload, not copies.
     """
 
-    def __init__(self, data: bytes, error: type[TlqError] = CheckpointError):
-        self.data = data
+    def __init__(self, data, error: type[TlqError] = CheckpointError):
+        self.data = memoryview(data)
         self.pos = 0
         self.error = error
 
@@ -270,7 +274,7 @@ class _Reader:
             return CheckpointError(code, message)
         return self.error(f"{code}: {message}")
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise self._fail("truncated", f"payload ends at byte {len(self.data)}, needed {self.pos + n}")
         out = self.data[self.pos : self.pos + n]
@@ -284,12 +288,19 @@ class _Reader:
         return self.unpack("<I")[0]
 
     def array(self, dtype: str, *shape: int) -> np.ndarray:
-        """A row-major array; a shape numpy cannot hold fails as "bad_dims"."""
+        """A row-major array; a shape numpy cannot hold fails as "bad_dims".
+
+        A writable payload is taken to be a private buffer (a received
+        frame), so the array views it; a read-only one (`bytes`) is copied.
+        Either way the array is writable and shares no memory with anything
+        the caller still reads.
+        """
         data = self.take(np.dtype(dtype).itemsize * math.prod(shape))
         try:
-            return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            out = np.frombuffer(data, dtype=dtype).reshape(shape)
         except ValueError:  # a zero dimension beside huge ones, or ndim > 64
             raise self._fail("bad_dims", f"shape {shape} cannot be allocated") from None
+        return out if out.flags.writeable else out.copy()
 
     def f64s(self, *shape: int) -> np.ndarray:
         return self.array("<f8", *shape)
@@ -297,7 +308,7 @@ class _Reader:
     def text(self, n: int) -> str:
         """n bytes of UTF-8; anything else is the payload's own error ("bad_text")."""
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise self._fail("bad_text", f"invalid UTF-8 at byte {self.pos - n + exc.start}") from None
 

@@ -126,21 +126,3 @@ def _qdq_inplace(x: np.ndarray, cfg: QuantConfig) -> None:
         block += 0.0
         block *= scales[:, None]
 
-
-@dataclass(frozen=True)
-class ErrorStats:
-    mean: float
-    variance: float
-    predicted_variance: float
-
-
-def rounding_error_stats(x: np.ndarray, cfg: QuantConfig) -> ErrorStats:
-    """Measured quantize/dequantize error moments against the uniform-noise law.
-
-    The predicted variance is pitch^2 / 12 averaged over rows, where pitch is
-    each row's actual code spacing (its scale).
-    """
-    qt = quantize(x, cfg)
-    e = dequantize(qt) - x
-    predicted = float(np.mean(qt.scales**2) / 12.0)
-    return ErrorStats(float(e.mean()), float(e.var()), predicted)

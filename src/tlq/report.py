@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import STRATEGIES, CalibrationResult, check_result_layers, scales_from_result
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import ConfigError
 from .importance import (
     SelectedTokens,
     activation_error_probe,
@@ -268,21 +268,3 @@ def heatmap_csv(rows: list, channel_indices: tuple[int, ...]) -> str:
         lines.append(f"{token},{modality},{repr(grad_sum)}," + ",".join(repr(v) for v in vals))
     return "\n".join(lines) + "\n"
 
-
-def near_zero_fraction(rows: list, rel_threshold: float = 1e-6) -> float:
-    """Share of exported tokens whose aggregated gradient is effectively zero."""
-    if not rows:
-        raise ShapeError("no heatmap rows")
-    sums = np.array([r[2] for r in rows])
-    return float(np.mean(sums < rel_threshold * sums.max()))
-
-
-def parse_heatmap_csv(text: str) -> list:
-    lines = [l for l in text.splitlines() if l]
-    if not lines or not lines[0].startswith("token,modality,grad_sum"):
-        raise CheckpointError("bad_magic", "not a heatmap CSV")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append((int(parts[0]), int(parts[1]), float(parts[2]), [float(v) for v in parts[3:]]))
-    return rows

@@ -35,11 +35,6 @@ class SmoothScale:
             raise NumericError("smoothing scale values must be finite and > 0")
 
 
-def unit_scale(channels: int) -> SmoothScale:
-    """All-ones scale (no smoothing), recorded as a ratio-0 power scale."""
-    return SmoothScale(np.ones(channels), origin="stat_ratio", ratio=0.0)
-
-
 def sqrt_scale(x_absmax: np.ndarray, w_absmax: np.ndarray) -> SmoothScale:
     """sqrt(max|X| / max|W|) per channel, both sides floored before dividing."""
     if x_absmax.shape != w_absmax.shape or x_absmax.ndim != 1:

@@ -52,14 +52,6 @@ def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-def rand_uniform(
-    rng: Rng, shape: Sequence[int], low: float = 0.0, high: float = 1.0
-) -> np.ndarray:
-    """Uniform(low, high) tensor, deterministic for a fixed (rng, shape)."""
-    shape = _check_shape(shape)
-    return rng.generator().uniform(low, high, size=shape)
-
-
 def rand_normal(
     rng: Rng, shape: Sequence[int], mean: float = 0.0, std: float = 1.0
 ) -> np.ndarray:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from helpers import rand_uniform
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
 from tlq.quantizer import dequantize, quantize
-from tlq.tensor import Rng, rand_normal, rand_uniform
+from tlq.tensor import Rng, rand_normal
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 

@@ -1,0 +1,127 @@
+"""Measurements only the tests take: planted-fixture checks, heatmap readers,
+the rounding-error law, and two small tensor builders."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from tlq.errors import CheckpointError, ConfigError, ShapeError
+from tlq.fixtures import PlantProfile
+from tlq.importance import token_importance_sums
+from tlq.layers import LayerStack, Linear
+from tlq.model import CalibrationSet, ProxyLossSpec, apply_layer_fp, backward_token_grads
+from tlq.quantizer import QuantConfig, dequantize, quantize
+from tlq.smoothing import SmoothScale
+from tlq.tensor import Rng, _check_shape
+
+# --- tensors and scales ----------------------------------------------------------
+
+
+def rand_uniform(
+    rng: Rng, shape: Sequence[int], low: float = 0.0, high: float = 1.0
+) -> np.ndarray:
+    """Uniform(low, high) tensor, deterministic for a fixed (rng, shape)."""
+    shape = _check_shape(shape)
+    return rng.generator().uniform(low, high, size=shape)
+
+
+def unit_scale(channels: int) -> SmoothScale:
+    """All-ones scale (no smoothing), recorded as a ratio-0 power scale."""
+    return SmoothScale(np.ones(channels), origin="stat_ratio", ratio=0.0)
+
+
+# --- rounding error ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ErrorStats:
+    mean: float
+    variance: float
+    predicted_variance: float
+
+
+def rounding_error_stats(x: np.ndarray, cfg: QuantConfig) -> ErrorStats:
+    """Measured quantize/dequantize error moments against the uniform-noise law.
+
+    The predicted variance is pitch^2 / 12 averaged over rows, where pitch is
+    each row's actual code spacing (its scale).
+    """
+    qt = quantize(x, cfg)
+    e = dequantize(qt) - x
+    predicted = float(np.mean(qt.scales**2) / 12.0)
+    return ErrorStats(float(e.mean()), float(e.var()), predicted)
+
+
+# --- planted-fixture checks ----------------------------------------------------------
+
+
+def first_linear_inputs(stack: LayerStack, calib: CalibrationSet) -> np.ndarray:
+    """Activations entering the first linear layer, stacked over the batch."""
+    first_linear = next(i for i, l in enumerate(stack.layers) if isinstance(l, Linear))
+    out = []
+    for b in range(calib.batch):
+        x = calib.activations[b]
+        for layer in stack.layers[:first_linear]:
+            x = apply_layer_fp(layer, x)
+        out.append(x)
+    return np.stack(out)
+
+
+def outlier_absmax_ratio(stack: LayerStack, calib: CalibrationSet, profile: PlantProfile) -> float:
+    """Smallest planted-channel absmax over the median channel absmax."""
+    pooled = np.abs(first_linear_inputs(stack, calib)).max(axis=(0, 1))
+    return float(pooled[profile.outlier_channels].min() / np.median(pooled))
+
+
+def modality_gradient_ratio(
+    stack: LayerStack, calib: CalibrationSet, loss: ProxyLossSpec = ProxyLossSpec()
+) -> float:
+    """Mean visual-token gradient magnitude over mean text-token magnitude.
+
+    Measured at the first linear layer's input, aggregated over the batch.
+    """
+    first_linear = next(i for i, l in enumerate(stack.layers) if isinstance(l, Linear))
+    sums = token_importance_sums(backward_token_grads(stack, x, loss) for x in calib.activations)[first_linear]
+    visual = calib.modality[0] == 1
+    if not visual.any() or visual.all():
+        raise ConfigError("gradient ratio needs both visual and text tokens")
+    return float(sums[visual].mean() / sums[~visual].mean())
+
+
+def min_visual_cosine(calib: CalibrationSet) -> float:
+    """Minimum pairwise cosine among each sample's visual tokens."""
+    worst = 1.0
+    for b in range(calib.batch):
+        rows = calib.activations[b][calib.modality[b] == 1]
+        if rows.shape[0] < 2:
+            continue
+        unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+        cos = unit @ unit.T
+        off = cos[~np.eye(cos.shape[0], dtype=bool)]
+        worst = min(worst, float(off.min()))
+    return worst
+
+
+# --- heatmaps ---------------------------------------------------------------------------
+
+
+def near_zero_fraction(rows: list, rel_threshold: float = 1e-6) -> float:
+    """Share of exported tokens whose aggregated gradient is effectively zero."""
+    if not rows:
+        raise ShapeError("no heatmap rows")
+    sums = np.array([r[2] for r in rows])
+    return float(np.mean(sums < rel_threshold * sums.max()))
+
+
+def parse_heatmap_csv(text: str) -> list:
+    lines = [l for l in text.splitlines() if l]
+    if not lines or not lines[0].startswith("token,modality,grad_sum"):
+        raise CheckpointError("bad_magic", "not a heatmap CSV")
+    rows = []
+    for line in lines[1:]:
+        parts = line.split(",")
+        rows.append((int(parts[0]), int(parts[1]), float(parts[2]), [float(v) for v in parts[3:]]))
+    return rows

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from conftest import random_block_stack, reference_linear_quant
+from helpers import near_zero_fraction, rand_uniform, rounding_error_stats
 from test_calibration import conditioned_layer
 from tlq.calibration import (
     RatioGrid,
@@ -32,10 +33,10 @@ from tlq.model import (
     loss_value,
     ProxyLossSpec,
 )
-from tlq.quantizer import QuantConfig, rounding_error_stats
-from tlq.report import accuracy_proxy_gap, build_heatmaps, near_zero_fraction
+from tlq.quantizer import QuantConfig
+from tlq.report import accuracy_proxy_gap, build_heatmaps
 from tlq.smoothing import SmoothScale, fuse_into_predecessor, power_scale
-from tlq.tensor import Rng, rand_normal, rand_uniform
+from tlq.tensor import Rng, rand_normal
 
 CFG_W4 = QuantConfig(4, "per_channel")
 CFG_A6 = QuantConfig(6, "per_token")

@@ -112,6 +112,10 @@ def test_batch_quant_matches_per_sample_apply_linear_quant():
     assert np.array_equal(xs, before)  # the inputs are copied, never overwritten
     # a column-major batch divides into a column-major block; its bytes must not change
     assert apply_linear_quant(lin, np.asfortranarray(xs), scale, CFG_W, CFG_A).tobytes() == want.tobytes()
+    # so must a grid search's scratch for the quantized activations
+    scratch = np.empty(xs.shape)
+    for _ in range(2):
+        assert apply_linear_quant(lin, xs, scale, CFG_W, CFG_A, scratch=scratch).tobytes() == want.tobytes()
 
 
 def test_batch_quant_returns_fresh_arrays():

@@ -5,11 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from helpers import parse_heatmap_csv
 from tlq import fixtures
 from tlq.calibration import result_from_text
 from tlq.cli import main
 from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset
-from tlq.report import parse_heatmap_csv
 
 
 def _gen_model(tmp_path, seed=1, depth=2, channels=32, name="model.ckpt"):

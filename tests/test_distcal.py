@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import math
+import resource
 import struct
 import threading
 import time
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,10 +215,144 @@ def test_transport_timeout():
 def test_socket_transport_carries_tensors_exactly():
     chans = SocketTransport([0, 1])
     t = rand_normal(Rng(2), (8, 16))
+    before = t.copy()
     chans.send(CalMessage("layer_output", 0, 1, layer=0, stream="fp", tensor=t, count=1))
+    t[...] = 0.0  # the send has returned, so its bytes are already on the wire
     got = chans.recv(1, 0, timeout=2.0)
-    assert np.array_equal(got.tensor, t)
     chans.close()
+    assert np.array_equal(got.tensor, before)
+    assert got.tensor.flags.writeable
+
+
+def _read_raw(sock, n):
+    """Exactly n bytes from a socket, as written by the peer."""
+    raw = b""
+    while len(raw) < n:
+        chunk = sock.recv(n - len(raw))
+        assert chunk, "peer closed early"
+        raw += chunk
+    return raw
+
+
+# one message of every kind; the last layer_output carries a transposed
+# (non-contiguous) view, which goes out as the bytes of its C-order copy
+_TRANSPOSED = rand_normal(Rng(3), (4, 6)).T
+_EVERY_KIND = [
+    CalMessage("layer_output", 0, 2, layer=1, stream="fp", count=3, tensor=rand_normal(Rng(4), (2, 3, 5))),
+    CalMessage("layer_output", 0, 2, layer=1, stream="q", ratio=0.25, count=3, tensor=rand_normal(Rng(5), (2, 3, 5))),
+    CalMessage("stat_request", 0, 1, layer=1, count=3, tensor=np.abs(rand_normal(Rng(6), (5,)))),
+    CalMessage("loss_report", 2, 1, layer=1, ratio=0.25, loss=1.5),
+    CalMessage("ratio_fixed", 1, 0, layer=1, ratio=0.25, tensor=np.ones(5), curve=((0.0, 2.0), (0.25, 1.5))),
+    CalMessage("done", 0, 1),
+    CalMessage("abort", 1, 0, reason="stopped – on purpose"),
+    CalMessage("layer_output", 0, 2, layer=2, stream="q", ratio=0.5, count=3, tensor=_TRANSPOSED),
+]
+
+
+# sha256 of the eight frames: the wire format is fixed, whatever the encoder does
+_EVERY_KIND_SHA256 = "84262f6bb4469cb1b22eb7a49d3a93a796cf6dd3ee2f9a7f524a7dcac4b76016"
+
+
+def test_socket_wire_bytes_are_pinned_to_encode_message():
+    assert not _TRANSPOSED.flags.c_contiguous
+    chans = SocketTransport([0, 1, 2])
+    sent = {}
+    wire = hashlib.sha256()
+    try:
+        for msg in _EVERY_KIND:
+            chans.send(msg)
+            seq = sent[(msg.sender, msg.receiver)] = sent.get((msg.sender, msg.receiver), -1) + 1
+            expected = encode_message(replace(msg, seq=seq, tensor=(
+                None if msg.tensor is None else np.ascontiguousarray(msg.tensor))))
+            raw = _read_raw(chans._ends[(msg.receiver, msg.sender)], len(expected))
+            assert raw == expected
+            wire.update(raw)
+        for sock in chans._ends.values():  # nothing beyond the frames
+            sock.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                sock.recv(1)
+    finally:
+        chans.close()
+    assert wire.hexdigest() == _EVERY_KIND_SHA256
+
+
+def test_frame_written_one_byte_at_a_time_decodes_to_the_same_message():
+    chans = SocketTransport([0, 1])
+    msg = _EVERY_KIND[4]  # ratio_fixed: fields, a tensor and a trailing curve
+    frame = encode_message(replace(msg, sender=0, receiver=1, seq=0))
+
+    def trickle():
+        for i in range(len(frame)):
+            chans._ends[(0, 1)].sendall(frame[i : i + 1])
+            time.sleep(0.0005)
+
+    writer = threading.Thread(target=trickle, daemon=True)
+    writer.start()
+    try:
+        got = chans.recv(1, 0, timeout=5.0)
+        writer.join(timeout=5.0)
+        assert not writer.is_alive()
+    finally:
+        chans.close()
+    assert (got.kind, got.seq, got.layer, got.ratio, got.curve) == ("ratio_fixed", 0, 1, 0.25, msg.curve)
+    assert np.array_equal(got.tensor, msg.tensor)
+
+
+def test_peer_closing_mid_payload_is_a_protocol_error():
+    chans = SocketTransport([0, 1])
+    frame = encode_message(CalMessage("layer_output", 0, 1, seq=0, layer=0, stream="fp", count=1, tensor=np.ones(64)))
+    chans._ends[(0, 1)].sendall(frame[: len(frame) // 2])
+    chans._ends[(0, 1)].close()
+    try:
+        with pytest.raises(ProtocolError, match="connection closed"):
+            chans.recv(1, 0, timeout=2.0)
+    finally:
+        chans.close()
+
+
+def test_forged_length_prefix_costs_no_memory_or_time():
+    # a 4 GiB length and then nothing: the receive buffer must stay untouched
+    chans = SocketTransport([0, 1])
+    chans._ends[(0, 1)].sendall(struct.pack("<I", 0xFFFFFFFF))
+    chans._ends[(0, 1)].close()
+    rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ProtocolError):
+            chans.recv(1, 0, timeout=2.0)
+    finally:
+        chans.close()
+    assert time.perf_counter() - t0 < 0.5
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_kib < 64 * 1024
+
+
+def test_unallocatable_frame_is_a_protocol_error(monkeypatch):
+    chans = SocketTransport([0, 1])
+    chans._ends[(0, 1)].sendall(struct.pack("<I", 0xFFFFFFFF))
+
+    empty = np.empty
+
+    def no_memory(n, *args, **kwargs):  # a host that cannot map 4 GiB
+        if n > 1 << 20:
+            raise MemoryError
+        return empty(n, *args, **kwargs)
+
+    monkeypatch.setattr(distcal.np, "empty", no_memory)
+    try:
+        with pytest.raises(ProtocolError, match="cannot allocate a 4294967295-byte frame"):
+            chans.recv(1, 0, timeout=2.0)
+    finally:
+        chans.close()
+
+
+def test_decode_views_a_writable_frame_and_copies_read_only_bytes():
+    frame = encode_message(replace(_EVERY_KIND[0], seq=0))[4:]
+    private = np.frombuffer(bytearray(frame), np.uint8)
+    viewed = decode_message(private).tensor
+    copied = decode_message(frame).tensor
+    assert np.shares_memory(viewed, private)
+    assert copied.flags.writeable and not np.shares_memory(copied, np.frombuffer(frame, np.uint8))
+    assert np.array_equal(viewed, copied)
 
 
 def _stat(layer):

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import min_visual_cosine, modality_gradient_ratio, outlier_absmax_ratio
 from tlq.errors import ConfigError
 from tlq.fixtures import (
     build_calibset,
     build_stack,
-    min_visual_cosine,
-    modality_gradient_ratio,
-    outlier_absmax_ratio,
     plant_profile,
 )
 from tlq.layers import Linear

@@ -1,9 +1,11 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
 
 from conftest import random_block_stack, single_linear_stack
+from helpers import rand_uniform, unit_scale
 from tlq.calibration import QuantizedLinear, QuantizedStack, load_quantized, save_quantized
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
@@ -22,8 +24,8 @@ from tlq.model import (
     save_checkpoint,
 )
 from tlq.quantizer import QuantConfig, dequantize, quantize
-from tlq.smoothing import SmoothScale, unit_scale
-from tlq.tensor import Rng, rand_normal, rand_uniform
+from tlq.smoothing import SmoothScale
+from tlq.tensor import Rng, rand_normal
 
 CFG_W8 = QuantConfig(8, "per_channel")
 CFG_A8 = QuantConfig(8, "per_token")
@@ -361,6 +363,33 @@ def test_calibset_roundtrip():
     assert np.array_equal(again.activations, acts)
     assert np.array_equal(again.modality, modality)
     assert save_calibset(again) == blob
+
+
+def _arrays(obj):
+    """Every array a layer holds, through nested dataclasses."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays(value)
+
+
+# a file is read as bytes, so every array a loader returns must be a private,
+# writable copy: (format, arrays in the file)
+@pytest.mark.parametrize("fmt, count", [("checkpoint", 3), ("artifact", 5), ("calibset", 2)])
+def test_loaded_arrays_are_writable_and_share_nothing_with_the_file(fmt, count):
+    if fmt == "calibset":
+        blob = save_calibset(CalibrationSet(rand_normal(Rng(43), (2, 3, 4)), np.ones((2, 3), dtype=np.uint8)))
+        calib = load_calibset(blob)
+        arrays = [calib.activations, calib.modality]
+    else:
+        blob, load, _ = _layer_table_file(fmt)
+        arrays = [a for layer in load(blob).layers for a in _arrays(layer)]
+    assert len(arrays) == count
+    source = np.frombuffer(blob, np.uint8)
+    for a in arrays:
+        assert a.flags.writeable
+        assert not np.shares_memory(a, source)
 
 
 def test_calibset_truncation_and_magic():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import rand_uniform, rounding_error_stats
 from tlq.errors import ConfigError, NumericError, ShapeError
 from tlq.quantizer import (
     DEFAULT_SCALE_FLOOR,
@@ -11,9 +12,8 @@ from tlq.quantizer import (
     _qdq_inplace,
     dequantize,
     quantize,
-    rounding_error_stats,
 )
-from tlq.tensor import Rng, rand_uniform
+from tlq.tensor import Rng
 
 ROWS = st.integers(1, 6)
 

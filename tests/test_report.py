@@ -4,6 +4,7 @@ from math import ceil
 import numpy as np
 import pytest
 
+from helpers import near_zero_fraction, parse_heatmap_csv
 from tlq import calibration, importance, model, report
 from tlq.calibration import (
     CalibrationWalk,
@@ -22,8 +23,6 @@ from tlq.report import (
     build_heatmaps,
     evaluate,
     heatmap_csv,
-    near_zero_fraction,
-    parse_heatmap_csv,
 )
 
 CFG_W = QuantConfig(4, "per_channel")

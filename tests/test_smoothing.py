@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rand_uniform, unit_scale
 from tlq.errors import ConfigError, NumericError, ShapeError
 from tlq.layers import Activation, Linear, RMSNorm
 from tlq.model import apply_layer_fp
@@ -12,9 +13,8 @@ from tlq.smoothing import (
     fuse_into_predecessor,
     power_scale,
     sqrt_scale,
-    unit_scale,
 )
-from tlq.tensor import Rng, rand_normal, rand_uniform
+from tlq.tensor import Rng, rand_normal
 
 
 def test_sqrt_scale_symmetric_inputs_give_ones():

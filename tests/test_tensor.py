@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from helpers import rand_uniform
 from tlq.errors import ShapeError
 from tlq.tensor import (
     Rng,
     matmul,
     rand_normal,
-    rand_uniform,
 )
 
 
