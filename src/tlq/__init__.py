@@ -47,7 +47,7 @@ from .model import (
     save_checkpoint,
 )
 from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize
-from .smoothing import SmoothScale, apply_smoothing, fuse_into_predecessor, power_scale, sqrt_scale
+from .smoothing import SmoothScale, fuse_into_predecessor, power_scale, sqrt_scale
 from .tensor import Rng, matmul, rand_normal
 
 __all__ = [name for name in dir() if not name.startswith("_")]

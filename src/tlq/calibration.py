@@ -42,7 +42,7 @@ from .importance import (
     x_stat_baselines,
     x_stat_from_tokens,
 )
-from .layers import LayerStack, Linear, RMSNorm
+from .layers import LayerStack, Linear, RMSNorm, layer_output_channels
 from .model import (
     ProxyLossSpec,
     _Reader,
@@ -53,9 +53,8 @@ from .model import (
     pack_layers,
     unpack_layers,
 )
-from .quantizer import QuantConfig, QuantizedTensor, _qdq_inplace, dequantize, quantize
+from .quantizer import QuantConfig, QuantizedTensor, quantize
 from .smoothing import SmoothScale, fuse_into_predecessor, power_scale, sqrt_scale
-from .tensor import matmul
 
 STRATEGIES = ("none", "passact1", "passact2")
 STAT_MODES = ("mean", "max", "topk", "sqrt")
@@ -126,22 +125,19 @@ class CalibrationResult:
 
 
 def layer_loss(y_fp: np.ndarray, y_q: np.ndarray) -> float:
-    """Mean over the batch of the squared L2 difference (token sum inside)."""
-    if y_fp.shape != y_q.shape:
-        raise ShapeError(f"layer loss shapes differ: {y_fp.shape} vs {y_q.shape}")
-    return _squared_loss_inplace(y_fp - y_q)
-
-
-def _squared_loss_inplace(d: np.ndarray) -> float:
-    # layer_loss of a difference d, squaring d in place
-    np.multiply(d, d, out=d)
-    if d.ndim == 3:
-        return float(np.mean(np.sum(d, axis=(1, 2))))
-    return float(np.sum(d))
+    """Batch mean of each (N, C) sample's squared L2 difference; overwrites y_q, reads y_fp."""
+    if y_fp.ndim != 3 or y_fp.shape != y_q.shape:
+        raise ShapeError(f"layer loss needs two (B, N, C) outputs of one shape, got {y_fp.shape} and {y_q.shape}")
+    y_q -= y_fp
+    np.multiply(y_q, y_q, out=y_q)
+    return float(np.mean(np.sum(y_q, axis=(1, 2))))
 
 
 def _batch_fp(layer, xs: np.ndarray) -> np.ndarray:
-    return np.stack([apply_layer_fp(layer, xs[b]) for b in range(xs.shape[0])])
+    out = np.empty((*xs.shape[:2], layer_output_channels(layer, xs.shape[2])))
+    for x_b, out_b in zip(xs, out):
+        out_b[...] = apply_layer_fp(layer, x_b)
+    return out
 
 
 def select_ratio(curve: Sequence[tuple[float, float]]) -> float:
@@ -173,13 +169,11 @@ def search_ratio(
     if q_inputs.shape != fp_inputs.shape:
         raise ShapeError(f"layer {layer.name!r}: inputs differ: {q_inputs.shape} vs {fp_inputs.shape}")
     y_fp = _batch_fp(layer, fp_inputs)
-    curve = []
-    x_hat = np.empty(q_inputs.shape)
-    for r in grid.points():
-        scale = power_scale(x_stat, r)
-        y_q = apply_linear_quant(layer, q_inputs, scale, cfg_w, cfg_a, scratch=x_hat)
-        y_q -= y_fp
-        curve.append((r, _squared_loss_inplace(y_q)))
+    # each point's y_q dies inside its loss, before the next point allocates
+    curve = [
+        (r, layer_loss(y_fp, apply_linear_quant(layer, q_inputs, power_scale(x_stat, r), cfg_w, cfg_a)))
+        for r in grid.points()
+    ]
     return select_ratio(curve), tuple(curve)
 
 
@@ -432,6 +426,7 @@ def _calibration_loop(
         scale = scale_for(stat_mode, stat, r_star)
         rows.append(LayerCalibration(task.layer.name, scale, r_star, curve))
         walk.fix_scale(scale)
+        del task  # it holds the streams fix_scale replaced; free them before the walk advances
     return CalibrationResult(
         tuple(rows), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid
     )
@@ -520,20 +515,6 @@ def quantize_with_result(
         else:
             out.append(layer)
     return QuantizedStack(tuple(out), stack.input_channels, cfg_w.bits, cfg_a.bits)
-
-
-def forward_quantized(qstack: QuantizedStack, x: np.ndarray) -> np.ndarray:
-    """Forward pass of the quantized artifact on one (tokens, channels) input."""
-    cfg_a = QuantConfig(qstack.bits_a, "per_token")
-    cur = x
-    for layer in qstack.layers:
-        if isinstance(layer, QuantizedLinear):
-            x_s = cur / layer.input_scale if layer.input_scale is not None else cur.copy()
-            _qdq_inplace(x_s, cfg_a)
-            cur = matmul(x_s, dequantize(layer.qweight).T) + layer.bias
-        else:
-            cur = apply_layer_fp(layer, cur)
-    return cur
 
 
 # --- result file format (human-readable, bit-exact floats) --------------------

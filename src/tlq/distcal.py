@@ -354,8 +354,8 @@ class SocketTransport(_BaseTransport):
         except OSError as exc:  # TimeoutError included: the receiver stopped reading
             raise ProtocolError(f"send to worker {msg.receiver} (sender {msg.sender}) failed: {exc}") from None
 
-    def _read_exact(self, sock: socket.socket, n: int, who: str) -> np.ndarray:
-        """n bytes read straight into one new buffer.
+    def _read_exact(self, sock: socket.socket, n: int, who: str, deadline: float) -> np.ndarray:
+        """n bytes read straight into one new buffer before `deadline` (monotonic).
 
         `np.empty` leaves the pages untouched, so a forged length costs
         nothing until bytes actually arrive.
@@ -368,8 +368,9 @@ class SocketTransport(_BaseTransport):
         got = 0
         while got < n:
             try:
+                sock.settimeout(max(0.0, deadline - time.monotonic()))
                 k = sock.recv_into(view[got:])
-            except TimeoutError:
+            except (TimeoutError, BlockingIOError):  # BlockingIOError: past the deadline, nothing had arrived
                 raise ProtocolError(f"timeout waiting for {who}") from None
             if not k:
                 raise ProtocolError(f"connection closed while waiting for {who}")
@@ -378,10 +379,10 @@ class SocketTransport(_BaseTransport):
 
     def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
         sock = self._ends[(receiver, sender)]
-        sock.settimeout(timeout)
+        deadline = time.monotonic() + timeout
         who = f"worker {sender} (receiver {receiver})"
-        (length,) = struct.unpack("<I", self._read_exact(sock, 4, who))
-        return decode_message(self._read_exact(sock, length, who))
+        (length,) = struct.unpack("<I", self._read_exact(sock, 4, who, deadline))
+        return decode_message(self._read_exact(sock, length, who, deadline))
 
     def close(self) -> None:
         for sock in self._ends.values():
@@ -468,16 +469,19 @@ def _scored_points(ctx: _WorkerCtx, fp: CalMessage):
     """Yield (ratio, loss) for each quantized output of fp's layer as it arrives.
 
     The reference (fp) output stays resident for the whole grid; quantized
-    outputs are charged when consumed and freed right after scoring.
+    outputs are charged when consumed, scored in place and dropped before
+    the next receive. In-process frames arrive by reference, which is safe:
+    the coordinator drops its own reference once `hand_off` returns.
     """
     layer, y_fp = fp.layer, fp.tensor
     ctx.account.alloc(y_fp.nbytes, f"y_fp[L{layer}]")
     for _ in range(fp.count):
         msg = ctx.recv(COORDINATOR, "layer_output", layer, "q")
         ctx.account.alloc(msg.tensor.nbytes, f"y_q[L{layer}]")
-        loss = layer_loss(y_fp, msg.tensor)
+        point = msg.ratio, layer_loss(y_fp, msg.tensor)
         ctx.account.free(msg.tensor.nbytes, f"y_q[L{layer}]")
-        yield msg.ratio, loss
+        del msg
+        yield point
     ctx.account.free(y_fp.nbytes, f"y_fp[L{layer}]")
 
 
@@ -598,9 +602,8 @@ def run_distributed_calibration(
 
         chans.send(CalMessage("stat_request", me, SCALE_WORKER, layer=layer_idx, count=len(points), tensor=stat))
         hand_off("fp", _batch_fp(lin, task.fp_inputs))
-        x_hat = np.empty(task.q_inputs.shape)
         for r in points:
-            hand_off("q", apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a, scratch=x_hat), r)
+            hand_off("q", apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a), r)
 
         fixed = coordinator.recv(SCALE_WORKER, "ratio_fixed", layer_idx)
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):

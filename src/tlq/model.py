@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError, TlqError
 from .layers import Activation, LayerSpec, LayerStack, Linear, RMSNorm
-from .quantizer import QuantConfig, _qdq_inplace
+from .quantizer import _QDQ_CHUNK_ELEMS, QuantConfig, _qdq_inplace
 from .smoothing import SmoothScale
 from .tensor import matmul
 
@@ -112,20 +112,16 @@ def apply_linear_quant(
     scale: SmoothScale,
     cfg_w: QuantConfig,
     cfg_a: QuantConfig,
-    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Quantization-exposed linear layer on a (B, N, C) batch: Qa(x/s) against Qw(W*s), plus bias.
 
-    Quantization is simulated (dequantize then float matmul); the claims
-    under test are about error, not integer-kernel speed. The activations
-    are quantized as one (B*N, C) block; only the gemm stays per sample,
-    because the bytes of a flattened matmul depend on the BLAS. Every call
-    returns a new array: the in-process transport queues outputs by
-    reference, so a buffer reused across grid points would be overwritten
-    while still in flight. The quantized activations are only a temporary,
-    so a grid search passes one float64 `scratch` of the inputs' shape for
-    all its points; without it each point allocates, and frees, one more
-    batch-sized array, whose fresh pages cost page faults.
+    Quantization is simulated (dequantize then float matmul). The activations
+    are divided and quantized one block of whole samples at a time, in one
+    buffer of about `_QDQ_CHUNK_ELEMS` elements that holds at least one
+    sample; the scales are per token, so the block size changes no byte.
+    The gemm stays per sample, because the bytes of a flattened matmul
+    depend on the BLAS. Every call returns a new array, because the
+    in-process transport queues outputs by reference.
     """
     c_in = layer.weight.shape[1]
     if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,):
@@ -135,11 +131,15 @@ def apply_linear_quant(
         )
     w_hat = layer.weight * scale.values
     _qdq_inplace(w_hat, cfg_w)
-    x_hat = np.divide(xs, scale.values, out=scratch).reshape(-1, c_in)
-    _qdq_inplace(x_hat, cfg_a)
     out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
-    for x_b, out_b in zip(x_hat.reshape(xs.shape), out):
-        np.matmul(x_b, w_hat.T, out=out_b)
+    samples = max(1, _QDQ_CHUNK_ELEMS // max(1, xs.shape[1] * c_in))
+    x_hat = np.empty((min(samples, xs.shape[0]), *xs.shape[1:]))
+    for start in range(0, xs.shape[0], samples):
+        x_in = xs[start : start + samples]
+        block = np.divide(x_in, scale.values, out=x_hat[: x_in.shape[0]])
+        _qdq_inplace(block.reshape(-1, c_in), cfg_a)
+        for x_b, out_b in zip(block, out[start:]):
+            np.matmul(x_b, w_hat.T, out=out_b)
     out += layer.bias
     return out
 

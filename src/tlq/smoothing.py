@@ -55,20 +55,6 @@ def power_scale(x_stat: np.ndarray, r: float) -> SmoothScale:
     return SmoothScale(np.maximum(x_stat, DEFAULT_SCALE_FLOOR) ** r, origin="stat_ratio", ratio=r)
 
 
-def apply_smoothing(
-    x: np.ndarray, w: np.ndarray, s: SmoothScale
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (x / s, w * s); x w^T is preserved up to float roundoff."""
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeError(f"apply_smoothing expects rank-2 tensors, got {x.shape} and {w.shape}")
-    c = s.values.shape[0]
-    if x.shape[1] != c or w.shape[1] != c:
-        raise ShapeError(
-            f"scale length {c} does not match activations {x.shape} / weights {w.shape}"
-        )
-    return x / s.values, w * s.values
-
-
 def fuse_into_predecessor(prev: RMSNorm | Linear, s: SmoothScale):
     """Fold division by `s` into the layer producing the smoothed activation.
 

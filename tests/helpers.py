@@ -1,5 +1,6 @@
 """Measurements only the tests take: planted-fixture checks, heatmap readers,
-the rounding-error law, and two small tensor builders."""
+the rounding-error law, two small tensor builders, and two reference
+kernels (explicit smoothing and the quantized artifact's forward pass)."""
 
 from __future__ import annotations
 
@@ -8,14 +9,15 @@ from typing import Sequence
 
 import numpy as np
 
+from tlq.calibration import QuantizedLinear, QuantizedStack
 from tlq.errors import CheckpointError, ConfigError, ShapeError
 from tlq.fixtures import PlantProfile
 from tlq.importance import token_importance_sums
 from tlq.layers import LayerStack, Linear
 from tlq.model import CalibrationSet, ProxyLossSpec, apply_layer_fp, backward_token_grads
-from tlq.quantizer import QuantConfig, dequantize, quantize
+from tlq.quantizer import QuantConfig, _qdq_inplace, dequantize, quantize
 from tlq.smoothing import SmoothScale
-from tlq.tensor import Rng, _check_shape
+from tlq.tensor import Rng, _check_shape, matmul
 
 # --- tensors and scales ----------------------------------------------------------
 
@@ -31,6 +33,37 @@ def rand_uniform(
 def unit_scale(channels: int) -> SmoothScale:
     """All-ones scale (no smoothing), recorded as a ratio-0 power scale."""
     return SmoothScale(np.ones(channels), origin="stat_ratio", ratio=0.0)
+
+
+# --- reference kernels -------------------------------------------------------------
+
+
+def apply_smoothing(
+    x: np.ndarray, w: np.ndarray, s: SmoothScale
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return (x / s, w * s); x w^T is preserved up to float roundoff."""
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"apply_smoothing expects rank-2 tensors, got {x.shape} and {w.shape}")
+    c = s.values.shape[0]
+    if x.shape[1] != c or w.shape[1] != c:
+        raise ShapeError(
+            f"scale length {c} does not match activations {x.shape} / weights {w.shape}"
+        )
+    return x / s.values, w * s.values
+
+
+def forward_quantized(qstack: QuantizedStack, x: np.ndarray) -> np.ndarray:
+    """Forward pass of the quantized artifact on one (tokens, channels) input."""
+    cfg_a = QuantConfig(qstack.bits_a, "per_token")
+    cur = x
+    for layer in qstack.layers:
+        if isinstance(layer, QuantizedLinear):
+            x_s = cur / layer.input_scale if layer.input_scale is not None else cur.copy()
+            _qdq_inplace(x_s, cfg_a)
+            cur = matmul(x_s, dequantize(layer.qweight).T) + layer.bias
+        else:
+            cur = apply_layer_fp(layer, cur)
+    return cur
 
 
 # --- rounding error ----------------------------------------------------------------

@@ -1,7 +1,11 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_block_stack, reference_linear_quant, single_linear_stack
+from helpers import forward_quantized
 from tlq.calibration import (
     CalibrationWalk,
     WalkObserver,
@@ -10,7 +14,6 @@ from tlq.calibration import (
     RatioGrid,
     calibrate,
     gradient_pass_bytes,
-    forward_quantized,
     layer_loss,
     load_quantized,
     quantize_with_result,
@@ -21,11 +24,12 @@ from tlq.calibration import (
     search_ratio,
     select_ratio,
 )
+from tlq.distcal import baseline_peak
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.layers import Activation, LayerStack, Linear
 from tlq.model import ProxyLossSpec, apply_linear_quant, forward_fp, forward_quant
-from tlq.quantizer import QuantConfig
+from tlq.quantizer import _QDQ_CHUNK_ELEMS, QuantConfig
 from tlq.smoothing import power_scale
 from tlq.tensor import Rng, rand_normal
 
@@ -60,20 +64,36 @@ def test_ratio_grid_size_is_bounded():
 
 
 def test_layer_loss_cases():
-    assert layer_loss(np.ones((2, 3)), np.ones((2, 3))) == 0.0
-    assert layer_loss(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])) == 2.0
-    a = rand_normal(Rng(1), (3, 4))
-    b = rand_normal(Rng(2), (3, 4))
-    assert layer_loss(a, b) == layer_loss(b, a)
-    with pytest.raises(ShapeError):
-        layer_loss(np.zeros((2, 2)), np.zeros((2, 3)))
+    assert layer_loss(np.ones((1, 2, 3)), np.ones((1, 2, 3))) == 0.0
+    assert layer_loss(np.array([[[1.0, 1.0]]]), np.array([[[0.0, 0.0]]])) == 2.0
+    a = rand_normal(Rng(1), (2, 3, 4))
+    b = rand_normal(Rng(2), (2, 3, 4))
+    want = float(np.mean(np.sum((a - b) ** 2, axis=(1, 2))))
+    assert layer_loss(a, b.copy()) == layer_loss(b, a.copy()) == want
+    for y_fp, y_q in [
+        (np.zeros((2, 2, 2)), np.zeros((2, 2, 3))),
+        (np.zeros((2, 3)), np.zeros((2, 3))),  # one sample's (N, C) outputs are not a batch
+        (np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 2, 2))),
+    ]:
+        with pytest.raises(ShapeError):
+            layer_loss(y_fp, y_q)
 
 
 def test_layer_loss_batch_mean():
     y1 = np.stack([np.ones((2, 2)), np.zeros((2, 2))])
     y2 = np.zeros((2, 2, 2))
     # sample losses are 4 and 0, mean 2
-    assert layer_loss(y1, y2) == 2.0
+    assert layer_loss(y1, y2.copy()) == 2.0
+    assert layer_loss(y2, y1.copy()) == 2.0
+
+
+def test_layer_loss_reads_y_fp_and_overwrites_y_q():
+    y_fp = rand_normal(Rng(3), (3, 4, 5))
+    y_q = rand_normal(Rng(4), (3, 4, 5))
+    fp_before, squared = y_fp.copy(), (y_q - y_fp) ** 2
+    layer_loss(y_fp, y_q)
+    assert y_fp.tobytes() == fp_before.tobytes()
+    assert y_q.tobytes() == squared.tobytes()  # the caller's y_q holds the squared difference
 
 
 def test_select_ratio_prefers_smallest_among_ties():
@@ -110,12 +130,26 @@ def test_batch_quant_matches_per_sample_apply_linear_quant():
     want = np.stack([reference_linear_quant(lin, xs[b], scale, CFG_W, CFG_A) for b in range(xs.shape[0])])
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(xs, before)  # the inputs are copied, never overwritten
-    # a column-major batch divides into a column-major block; its bytes must not change
+    # a column-major batch is read into the row-major sample block; its bytes must not change
     assert apply_linear_quant(lin, np.asfortranarray(xs), scale, CFG_W, CFG_A).tobytes() == want.tobytes()
-    # so must a grid search's scratch for the quantized activations
-    scratch = np.empty(xs.shape)
-    for _ in range(2):
-        assert apply_linear_quant(lin, xs, scale, CFG_W, CFG_A, scratch=scratch).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "b, n, c, block",
+    [
+        (11, 64, 64, 8),  # blocks of 8 samples, and a last block of 3
+        (3, 128, 320, 1),  # one sample exceeds the block size, so each block holds one
+    ],
+)
+def test_sample_blocks_keep_the_bytes_of_per_sample_quantization(b, n, c, block):
+    assert max(1, _QDQ_CHUNK_ELEMS // (n * c)) == block
+    lin = single_linear_stack(7, c, c).layers[0]
+    xs = rand_normal(Rng(8), (b, n, c))
+    xs[:, :, :2] *= 40.0
+    scale = power_scale(np.max(np.abs(xs.reshape(-1, c)), axis=0), 0.5)
+    got = apply_linear_quant(lin, xs, scale, CFG_W, CFG_A)
+    want = np.stack([reference_linear_quant(lin, xs[i], scale, CFG_W, CFG_A) for i in range(b)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_batch_quant_returns_fresh_arrays():
@@ -483,3 +517,24 @@ def test_lossless_grid_case_through_artifact():
     qstack = quantize_with_result(stack, res, QuantConfig(8, "per_channel"), QuantConfig(8, "per_token"))
     assert np.array_equal(forward_quantized(qstack, xs[0]), forward_fp(stack, xs[0]).output)
     assert res.layers[0].loss_curve[0][1] == 0.0
+
+
+def test_calibrate_live_peak_is_within_the_single_layer_baseline():
+    """tracemalloc's peak over a whole calibrate, above its inputs, stays within baseline_peak.
+
+    The baseline counts one layer's input, both outputs, the weights and an
+    input-sized workspace; the run needs less, because the quantized
+    activations live in a sample block and one y_q is alive at a time.
+    """
+    stack = build_stack(6, 1, 128)
+    calib = build_calibset(6, 64, 64, 128, visual_fraction=0.5)
+    start = time.monotonic()
+    tracemalloc.start()
+    try:
+        calibrate(stack, calib.activations, strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert baseline_peak((128, 128), (64, 64)) == 16_908_288
+    assert peak <= 16_908_288
+    assert time.monotonic() - start < 5.0

@@ -298,6 +298,33 @@ def test_frame_written_one_byte_at_a_time_decodes_to_the_same_message():
     assert np.array_equal(got.tensor, msg.tensor)
 
 
+def test_trickled_frame_fails_within_one_receive_timeout():
+    # one deadline per frame: a byte every 50 ms keeps each read inside 0.2 s, not the frame
+    chans = SocketTransport([0, 1])
+    frame = encode_message(CalMessage("layer_output", 0, 1, seq=0, layer=0, stream="fp", count=1, tensor=np.ones(8)))
+    stop = threading.Event()
+
+    def trickle():
+        for i in range(len(frame)):
+            if stop.wait(0.05):
+                return
+            chans._ends[(0, 1)].sendall(frame[i : i + 1])
+
+    writer = threading.Thread(target=trickle, daemon=True)
+    writer.start()
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(ProtocolError, match="timeout"):
+            chans.recv(1, 0, timeout=0.2)
+        elapsed = time.monotonic() - t0
+    finally:
+        stop.set()
+        writer.join(timeout=1.0)
+        chans.close()
+    assert elapsed < 0.5
+    assert not writer.is_alive()
+
+
 def test_peer_closing_mid_payload_is_a_protocol_error():
     chans = SocketTransport([0, 1])
     frame = encode_message(CalMessage("layer_output", 0, 1, seq=0, layer=0, stream="fp", count=1, tensor=np.ones(64)))

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_uniform, unit_scale
+from helpers import apply_smoothing, rand_uniform, unit_scale
 from tlq.errors import ConfigError, NumericError, ShapeError
 from tlq.layers import Activation, Linear, RMSNorm
 from tlq.model import apply_layer_fp
 from tlq.smoothing import (
     SmoothScale,
-    apply_smoothing,
     fuse_into_predecessor,
     power_scale,
     sqrt_scale,
