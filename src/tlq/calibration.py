@@ -15,8 +15,10 @@ strategies control which activations later layers calibrate on:
 
 Quantization-exposed batch work calls `model.apply_linear_quant`, the one
 quantized linear, which the single-sample forwards call on a batch of one.
-Full-precision batch work loops sample by sample through the layer kernels
-the single-sample forwards use.
+Full-precision batch work runs blocks of whole samples through the layer
+kernels the single-sample forwards use. A block's linear is one stacked
+matmul, which runs the per-sample gemms and keeps their bytes; a flattened
+(k*N, C) gemm would not keep them.
 
 The distributed calibrator is this single-context loop with a remote grid
 search: `calibrate` and `distcal.run_distributed_calibration` both run
@@ -46,6 +48,7 @@ from .layers import LayerStack, Linear, RMSNorm, layer_output_channels
 from .model import (
     ProxyLossSpec,
     _Reader,
+    _block_samples,
     _validate_quant_cfgs,
     apply_layer_fp,
     apply_linear_quant,
@@ -134,9 +137,15 @@ def layer_loss(y_fp: np.ndarray, y_q: np.ndarray) -> float:
 
 
 def _batch_fp(layer, xs: np.ndarray) -> np.ndarray:
+    """One full-precision layer over a (B, N, C) batch, one block of whole samples at a time.
+
+    Each block is written into the one preallocated output, so no second
+    batch-sized array is alive.
+    """
     out = np.empty((*xs.shape[:2], layer_output_channels(layer, xs.shape[2])))
-    for x_b, out_b in zip(xs, out):
-        out_b[...] = apply_layer_fp(layer, x_b)
+    samples = _block_samples(xs)
+    for start in range(0, xs.shape[0], samples):
+        out[start : start + samples] = apply_layer_fp(layer, xs[start : start + samples])
     return out
 
 

@@ -303,18 +303,32 @@ class _BaseTransport:
         pass
 
 
-class InProcessTransport(_BaseTransport):
-    """Queue-backed channels; messages cross as objects, without serialization."""
+# frames a calibration run's in-process channel holds before its sender waits
+CHANNEL_FRAMES = 2
 
-    def __init__(self, worker_ids: Sequence[int]):
+
+class InProcessTransport(_BaseTransport):
+    """Queue-backed channels; messages cross as objects, without serialization.
+
+    Each channel holds at most `frames` messages (0: no bound), so at most
+    `frames` times the largest tensor is in flight on it, unledgered.
+    `make_transport` gives calibration runs `CHANNEL_FRAMES`.
+    """
+
+    def __init__(self, worker_ids: Sequence[int], frames: int = 0):
         super().__init__(worker_ids)
         self._queues = {
-            (a, b): queue.SimpleQueue() for a in worker_ids for b in worker_ids if a != b
+            (a, b): queue.Queue(maxsize=frames) for a in worker_ids for b in worker_ids if a != b
         }
 
     def _send(self, msg: CalMessage, timeout: float | None) -> None:
         seq = self._next_seq(msg.sender, msg.receiver)
-        self._queues[(msg.sender, msg.receiver)].put(replace(msg, seq=seq))  # unbounded: never waits
+        try:
+            self._queues[(msg.sender, msg.receiver)].put(replace(msg, seq=seq), timeout=timeout)
+        except queue.Full:  # a timeout of 0 raises at once: abort_peers never waits
+            raise ProtocolError(
+                f"send to worker {msg.receiver} (sender {msg.sender}) failed: channel full for {timeout} s"
+            ) from None
 
     def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
         try:
@@ -394,7 +408,7 @@ class SocketTransport(_BaseTransport):
 
 def make_transport(name: str, worker_ids: Sequence[int]) -> _BaseTransport:
     if name == "in_process":
-        return InProcessTransport(worker_ids)
+        return InProcessTransport(worker_ids, CHANNEL_FRAMES)
     if name == "sockets":
         return SocketTransport(worker_ids)
     raise ConfigError(f"transport must be one of {TRANSPORTS}, got {name!r}")

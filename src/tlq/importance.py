@@ -26,6 +26,7 @@ from .model import (
     forward_fp,
     forward_fp_from,
     loss_value,
+    sample_sums,
 )
 from .quantizer import QuantConfig, _qdq_inplace
 from .smoothing import SmoothScale
@@ -37,11 +38,11 @@ class SelectedTokens:
     fraction: float
 
 
-def first_order_output_error(g: np.ndarray, deltas: np.ndarray) -> float:
-    """Linearized loss change sum_i g_i . delta_i for one layer's perturbation."""
+def first_order_output_error(g: np.ndarray, deltas: np.ndarray) -> float | np.ndarray:
+    """Linearized loss change sum_i g_i . delta_i for one layer's perturbation, per sample of a block."""
     if g.shape != deltas.shape:
         raise ShapeError(f"gradient shape {g.shape} != perturbation shape {deltas.shape}")
-    return float(np.sum(g * deltas))
+    return sample_sums(g * deltas)
 
 
 def channel_mean_abs(g: np.ndarray) -> np.ndarray:
@@ -125,14 +126,15 @@ def activation_error_probe(
     *,
     trace: ForwardTrace | None = None,
     grads: GradTrace | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Quantize one layer's input activation and compare loss-change estimates.
 
     Returns (first-order estimate, measured loss change) where the estimate
     is the gradient inner product with the effective input perturbation
     delta = (dequantize(quantize(x/s)) * s) - x and the measured value reruns
-    the full-precision tail on the perturbed input. A caller probing several
-    layers of one sample passes that sample's `forward_fp` trace and its
+    the full-precision tail on the perturbed input. For a (k, N, C) block of
+    samples both are (k,) arrays of per-sample values. A caller probing
+    several layers of one sample or block passes its `forward_fp` trace and
     gradients, so only the tail forward is recomputed per layer.
     """
     if trace is None:
@@ -140,9 +142,13 @@ def activation_error_probe(
     if not 0 <= layer_index < len(stack.layers):
         raise ShapeError(f"layer index {layer_index} out of range")
     x_l = trace.inputs[layer_index]
-    s = scale.values if scale is not None else np.ones(x_l.shape[1])
+    s = scale.values if scale is not None else np.ones(x_l.shape[-1])
     delta = x_l / s
-    _qdq_inplace(delta, cfg_a)
+    if delta.flags.c_contiguous:
+        _qdq_inplace(delta.reshape(-1, delta.shape[-1]), cfg_a)
+    else:  # a strided delta would reshape to a copy, so quantize each sample's view
+        for d in delta.reshape(-1, *delta.shape[-2:]):
+            _qdq_inplace(d, cfg_a)
     delta *= s
     delta -= x_l
     if grads is None:

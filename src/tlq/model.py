@@ -9,6 +9,11 @@ layers always stay in full precision.
 Gradients are computed for a scalar proxy objective on the final output;
 the token-importance machinery only needs a well-defined scalar, and the
 default 0.5*||y||^2/N needs no labels and is deterministic.
+
+The forwards, the backward and the losses take one (N, C) sample or a
+(k, N, C) block of whole samples. Every reduction runs per token over the
+last axis or per sample over the last two, so each sample of a block has
+the bytes of a one-sample call on it.
 """
 
 from __future__ import annotations
@@ -65,45 +70,61 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(y: np.ndarray) -> np.ndarray:
-    z = y - y.max(axis=1, keepdims=True)
+    z = y - y.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss_value(y: np.ndarray, spec: ProxyLossSpec) -> float:
-    n = y.shape[0]
+def sample_sums(a: np.ndarray) -> float | np.ndarray:
+    """Sum of one (N, C) sample as a float, or of each sample of a (k, N, C) block."""
+    return float(np.sum(a)) if a.ndim == 2 else np.sum(a, axis=(1, 2))
+
+
+def _labeled(y: np.ndarray, labels: np.ndarray) -> tuple:
+    """Index of every token's labeled logit; (N,) labels serve every sample of a block."""
+    return (*np.indices(y.shape[:-1], sparse=True), np.broadcast_to(labels, y.shape[:-1]))
+
+
+def loss_value(y: np.ndarray, spec: ProxyLossSpec) -> float | np.ndarray:
+    """The proxy loss of one sample, or a (k,) array of each block sample's loss."""
+    n = y.shape[-2]
     if spec.kind == "sum_sq_output":
-        return float(0.5 * np.sum(y * y) / n)
-    p = _softmax(y)
-    picked = p[np.arange(n), spec.labels]
-    return float(-np.mean(np.log(picked)))
+        return 0.5 * sample_sums(y * y) / n
+    picked = _softmax(y)[_labeled(y, spec.labels)]
+    losses = -np.mean(np.log(picked), axis=-1)
+    return float(losses) if y.ndim == 2 else losses
 
 
 def loss_grad(y: np.ndarray, spec: ProxyLossSpec) -> np.ndarray:
-    n = y.shape[0]
+    n = y.shape[-2]
     if spec.kind == "sum_sq_output":
         return y / n
     g = _softmax(y)
-    g[np.arange(n), spec.labels] -= 1.0
+    g[_labeled(y, spec.labels)] -= 1.0
     return g / n
 
 
 def apply_layer_fp(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
-    """Full-precision application of one layer to a (tokens, channels) tensor."""
+    """Full-precision application of one layer to (tokens, channels) or (samples, tokens, channels)."""
     if isinstance(layer, RMSNorm):
-        if x.shape[1] != layer.gain.shape[0]:
-            raise ShapeError(f"layer {layer.name!r}: input width {x.shape[1]} vs gain {layer.gain.shape[0]}")
-        rms = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + layer.eps)
+        if x.shape[-1] != layer.gain.shape[0]:
+            raise ShapeError(f"layer {layer.name!r}: input width {x.shape[-1]} vs gain {layer.gain.shape[0]}")
+        rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)
         return x / rms * layer.gain
     if isinstance(layer, Linear):
-        if x.shape[1] != layer.weight.shape[1]:
+        if x.shape[-1] != layer.weight.shape[1]:
             raise ShapeError(
-                f"layer {layer.name!r}: input width {x.shape[1]} vs weight {layer.weight.shape}"
+                f"layer {layer.name!r}: input width {x.shape[-1]} vs weight {layer.weight.shape}"
             )
         return matmul(x, layer.weight.T) + layer.bias
     if layer.fn == "relu":
         return np.maximum(x, 0.0)
     return x * _sigmoid(x)
+
+
+def _block_samples(xs: np.ndarray) -> int:
+    """Whole samples of a (B, N, C) batch in a block of about `_QDQ_CHUNK_ELEMS` elements, at least one."""
+    return max(1, _QDQ_CHUNK_ELEMS // max(1, xs.shape[1] * xs.shape[2]))
 
 
 def apply_linear_quant(
@@ -119,9 +140,10 @@ def apply_linear_quant(
     are divided and quantized one block of whole samples at a time, in one
     buffer of about `_QDQ_CHUNK_ELEMS` elements that holds at least one
     sample; the scales are per token, so the block size changes no byte.
-    The gemm stays per sample, because the bytes of a flattened matmul
-    depend on the BLAS. Every call returns a new array, because the
-    in-process transport queues outputs by reference.
+    Each block goes through one stacked matmul, which runs the per-sample
+    gemms and so keeps their bytes; a flattened (k*N, C) gemm would not,
+    because its bytes depend on the BLAS. Every call returns a new array,
+    because the in-process transport queues outputs by reference.
     """
     c_in = layer.weight.shape[1]
     if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,):
@@ -132,23 +154,22 @@ def apply_linear_quant(
     w_hat = layer.weight * scale.values
     _qdq_inplace(w_hat, cfg_w)
     out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
-    samples = max(1, _QDQ_CHUNK_ELEMS // max(1, xs.shape[1] * c_in))
+    samples = _block_samples(xs)
     x_hat = np.empty((min(samples, xs.shape[0]), *xs.shape[1:]))
     for start in range(0, xs.shape[0], samples):
         x_in = xs[start : start + samples]
         block = np.divide(x_in, scale.values, out=x_hat[: x_in.shape[0]])
         _qdq_inplace(block.reshape(-1, c_in), cfg_a)
-        for x_b, out_b in zip(block, out[start:]):
-            np.matmul(x_b, w_hat.T, out=out_b)
+        np.matmul(block, w_hat.T, out=out[start : start + samples])
     out += layer.bias
     return out
 
 
 def _check_input(stack: LayerStack, x: np.ndarray) -> None:
-    if x.ndim != 2:
-        raise ShapeError(f"stack input must be rank 2 (tokens x channels), got {x.shape}")
-    if x.shape[1] != stack.input_channels:
-        raise ShapeError(f"stack expects {stack.input_channels} input channels, got {x.shape[1]}")
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"stack input must be (tokens, channels) or (samples, tokens, channels), got {x.shape}")
+    if x.shape[-1] != stack.input_channels:
+        raise ShapeError(f"stack expects {stack.input_channels} input channels, got {x.shape[-1]}")
 
 
 def forward_fp(stack: LayerStack, x: np.ndarray) -> ForwardTrace:
@@ -196,7 +217,8 @@ def forward_quant(
         if isinstance(layer, Linear):
             if layer.name not in scales:
                 raise ConfigError(f"missing smoothing scale for linear layer {layer.name!r}")
-            cur = apply_linear_quant(layer, cur[None], scales[layer.name], cfg_w, cfg_a)[0]
+            y = apply_linear_quant(layer, cur if cur.ndim == 3 else cur[None], scales[layer.name], cfg_w, cfg_a)
+            cur = y if cur.ndim == 3 else y[0]
         else:
             cur = apply_layer_fp(layer, cur)
     return ForwardTrace(tuple(inputs), cur)
@@ -211,10 +233,10 @@ def _layer_input_grad(layer: LayerSpec, x: np.ndarray, g_out: np.ndarray) -> np.
         sig = _sigmoid(x)
         return g_out * sig * (1.0 + x * (1.0 - sig))
     # rmsnorm: y = g * x / r with r = sqrt(mean(x^2) + eps), per token
-    c = x.shape[1]
-    r = np.sqrt(np.mean(x * x, axis=1, keepdims=True) + layer.eps)
+    c = x.shape[-1]
+    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)
     u = g_out * layer.gain
-    return u / r - x * np.sum(u * x, axis=1, keepdims=True) / (c * r**3)
+    return u / r - x * np.sum(u * x, axis=-1, keepdims=True) / (c * r**3)
 
 
 def backward_token_grads(

@@ -1,11 +1,12 @@
 """Evaluation reports and gradient heatmap exports.
 
 The eval report scores a calibration result from one full-precision and one
-quantized forward trace per sample: per-layer reconstruction losses at the
-fixed ratios (under the result's propagation strategy), the end-to-end
-proxy-loss gap between the two passes, and the first-order estimate of each
-layer's activation-error contribution against the measured loss change.
-Reports are versioned structured text with repr()-exact floats.
+quantized forward trace per block of whole samples: per-layer
+reconstruction losses at the fixed ratios (under the result's propagation
+strategy), the end-to-end proxy-loss gap between the two passes, and the
+first-order estimate of each layer's activation-error contribution against
+the measured loss change. Reports are versioned structured text with
+repr()-exact floats.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .model import (
     forward_fp,
     forward_quant,
     loss_value,
+    sample_sums,
 )
 from .quantizer import QuantConfig
 from .tensor import Rng
@@ -86,6 +88,15 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _eval_block(stack: LayerStack, acts: np.ndarray) -> int:
+    """Samples per block of `evaluate`: the most whose three traces fit in the batch's own size.
+
+    The FP trace, its gradients and the quantized trace each hold
+    k*N*sum(widths) floats, against the batch's B*N*C.
+    """
+    return max(1, acts.shape[0] * acts.shape[2] // (3 * sum(stack.widths())))
+
+
 def evaluate(
     stack: LayerStack,
     result: CalibrationResult,
@@ -94,13 +105,15 @@ def evaluate(
 ) -> EvalReport:
     """Score a calibration result on evaluation data.
 
-    Each sample gets one FP trace `t_fp`, one backward pass over it and one
-    quantized trace `t_q`, and every number reads from those. With `t[l]` the
-    input of layer `l`, a linear's loss compares the outputs its strategy
-    calibrated on: passact1 `t_fp[l+1]` and `t_q[l+1]`; passact2 the FP layer
-    on `t_q[l]` and `t_q[l+1]`; none `t_fp[l+1]` and the quantized layer on
-    `t_fp[l]`. The batch mean of the per-sample squared sums has the bytes of
-    `calibration.layer_loss`. Totals accumulate in sample order.
+    Each block of `_eval_block` whole samples gets one FP trace `t_fp`, one
+    backward pass over it and one quantized trace `t_q`, and every number
+    reads from those. With `t[l]` the input of layer `l`, a linear's loss
+    compares the outputs its strategy calibrated on: passact1 `t_fp[l+1]`
+    and `t_q[l+1]`; passact2 the FP layer on `t_q[l]` and `t_q[l+1]`; none
+    `t_fp[l+1]` and the quantized layer on `t_fp[l]`. The batch mean of the
+    per-sample squared sums has the bytes of `calibration.layer_loss`. Every
+    kernel keeps each sample's bytes, and the per-sample values are added
+    as floats in sample order, so the report is that of a one-sample loop.
     """
     if result.strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {result.strategy!r}")
@@ -110,14 +123,15 @@ def evaluate(
     scales = scales_from_result(result)
     acts = calib.activations
     b_total = acts.shape[0]
+    k = _eval_block(stack, acts)
 
     linears = stack.linears()
     sq_sums = {lin.name: np.empty(b_total) for _, lin in linears}
     # first-order estimate vs measured loss change, per layer, summed over batch
     probes = {lin.name: [0.0, 0.0] for _, lin in linears}
     fp_total = q_total = mse_total = ce_total = 0.0
-    for b in range(b_total):
-        x = acts[b]
+    for start in range(0, b_total, k):
+        x = acts[start : start + k]
         t_fp = forward_fp(stack, x)
         grads = backward_from_trace(stack, t_fp, loss)
         t_q = forward_quant(stack, x, scales, cfg_w, cfg_a)
@@ -125,21 +139,25 @@ def evaluate(
         for idx, lin in linears:
             s = scales[lin.name]
             est, meas = activation_error_probe(stack, x, idx, cfg_a, scale=s, loss=loss, trace=t_fp, grads=grads)
-            probes[lin.name][0] += est
-            probes[lin.name][1] += meas
+            probe = probes[lin.name]
+            for e, m in zip(est.tolist(), meas.tolist()):
+                probe[0] += e
+                probe[1] += m
             if result.strategy == "passact2":
                 d = apply_layer_fp(lin, t_q.inputs[idx]) - q_vals[idx + 1]
             elif result.strategy == "passact1":
                 d = fp_vals[idx + 1] - q_vals[idx + 1]
             else:
-                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx][None], s, cfg_w, cfg_a)[0]
-            sq_sums[lin.name][b] = np.sum(d * d)
-        y_q = t_q.output
-        fp_total += loss_value(t_fp.output, loss)
-        q_total += loss_value(y_q, loss)
-        d = y_q - t_fp.output
-        mse_total += float(np.sum(d * d)) / acts.shape[1]
-        ce_total += _ce_term(t_fp.output, y_q)
+                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx], s, cfg_w, cfg_a)
+            sq_sums[lin.name][start : start + k] = sample_sums(d * d)
+        y_fp, y_q = t_fp.output, t_q.output
+        d = y_q - y_fp
+        per_sample = (loss_value(y_fp, loss), loss_value(y_q, loss), sample_sums(d * d), _ce_term(y_fp, y_q))
+        for fp_b, q_b, sq_b, ce_b in zip(*(v.tolist() for v in per_sample)):
+            fp_total += fp_b
+            q_total += q_b
+            mse_total += sq_b / acts.shape[1]
+            ce_total += ce_b
 
     fp_loss = fp_total / b_total
     quant_loss = q_total / b_total
@@ -162,9 +180,9 @@ def evaluate(
     )
 
 
-def _ce_term(y_fp: np.ndarray, y_q: np.ndarray) -> float:
-    """One sample's CE increase, labeled by the full-precision argmax."""
-    spec = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=1))
+def _ce_term(y_fp: np.ndarray, y_q: np.ndarray) -> float | np.ndarray:
+    """CE increase of one sample, or of each sample of a block, labeled by the full-precision argmax."""
+    spec = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=-1))
     return loss_value(y_q, spec) - loss_value(y_fp, spec)
 
 

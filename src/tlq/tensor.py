@@ -63,10 +63,15 @@ def rand_normal(
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two rank-2 arrays with explicit shape validation."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 inputs, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product of a rank-2 or rank-3 `a` with a rank-2 `b`, with explicit shape validation.
+
+    A rank-3 `a` is a stack of matrices, and numpy runs one gemm per slice:
+    for a C-contiguous `a` each slice has the bytes of a rank-2 call on it.
+    A flattened (k*N, C) product does not keep those bytes.
+    """
+    if a.ndim not in (2, 3) or b.ndim != 2:
+        raise ShapeError(f"matmul needs a rank-2 or rank-3 left and a rank-2 right input, got {a.shape} x {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return a @ b
 

@@ -1,6 +1,7 @@
 """Measurements only the tests take: planted-fixture checks, heatmap readers,
-the rounding-error law, two small tensor builders, and two reference
-kernels (explicit smoothing and the quantized artifact's forward pass)."""
+the rounding-error law, two small tensor builders, and three reference
+kernels (explicit smoothing, the quantized artifact's forward pass and the
+one-sample-at-a-time evaluation)."""
 
 from __future__ import annotations
 
@@ -9,12 +10,23 @@ from typing import Sequence
 
 import numpy as np
 
-from tlq.calibration import QuantizedLinear, QuantizedStack
+from tlq.calibration import CalibrationResult, QuantizedLinear, QuantizedStack, scales_from_result
 from tlq.errors import CheckpointError, ConfigError, ShapeError
 from tlq.fixtures import PlantProfile
-from tlq.importance import token_importance_sums
+from tlq.importance import activation_error_probe, token_importance_sums
 from tlq.layers import LayerStack, Linear
-from tlq.model import CalibrationSet, ProxyLossSpec, apply_layer_fp, backward_token_grads
+from tlq.model import (
+    CalibrationSet,
+    ProxyLossSpec,
+    apply_layer_fp,
+    apply_linear_quant,
+    backward_from_trace,
+    backward_token_grads,
+    forward_fp,
+    forward_quant,
+    loss_value,
+)
+from tlq.report import EvalReport, LayerEval
 from tlq.quantizer import QuantConfig, _qdq_inplace, dequantize, quantize
 from tlq.smoothing import SmoothScale
 from tlq.tensor import Rng, _check_shape, matmul
@@ -64,6 +76,59 @@ def forward_quantized(qstack: QuantizedStack, x: np.ndarray) -> np.ndarray:
         else:
             cur = apply_layer_fp(layer, cur)
     return cur
+
+
+def evaluate_per_sample(
+    stack: LayerStack,
+    result: CalibrationResult,
+    calib: CalibrationSet,
+    loss: ProxyLossSpec = ProxyLossSpec(),
+) -> EvalReport:
+    """`report.evaluate` one (N, C) sample at a time: the byte reference for its sample blocks."""
+    cfg_w = QuantConfig(result.bits_w, "per_channel")
+    cfg_a = QuantConfig(result.bits_a, "per_token")
+    scales = scales_from_result(result)
+    acts = calib.activations
+    b_total = acts.shape[0]
+    linears = stack.linears()
+    sq_sums = {lin.name: np.empty(b_total) for _, lin in linears}
+    probes = {lin.name: [0.0, 0.0] for _, lin in linears}
+    fp_total = q_total = mse_total = ce_total = 0.0
+    for b in range(b_total):
+        x = acts[b]
+        t_fp = forward_fp(stack, x)
+        grads = backward_from_trace(stack, t_fp, loss)
+        t_q = forward_quant(stack, x, scales, cfg_w, cfg_a)
+        fp_vals, q_vals = t_fp.values(), t_q.values()
+        for idx, lin in linears:
+            s = scales[lin.name]
+            est, meas = activation_error_probe(stack, x, idx, cfg_a, scale=s, loss=loss, trace=t_fp, grads=grads)
+            probes[lin.name][0] += est
+            probes[lin.name][1] += meas
+            if result.strategy == "passact2":
+                d = apply_layer_fp(lin, t_q.inputs[idx]) - q_vals[idx + 1]
+            elif result.strategy == "passact1":
+                d = fp_vals[idx + 1] - q_vals[idx + 1]
+            else:
+                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx][None], s, cfg_w, cfg_a)[0]
+            sq_sums[lin.name][b] = np.sum(d * d)
+        y_q = t_q.output
+        fp_total += loss_value(t_fp.output, loss)
+        q_total += loss_value(y_q, loss)
+        d = y_q - t_fp.output
+        mse_total += float(np.sum(d * d)) / acts.shape[1]
+        labels = ProxyLossSpec("ce_pseudo", np.argmax(t_fp.output, axis=1))
+        ce_total += loss_value(y_q, labels) - loss_value(t_fp.output, labels)
+    fp_loss = fp_total / b_total
+    quant_loss = q_total / b_total
+    rows = tuple(
+        LayerEval(row.name, row.ratio, float(np.mean(sq_sums[row.name])), *probes[row.name])
+        for row in result.layers
+    )
+    return EvalReport(
+        result.strategy, result.stat_mode, result.bits_w, result.bits_a, b_total, rows,
+        fp_loss, quant_loss, abs(quant_loss - fp_loss), mse_total / b_total, abs(ce_total) / b_total,
+    )
 
 
 # --- rounding error ----------------------------------------------------------------

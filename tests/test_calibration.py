@@ -27,8 +27,8 @@ from tlq.calibration import (
 from tlq.distcal import baseline_peak
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.fixtures import build_calibset, build_stack
-from tlq.layers import Activation, LayerStack, Linear
-from tlq.model import ProxyLossSpec, apply_linear_quant, forward_fp, forward_quant
+from tlq.layers import Activation, LayerStack, Linear, RMSNorm
+from tlq.model import ProxyLossSpec, apply_layer_fp, apply_linear_quant, forward_fp, forward_quant
 from tlq.quantizer import _QDQ_CHUNK_ELEMS, QuantConfig
 from tlq.smoothing import power_scale
 from tlq.tensor import Rng, rand_normal
@@ -517,6 +517,23 @@ def test_lossless_grid_case_through_artifact():
     qstack = quantize_with_result(stack, res, QuantConfig(8, "per_channel"), QuantConfig(8, "per_token"))
     assert np.array_equal(forward_quantized(qstack, xs[0]), forward_fp(stack, xs[0]).output)
     assert res.layers[0].loss_curve[0][1] == 0.0
+
+
+@pytest.mark.parametrize("layer", [
+    RMSNorm("norm", rand_normal(Rng(41), (17,)), 1e-6),
+    Linear("lin", rand_normal(Rng(42), (9, 17)), rand_normal(Rng(43), (9,))),
+    Activation("relu", "relu"),
+    Activation("silu", "silu"),
+], ids=lambda layer: layer.name)
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_batch_fp_has_the_bytes_of_per_sample_layers(layer, order):
+    """Three sample blocks (the last one short) give the bytes of one apply_layer_fp per sample."""
+    n = 64
+    per_block = _QDQ_CHUNK_ELEMS // (n * 17)
+    xs = np.asarray(rand_normal(Rng(44), (2 * per_block + 3, n, 17), std=3.0), order=order)
+    got = _batch_fp(layer, xs)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.stack([apply_layer_fp(layer, x) for x in xs]).tobytes()
 
 
 def test_calibrate_live_peak_is_within_the_single_layer_baseline():

@@ -212,6 +212,22 @@ def test_transport_timeout():
     socks.close()
 
 
+def test_full_in_process_channel_fails_a_send_after_its_timeout():
+    chans = InProcessTransport([0, 1], distcal.CHANNEL_FRAMES)
+    chans.send_timeout = 0.05
+    for _ in range(distcal.CHANNEL_FRAMES):
+        chans.send(CalMessage("done", 0, 1))
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="channel full"):
+        chans.send(CalMessage("done", 0, 1))
+    assert 0.05 <= time.monotonic() - start < 0.5
+    chans.send_timeout = 30.0
+    start = time.monotonic()
+    chans.abort_peers(0, "failing")  # the full channel drops the abort at once
+    assert time.monotonic() - start < 0.5
+    assert chans.recv(1, 0, timeout=1.0).kind == "done"
+
+
 def test_socket_transport_carries_tensors_exactly():
     chans = SocketTransport([0, 1])
     t = rand_normal(Rng(2), (8, 16))
@@ -429,6 +445,38 @@ def test_two_worker_in_process_equivalence():
     )
     assert result_to_text(dist) == result_to_text(single)
     assert all(w.current_bytes == 0 for w in mem.workers)
+
+
+@pytest.mark.parametrize("strategy", ["none", "passact1", "passact2"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_bounded_in_process_channels_never_deadlock(monkeypatch, workers, strategy):
+    """Every channel holds at most CHANNEL_FRAMES frames, so at most that many largest tensors are in flight."""
+    seen = []  # (frames queued, tensor bytes queued) after every put
+
+    class RecordingQueue(distcal.queue.Queue):
+        def _put(self, item):
+            super()._put(item)
+            seen.append((len(self.queue), sum(m.tensor.nbytes for m in self.queue if m.tensor is not None)))
+
+    make_transport = distcal.make_transport
+
+    def recording_transport(name, worker_ids):
+        chans = make_transport(name, worker_ids)
+        assert all(q.maxsize == distcal.CHANNEL_FRAMES for q in chans._queues.values())
+        chans._queues = {key: RecordingQueue(maxsize=q.maxsize) for key, q in chans._queues.items()}
+        return chans
+
+    monkeypatch.setattr(distcal, "make_transport", recording_transport)
+    stack, acts = _fixture(seed=8, b=6, n=8, c=16, depth=2)
+    opts = dict(strategy=strategy, stat_mode="topk", cfg_w=CFG_W, cfg_a=CFG_A)
+    start = time.monotonic()
+    dist, _ = run_distributed_calibration(stack, acts, workers=workers, transport="in_process", timeout=10.0, **opts)
+    assert time.monotonic() - start < 5.0
+    assert result_to_text(dist) == result_to_text(calibrate(stack, acts, **opts))
+    largest_frame = acts.nbytes  # every tensor is one (B, N, 16) layer input or output, or smaller
+    assert len(seen) > 2 * len(RatioGrid().points())
+    assert max(frames for frames, _ in seen) <= distcal.CHANNEL_FRAMES
+    assert max(nbytes for _, nbytes in seen) <= distcal.CHANNEL_FRAMES * largest_frame
 
 
 def test_three_worker_socket_equivalence():

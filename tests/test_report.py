@@ -1,10 +1,12 @@
 import dataclasses
+import time
+import tracemalloc
 from math import ceil
 
 import numpy as np
 import pytest
 
-from helpers import near_zero_fraction, parse_heatmap_csv
+from helpers import evaluate_per_sample, near_zero_fraction, parse_heatmap_csv
 from tlq import calibration, importance, model, report
 from tlq.calibration import (
     CalibrationWalk,
@@ -145,8 +147,10 @@ def test_layer_losses_equal_the_walk_reference(strategy):
         assert layer.loss == want[layer.name]
 
 
-def test_evaluate_runs_one_trace_and_one_backward_per_sample(monkeypatch):
-    stack, calib, res = _calibrated(seed=14, depth=3)
+def test_evaluate_runs_one_trace_and_one_backward_per_block(monkeypatch):
+    stack, calib, res = _calibrated(seed=14, depth=1, c=16, b=25)
+    k = report._eval_block(stack, calib.activations)
+    assert k == 2  # B*C // (3 * sum(widths)) = 400 // 192
     counts = {"forward": 0, "backward": 0, "quant": 0}
 
     def counted(fn, key):
@@ -170,9 +174,73 @@ def test_evaluate_runs_one_trace_and_one_backward_per_sample(monkeypatch):
 
     monkeypatch.setattr(calibration.CalibrationWalk, "__init__", no_walk)
     evaluate(stack, res, calib)
-    assert counts["forward"] == calib.batch
-    assert 0 < counts["backward"] <= calib.batch
-    assert counts["quant"] == calib.batch
+    blocks = ceil(calib.batch / k)
+    assert counts == {"forward": blocks, "backward": blocks, "quant": blocks}
+
+
+# seed, depth, channels, batch, tokens; column-major stores the batch in Fortran order
+EVAL_SHAPES = {
+    "C17-N3-B5": (21, 2, 17, 5, 3, False),
+    "B1-N1": (22, 2, 16, 1, 1, False),
+    "N700": (23, 1, 17, 3, 700, False),
+    "D8": (24, 8, 16, 4, 5, False),
+    "column-major": (25, 1, 17, 24, 3, True),
+}
+
+
+@pytest.mark.filterwarnings("ignore:token selection kept only")
+@pytest.mark.parametrize("strategy", ["none", "passact1", "passact2"])
+@pytest.mark.parametrize("shape", sorted(EVAL_SHAPES))
+def test_block_eval_has_the_bytes_of_the_per_sample_loop(monkeypatch, shape, strategy):
+    """Every block size gives the report bytes of the one-sample reference."""
+    seed, depth, c, b, n, column_major = EVAL_SHAPES[shape]
+    stack = build_stack(seed, depth, c)
+    calib = build_calibset(seed, b, n, c, visual_fraction=0.5)
+    if column_major:
+        calib = dataclasses.replace(calib, activations=np.asfortranarray(calib.activations))
+    blocks = sorted({1, 2, b})
+    for stat_mode in ("topk", "max"):
+        for bits in ((4, 6), (8, 8), (3, 4)):
+            res = calibrate(
+                stack, calib.activations, strategy=strategy, stat_mode=stat_mode,
+                cfg_w=QuantConfig(bits[0], "per_channel"), cfg_a=QuantConfig(bits[1], "per_token"),
+            )
+            want = evaluate_per_sample(stack, res, calib).to_text()
+            assert evaluate(stack, res, calib).to_text() == want
+            for k in blocks:
+                with monkeypatch.context() as m:
+                    m.setattr(report, "_eval_block", lambda stack, acts: k)
+                    assert evaluate(stack, res, calib).to_text() == want, (stat_mode, bits, k)
+
+
+@pytest.mark.parametrize("depth, channels, batch, want", [(2, 64, 128, 6), (8, 64, 32, 1), (2, 256, 32, 1)])
+def test_eval_block_fits_three_traces_in_the_batch(depth, channels, batch, want):
+    """The benchmark shapes: readme runs 6 samples per block, deep and wide one."""
+    stack = build_stack(0, depth, channels)
+    acts = np.zeros((batch, 64, channels))
+    assert report._eval_block(stack, acts) == want
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_live_peak_is_within_calibrate_s():
+    """At the deep shape a block holds one sample; blocks sized by layer width would peak 7x higher."""
+    stack = build_stack(7, 8, 64)
+    calib = build_calibset(7, 32, 64, 64, visual_fraction=0.8)
+    start = time.monotonic()
+    res, calibrate_peak = _traced_peak(lambda: calibrate(
+        stack, calib.activations, strategy="passact1", stat_mode="topk", cfg_w=CFG_W, cfg_a=CFG_A,
+    ))
+    _, evaluate_peak = _traced_peak(lambda: evaluate(stack, res, calib))
+    assert evaluate_peak <= calibrate_peak
+    assert time.monotonic() - start < 5.0
 
 
 def test_evaluate_rejects_result_for_another_stack():

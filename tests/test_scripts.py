@@ -22,6 +22,8 @@ def test_memory_demo_prints_peak_summaries():
     out = _run("memory_demo.py")
     assert out.count("tlq-memory-report v1") == 2
     assert out.count("max worker peak / baseline = ") == 2
+    assert out.count("calibrate live peak (tracemalloc) ") == 2
+    assert out.count("evaluate live peak (tracemalloc) ") == 2
 
 
 def test_run_ablation_prints_medians():
