@@ -36,6 +36,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -251,6 +252,8 @@ class _BaseTransport:
     def __init__(self, worker_ids: Sequence[int]):
         self.worker_ids = tuple(worker_ids)
         self.send_timeout: float | None = None
+        self.aborted_by: int | None = None  # the first worker to call abort_peers
+        self.abort_reason: str | None = None
         self._send_seq: dict[tuple[int, int], int] = {}
         self._recv_seq: dict[tuple[int, int], int] = {}
 
@@ -267,7 +270,12 @@ class _BaseTransport:
 
         It never waits on a full channel: the peer behind it has stopped
         reading, and waiting would add a second full timeout to the run.
+        The first abort is also recorded on the transport: it names the
+        worker whose failure is the run's cause, and in-process waits that
+        its message cannot reach stop on it.
         """
+        if self.aborted_by is None:
+            self.aborted_by, self.abort_reason = sender, f"worker {sender} aborted: {reason}"
         for peer in self.worker_ids:
             if peer != sender:
                 try:
@@ -303,40 +311,52 @@ class _BaseTransport:
         pass
 
 
-# frames a calibration run's in-process channel holds before its sender waits
+# frames an in-process channel holds before its sender waits
 CHANNEL_FRAMES = 2
+# longest wait on an in-process channel between checks for an aborted run
+_POLL_S = 0.05
 
 
 class InProcessTransport(_BaseTransport):
     """Queue-backed channels; messages cross as objects, without serialization.
 
-    Each channel holds at most `frames` messages (0: no bound), so at most
-    `frames` times the largest tensor is in flight on it, unledgered.
-    `make_transport` gives calibration runs `CHANNEL_FRAMES`.
+    Each channel holds at most `CHANNEL_FRAMES` messages, so at most that
+    many times the largest tensor is in flight on it, unledgered. A send to
+    a full channel and a receive from an empty one end as soon as any
+    worker aborts the run, with that worker's reason: a worker that failed
+    stops reading, and its abort message may not fit in a full channel.
     """
 
-    def __init__(self, worker_ids: Sequence[int], frames: int = 0):
+    def __init__(self, worker_ids: Sequence[int]):
         super().__init__(worker_ids)
         self._queues = {
-            (a, b): queue.Queue(maxsize=frames) for a in worker_ids for b in worker_ids if a != b
+            (a, b): queue.Queue(maxsize=CHANNEL_FRAMES) for a in worker_ids for b in worker_ids if a != b
         }
+
+    def _wait(self, op, timeout: float | None, failure: str):
+        """op(timeout=...) in slices of at most _POLL_S until it succeeds, the run aborts or `timeout` passes."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            left = _POLL_S if deadline is None else max(0.0, deadline - time.monotonic())
+            try:
+                return op(timeout=min(_POLL_S, left))
+            except (queue.Full, queue.Empty):
+                if self.abort_reason is not None:
+                    raise ProtocolError(self.abort_reason) from None
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise ProtocolError(failure) from None
 
     def _send(self, msg: CalMessage, timeout: float | None) -> None:
         seq = self._next_seq(msg.sender, msg.receiver)
-        try:
-            self._queues[(msg.sender, msg.receiver)].put(replace(msg, seq=seq), timeout=timeout)
-        except queue.Full:  # a timeout of 0 raises at once: abort_peers never waits
-            raise ProtocolError(
-                f"send to worker {msg.receiver} (sender {msg.sender}) failed: channel full for {timeout} s"
-            ) from None
+        self._wait(  # a timeout of 0 fails at once: abort_peers never waits
+            partial(self._queues[(msg.sender, msg.receiver)].put, replace(msg, seq=seq)), timeout,
+            f"send to worker {msg.receiver} (sender {msg.sender}) failed: channel full for {timeout} s",
+        )
 
     def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
-        try:
-            return self._queues[(sender, receiver)].get(timeout=timeout)
-        except queue.Empty:
-            raise ProtocolError(
-                f"timeout waiting for worker {sender} (receiver {receiver})"
-            ) from None
+        return self._wait(
+            self._queues[(sender, receiver)].get, timeout, f"timeout waiting for worker {sender} (receiver {receiver})"
+        )
 
 
 class SocketTransport(_BaseTransport):
@@ -408,7 +428,7 @@ class SocketTransport(_BaseTransport):
 
 def make_transport(name: str, worker_ids: Sequence[int]) -> _BaseTransport:
     if name == "in_process":
-        return InProcessTransport(worker_ids, CHANNEL_FRAMES)
+        return InProcessTransport(worker_ids)
     if name == "sockets":
         return SocketTransport(worker_ids)
     raise ConfigError(f"transport must be one of {TRANSPORTS}, got {name!r}")
@@ -636,7 +656,9 @@ def run_distributed_calibration(
             chans.send(CalMessage("done", sender=me, receiver=wid))
     except BaseException:
         chans.abort_peers(me, "coordinator failed")
-        raise
+        if not errors or chans.aborted_by == me:
+            raise
+        # a worker failed first: its error, raised below, is the cause
     finally:
         for t in threads:
             t.join(timeout=timeout)

@@ -144,11 +144,8 @@ def activation_error_probe(
     x_l = trace.inputs[layer_index]
     s = scale.values if scale is not None else np.ones(x_l.shape[-1])
     delta = x_l / s
-    if delta.flags.c_contiguous:
-        _qdq_inplace(delta.reshape(-1, delta.shape[-1]), cfg_a)
-    else:  # a strided delta would reshape to a copy, so quantize each sample's view
-        for d in delta.reshape(-1, *delta.shape[-2:]):
-            _qdq_inplace(d, cfg_a)
+    for d in delta.reshape(-1, *delta.shape[-2:]):  # each sample's view, quantized in place
+        _qdq_inplace(d, cfg_a)
     delta *= s
     delta -= x_l
     if grads is None:

@@ -27,7 +27,7 @@ from tlq.distcal import (
     encode_message,
     run_distributed_calibration,
 )
-from tlq.errors import ConfigError, LedgerError, ProtocolError
+from tlq.errors import ConfigError, LedgerError, NumericError, ProtocolError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.quantizer import QuantConfig
 from tlq.tensor import Rng, rand_normal
@@ -213,7 +213,7 @@ def test_transport_timeout():
 
 
 def test_full_in_process_channel_fails_a_send_after_its_timeout():
-    chans = InProcessTransport([0, 1], distcal.CHANNEL_FRAMES)
+    chans = InProcessTransport([0, 1])
     chans.send_timeout = 0.05
     for _ in range(distcal.CHANNEL_FRAMES):
         chans.send(CalMessage("done", 0, 1))
@@ -420,11 +420,14 @@ def _output(stream, layer):
 ])
 def test_worker_rejects_out_of_phase_message(workers, messages, error):
     chans = InProcessTransport(range(workers))
-    for msg in messages + [CalMessage("done", 0, 1)]:
-        chans.send(msg)
+    chans.send_timeout = 1.0
+    # up to four frames share channel 0->1, which holds two: send while the worker reads
+    sender = threading.Thread(target=lambda: [chans.send(m) for m in messages + [CalMessage("done", 0, 1)]])
+    sender.start()
     ctx = _WorkerCtx(1, chans, MemoryAccount(), timeout=1.0)
     with pytest.raises(ProtocolError, match=error):
         _cal_worker_loop(ctx)
+    sender.join()
 
 
 # --- distributed equivalence -------------------------------------------------------
@@ -477,6 +480,28 @@ def test_bounded_in_process_channels_never_deadlock(monkeypatch, workers, strate
     assert len(seen) > 2 * len(RatioGrid().points())
     assert max(frames for frames, _ in seen) <= distcal.CHANNEL_FRAMES
     assert max(nbytes for _, nbytes in seen) <= distcal.CHANNEL_FRAMES * largest_frame
+
+
+@pytest.mark.parametrize("workers, failing, fails_in", [
+    (2, 1, "layer_loss"),  # one worker holds both roles
+    (3, 2, "layer_loss"),  # the loss worker stops reading channel 0->2
+    (3, 1, "select_ratio"),  # the scale worker stops reading channel 2->1
+])
+def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, workers, failing, fails_in):
+    def fail(*args):
+        raise NumericError("injected failure")
+
+    monkeypatch.setattr(distcal, fails_in, fail)
+    stack = build_stack(6, 1, 64)
+    acts = build_calibset(6, 32, 64, 64, visual_fraction=0.5).activations  # 1 MiB outputs fill a channel
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="worker failed: injected failure") as info:
+        run_distributed_calibration(
+            stack, acts, workers=workers, transport="in_process", strategy="passact2",
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=30.0,
+        )
+    assert time.monotonic() - start < 3.0
+    assert isinstance(info.value.__cause__, NumericError)
 
 
 def test_three_worker_socket_equivalence():
