@@ -43,6 +43,8 @@ from .model import (
     forward_quant,
     load_calibset,
     load_checkpoint,
+    quantized_weight,
+    quantized_weights,
     save_calibset,
     save_checkpoint,
 )

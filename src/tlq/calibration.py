@@ -15,6 +15,9 @@ strategies control which activations later layers calibrate on:
 
 Quantization-exposed batch work calls `model.apply_linear_quant`, the one
 quantized linear, which the single-sample forwards call on a batch of one.
+It takes its weight half, Qw(W*s), built by `model.quantized_weight`:
+`search_ratio` and the distributed search build one per grid point, and
+`CalibrationWalk.fix_scale` one per fixed linear.
 Full-precision batch work runs blocks of whole samples through the layer
 kernels the single-sample forwards use. A block's linear is one stacked
 matmul, which runs the per-sample gemms and keeps their bytes; a flattened
@@ -54,6 +57,7 @@ from .model import (
     apply_linear_quant,
     backward_token_grads,
     pack_layers,
+    quantized_weight,
     unpack_layers,
 )
 from .quantizer import QuantConfig, QuantizedTensor, quantize
@@ -180,10 +184,18 @@ def search_ratio(
     y_fp = _batch_fp(layer, fp_inputs)
     # each point's y_q dies inside its loss, before the next point allocates
     curve = [
-        (r, layer_loss(y_fp, apply_linear_quant(layer, q_inputs, power_scale(x_stat, r), cfg_w, cfg_a)))
+        (r, layer_loss(y_fp, grid_point_output(layer, q_inputs, x_stat, r, cfg_w, cfg_a)))
         for r in grid.points()
     ]
     return select_ratio(curve), tuple(curve)
+
+
+def grid_point_output(
+    layer: Linear, q_inputs: np.ndarray, x_stat: np.ndarray, r: float, cfg_w: QuantConfig, cfg_a: QuantConfig
+) -> np.ndarray:
+    """The quantized output at one grid point: one weight build at scale x_stat^r, then the activation half."""
+    scale = power_scale(x_stat, r)
+    return apply_linear_quant(layer, q_inputs, scale, quantized_weight(layer, scale, cfg_w), cfg_a)
 
 
 def gradient_pass_bytes(stack: LayerStack, n_tokens: int) -> int:
@@ -368,11 +380,13 @@ class CalibrationWalk:
         updates: dict[str, np.ndarray] = {}
         if self.strategy == "none":
             updates["main"] = _batch_fp(layer, self._streams["main"])
-        elif self.strategy == "passact2":
-            updates["main"] = apply_linear_quant(layer, self._streams["main"], scale, self.cfg_w, self.cfg_a)
         else:
-            updates["fp"] = _batch_fp(layer, self._streams["fp"])
-            updates["q"] = apply_linear_quant(layer, self._streams["q"], scale, self.cfg_w, self.cfg_a)
+            w_hat = quantized_weight(layer, scale, self.cfg_w)
+            if self.strategy == "passact2":
+                updates["main"] = apply_linear_quant(layer, self._streams["main"], scale, w_hat, self.cfg_a)
+            else:
+                updates["fp"] = _batch_fp(layer, self._streams["fp"])
+                updates["q"] = apply_linear_quant(layer, self._streams["q"], scale, w_hat, self.cfg_a)
         for name, new in updates.items():
             self._replace_stream(name, new)
         self._params(self.obs.free)

@@ -48,12 +48,13 @@ from .calibration import (
     WalkObserver,
     _batch_fp,
     _calibration_loop,
+    grid_point_output,
     layer_loss,
     select_ratio,
 )
 from .errors import ConfigError, LedgerError, ProtocolError
 from .layers import LayerStack
-from .model import ProxyLossSpec, _Reader, apply_linear_quant
+from .model import ProxyLossSpec, _Reader
 from .quantizer import QuantConfig
 from .smoothing import power_scale
 
@@ -271,8 +272,8 @@ class _BaseTransport:
         It never waits on a full channel: the peer behind it has stopped
         reading, and waiting would add a second full timeout to the run.
         The first abort is also recorded on the transport: it names the
-        worker whose failure is the run's cause, and in-process waits that
-        its message cannot reach stop on it.
+        worker whose failure is the run's cause, and waits that its message
+        cannot reach stop on it, on either transport.
         """
         if self.aborted_by is None:
             self.aborted_by, self.abort_reason = sender, f"worker {sender} aborted: {reason}"
@@ -313,8 +314,13 @@ class _BaseTransport:
 
 # frames an in-process channel holds before its sender waits
 CHANNEL_FRAMES = 2
-# longest wait on an in-process channel between checks for an aborted run
+# longest wait on a channel, on either transport, between checks for an aborted run
 _POLL_S = 0.05
+
+
+def _poll_slice(deadline: float | None) -> float:
+    """The next wait: at most _POLL_S, and none past `deadline` (monotonic; None: no bound)."""
+    return _POLL_S if deadline is None else max(0.0, min(_POLL_S, deadline - time.monotonic()))
 
 
 class InProcessTransport(_BaseTransport):
@@ -337,9 +343,8 @@ class InProcessTransport(_BaseTransport):
         """op(timeout=...) in slices of at most _POLL_S until it succeeds, the run aborts or `timeout` passes."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            left = _POLL_S if deadline is None else max(0.0, deadline - time.monotonic())
             try:
-                return op(timeout=min(_POLL_S, left))
+                return op(timeout=_poll_slice(deadline))
             except (queue.Full, queue.Empty):
                 if self.abort_reason is not None:
                     raise ProtocolError(self.abort_reason) from None
@@ -364,6 +369,8 @@ class SocketTransport(_BaseTransport):
 
     Every worker pair gets one full-duplex socketpair, so tensors really
     cross a byte stream with checksums, mirroring a multi-process setup.
+    As on the in-process transport, a send or receive waits in slices of at
+    most `_POLL_S` and stops on a recorded abort, with that worker's reason.
     """
 
     def __init__(self, worker_ids: Sequence[int]):
@@ -376,17 +383,30 @@ class SocketTransport(_BaseTransport):
                 self._ends[(b, a)] = end_b
 
     def _send(self, msg: CalMessage, timeout: float | None) -> None:
-        """Write the frame's parts in order under one deadline for the whole frame."""
+        """Write the frame's parts in order under one deadline for the whole frame.
+
+        Each wait for room lasts at most `_POLL_S`, and between partial
+        writes the loop stops on a recorded abort. A timeout of 0, as
+        `abort_peers` uses, never waits.
+        """
         seq = self._next_seq(msg.sender, msg.receiver)
-        parts = _frame_parts(replace(msg, seq=seq))
         sock = self._ends[(msg.sender, msg.receiver)]
         deadline = None if timeout is None else time.monotonic() + timeout
-        try:
-            for part in parts:
-                sock.settimeout(None if deadline is None else max(0.0, deadline - time.monotonic()))
-                sock.sendall(part)
-        except OSError as exc:  # TimeoutError included: the receiver stopped reading
-            raise ProtocolError(f"send to worker {msg.receiver} (sender {msg.sender}) failed: {exc}") from None
+        failure = f"send to worker {msg.receiver} (sender {msg.sender}) failed"
+        for part in _frame_parts(replace(msg, seq=seq)):
+            view = memoryview(part).cast("B")
+            while view:
+                try:
+                    sock.settimeout(_poll_slice(deadline))
+                    view = view[sock.send(view) :]
+                except (TimeoutError, BlockingIOError):  # no room within this slice
+                    pass
+                except OSError as exc:
+                    raise ProtocolError(f"{failure}: {exc}") from None
+                if view and self.abort_reason is not None:
+                    raise ProtocolError(self.abort_reason)
+                if view and deadline is not None and time.monotonic() >= deadline:
+                    raise ProtocolError(f"{failure}: timed out")
 
     def _read_exact(self, sock: socket.socket, n: int, who: str, deadline: float) -> np.ndarray:
         """n bytes read straight into one new buffer before `deadline` (monotonic).
@@ -402,10 +422,14 @@ class SocketTransport(_BaseTransport):
         got = 0
         while got < n:
             try:
-                sock.settimeout(max(0.0, deadline - time.monotonic()))
+                sock.settimeout(_poll_slice(deadline))
                 k = sock.recv_into(view[got:])
-            except (TimeoutError, BlockingIOError):  # BlockingIOError: past the deadline, nothing had arrived
-                raise ProtocolError(f"timeout waiting for {who}") from None
+            except (TimeoutError, BlockingIOError):  # nothing arrived within this slice
+                if self.abort_reason is not None:
+                    raise ProtocolError(self.abort_reason) from None
+                if time.monotonic() >= deadline:
+                    raise ProtocolError(f"timeout waiting for {who}") from None
+                continue
             if not k:
                 raise ProtocolError(f"connection closed while waiting for {who}")
             got += k
@@ -637,7 +661,7 @@ def run_distributed_calibration(
         chans.send(CalMessage("stat_request", me, SCALE_WORKER, layer=layer_idx, count=len(points), tensor=stat))
         hand_off("fp", _batch_fp(lin, task.fp_inputs))
         for r in points:
-            hand_off("q", apply_linear_quant(lin, task.q_inputs, power_scale(stat, r), cfg_w, cfg_a), r)
+            hand_off("q", grid_point_output(lin, task.q_inputs, stat, r, cfg_w, cfg_a), r)
 
         fixed = coordinator.recv(SCALE_WORKER, "ratio_fixed", layer_idx)
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):

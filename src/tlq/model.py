@@ -6,6 +6,12 @@ quantized activations (divided by its smoothing scale) and per-channel
 quantized weights (multiplied by the same scale). Biases and non-linear
 layers always stay in full precision.
 
+The quantized linear has two halves. `quantized_weight` builds the weight
+half Qw(W*s), which depends only on the layer and its scale, as one
+read-only array; `apply_linear_quant` and `forward_quant` take built
+weights and quantize only the activations. A caller builds each weight
+once per (linear, scale) and passes it to every block or sample it runs.
+
 Gradients are computed for a scalar proxy objective on the final output;
 the token-importance machinery only needs a well-defined scalar, and the
 default 0.5*||y||^2/N needs no labels and is deterministic.
@@ -127,32 +133,68 @@ def _block_samples(xs: np.ndarray) -> int:
     return max(1, _QDQ_CHUNK_ELEMS // max(1, xs.shape[1] * xs.shape[2]))
 
 
+def _check_granularity(cfg: QuantConfig, want: str, what: str) -> None:
+    if cfg.granularity != want:
+        raise ConfigError(f"{what} quantization must be {want}")
+
+
+def quantized_weight(layer: Linear, scale: SmoothScale, cfg_w: QuantConfig) -> np.ndarray:
+    """The weight half of the quantized linear: Qw(W*s), simulated (dequantized), as a read-only array.
+
+    It depends only on the layer, its smoothing scale and `cfg_w`, so one
+    build serves every `apply_linear_quant` call at that scale; it is
+    read-only because those calls share it.
+    """
+    _check_granularity(cfg_w, "per_channel", "weight")
+    if scale.values.shape != (layer.weight.shape[1],):
+        raise ShapeError(
+            f"layer {layer.name!r}: smoothing scale {scale.values.shape} vs {layer.weight.shape[1]} input channels"
+        )
+    w_hat = layer.weight * scale.values
+    _qdq_inplace(w_hat, cfg_w)
+    w_hat.flags.writeable = False
+    return w_hat
+
+
+def quantized_weights(
+    stack: LayerStack, scales: Mapping[str, SmoothScale], cfg_w: QuantConfig
+) -> dict[str, np.ndarray]:
+    """`quantized_weight` of every linear of the stack, by name; every linear needs a scale."""
+    out = {}
+    for _, layer in stack.linears():
+        if layer.name not in scales:
+            raise ConfigError(f"missing smoothing scale for linear layer {layer.name!r}")
+        out[layer.name] = quantized_weight(layer, scales[layer.name], cfg_w)
+    return out
+
+
 def apply_linear_quant(
     layer: Linear,
     xs: np.ndarray,
     scale: SmoothScale,
-    cfg_w: QuantConfig,
+    w_hat: np.ndarray,
     cfg_a: QuantConfig,
 ) -> np.ndarray:
     """Quantization-exposed linear layer on a (B, N, C) batch: Qa(x/s) against Qw(W*s), plus bias.
 
-    Quantization is simulated (dequantize then float matmul). The activations
-    are divided and quantized one block of whole samples at a time, in one
-    buffer of about `_QDQ_CHUNK_ELEMS` elements that holds at least one
-    sample; the scales are per token, so the block size changes no byte.
-    Each block goes through one stacked matmul, which runs the per-sample
-    gemms and so keeps their bytes; a flattened (k*N, C) gemm would not,
-    because its bytes depend on the BLAS. Every call returns a new array,
-    because the in-process transport queues outputs by reference.
+    This is the activation half: `w_hat` is the weight half,
+    `quantized_weight(layer, scale, cfg_w)`, built once by the caller for
+    every call at this scale. Quantization is simulated (dequantize then
+    float matmul). The activations are divided and quantized one block of
+    whole samples at a time, in one buffer of about `_QDQ_CHUNK_ELEMS`
+    elements that holds at least one sample; the scales are per token, so
+    the block size changes no byte. Each block goes through one stacked
+    matmul, which runs the per-sample gemms and so keeps their bytes; a
+    flattened (k*N, C) gemm would not, because its bytes depend on the BLAS.
+    Every call returns a new array, because the in-process transport queues
+    outputs by reference.
     """
     c_in = layer.weight.shape[1]
-    if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,):
+    if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,) or w_hat.shape != layer.weight.shape:
         raise ShapeError(
-            f"layer {layer.name!r}: inputs {xs.shape} and smoothing scale "
-            f"{scale.values.shape} vs {c_in} input channels"
+            f"layer {layer.name!r}: inputs {xs.shape}, smoothing scale {scale.values.shape} and "
+            f"quantized weight {w_hat.shape} vs weight {layer.weight.shape}"
         )
-    w_hat = layer.weight * scale.values
-    _qdq_inplace(w_hat, cfg_w)
     out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
     samples = _block_samples(xs)
     x_hat = np.empty((min(samples, xs.shape[0]), *xs.shape[1:]))
@@ -194,30 +236,32 @@ def forward_fp_from(stack: LayerStack, start: int, x: np.ndarray) -> np.ndarray:
 
 
 def _validate_quant_cfgs(cfg_w: QuantConfig, cfg_a: QuantConfig) -> None:
-    if cfg_a.granularity != "per_token":
-        raise ConfigError("activation quantization must be per_token")
-    if cfg_w.granularity != "per_channel":
-        raise ConfigError("weight quantization must be per_channel")
+    _check_granularity(cfg_a, "per_token", "activation")
+    _check_granularity(cfg_w, "per_channel", "weight")
 
 
 def forward_quant(
     stack: LayerStack,
     x: np.ndarray,
     scales: Mapping[str, SmoothScale],
-    cfg_w: QuantConfig,
+    weights: Mapping[str, np.ndarray],
     cfg_a: QuantConfig,
 ) -> ForwardTrace:
-    """Quantization-exposed forward; every linear needs a smoothing scale."""
+    """Quantization-exposed forward; every linear needs a smoothing scale and, in `weights`, its built weight.
+
+    `quantized_weights` builds them all; the pass only reads them.
+    """
     _check_input(stack, x)
-    _validate_quant_cfgs(cfg_w, cfg_a)
+    _check_granularity(cfg_a, "per_token", "activation")
     inputs = []
     cur = x
     for layer in stack.layers:
         inputs.append(cur)
         if isinstance(layer, Linear):
-            if layer.name not in scales:
-                raise ConfigError(f"missing smoothing scale for linear layer {layer.name!r}")
-            y = apply_linear_quant(layer, cur if cur.ndim == 3 else cur[None], scales[layer.name], cfg_w, cfg_a)
+            if layer.name not in scales or layer.name not in weights:
+                raise ConfigError(f"missing smoothing scale or quantized weight for linear layer {layer.name!r}")
+            xs = cur if cur.ndim == 3 else cur[None]
+            y = apply_linear_quant(layer, xs, scales[layer.name], weights[layer.name], cfg_a)
             cur = y if cur.ndim == 3 else y[0]
         else:
             cur = apply_layer_fp(layer, cur)

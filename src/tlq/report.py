@@ -1,7 +1,8 @@
 """Evaluation reports and gradient heatmap exports.
 
 The eval report scores a calibration result from one full-precision and one
-quantized forward trace per block of whole samples: per-layer
+quantized forward trace per block of whole samples, with each linear's
+quantized weight built once per call and shared by every block: per-layer
 reconstruction losses at the fixed ratios (under the result's propagation
 strategy), the end-to-end proxy-loss gap between the two passes, and the
 first-order estimate of each layer's activation-error contribution against
@@ -35,6 +36,7 @@ from .model import (
     forward_fp,
     forward_quant,
     loss_value,
+    quantized_weights,
     sample_sums,
 )
 from .quantizer import QuantConfig
@@ -105,6 +107,7 @@ def evaluate(
 ) -> EvalReport:
     """Score a calibration result on evaluation data.
 
+    Each linear's quantized weight is built once, before the block loop.
     Each block of `_eval_block` whole samples gets one FP trace `t_fp`, one
     backward pass over it and one quantized trace `t_q`, and every number
     reads from those. With `t[l]` the input of layer `l`, a linear's loss
@@ -118,9 +121,9 @@ def evaluate(
     if result.strategy not in STRATEGIES:
         raise ConfigError(f"strategy must be one of {STRATEGIES}, got {result.strategy!r}")
     check_result_layers(stack, result)
-    cfg_w = QuantConfig(result.bits_w, "per_channel")
     cfg_a = QuantConfig(result.bits_a, "per_token")
     scales = scales_from_result(result)
+    weights = quantized_weights(stack, scales, QuantConfig(result.bits_w, "per_channel"))
     acts = calib.activations
     b_total = acts.shape[0]
     k = _eval_block(stack, acts)
@@ -134,7 +137,7 @@ def evaluate(
         x = acts[start : start + k]
         t_fp = forward_fp(stack, x)
         grads = backward_from_trace(stack, t_fp, loss)
-        t_q = forward_quant(stack, x, scales, cfg_w, cfg_a)
+        t_q = forward_quant(stack, x, scales, weights, cfg_a)
         fp_vals, q_vals = t_fp.values(), t_q.values()
         for idx, lin in linears:
             s = scales[lin.name]
@@ -148,7 +151,7 @@ def evaluate(
             elif result.strategy == "passact1":
                 d = fp_vals[idx + 1] - q_vals[idx + 1]
             else:
-                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx], s, cfg_w, cfg_a)
+                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx], s, weights[lin.name], cfg_a)
             sq_sums[lin.name][start : start + k] = sample_sums(d * d)
         y_fp, y_q = t_fp.output, t_q.output
         d = y_q - y_fp
@@ -195,14 +198,14 @@ def accuracy_proxy_gap(
     behave like a task-accuracy degradation measure: confidently classified
     tokens dominate, and dead tokens (flat logits) contribute little.
     """
-    cfg_w = QuantConfig(result.bits_w, "per_channel")
     cfg_a = QuantConfig(result.bits_a, "per_token")
     scales = scales_from_result(result)
+    weights = quantized_weights(stack, scales, QuantConfig(result.bits_w, "per_channel"))
     total = 0.0
     for b in range(calib.batch):
         x = calib.activations[b]
         y_fp = forward_fp(stack, x).output
-        total += _ce_term(y_fp, forward_quant(stack, x, scales, cfg_w, cfg_a).output)
+        total += _ce_term(y_fp, forward_quant(stack, x, scales, weights, cfg_a).output)
     return abs(total) / calib.batch
 
 

@@ -25,6 +25,7 @@ from tlq.model import (
     forward_fp,
     forward_quant,
     loss_value,
+    quantized_weights,
 )
 from tlq.report import EvalReport, LayerEval
 from tlq.quantizer import QuantConfig, _qdq_inplace, dequantize, quantize
@@ -88,6 +89,7 @@ def evaluate_per_sample(
     cfg_w = QuantConfig(result.bits_w, "per_channel")
     cfg_a = QuantConfig(result.bits_a, "per_token")
     scales = scales_from_result(result)
+    weights = quantized_weights(stack, scales, cfg_w)
     acts = calib.activations
     b_total = acts.shape[0]
     linears = stack.linears()
@@ -98,7 +100,7 @@ def evaluate_per_sample(
         x = acts[b]
         t_fp = forward_fp(stack, x)
         grads = backward_from_trace(stack, t_fp, loss)
-        t_q = forward_quant(stack, x, scales, cfg_w, cfg_a)
+        t_q = forward_quant(stack, x, scales, weights, cfg_a)
         fp_vals, q_vals = t_fp.values(), t_q.values()
         for idx, lin in linears:
             s = scales[lin.name]
@@ -110,7 +112,7 @@ def evaluate_per_sample(
             elif result.strategy == "passact1":
                 d = fp_vals[idx + 1] - q_vals[idx + 1]
             else:
-                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx][None], s, cfg_w, cfg_a)[0]
+                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx][None], s, weights[lin.name], cfg_a)[0]
             sq_sums[lin.name][b] = np.sum(d * d)
         y_q = t_q.output
         fp_total += loss_value(t_fp.output, loss)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_block_stack, reference_linear_quant, single_linear_stack
 from helpers import forward_quantized
+from tlq import calibration
 from tlq.calibration import (
     CalibrationWalk,
     WalkObserver,
@@ -28,7 +29,15 @@ from tlq.distcal import baseline_peak
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
-from tlq.model import ProxyLossSpec, apply_layer_fp, apply_linear_quant, forward_fp, forward_quant
+from tlq.model import (
+    ProxyLossSpec,
+    apply_layer_fp,
+    apply_linear_quant,
+    forward_fp,
+    forward_quant,
+    quantized_weight,
+    quantized_weights,
+)
 from tlq.quantizer import _QDQ_CHUNK_ELEMS, QuantConfig
 from tlq.smoothing import power_scale
 from tlq.tensor import Rng, rand_normal
@@ -126,12 +135,13 @@ def test_batch_quant_matches_per_sample_apply_linear_quant():
     lin, xs = _planted_layer(3, 6)
     scale = power_scale(np.max(np.abs(xs.reshape(-1, 6)), axis=0), 0.35)
     before = xs.copy()
-    got = apply_linear_quant(lin, xs, scale, CFG_W, CFG_A)
+    w_hat = quantized_weight(lin, scale, CFG_W)
+    got = apply_linear_quant(lin, xs, scale, w_hat, CFG_A)
     want = np.stack([reference_linear_quant(lin, xs[b], scale, CFG_W, CFG_A) for b in range(xs.shape[0])])
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(xs, before)  # the inputs are copied, never overwritten
     # a column-major batch is read into the row-major sample block; its bytes must not change
-    assert apply_linear_quant(lin, np.asfortranarray(xs), scale, CFG_W, CFG_A).tobytes() == want.tobytes()
+    assert apply_linear_quant(lin, np.asfortranarray(xs), scale, w_hat, CFG_A).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -147,7 +157,7 @@ def test_sample_blocks_keep_the_bytes_of_per_sample_quantization(b, n, c, block)
     xs = rand_normal(Rng(8), (b, n, c))
     xs[:, :, :2] *= 40.0
     scale = power_scale(np.max(np.abs(xs.reshape(-1, c)), axis=0), 0.5)
-    got = apply_linear_quant(lin, xs, scale, CFG_W, CFG_A)
+    got = apply_linear_quant(lin, xs, scale, quantized_weight(lin, scale, CFG_W), CFG_A)
     want = np.stack([reference_linear_quant(lin, xs[i], scale, CFG_W, CFG_A) for i in range(b)])
     assert got.tobytes() == want.tobytes()
 
@@ -156,8 +166,10 @@ def test_batch_quant_returns_fresh_arrays():
     # queued y_q frames are held by reference, so no call may reuse a buffer
     lin, xs = _planted_layer(4, 6)
     stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
-    a = apply_linear_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
-    b = apply_linear_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
+    scale = power_scale(stat, 0.5)
+    w_hat = quantized_weight(lin, scale, CFG_W)
+    a = apply_linear_quant(lin, xs, scale, w_hat, CFG_A)
+    b = apply_linear_quant(lin, xs, scale, w_hat, CFG_A)
     assert a is not b and not np.shares_memory(a, b)
     assert not np.shares_memory(a, xs)
     assert np.array_equal(a, b)
@@ -171,7 +183,31 @@ def test_search_ratio_curve_is_layer_loss_of_batch_outputs():
     _, curve = search_ratio(lin, xs, fp_in, stat, grid, CFG_W, CFG_A)
     y_fp = _batch_fp(lin, fp_in)
     for r, loss in curve:
-        assert loss == layer_loss(y_fp, apply_linear_quant(lin, xs, power_scale(stat, r), CFG_W, CFG_A))
+        scale = power_scale(stat, r)
+        assert loss == layer_loss(y_fp, apply_linear_quant(lin, xs, scale, quantized_weight(lin, scale, CFG_W), CFG_A))
+
+
+def _count_weight_builds(monkeypatch) -> list:
+    """Names of the linears whose quantized weight is built, in order, from here on."""
+    built, build = [], quantized_weight
+
+    def counted(layer, scale, cfg_w):
+        built.append(layer.name)
+        return build(layer, scale, cfg_w)
+
+    monkeypatch.setattr(calibration, "quantized_weight", counted)
+    return built
+
+
+def test_search_builds_one_weight_per_grid_point_and_fix_scale_one_per_linear(monkeypatch):
+    built = _count_weight_builds(monkeypatch)
+    lin, xs = _planted_layer(8, 6)
+    search_ratio(lin, xs, xs, np.max(np.abs(xs.reshape(-1, 6)), axis=0), RatioGrid(), CFG_W, CFG_A)
+    assert built == [lin.name] * 21
+    built.clear()
+    stack = random_block_stack(9, 2, 6)
+    calibrate(stack, _calib_inputs(10, 3, 5, 6), strategy="passact1", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+    assert built == [name for _, lin in stack.linears() for name in [lin.name] * 22]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -179,8 +215,9 @@ def test_non_finite_inputs_raise_numeric_error(bad):
     lin, xs = _planted_layer(6, 6)
     stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
     xs[1, 2, 3] = bad
+    scale = power_scale(stat, 0.5)
     with pytest.raises(NumericError):
-        apply_linear_quant(lin, xs, power_scale(stat, 0.5), CFG_W, CFG_A)
+        apply_linear_quant(lin, xs, scale, quantized_weight(lin, scale, CFG_W), CFG_A)
     with pytest.raises(NumericError):
         search_ratio(lin, xs, xs, stat, RatioGrid(), CFG_W, CFG_A)
 
@@ -188,10 +225,11 @@ def test_non_finite_inputs_raise_numeric_error(bad):
 def test_batch_kernels_reject_mismatched_shapes():
     lin, xs = _planted_layer(7, 6)
     stat = np.ones(6)
+    short, scale = power_scale(np.ones(5), 0.5), power_scale(stat, 0.5)
     with pytest.raises(ShapeError):
-        apply_linear_quant(lin, xs, power_scale(np.ones(5), 0.5), CFG_W, CFG_A)
+        apply_linear_quant(lin, xs, short, quantized_weight(lin, short, CFG_W), CFG_A)
     with pytest.raises(ShapeError):
-        apply_linear_quant(lin, xs[:, :, :5], power_scale(stat, 0.5), CFG_W, CFG_A)
+        apply_linear_quant(lin, xs[:, :, :5], scale, quantized_weight(lin, scale, CFG_W), CFG_A)
     with pytest.raises(ShapeError):
         # one fp sample would otherwise broadcast against the whole q batch
         search_ratio(lin, xs, xs[:1], stat, RatioGrid(), CFG_W, CFG_A)
@@ -272,10 +310,11 @@ def test_high_bit_calibration_reaches_fp():
     for strategy in ("none", "passact1", "passact2"):
         res = calibrate(stack, xs, strategy=strategy, stat_mode="max", cfg_w=cfg_w, cfg_a=cfg_a)
         scales = scales_from_result(res)
+        weights = quantized_weights(stack, scales, cfg_w)
         num = den = 0.0
         for b in range(xs.shape[0]):
             y_fp = forward_fp(stack, xs[b]).output
-            y_q = forward_quant(stack, xs[b], scales, cfg_w, cfg_a).output
+            y_q = forward_quant(stack, xs[b], scales, weights, cfg_a).output
             num += float(np.sum((y_fp - y_q) ** 2))
             den += float(np.sum(y_fp**2))
         assert num / den <= 1e-6
@@ -297,10 +336,11 @@ def test_passact2_stream_matches_forward_quant_prefix():
     xs = _calib_inputs(15, 3, 5, 6)
     res = calibrate(stack, xs, strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
     scales = scales_from_result(res)
+    weights = quantized_weights(stack, scales, CFG_W)
     walk = CalibrationWalk(stack, xs, "passact2", CFG_W, CFG_A)
     while (task := walk.next_linear()) is not None:
         for b in range(xs.shape[0]):
-            trace = forward_quant(stack, xs[b], scales, CFG_W, CFG_A)
+            trace = forward_quant(stack, xs[b], scales, weights, CFG_A)
             assert np.array_equal(task.q_inputs[b], trace.inputs[task.index])
         walk.fix_scale(scales[task.layer.name])
 
@@ -459,8 +499,9 @@ def test_artifact_forward_matches_forward_quant():
     res = calibrate(stack, xs, strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
     qstack = quantize_with_result(stack, res, CFG_W, CFG_A)
     scales = scales_from_result(res)
+    weights = quantized_weights(stack, scales, CFG_W)
     for b in range(xs.shape[0]):
-        want = forward_quant(stack, xs[b], scales, CFG_W, CFG_A).output
+        want = forward_quant(stack, xs[b], scales, weights, CFG_A).output
         got = forward_quantized(qstack, xs[b])
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-30)
 

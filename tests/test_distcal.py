@@ -228,6 +228,27 @@ def test_full_in_process_channel_fails_a_send_after_its_timeout():
     assert chans.recv(1, 0, timeout=1.0).kind == "done"
 
 
+def test_socket_sends_and_receives_stop_on_a_recorded_abort():
+    chans = SocketTransport([0, 1, 2])
+    chans.send_timeout = 30.0
+    frame = CalMessage("layer_output", 0, 1, layer=0, stream="fp", tensor=np.zeros((1024, 1024)), count=1)
+    timer = threading.Timer(0.2, chans.abort_peers, args=(1, "failing"))
+    timer.start()
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="worker 1 aborted: failing"):
+        chans.send(frame)  # 8 MiB fill the socket buffers, and worker 1 never reads
+    assert time.monotonic() - start < 1.0
+    timer.join()
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="worker 1 aborted: failing"):
+        chans.recv(2, 0, timeout=30.0)  # nothing arrives on channel 0->2
+    assert time.monotonic() - start < 0.5
+    start = time.monotonic()
+    chans.abort_peers(0, "failing too")  # channel 0->1 is full: that abort does not wait
+    assert time.monotonic() - start < 0.5
+    chans.close()
+
+
 def test_socket_transport_carries_tensors_exactly():
     chans = SocketTransport([0, 1])
     t = rand_normal(Rng(2), (8, 16))
@@ -482,12 +503,19 @@ def test_bounded_in_process_channels_never_deadlock(monkeypatch, workers, strate
     assert max(nbytes for _, nbytes in seen) <= distcal.CHANNEL_FRAMES * largest_frame
 
 
-@pytest.mark.parametrize("workers, failing, fails_in", [
+_FAILURES = (
     (2, 1, "layer_loss"),  # one worker holds both roles
     (3, 2, "layer_loss"),  # the loss worker stops reading channel 0->2
     (3, 1, "select_ratio"),  # the scale worker stops reading channel 2->1
+)
+
+
+@pytest.mark.parametrize("workers, failing, fails_in, transport", [
+    # an in-process case's id is its failure alone, e.g. 2-1-layer_loss
+    pytest.param(*case, transport, id="-".join(map(str, case)) + ("" if transport == "in_process" else f"-{transport}"))
+    for transport in ("in_process", "sockets") for case in _FAILURES
 ])
-def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, workers, failing, fails_in):
+def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, workers, failing, fails_in, transport):
     def fail(*args):
         raise NumericError("injected failure")
 
@@ -497,7 +525,7 @@ def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, worker
     start = time.monotonic()
     with pytest.raises(ProtocolError, match="worker failed: injected failure") as info:
         run_distributed_calibration(
-            stack, acts, workers=workers, transport="in_process", strategy="passact2",
+            stack, acts, workers=workers, transport=transport, strategy="passact2",
             stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=30.0,
         )
     assert time.monotonic() - start < 3.0

@@ -20,6 +20,8 @@ from tlq.model import (
     load_calibset,
     load_checkpoint,
     loss_value,
+    quantized_weight,
+    quantized_weights,
     save_calibset,
     save_checkpoint,
 )
@@ -77,9 +79,9 @@ def test_high_bit_quant_forward_converges_to_fp():
     stack = random_block_stack(4, 2, 8)
     x = rand_normal(Rng(5), (6, 8))
     y_fp = forward_fp(stack, x).output
-    y_q = forward_quant(
-        stack, x, _ones_scales(stack), QuantConfig(16, "per_channel"), QuantConfig(16, "per_token")
-    ).output
+    scales = _ones_scales(stack)
+    weights = quantized_weights(stack, scales, QuantConfig(16, "per_channel"))
+    y_q = forward_quant(stack, x, scales, weights, QuantConfig(16, "per_token")).output
     assert np.max(np.abs(y_q - y_fp)) <= 1e-3 * np.max(np.abs(y_fp))
 
 
@@ -89,8 +91,30 @@ def test_grid_aligned_quant_forward_is_exact():
     stack = LayerStack((Linear("lin", w * 127.0, np.zeros(2)),), 2)
     x = np.array([[127.0, -64.0], [25.0, 127.0]])
     y_fp = forward_fp(stack, x).output
-    y_q = forward_quant(stack, x, _ones_scales(stack), CFG_W8, CFG_A8).output
+    scales = _ones_scales(stack)
+    y_q = forward_quant(stack, x, scales, quantized_weights(stack, scales, CFG_W8), CFG_A8).output
     assert np.array_equal(y_fp, y_q)
+
+
+def test_built_weight_is_read_only():
+    lin = single_linear_stack(30, 5, 4).layers[0]
+    w_hat = quantized_weight(lin, SmoothScale(rand_uniform(Rng(31), (5,), 0.5, 2.0)), CFG_W8)
+    with pytest.raises(ValueError):
+        w_hat[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        w_hat *= 2.0
+
+
+def test_forward_quant_calls_sharing_built_weights_agree_and_leave_them_unchanged():
+    stack = random_block_stack(32, 2, 8)
+    x = rand_normal(Rng(33), (4, 6, 8))
+    scales = {l.name: SmoothScale(rand_uniform(Rng(34), (8,), 0.5, 2.0)) for _, l in stack.linears()}
+    weights = quantized_weights(stack, scales, QuantConfig(4, "per_channel"))
+    before = {name: w.tobytes() for name, w in weights.items()}
+    first = forward_quant(stack, x, scales, weights, CFG_A8)
+    second = forward_quant(stack, x, scales, weights, CFG_A8)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first.values(), second.values()))
+    assert {name: w.tobytes() for name, w in weights.items()} == before
 
 
 def test_single_layer_matches_hand_simulated_quantization():
@@ -105,17 +129,18 @@ def test_single_layer_matches_hand_simulated_quantization():
         @ dequantize(quantize(lin.weight * s.values, cfg_w)).T
         + lin.bias
     )
-    got = forward_quant(stack, x, {"lin": s}, cfg_w, cfg_a).output
+    got = forward_quant(stack, x, {"lin": s}, {"lin": quantized_weight(lin, s, cfg_w)}, cfg_a).output
     assert np.array_equal(got, want)
 
 
 def test_forward_quant_requires_scales_and_granularities():
     stack = single_linear_stack(9, 4, 4)
     x = rand_normal(Rng(9), (2, 4))
+    scales = _ones_scales(stack)
     with pytest.raises(ConfigError, match="lin"):
-        forward_quant(stack, x, {}, CFG_W8, CFG_A8)
+        forward_quant(stack, x, {}, {}, CFG_A8)
     with pytest.raises(ConfigError):
-        forward_quant(stack, x, _ones_scales(stack), CFG_A8, CFG_A8)
+        forward_quant(stack, x, scales, quantized_weights(stack, scales, CFG_A8), CFG_A8)
 
 
 def test_backward_single_linear_closed_form():
@@ -191,13 +216,14 @@ def test_quant_error_decreases_with_bits():
     stack = random_block_stack(26, 2, 8)
     x = rand_normal(Rng(27), (6, 8))
     y_fp = forward_fp(stack, x).output
+    scales = _ones_scales(stack)
     errs = []
     for bits in (4, 6, 8, 12):
         y_q = forward_quant(
             stack,
             x,
-            _ones_scales(stack),
-            QuantConfig(bits, "per_channel"),
+            scales,
+            quantized_weights(stack, scales, QuantConfig(bits, "per_channel")),
             QuantConfig(bits, "per_token"),
         ).output
         errs.append(float(np.max(np.abs(y_q - y_fp))))

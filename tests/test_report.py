@@ -18,7 +18,16 @@ from tlq.calibration import (
 from tlq.errors import ConfigError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.importance import activation_error_probe
-from tlq.model import ProxyLossSpec, apply_linear_quant, backward_token_grads, forward_fp, forward_quant, loss_value
+from tlq.model import (
+    ProxyLossSpec,
+    apply_linear_quant,
+    backward_token_grads,
+    forward_fp,
+    forward_quant,
+    loss_value,
+    quantized_weight,
+    quantized_weights,
+)
 from tlq.quantizer import QuantConfig
 from tlq.report import (
     accuracy_proxy_gap,
@@ -66,12 +75,13 @@ def test_report_totals_match_independent_recomputation():
     stack, calib, res = _calibrated(seed=4)
     rep = evaluate(stack, res, calib)
     scales = scales_from_result(res)
+    weights = quantized_weights(stack, scales, CFG_W)
     fp_total = q_total = 0.0
     loss = ProxyLossSpec()
     for b in range(calib.batch):
         x = calib.activations[b]
         fp_total += loss_value(forward_fp(stack, x).output, loss)
-        q_total += loss_value(forward_quant(stack, x, scales, CFG_W, CFG_A).output, loss)
+        q_total += loss_value(forward_quant(stack, x, scales, weights, CFG_A).output, loss)
     assert rep.fp_loss == pytest.approx(fp_total / calib.batch, rel=1e-12)
     assert rep.quant_loss == pytest.approx(q_total / calib.batch, rel=1e-12)
     assert rep.end_to_end_gap == pytest.approx(abs(q_total - fp_total) / calib.batch, rel=1e-9)
@@ -117,10 +127,11 @@ def test_shared_trace_eval_equals_standalone_probes(seed, depth, strategy):
         assert layer.estimate == est_total
         assert layer.measured == meas_total
     assert rep.ce_gap == accuracy_proxy_gap(stack, res, calib)
+    weights = quantized_weights(stack, scales, cfg_w)
     ce_total = 0.0
     for b in range(calib.batch):
         y_fp = forward_fp(stack, calib.activations[b]).output
-        y_q = forward_quant(stack, calib.activations[b], scales, cfg_w, cfg_a).output
+        y_q = forward_quant(stack, calib.activations[b], scales, weights, cfg_a).output
         labels = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=1))
         ce_total += loss_value(y_q, labels) - loss_value(y_fp, labels)
     assert rep.ce_gap == abs(ce_total) / calib.batch
@@ -138,7 +149,7 @@ def test_layer_losses_equal_the_walk_reference(strategy):
     while (task := walk.next_linear()) is not None:
         scale = scales[task.layer.name]
         y_fp = _batch_fp(task.layer, task.fp_inputs)
-        y_q = apply_linear_quant(task.layer, task.q_inputs, scale, cfg_w, cfg_a)
+        y_q = apply_linear_quant(task.layer, task.q_inputs, scale, quantized_weight(task.layer, scale, cfg_w), cfg_a)
         want[task.layer.name] = layer_loss(y_fp, y_q)
         walk.fix_scale(scale)
     rep = evaluate(stack, res, calib)
@@ -176,6 +187,29 @@ def test_evaluate_runs_one_trace_and_one_backward_per_block(monkeypatch):
     evaluate(stack, res, calib)
     blocks = ceil(calib.batch / k)
     assert counts == {"forward": blocks, "backward": blocks, "quant": blocks}
+
+
+@pytest.mark.parametrize("strategy", ["none", "passact2"])
+def test_evaluate_and_ce_gap_build_each_linear_weight_once(monkeypatch, strategy):
+    """One quantized weight per linear and call: 8 at depth 8 and B32, where one per block would be 256."""
+    stack = build_stack(26, 8, 16)
+    calib = build_calibset(26, 32, 4, 16, visual_fraction=0.5)
+    res = calibrate(stack, calib.activations, strategy=strategy, stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+    assert report._eval_block(stack, calib.activations) == 1
+    built, build = [], model.quantized_weight
+
+    def counted(layer, scale, cfg_w):
+        built.append(layer.name)
+        return build(layer, scale, cfg_w)
+
+    monkeypatch.setattr(model, "quantized_weight", counted)
+    names = [lin.name for _, lin in stack.linears()]
+    assert len(names) == 8
+    evaluate(stack, res, calib)
+    assert built == names
+    built.clear()
+    accuracy_proxy_gap(stack, res, calib)
+    assert built == names
 
 
 # seed, depth, channels, batch, tokens; column-major stores the batch in Fortran order
