@@ -273,7 +273,7 @@ class _BaseTransport:
         reading, and waiting would add a second full timeout to the run.
         The first abort is also recorded on the transport: it names the
         worker whose failure is the run's cause, and waits that its message
-        cannot reach stop on it, on either transport.
+        cannot reach stop on it.
         """
         if self.aborted_by is None:
             self.aborted_by, self.abort_reason = sender, f"worker {sender} aborted: {reason}"
@@ -314,7 +314,7 @@ class _BaseTransport:
 
 # frames an in-process channel holds before its sender waits
 CHANNEL_FRAMES = 2
-# longest wait on a channel, on either transport, between checks for an aborted run
+# longest wait on an in-process channel between checks for an aborted run
 _POLL_S = 0.05
 
 
@@ -369,8 +369,11 @@ class SocketTransport(_BaseTransport):
 
     Every worker pair gets one full-duplex socketpair, so tensors really
     cross a byte stream with checksums, mirroring a multi-process setup.
-    As on the in-process transport, a send or receive waits in slices of at
-    most `_POLL_S` and stops on a recorded abort, with that worker's reason.
+    A send or receive blocks in the socket until its frame has crossed or
+    its deadline passes; nothing wakes it in between. The first abort shuts
+    every socket down after the abort messages are written, so each waiting
+    send or receive ends at once, with that worker's reason; frames already
+    written stay readable.
     """
 
     def __init__(self, worker_ids: Sequence[int]):
@@ -385,28 +388,22 @@ class SocketTransport(_BaseTransport):
     def _send(self, msg: CalMessage, timeout: float | None) -> None:
         """Write the frame's parts in order under one deadline for the whole frame.
 
-        Each wait for room lasts at most `_POLL_S`, and between partial
-        writes the loop stops on a recorded abort. A timeout of 0, as
-        `abort_peers` uses, never waits.
+        A timeout of 0, as `abort_peers` uses, never waits. A send waiting
+        for room when the run is aborted fails at once with the abort's
+        reason: the abort shuts its socket down.
         """
         seq = self._next_seq(msg.sender, msg.receiver)
+        parts = _frame_parts(replace(msg, seq=seq))
         sock = self._ends[(msg.sender, msg.receiver)]
         deadline = None if timeout is None else time.monotonic() + timeout
-        failure = f"send to worker {msg.receiver} (sender {msg.sender}) failed"
-        for part in _frame_parts(replace(msg, seq=seq)):
-            view = memoryview(part).cast("B")
-            while view:
-                try:
-                    sock.settimeout(_poll_slice(deadline))
-                    view = view[sock.send(view) :]
-                except (TimeoutError, BlockingIOError):  # no room within this slice
-                    pass
-                except OSError as exc:
-                    raise ProtocolError(f"{failure}: {exc}") from None
-                if view and self.abort_reason is not None:
-                    raise ProtocolError(self.abort_reason)
-                if view and deadline is not None and time.monotonic() >= deadline:
-                    raise ProtocolError(f"{failure}: timed out")
+        try:
+            for part in parts:
+                sock.settimeout(None if deadline is None else max(0.0, deadline - time.monotonic()))
+                sock.sendall(part)
+        except OSError as exc:  # TimeoutError included: the receiver stopped reading
+            if self.abort_reason is not None:  # BrokenPipeError: the abort shut the channel
+                raise ProtocolError(self.abort_reason) from None
+            raise ProtocolError(f"send to worker {msg.receiver} (sender {msg.sender}) failed: {exc}") from None
 
     def _read_exact(self, sock: socket.socket, n: int, who: str, deadline: float) -> np.ndarray:
         """n bytes read straight into one new buffer before `deadline` (monotonic).
@@ -422,16 +419,12 @@ class SocketTransport(_BaseTransport):
         got = 0
         while got < n:
             try:
-                sock.settimeout(_poll_slice(deadline))
+                sock.settimeout(max(0.0, deadline - time.monotonic()))
                 k = sock.recv_into(view[got:])
-            except (TimeoutError, BlockingIOError):  # nothing arrived within this slice
-                if self.abort_reason is not None:
-                    raise ProtocolError(self.abort_reason) from None
-                if time.monotonic() >= deadline:
-                    raise ProtocolError(f"timeout waiting for {who}") from None
-                continue
-            if not k:
-                raise ProtocolError(f"connection closed while waiting for {who}")
+            except (TimeoutError, BlockingIOError):  # BlockingIOError: past the deadline, nothing had arrived
+                raise ProtocolError(f"timeout waiting for {who}") from None
+            if not k:  # the peer closed, or an abort shut the channel down
+                raise ProtocolError(self.abort_reason or f"connection closed while waiting for {who}")
             got += k
         return buf
 
@@ -441,6 +434,14 @@ class SocketTransport(_BaseTransport):
         who = f"worker {sender} (receiver {receiver})"
         (length,) = struct.unpack("<I", self._read_exact(sock, 4, who, deadline))
         return decode_message(self._read_exact(sock, length, who, deadline))
+
+    def abort_peers(self, sender: int, reason: str) -> None:
+        super().abort_peers(sender, reason)
+        for sock in self._ends.values():  # shutdown, not close: other threads may be using the socket
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def close(self) -> None:
         for sock in self._ends.values():
