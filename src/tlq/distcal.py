@@ -25,18 +25,22 @@ through `_WorkerCtx.recv`, which checks that the message is the step the
 protocol expects. The numeric kernels are the single-context ones on
 bit-identical tensors (float64 survives the wire exactly), so the
 distributed result equals the single-context result bit for bit.
+
+On either transport the first abort, from a worker that raises, ends every
+waiting send and receive at once with that worker's reason, and nothing
+wakes a wait before then. A worker that dies silently costs one timeout.
 """
 
 from __future__ import annotations
 
-import queue
+import collections
+import contextlib
 import socket
 import struct
 import threading
 import time
 import zlib
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -314,54 +318,56 @@ class _BaseTransport:
 
 # frames an in-process channel holds before its sender waits
 CHANNEL_FRAMES = 2
-# longest wait on an in-process channel between checks for an aborted run
-_POLL_S = 0.05
-
-
-def _poll_slice(deadline: float | None) -> float:
-    """The next wait: at most _POLL_S, and none past `deadline` (monotonic; None: no bound)."""
-    return _POLL_S if deadline is None else max(0.0, min(_POLL_S, deadline - time.monotonic()))
 
 
 class InProcessTransport(_BaseTransport):
-    """Queue-backed channels; messages cross as objects, without serialization.
+    """Deque-backed channels; messages cross as objects, without serialization.
 
     Each channel holds at most `CHANNEL_FRAMES` messages, so at most that
     many times the largest tensor is in flight on it, unledgered. A send to
-    a full channel and a receive from an empty one end as soon as any
-    worker aborts the run, with that worker's reason: a worker that failed
-    stops reading, and its abort message may not fit in a full channel.
+    a full channel or a receive from an empty one waits on the channel's
+    condition until the peer acts or the deadline passes. The first abort
+    wakes every wait, which ends at once with that worker's reason: a worker
+    that failed stops reading, and its abort message may not fit in a full
+    channel.
     """
 
     def __init__(self, worker_ids: Sequence[int]):
         super().__init__(worker_ids)
-        self._queues = {
-            (a, b): queue.Queue(maxsize=CHANNEL_FRAMES) for a in worker_ids for b in worker_ids if a != b
-        }
+        lock = threading.Lock()  # one lock for every channel's condition
+        self._queues = {(a, b): collections.deque() for a in worker_ids for b in worker_ids if a != b}
+        self._conds = {key: threading.Condition(lock) for key in self._queues}
 
-    def _wait(self, op, timeout: float | None, failure: str):
-        """op(timeout=...) in slices of at most _POLL_S until it succeeds, the run aborts or `timeout` passes."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                return op(timeout=_poll_slice(deadline))
-            except (queue.Full, queue.Empty):
-                if self.abort_reason is not None:
-                    raise ProtocolError(self.abort_reason) from None
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise ProtocolError(failure) from None
+    def _wait(self, cond: threading.Condition, ready, timeout: float | None, failure: str) -> None:
+        """Under `cond`: wait until ready(), the run aborts or `timeout` passes (None: no bound)."""
+        if not cond.wait_for(lambda: ready() or self.abort_reason is not None, timeout):
+            raise ProtocolError(failure)
+        if not ready():
+            raise ProtocolError(self.abort_reason)
 
     def _send(self, msg: CalMessage, timeout: float | None) -> None:
-        seq = self._next_seq(msg.sender, msg.receiver)
-        self._wait(  # a timeout of 0 fails at once: abort_peers never waits
-            partial(self._queues[(msg.sender, msg.receiver)].put, replace(msg, seq=seq)), timeout,
-            f"send to worker {msg.receiver} (sender {msg.sender}) failed: channel full for {timeout} s",
-        )
+        key = (msg.sender, msg.receiver)
+        framed = replace(msg, seq=self._next_seq(*key))
+        chan, cond = self._queues[key], self._conds[key]
+        with cond:  # a timeout of 0 fails at once: abort_peers never waits
+            self._wait(cond, lambda: len(chan) < CHANNEL_FRAMES, timeout,
+                       f"send to worker {msg.receiver} (sender {msg.sender}) failed: channel full for {timeout} s")
+            chan.append(framed)
+            cond.notify_all()
 
     def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
-        return self._wait(
-            self._queues[(sender, receiver)].get, timeout, f"timeout waiting for worker {sender} (receiver {receiver})"
-        )
+        chan, cond = self._queues[(sender, receiver)], self._conds[(sender, receiver)]
+        with cond:
+            self._wait(cond, lambda: chan, timeout, f"timeout waiting for worker {sender} (receiver {receiver})")
+            msg = chan.popleft()
+            cond.notify_all()
+        return msg
+
+    def abort_peers(self, sender: int, reason: str) -> None:
+        super().abort_peers(sender, reason)
+        for cond in self._conds.values():
+            with cond:
+                cond.notify_all()
 
 
 class SocketTransport(_BaseTransport):
@@ -438,17 +444,13 @@ class SocketTransport(_BaseTransport):
     def abort_peers(self, sender: int, reason: str) -> None:
         super().abort_peers(sender, reason)
         for sock in self._ends.values():  # shutdown, not close: other threads may be using the socket
-            try:
+            with contextlib.suppress(OSError):
                 sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
 
     def close(self) -> None:
         for sock in self._ends.values():
-            try:
+            with contextlib.suppress(OSError):
                 sock.close()
-            except OSError:
-                pass
 
 
 def make_transport(name: str, worker_ids: Sequence[int]) -> _BaseTransport:
@@ -493,29 +495,16 @@ class MemoryReport:
 # --- worker logic -----------------------------------------------------------------
 
 
-class _InjectedCrash(Exception):
-    """Raised by the fault-injection hook; the worker dies without an abort."""
-
-
 @dataclass
 class _WorkerCtx:
     me: int
     transport: _BaseTransport
     account: MemoryAccount
     timeout: float
-    crash_after: int | None = None  # fault injection: die after N received messages
-    received: int = 0
 
     def recv(self, sender: int, kind: str | None = None, layer: int | None = None, stream: str | None = None):
-        """Next message from `sender`, counted for fault injection.
-
-        With a `kind`, the message must be exactly that step: the same kind,
-        layer and stream.
-        """
+        """Next message from `sender`; with a `kind`, exactly that step (same kind, layer and stream)."""
         msg = self.transport.recv(self.me, sender, self.timeout)
-        self.received += 1
-        if self.crash_after is not None and self.received >= self.crash_after:
-            raise _InjectedCrash()
         if kind is not None and (msg.kind, msg.layer, msg.stream) != (kind, layer, stream):
             raise ProtocolError(
                 f"worker {self.me} expected {kind} (layer {layer}, stream {stream}), "
@@ -606,7 +595,6 @@ def run_distributed_calibration(
     fraction: float = 0.5,
     loss: ProxyLossSpec = ProxyLossSpec(),
     timeout: float = 30.0,
-    fault_injection: dict[int, int] | None = None,
 ) -> tuple[CalibrationResult, MemoryReport]:
     """Distribute the layer-wise search across 2 or 3 workers.
 
@@ -625,15 +613,11 @@ def run_distributed_calibration(
     chans.send_timeout = timeout
     accounts = [MemoryAccount() for _ in range(workers)]
     coordinator = _WorkerCtx(me, chans, accounts[me], timeout)
-    fault_injection = fault_injection or {}
     errors: list[BaseException] = []
 
     def _run_worker(wid: int) -> None:
-        ctx = _WorkerCtx(wid, chans, accounts[wid], timeout, fault_injection.get(wid))
         try:
-            _cal_worker_loop(ctx)
-        except _InjectedCrash:
-            pass  # simulated hard crash: no abort message, the peer times out
+            _cal_worker_loop(_WorkerCtx(wid, chans, accounts[wid], timeout))
         except BaseException as exc:  # noqa: BLE001 - propagated to the coordinator
             errors.append(exc)
             chans.abort_peers(wid, f"{type(exc).__name__}: {exc}")

@@ -16,15 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import STRATEGIES, CalibrationResult, check_result_layers, scales_from_result
-from .errors import ConfigError
-from .importance import (
-    SelectedTokens,
-    activation_error_probe,
-    heatmap_rows,
-    select_top_tokens,
-    token_importance_sums,
+from .calibration import (
+    STRATEGIES, CalibrationResult, check_result_layers, compute_token_selections, scales_from_result,
 )
+from .errors import ConfigError
+from .importance import SelectedTokens, activation_error_probe, heatmap_rows
 from .layers import LayerStack
 from .model import (
     CalibrationSet,
@@ -263,8 +259,7 @@ def build_heatmaps(
         if limit is not None and limit < 1:
             raise ConfigError(f"{what} must be >= 1, got {limit}")
     n = calib.tokens
-    sums = token_importance_sums(backward_token_grads(stack, x, loss) for x in calib.activations)
-    selection = select_top_tokens(sums[layer_index], fraction)
+    selection = compute_token_selections(stack, calib.activations, fraction, loss)[layer_index]
     grads_sample = backward_token_grads(stack, calib.activations[sample], loss).grads[layer_index]
 
     modality = calib.modality[sample]

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -197,7 +198,7 @@ def test_transport_rejects_stale_sequence():
     chans.send(CalMessage("done", 0, 1))
     chans.recv(1, 0, timeout=1.0)
     # replay an already-consumed sequence number
-    chans._queues[(0, 1)].put(CalMessage("done", 0, 1, seq=0))
+    chans._queues[(0, 1)].append(CalMessage("done", 0, 1, seq=0))
     with pytest.raises(ProtocolError, match="out-of-order"):
         chans.recv(1, 0, timeout=1.0)
 
@@ -228,15 +229,21 @@ def test_full_in_process_channel_fails_a_send_after_its_timeout():
     assert chans.recv(1, 0, timeout=1.0).kind == "done"
 
 
-def test_socket_sends_and_receives_stop_on_a_recorded_abort():
-    chans = SocketTransport([0, 1, 2])
+@pytest.mark.parametrize("transport", ["in_process", "sockets"])
+def test_sends_and_receives_stop_on_a_recorded_abort(transport):
+    chans = distcal.make_transport(transport, [0, 1, 2])
     chans.send_timeout = 30.0
-    frame = CalMessage("layer_output", 0, 1, layer=0, stream="fp", tensor=np.zeros((1024, 1024)), count=1)
+    if transport == "in_process":  # fill channel 0->1
+        for _ in range(distcal.CHANNEL_FRAMES):
+            chans.send(CalMessage("done", 0, 1))
+        frame = CalMessage("done", 0, 1)
+    else:  # 8 MiB fill the socket buffers
+        frame = CalMessage("layer_output", 0, 1, layer=0, stream="fp", tensor=np.zeros((1024, 1024)), count=1)
     timer = threading.Timer(0.2, chans.abort_peers, args=(1, "failing"))
     timer.start()
     start = time.monotonic()
     with pytest.raises(ProtocolError, match="worker 1 aborted: failing"):
-        chans.send(frame)  # 8 MiB fill the socket buffers, and worker 1 never reads
+        chans.send(frame)  # worker 1 never reads
     assert time.monotonic() - start < 1.0
     timer.join()
     start = time.monotonic()
@@ -475,19 +482,18 @@ def test_two_worker_in_process_equivalence():
 @pytest.mark.parametrize("workers", [2, 3])
 def test_bounded_in_process_channels_never_deadlock(monkeypatch, workers, strategy):
     """Every channel holds at most CHANNEL_FRAMES frames, so at most that many largest tensors are in flight."""
-    seen = []  # (frames queued, tensor bytes queued) after every put
+    seen = []  # (frames queued, tensor bytes queued) after every append
 
-    class RecordingQueue(distcal.queue.Queue):
-        def _put(self, item):
-            super()._put(item)
-            seen.append((len(self.queue), sum(m.tensor.nbytes for m in self.queue if m.tensor is not None)))
+    class RecordingChannel(collections.deque):
+        def append(self, item):  # called under the channel's lock
+            super().append(item)
+            seen.append((len(self), sum(m.tensor.nbytes for m in self if m.tensor is not None)))
 
     make_transport = distcal.make_transport
 
     def recording_transport(name, worker_ids):
         chans = make_transport(name, worker_ids)
-        assert all(q.maxsize == distcal.CHANNEL_FRAMES for q in chans._queues.values())
-        chans._queues = {key: RecordingQueue(maxsize=q.maxsize) for key, q in chans._queues.items()}
+        chans._queues = {key: RecordingChannel() for key in chans._queues}
         return chans
 
     monkeypatch.setattr(distcal, "make_transport", recording_transport)
@@ -522,6 +528,7 @@ def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, worker
     monkeypatch.setattr(distcal, fails_in, fail)
     stack = build_stack(6, 1, 64)
     acts = build_calibset(6, 32, 64, 64, visual_fraction=0.5).activations  # 1 MiB outputs fill a channel
+    threads = threading.active_count()
     start = time.monotonic()
     with pytest.raises(ProtocolError, match="worker failed: injected failure") as info:
         run_distributed_calibration(
@@ -530,6 +537,7 @@ def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, worker
         )
     assert time.monotonic() - start < 3.0
     assert isinstance(info.value.__cause__, NumericError)
+    assert threading.active_count() == threads
 
 
 def test_three_worker_socket_equivalence():
@@ -635,21 +643,36 @@ def test_documented_memory_fixture_peaks():
     assert mem.max_peak() < mem.baseline_bytes
 
 
-def test_worker_crash_aborts_without_result():
+def _crash_silently(monkeypatch, worker, after=3):
+    """Worker `worker` receives `after` messages from the coordinator, then stops without an abort."""
+    worker_loop = distcal._cal_worker_loop
+
+    def crashing_loop(ctx):
+        if ctx.me != worker:
+            return worker_loop(ctx)
+        for _ in range(after):
+            ctx.recv(distcal.COORDINATOR)
+
+    monkeypatch.setattr(distcal, "_cal_worker_loop", crashing_loop)
+
+
+def test_worker_crash_aborts_without_result(monkeypatch):
     stack, acts = _fixture(seed=6, depth=1)
+    _crash_silently(monkeypatch, worker=1)
+    timeout = 0.5
     t0 = time.time()
     with pytest.raises(ProtocolError):
         run_distributed_calibration(
             stack, acts, workers=2, transport="in_process", strategy="passact2",
-            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=0.5,
-            fault_injection={1: 3},
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=timeout,
         )
-    assert time.time() - t0 < 10
+    assert time.time() - t0 < 1.5 * timeout
 
 
-def test_socket_loss_worker_crash_aborts_within_bound():
+def test_socket_loss_worker_crash_aborts_within_bound(monkeypatch):
     # each 1 MiB y_q frame overflows the socket buffer of the crashed loss
     # worker, so without a send deadline the coordinator blocks forever
+    _crash_silently(monkeypatch, worker=2)
     stack = build_stack(6, 1, 64)
     acts = build_calibset(6, 32, 64, 64, visual_fraction=0.5).activations
     outcome = []
@@ -659,7 +682,6 @@ def test_socket_loss_worker_crash_aborts_within_bound():
             run_distributed_calibration(
                 stack, acts, workers=3, transport="sockets", strategy="passact2",
                 stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=1.0,
-                fault_injection={2: 3},
             )
             outcome.append(None)
         except Exception as exc:  # noqa: BLE001 - inspected below
