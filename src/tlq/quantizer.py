@@ -12,7 +12,17 @@ exactly its scale s.
 quantization (calibration, quantized forwards, error probes) instead calls
 `_qdq_inplace`, which overwrites a float block with the bytes of
 `dequantize(quantize(x))` without building the codes. Both share the scale
-and rounding helpers below, so the rounding rule lives in one place.
+helper below, and each states its rounding once.
+
+Two steps work on the float's bits, as unsigned integers of its own width.
+The row absmax is the integer max of |x|: with the sign bit clear, bit
+order is value order, and a NaN sorts above +inf, so a non-finite row still
+shows. `_qdq_inplace` scales the rounded magnitude, |q| * s, and ORs it under
+x's sign bit; rounding is sign-symmetric, so these are the bytes of
+copysign(q, x) * s. No clip is needed: s >= fl(absmax / qmax) gives
+|x| / s <= qmax * (1 + 2u) for unit roundoff u (qmax exactly at the scale
+floor), so |q| <= qmax whenever 2u * qmax < 1/2, as for float64 and float32
+at every allowed bit width.
 """
 
 from __future__ import annotations
@@ -70,7 +80,8 @@ def _scaled_magnitudes(x: np.ndarray, cfg: QuantConfig, out: np.ndarray | None =
     if x.shape[1] == 0:
         raise ShapeError(f"cannot quantize rows of length 0, got shape {x.shape}")
     t = np.abs(x, out=out)
-    absmax = np.max(t, axis=1)
+    # the sign bit of |x| is clear, so its bits sort as its values, NaN last
+    absmax = np.max(t.view(f"u{t.itemsize}"), axis=1).view(t.dtype)
     # the row absmax is non-finite exactly when the row holds NaN or Inf
     if not np.all(np.isfinite(absmax)):
         raise NumericError("quantize input contains NaN or Inf")
@@ -79,24 +90,16 @@ def _scaled_magnitudes(x: np.ndarray, cfg: QuantConfig, out: np.ndarray | None =
     return t, scales
 
 
-def _signed_codes(t: np.ndarray, x: np.ndarray, cfg: QuantConfig, out: np.ndarray) -> None:
-    """Codes from magnitudes t = |x| / s, into `out` (which may be t or x).
-
-    Rounding is half away from zero (numpy's round() is half-to-even):
-    floor(t + 0.5) on the magnitude, then the sign of x.
-    """
-    t += 0.5
-    np.floor(t, out=t)
-    np.copysign(t, x, out=out)
-    np.clip(out, cfg.qmin, cfg.qmax, out=out)
-
-
 def quantize(x: np.ndarray, cfg: QuantConfig) -> QuantizedTensor:
     """Row-wise symmetric quantization of a rank-2 tensor."""
     # integer input is quantized from its float64 values
     x = x.astype(np.result_type(x, 1.0), copy=False)
     t, scales = _scaled_magnitudes(x, cfg)
-    _signed_codes(t, x, cfg, out=t)
+    # half away from zero (numpy's round() is half-to-even): round the
+    # magnitude, then take the sign of x; int32 turns a -0 code into 0
+    t += 0.5
+    np.floor(t, out=t)
+    np.copysign(t, x, out=t)
     return QuantizedTensor(t.astype(np.int32), scales, cfg)
 
 
@@ -108,7 +111,7 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
 
 
 def _qdq_inplace(x: np.ndarray, cfg: QuantConfig) -> None:
-    """Overwrite rank-2 float64 `x` with the bytes of dequantize(quantize(x, cfg)).
+    """Overwrite rank-2 float `x` with the bytes of dequantize(quantize(x, cfg)).
 
     Works through blocks of whole rows with one cache-sized scratch buffer,
     so no temporary of x's size is allocated.
@@ -116,13 +119,20 @@ def _qdq_inplace(x: np.ndarray, cfg: QuantConfig) -> None:
     if x.ndim != 2:
         raise ShapeError(f"quantize expects a rank-2 tensor, got shape {x.shape}")
     rows = max(1, _QDQ_CHUNK_ELEMS // max(1, x.shape[1]))
-    scratch = np.empty((min(rows, x.shape[0]), x.shape[1]))
+    scratch = np.empty((min(rows, x.shape[0]), x.shape[1]), dtype=x.dtype)
+    uint = np.dtype(f"u{x.itemsize}")
+    sign = uint.type(1 << (8 * x.itemsize - 1))
     # one pass even for zero rows, so the shape checks still run
     for start in range(0, max(x.shape[0], 1), rows):
         block = x[start : start + rows]
         t, scales = _scaled_magnitudes(block, cfg, out=scratch[: block.shape[0]])
-        _signed_codes(t, block, cfg, out=block)
-        # a -0 code comes back as +0 through int32; adding +0 does the same
+        # |q| * s, rounded half away from zero as in quantize
+        t += 0.5
+        np.floor(t, out=t)
+        t *= scales[:, None]
+        # x's sign bit over the magnitude's bits: copysign(q, x) * s
+        bits = block.view(uint)
+        bits &= sign
+        bits |= t.view(uint)
+        # a zero code under a negative x is -0 here and +0 through int32
         block += 0.0
-        block *= scales[:, None]
-

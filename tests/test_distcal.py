@@ -540,6 +540,44 @@ def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, worker
     assert threading.active_count() == threads
 
 
+def test_abort_wakes_a_coordinator_already_blocked_on_a_full_channel(monkeypatch):
+    """The loss worker fails only once the coordinator waits on the full channel 0->2."""
+    blocked = threading.Event()
+    make_transport = distcal.make_transport
+
+    def watching_transport(name, worker_ids):
+        chans = make_transport(name, worker_ids)
+        wait = chans._wait
+
+        def watched_wait(cond, ready, timeout, failure):
+            if cond is chans._conds[(0, 2)] and not ready():
+                blocked.set()
+            wait(cond, ready, timeout, failure)
+
+        chans._wait = watched_wait
+        return chans
+
+    def fail(*args):
+        assert blocked.wait(10.0)
+        time.sleep(0.1)  # the coordinator is inside its wait by now
+        raise NumericError("injected failure")
+
+    monkeypatch.setattr(distcal, "make_transport", watching_transport)
+    monkeypatch.setattr(distcal, "layer_loss", fail)
+    stack = build_stack(6, 1, 64)
+    acts = build_calibset(6, 32, 64, 64, visual_fraction=0.5).activations
+    threads = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match="worker failed: injected failure") as info:
+        run_distributed_calibration(
+            stack, acts, workers=3, transport="in_process", strategy="passact2",
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=10.0,
+        )
+    assert time.monotonic() - start < 3.0
+    assert isinstance(info.value.__cause__, NumericError)
+    assert threading.active_count() == threads
+
+
 def test_three_worker_socket_equivalence():
     stack, acts = _fixture(seed=3)
     single = calibrate(stack, acts, strategy="passact1", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)

@@ -144,22 +144,26 @@ def test_codes_stay_in_range():
 # --- in-place quantize-dequantize kernel ---------------------------------------
 
 
-def _reference_codes(x, cfg):
+def _unclipped_codes(x, cfg):
     # the textbook rule, written independently of the quantizer's helpers
     scales = np.maximum(np.max(np.abs(x), axis=1) / cfg.qmax, DEFAULT_SCALE_FLOOR)
     t = x / scales[:, None]
-    q = np.clip(np.copysign(np.floor(np.fabs(t) + 0.5), t), cfg.qmin, cfg.qmax)
-    return q.astype(np.int32), scales
+    return np.copysign(np.floor(np.fabs(t) + 0.5), t), scales
+
+
+def _reference_codes(x, cfg):
+    q, scales = _unclipped_codes(x, cfg)
+    return np.clip(q, cfg.qmin, cfg.qmax).astype(np.int32), scales
 
 
 @st.composite
 def _qdq_case(draw):
-    bits = draw(st.integers(2, 16))
+    bits = draw(st.one_of(st.sampled_from((2, 16)), st.integers(2, 16)))
     qmax = 2 ** (bits - 1) - 1
     cols = draw(st.integers(2, 9))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(("floats", "ties", "zeros", "one_hot", "tiny_negative")))
+        kind = draw(st.sampled_from(("floats", "ties", "zeros", "one_hot", "tiny_negative", "extremes")))
         if kind == "floats":
             row = draw(st.lists(st.floats(-1e6, 1e6), min_size=cols, max_size=cols))
         elif kind == "ties":
@@ -172,9 +176,16 @@ def _qdq_case(draw):
         elif kind == "one_hot":
             row = [0.0] * cols
             row[draw(st.integers(0, cols - 1))] = draw(st.floats(-1e3, 1e3))
-        else:
+        elif kind == "tiny_negative":
             # with scale 1/qmax these round to a -0 code, which int32 makes +0
             row = [1.0] + [-draw(st.floats(1e-300, 0.49 / qmax)) for _ in range(cols - 1)]
+        else:
+            # +-absmax in several positions; the two smallest put the row on
+            # the scale floor, the second just under absmax = qmax * floor
+            m = draw(st.sampled_from((1e-300, np.nextafter(qmax * DEFAULT_SCALE_FLOOR, 0.0), 1.0, 1e300)))
+            row = [m * draw(st.floats(-1.0, 1.0)) for _ in range(cols)]
+            for i in draw(st.sets(st.integers(0, cols - 1), min_size=1)):
+                row[i] = draw(st.sampled_from((m, -m)))
         rows.append(row)
     return np.array(rows, dtype=np.float64), QuantConfig(bits)
 
@@ -183,6 +194,8 @@ def _qdq_case(draw):
 @settings(max_examples=300, deadline=None)
 def test_qdq_inplace_is_bytewise_dequantize_of_quantize(case):
     x, cfg = case
+    # the scale rule keeps every code in [-qmax, qmax] before any clip
+    assert np.all(np.abs(_unclipped_codes(x, cfg)[0]) <= cfg.qmax)
     q_ref, scales_ref = _reference_codes(x, cfg)
     qt = quantize(x, cfg)
     assert np.array_equal(qt.q, q_ref)
@@ -207,3 +220,55 @@ def test_qdq_inplace_rejects_non_finite(bad):
         _qdq_inplace(x, QuantConfig(8))
     with pytest.raises(ShapeError):
         _qdq_inplace(np.zeros((2, 0)), QuantConfig(8))
+
+
+@pytest.mark.parametrize("col", [0, -1])
+@pytest.mark.parametrize("bad", [np.copysign(np.nan, -1.0), np.inf, -np.inf], ids=["-nan", "inf", "-inf"])
+def test_non_finite_first_or_last_column_raises(bad, col):
+    x = np.ones((3, 5))
+    x[1, col] = bad
+    with pytest.raises(NumericError):
+        quantize(x, QuantConfig(8))
+    with pytest.raises(NumericError):
+        _qdq_inplace(x.copy(), QuantConfig(8))
+
+
+def _strided_layouts(x):
+    """x as a column-major array and as every other row of a wider array."""
+    wide = np.zeros((2 * x.shape[0], x.shape[1] + 3))
+    wide[::2, 1 : x.shape[1] + 1] = x
+    return {"column_major": np.asfortranarray(x), "strided_rows": wide[::2, 1 : x.shape[1] + 1]}
+
+
+@pytest.mark.parametrize("layout", ["column_major", "strided_rows"])
+def test_non_contiguous_input_gives_the_bytes_of_its_c_order_copy(layout):
+    # 1100 rows of 64 make three _qdq_inplace blocks, the last one partial
+    x = rand_uniform(Rng(41), (1100, 64), -3.0, 3.0)
+    x[::7] *= -1e-13  # rows on the scale floor
+    x[5, :9] = -0.0
+    view = _strided_layouts(x)[layout]
+    assert not view.flags.c_contiguous and np.array_equal(view, x)
+    cfg = QuantConfig(4)
+    want, got = quantize(x, cfg), quantize(view, cfg)
+    assert np.array_equal(got.q, want.q) and got.scales.tobytes() == want.scales.tobytes()
+    want_bytes = x.copy()
+    _qdq_inplace(want_bytes, cfg)
+    _qdq_inplace(view, cfg)
+    assert np.ascontiguousarray(view).tobytes() == want_bytes.tobytes()
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, 2), (np.float32, 8), (np.float32, 16), (np.float16, 4), (np.float16, 8)])
+def test_narrow_float_input_is_quantized_in_its_own_dtype(dtype, bits):
+    # odd and even row lengths: a view wider than the dtype fails on both
+    for cols in (7, 8):
+        x = rand_uniform(Rng(cols), (9, cols), -5.0, 5.0).astype(dtype)
+        x[2, 3] = -x[2].max() * 2  # a negative absmax
+        cfg = QuantConfig(bits)
+        q_ref, scales_ref = _reference_codes(x, cfg)
+        assert scales_ref.dtype == dtype
+        qt = quantize(x, cfg)
+        assert np.array_equal(qt.q, q_ref) and qt.scales.tobytes() == scales_ref.tobytes()
+        # q * s is exact in float64, so casting it rounds once, as the kernel does
+        got = x.copy()
+        _qdq_inplace(got, cfg)
+        assert got.tobytes() == dequantize(qt).astype(dtype).tobytes()
