@@ -29,8 +29,6 @@ from .importance import (
     first_order_output_error,
     select_top_tokens,
     token_importance_sums,
-    x_stat_baselines,
-    x_stat_from_tokens,
 )
 from .layers import Activation, LayerStack, Linear, RMSNorm
 from .model import (
@@ -49,7 +47,7 @@ from .model import (
     save_checkpoint,
 )
 from .quantizer import QuantConfig, QuantizedTensor, dequantize, quantize
-from .smoothing import SmoothScale, fuse_into_predecessor, power_scale, sqrt_scale
+from .smoothing import SmoothScale, fuse_into_predecessor, power_scale
 from .tensor import Rng, matmul, rand_normal
 
 __all__ = [name for name in dir() if not name.startswith("_")]

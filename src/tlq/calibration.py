@@ -40,13 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ShapeError, TlqError
-from .importance import (
-    SelectedTokens,
-    select_top_tokens,
-    token_importance_sums,
-    x_stat_baselines,
-    x_stat_from_tokens,
-)
+from .importance import SelectedTokens, select_top_tokens, token_importance_sums
 from .layers import LayerStack, Linear, RMSNorm, layer_output_channels
 from .model import (
     ProxyLossSpec,
@@ -60,8 +54,8 @@ from .model import (
     quantized_weight,
     unpack_layers,
 )
-from .quantizer import QuantConfig, QuantizedTensor, quantize
-from .smoothing import SmoothScale, fuse_into_predecessor, power_scale, sqrt_scale
+from .quantizer import DEFAULT_SCALE_FLOOR, QuantConfig, QuantizedTensor, quantize
+from .smoothing import SmoothScale, fuse_into_predecessor, power_scale
 
 STRATEGIES = ("none", "passact1", "passact2")
 STAT_MODES = ("mean", "max", "topk", "sqrt")
@@ -86,30 +80,20 @@ class RatioGrid:
             raise ConfigError(f"ratio grid must satisfy 0 <= start <= stop <= 1, got [{self.start}, {self.stop}]")
         if not 0 < self.step < float("inf"):
             raise ConfigError(f"ratio grid step must be finite and > 0, got {self.step}")
-        if self.start != self.stop:
-            # counted, not built: a tiny step would otherwise allocate for minutes
-            n = self._steps()
-            count = n + 1 + (self.start + n * self.step < self.stop - 1e-12)
-            if count > MAX_GRID_POINTS:
-                raise ConfigError(
-                    f"ratio grid step {self.step} gives {count:.6g} points; at most {MAX_GRID_POINTS} are allowed"
-                )
+        count = self._count()  # counted, not built: a tiny step would otherwise allocate for minutes
+        if count > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"ratio grid step {self.step} gives {count:.6g} points; at most {MAX_GRID_POINTS} are allowed"
+            )
 
-    def _steps(self) -> float:
-        """Whole steps from start that stay within stop (a float: huge, or inf, for a tiny step)."""
-        return float(np.floor((self.stop - self.start) / self.step + 1e-9))
+    def _count(self) -> float:
+        """Whole steps within stop, plus stop unless the last lands within 1e-12 of it (inf for a tiny step)."""
+        n = float(np.floor((self.stop - self.start) / self.step + 1e-9))
+        return n + 1 + (self.start + n * self.step < self.stop - 1e-12)
 
     def points(self) -> tuple[float, ...]:
-        """Grid values including both endpoints."""
-        if self.start == self.stop:
-            return (self.start,)
-        n = int(self._steps())
-        pts = [self.start + i * self.step for i in range(n + 1)]
-        if pts[-1] < self.stop - 1e-12:
-            pts.append(self.stop)
-        else:
-            pts[-1] = self.stop
-        return tuple(pts)
+        """start + i*step for every point but the last, which is exactly stop."""
+        return tuple(self.start + i * self.step for i in range(int(self._count()) - 1)) + (self.stop,)
 
 
 @dataclass(frozen=True)
@@ -254,25 +238,37 @@ def layer_stat(
     layer: Linear,
     selection: SelectedTokens | None = None,
 ) -> np.ndarray:
-    """Per-channel scale statistic for one layer's calibration inputs."""
-    if stat_mode in ("mean", "max"):
-        return x_stat_baselines(xs, stat_mode)
+    """Per-channel scale statistic of one layer's (B, N, C) calibration inputs, samples pooled.
+
+    topk: max |x| over the selected tokens; mean, max: mean or max |x| over
+    all tokens; sqrt: SmoothQuant's sqrt(max|X| / max|W|), both sides floored.
+    """
+    if stat_mode not in STAT_MODES:
+        raise ConfigError(f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
     if stat_mode == "topk":
         if selection is None:
             raise ConfigError("topk stat mode needs a token selection")
-        return x_stat_from_tokens(xs, selection)
-    if stat_mode == "sqrt":
-        x_absmax = x_stat_baselines(xs, "max")
-        w_absmax = np.max(np.abs(layer.weight), axis=0)
-        return sqrt_scale(x_absmax, w_absmax).values
-    raise ConfigError(f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
+        idx = np.asarray(selection.indices)
+        if idx.size == 0:
+            raise ShapeError("empty token selection")
+        if idx.min() < 0 or idx.max() >= xs.shape[1]:
+            raise ShapeError(f"selection indices out of range for {xs.shape[1]} tokens")
+        xs = xs[:, idx, :]
+    rows = np.abs(xs.reshape(-1, xs.shape[-1]))
+    if stat_mode == "mean":
+        return np.mean(rows, axis=0)
+    x_absmax = np.max(rows, axis=0)
+    if stat_mode != "sqrt":
+        return x_absmax
+    w_absmax = np.max(np.abs(layer.weight), axis=0)
+    return np.sqrt(np.maximum(x_absmax, DEFAULT_SCALE_FLOOR) / np.maximum(w_absmax, DEFAULT_SCALE_FLOOR))
 
 
 def scale_for(stat_mode: str, stat: np.ndarray, ratio: float) -> SmoothScale:
     """Build the layer scale, labeling sqrt-derived scales with their origin."""
     scale = power_scale(stat, ratio)
     if stat_mode == "sqrt":
-        return SmoothScale(scale.values, origin="sqrt_baseline", ratio=None)
+        return SmoothScale(scale.values, origin="sqrt_baseline")
     return scale
 
 
@@ -645,7 +641,7 @@ def result_from_text(text: str) -> CalibrationResult:
                 raise CheckpointError("bad_field", f"curve point of {name!r}: expected 'ratio loss', got {point!r}")
             curve.append(tuple(_parse(float, v, f"curve of {name!r}") for v in point))
         try:
-            scale = SmoothScale(values, origin=origin, ratio=None if origin == "sqrt_baseline" else ratio)
+            scale = SmoothScale(values, origin=origin)
         except TlqError as exc:
             raise CheckpointError("bad_field", f"scale of {name!r}: {exc}") from None
         rows.append(LayerCalibration(name, scale, ratio, tuple(curve)))

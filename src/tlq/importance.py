@@ -82,40 +82,6 @@ def select_top_tokens(sums: np.ndarray, fraction: float = 0.5) -> SelectedTokens
     return SelectedTokens(tuple(int(i) for i in chosen), fraction)
 
 
-def _pooled_rows(x: np.ndarray) -> np.ndarray:
-    if x.ndim == 2:
-        return x
-    if x.ndim == 3:
-        return x.reshape(-1, x.shape[-1])
-    raise ShapeError(f"expected rank-2 or rank-3 activations, got {x.shape}")
-
-
-def x_stat_from_tokens(x: np.ndarray, sel: SelectedTokens) -> np.ndarray:
-    """Per-channel absmax restricted to the selected token rows.
-
-    Accepts (N, C) or (B, N, C); samples are pooled with an elementwise max
-    so the resulting scale statistic covers the whole batch.
-    """
-    if len(sel.indices) == 0:
-        raise ShapeError("empty token selection")
-    idx = np.asarray(sel.indices)
-    n = x.shape[-2]
-    if idx.min() < 0 or idx.max() >= n:
-        raise ShapeError(f"selection indices out of range for {n} tokens")
-    rows = x[..., idx, :]
-    return np.max(np.abs(_pooled_rows(rows)), axis=0)
-
-
-def x_stat_baselines(x: np.ndarray, mode: str) -> np.ndarray:
-    """Selection-free scale statistics: per-channel absmax or mean |x|."""
-    rows = np.abs(_pooled_rows(x))
-    if mode == "max":
-        return np.max(rows, axis=0)
-    if mode == "mean":
-        return np.mean(rows, axis=0)
-    raise ShapeError(f"stat mode must be 'mean' or 'max', got {mode!r}")
-
-
 def activation_error_probe(
     stack: LayerStack,
     x: np.ndarray,

@@ -53,10 +53,6 @@ class QuantConfig:
     def qmax(self) -> int:
         return 2 ** (self.bits - 1) - 1
 
-    @property
-    def qmin(self) -> int:
-        return -(2 ** (self.bits - 1))
-
 
 @dataclass(frozen=True)
 class QuantizedTensor:

@@ -24,7 +24,6 @@ SCALE_ORIGINS = ("sqrt_baseline", "stat_ratio")
 class SmoothScale:
     values: np.ndarray  # (C_in,) strictly positive
     origin: str = "stat_ratio"
-    ratio: float | None = None
 
     def __post_init__(self):
         if self.values.ndim != 1:
@@ -35,24 +34,13 @@ class SmoothScale:
             raise NumericError("smoothing scale values must be finite and > 0")
 
 
-def sqrt_scale(x_absmax: np.ndarray, w_absmax: np.ndarray) -> SmoothScale:
-    """sqrt(max|X| / max|W|) per channel, both sides floored before dividing."""
-    if x_absmax.shape != w_absmax.shape or x_absmax.ndim != 1:
-        raise ShapeError(
-            f"absmax vectors must be rank 1 and equal length, got {x_absmax.shape} vs {w_absmax.shape}"
-        )
-    num = np.maximum(x_absmax, DEFAULT_SCALE_FLOOR)
-    den = np.maximum(w_absmax, DEFAULT_SCALE_FLOOR)
-    return SmoothScale(np.sqrt(num / den), origin="sqrt_baseline")
-
-
 def power_scale(x_stat: np.ndarray, r: float) -> SmoothScale:
     """Elementwise x_stat^r with r in [0, 1]; r=0 is no smoothing, r=1 full."""
     if not 0.0 <= r <= 1.0:
         raise ConfigError(f"smoothing ratio must be in [0, 1], got {r}")
     if x_stat.ndim != 1:
         raise ShapeError(f"x_stat must be rank 1, got {x_stat.shape}")
-    return SmoothScale(np.maximum(x_stat, DEFAULT_SCALE_FLOOR) ** r, origin="stat_ratio", ratio=r)
+    return SmoothScale(np.maximum(x_stat, DEFAULT_SCALE_FLOOR) ** r, origin="stat_ratio")
 
 
 def fuse_into_predecessor(prev: RMSNorm | Linear, s: SmoothScale):

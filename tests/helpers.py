@@ -44,8 +44,8 @@ def rand_uniform(
 
 
 def unit_scale(channels: int) -> SmoothScale:
-    """All-ones scale (no smoothing), recorded as a ratio-0 power scale."""
-    return SmoothScale(np.ones(channels), origin="stat_ratio", ratio=0.0)
+    """All-ones scale (no smoothing): the power scale at ratio 0."""
+    return SmoothScale(np.ones(channels))
 
 
 # --- reference kernels -------------------------------------------------------------

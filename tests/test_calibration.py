@@ -53,6 +53,13 @@ def test_ratio_grid_includes_endpoints():
     assert RatioGrid(0.3, 0.3, 0.05).points() == (0.3,)
 
 
+def test_ratio_grid_last_point_is_exactly_stop():
+    # a step that does not divide the span: stop is appended after the last whole step
+    assert RatioGrid(0.0, 1.0, 0.3).points() == (0.0, 0.3, 0.6, 0.8999999999999999, 1.0)
+    # the last step lands within 1e-12 of stop (3 * 0.1 = 0.30000000000000004): stop replaces it
+    assert RatioGrid(0.0, 0.3, 0.1).points() == (0.0, 0.1, 0.2, 0.3)
+
+
 def test_ratio_grid_validation():
     with pytest.raises(ConfigError):
         RatioGrid(0.5, 0.4)

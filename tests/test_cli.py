@@ -1,6 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,33 @@ def test_calibrate_and_dist_calibrate_agree(tmp_path):
     ]) == 0
     assert single.read_text() == dist.read_text()
     assert mem.read_text().startswith("tlq-memory-report v1\n")
+
+
+@pytest.mark.parametrize("command, outs", [
+    ("calibrate", {"--out": "r.txt"}),
+    ("dist-calibrate", {"--out": "r.txt"}),
+    ("heatmap", {"--layer": "1", "--out-pre": "pre.csv", "--out-post": "post.csv"}),
+])
+def test_library_warning_is_one_stderr_line(tmp_path, command, outs):
+    # a subprocess, so that pytest's own warning capture cannot hide the output
+    model = _gen_model(tmp_path, depth=1, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=8, channels=16)
+    argv = [command, "--model", str(model), "--calib", str(calib), "--fraction", "0.01"]
+
+    def out_flags(folder):
+        return [v for flag, name in outs.items() for v in (flag, str(folder / name) if "." in name else name)]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "tlq.cli", *argv, *out_flags(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "warning: token selection kept only 1 of 8 tokens\n")
+    (tmp_path / "in_process").mkdir()
+    assert main([*argv, *out_flags(tmp_path / "in_process")]) == 0
+    for name in outs.values():
+        if "." in name:
+            assert (tmp_path / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
 
 
 def test_unknown_config_key_exits_one_naming_it(tmp_path, capsys):

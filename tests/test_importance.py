@@ -5,15 +5,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_block_stack, single_linear_stack
-from tlq.errors import ShapeError
+from tlq.calibration import layer_stat
+from tlq.errors import ConfigError, ShapeError
 from tlq.importance import (
     SelectedTokens,
     activation_error_probe,
     first_order_output_error,
     select_top_tokens,
     token_importance_sums,
-    x_stat_baselines,
-    x_stat_from_tokens,
 )
 from tlq.model import GradTrace, backward_token_grads, forward_fp, loss_value, ProxyLossSpec
 from tlq.quantizer import QuantConfig
@@ -111,16 +110,21 @@ def test_selection_invariant_under_batch_permutation(order):
     assert base.indices == perm.indices
 
 
+def _stat(x, mode, sel=None):
+    """layer_stat of a (B, N, C) batch; only the sqrt mode reads the layer's weight."""
+    return layer_stat(x, mode, single_linear_stack(0, x.shape[-1], 2).layers[0], sel)
+
+
 def test_x_stat_full_selection_equals_absmax_baseline():
     x = rand_normal(Rng(8), (4, 6, 5))
     sel = SelectedTokens(tuple(range(6)), 1.0)
-    assert np.array_equal(x_stat_from_tokens(x, sel), x_stat_baselines(x, "max"))
+    assert np.array_equal(_stat(x, "topk", sel), _stat(x, "max"))
 
 
 def test_x_stat_single_token():
-    x = rand_normal(Rng(9), (5, 4))
+    x = rand_normal(Rng(9), (1, 5, 4))
     sel = SelectedTokens((2,), 0.25)
-    assert np.array_equal(x_stat_from_tokens(x, sel), np.abs(x[2]))
+    assert np.array_equal(_stat(x, "topk", sel), np.abs(x[0, 2]))
 
 
 def test_x_stat_matches_mask_oracle():
@@ -133,29 +137,31 @@ def test_x_stat_matches_mask_oracle():
             for n in sel.indices:
                 best = max(best, abs(x[b, n, c]))
         want[c] = best
-    assert np.array_equal(x_stat_from_tokens(x, sel), want)
+    assert np.array_equal(_stat(x, "topk", sel), want)
 
 
 def test_x_stat_rejects_empty_or_invalid_selection():
-    x = rand_normal(Rng(11), (4, 3))
+    x = rand_normal(Rng(11), (1, 4, 3))
     with pytest.raises(ShapeError):
-        x_stat_from_tokens(x, SelectedTokens((), 0.0))
+        _stat(x, "topk", SelectedTokens((), 0.0))
     with pytest.raises(ShapeError):
-        x_stat_from_tokens(x, SelectedTokens((9,), 0.25))
+        _stat(x, "topk", SelectedTokens((9,), 0.25))
+    with pytest.raises(ShapeError):  # would index the last token
+        _stat(x, "topk", SelectedTokens((-1,), 0.25))
 
 
 def test_baselines_constant_tensor():
-    x = np.full((3, 4), 2.5)
-    assert np.array_equal(x_stat_baselines(x, "max"), np.full(4, 2.5))
-    assert np.array_equal(x_stat_baselines(x, "mean"), np.full(4, 2.5))
+    x = np.full((1, 3, 4), 2.5)
+    assert np.array_equal(_stat(x, "max"), np.full(4, 2.5))
+    assert np.array_equal(_stat(x, "mean"), np.full(4, 2.5))
 
 
 def test_baselines_hand_case():
-    x = np.array([[1.0], [3.0]])
-    assert x_stat_baselines(x, "max")[0] == 3.0
-    assert x_stat_baselines(x, "mean")[0] == 2.0
-    with pytest.raises(ShapeError):
-        x_stat_baselines(x, "median")
+    x = np.array([[[1.0], [3.0]]])
+    assert _stat(x, "max")[0] == 3.0
+    assert _stat(x, "mean")[0] == 2.0
+    with pytest.raises(ConfigError):
+        _stat(x, "median")
 
 
 @given(
@@ -165,7 +171,7 @@ def test_baselines_hand_case():
 @settings(max_examples=50)
 def test_restricted_stat_never_exceeds_full_max(x, idx):
     sel = SelectedTokens(tuple(sorted(idx)), len(idx) / 6)
-    assert np.all(x_stat_from_tokens(x, sel) <= x_stat_baselines(x, "max"))
+    assert np.all(_stat(x, "topk", sel) <= _stat(x, "max"))
 
 
 def test_estimate_accuracy_improves_with_bits():

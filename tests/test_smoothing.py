@@ -4,37 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_smoothing, rand_uniform, unit_scale
-from tlq.errors import ConfigError, NumericError, ShapeError
+from tlq.calibration import layer_stat, scale_for
+from tlq.errors import ConfigError, NumericError
 from tlq.layers import Activation, Linear, RMSNorm
 from tlq.model import apply_layer_fp
-from tlq.smoothing import (
-    SmoothScale,
-    fuse_into_predecessor,
-    power_scale,
-    sqrt_scale,
-)
+from tlq.smoothing import SmoothScale, fuse_into_predecessor, power_scale
 from tlq.tensor import Rng, rand_normal
 
 
+def _sqrt_stat(x, w):
+    """layer_stat's sqrt mode on one (N, C) sample and a linear with weight w."""
+    return layer_stat(np.asarray(x)[None], "sqrt", Linear("lin", np.asarray(w), np.zeros(len(w))))
+
+
 def test_sqrt_scale_symmetric_inputs_give_ones():
-    v = np.array([1.0, 2.0, 7.5])
-    assert np.allclose(sqrt_scale(v, v).values, 1.0)
+    v = np.array([[1.0, 2.0, 7.5]])
+    assert np.allclose(_sqrt_stat(v, v), 1.0)
 
 
 def test_sqrt_scale_hand_case():
-    s = sqrt_scale(np.array([4.0]), np.array([1.0]))
+    s = scale_for("sqrt", _sqrt_stat([[4.0]], [[1.0]]), 1.0)
     assert s.values[0] == pytest.approx(2.0, rel=1e-15)
     assert s.origin == "sqrt_baseline"
 
 
 def test_sqrt_scale_dead_channel_floors():
-    s = sqrt_scale(np.array([0.0]), np.array([1.0]))
-    assert s.values[0] > 0
-
-
-def test_sqrt_scale_length_mismatch():
-    with pytest.raises(ShapeError):
-        sqrt_scale(np.ones(3), np.ones(4))
+    assert _sqrt_stat([[0.0]], [[1.0]])[0] > 0
 
 
 def test_power_scale_endpoints_and_hand_case():
@@ -88,7 +83,7 @@ def test_smoothing_balances_absmax():
     w = rand_normal(Rng(7), (7, 5))
     x_absmax = np.max(np.abs(x), axis=0)
     w_absmax = np.max(np.abs(w), axis=0)
-    s = sqrt_scale(x_absmax, w_absmax)
+    s = SmoothScale(_sqrt_stat(x, w))
     xs, ws = apply_smoothing(x, w, s)
     target = np.sqrt(x_absmax * w_absmax)
     assert np.allclose(np.max(np.abs(xs), axis=0), target, rtol=1e-10)
