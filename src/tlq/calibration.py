@@ -13,11 +13,13 @@ strategies control which activations later layers calibrate on:
 * passact2: a single stream where each calibrated layer's quantized output
   replaces the input of the next layer, matching the real inference path.
 
-Quantization-exposed batch work calls `model.apply_linear_quant`, the one
-quantized linear, which the single-sample forwards call on a batch of one.
-It takes its weight half, Qw(W*s), built by `model.quantized_weight`:
-`search_ratio` and the distributed search build one per grid point, and
-`CalibrationWalk.fix_scale` one per fixed linear.
+Quantization-exposed batch work runs the block loop of
+`model.apply_linear_quant`, the one quantized linear, which the
+single-sample forwards call on a batch of one. It takes its weight half,
+Qw(W*s), built by `model.quantized_weight`: `search_ratio` and the
+distributed search build one per grid point, and `CalibrationWalk.fix_scale`
+one per fixed linear. `search_ratio` scores each block as it comes out of
+the loop, and may score several grid points at once on a thread pool.
 Full-precision batch work runs blocks of whole samples through the layer
 kernels the single-sample forwards use. A block's linear is one stacked
 matmul, which runs the per-sample gemms and keeps their bytes; a flattened
@@ -33,7 +35,9 @@ tensors, so the two results agree bit for bit.
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +50,7 @@ from .model import (
     ProxyLossSpec,
     _Reader,
     _block_samples,
+    _linear_quant_blocks,
     _validate_quant_cfgs,
     apply_layer_fp,
     apply_linear_quant,
@@ -67,6 +72,11 @@ TIE_REL_TOL = 1e-12
 
 # largest ratio grid (0..1 at step 0.001); every point is a full layer search
 MAX_GRID_POINTS = 1001
+
+# OpenBLAS runs a gemm of up to 2^18 multiply-adds on one thread. After a
+# larger one its idle worker spins on another core, and numpy threads that
+# share the cores slow down, so `search_ratio` pools its points only up to it.
+POOL_MAX_GEMM = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -115,13 +125,18 @@ class CalibrationResult:
     grid: RatioGrid
 
 
+def _sq_diff_sums(y_fp: np.ndarray, y_q: np.ndarray) -> np.ndarray:
+    """Each (N, C) sample's squared L2 difference over a (k, N, C) block; overwrites y_q, reads y_fp."""
+    y_q -= y_fp
+    np.multiply(y_q, y_q, out=y_q)
+    return np.sum(y_q, axis=(1, 2))
+
+
 def layer_loss(y_fp: np.ndarray, y_q: np.ndarray) -> float:
     """Batch mean of each (N, C) sample's squared L2 difference; overwrites y_q, reads y_fp."""
     if y_fp.ndim != 3 or y_fp.shape != y_q.shape:
         raise ShapeError(f"layer loss needs two (B, N, C) outputs of one shape, got {y_fp.shape} and {y_q.shape}")
-    y_q -= y_fp
-    np.multiply(y_q, y_q, out=y_q)
-    return float(np.mean(np.sum(y_q, axis=(1, 2))))
+    return float(np.mean(_sq_diff_sums(y_fp, y_q)))
 
 
 def _batch_fp(layer, xs: np.ndarray) -> np.ndarray:
@@ -149,6 +164,25 @@ def select_ratio(curve: Sequence[tuple[float, float]]) -> float:
     raise AssertionError("unreachable: minimum not found in its own curve")
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _search_threads(points: int, xs: np.ndarray, c_out: int) -> int:
+    """Threads that score one layer's grid points; 1 scores them in grid order.
+
+    Above POOL_MAX_GEMM the gemm itself runs on several BLAS threads, so the
+    points run in order. Otherwise the count is bounded by the points, the
+    usable CPUs, and the memory a point used to hold alone, a batch-sized
+    y_q beside its input and output blocks: each thread holds two blocks.
+    """
+    b, n, c_in = xs.shape
+    if n * c_in * c_out > POOL_MAX_GEMM:
+        return 1
+    blocks = max(1, min(_block_samples(xs), b) * n * (c_in + c_out))  # an empty batch fails later, in order
+    return max(1, min(points, _usable_cpus(), (b * n * c_out + blocks) // blocks))
+
+
 def search_ratio(
     layer: Linear,
     q_inputs: np.ndarray,
@@ -158,7 +192,13 @@ def search_ratio(
     cfg_w: QuantConfig,
     cfg_a: QuantConfig,
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """Evaluate the reconstruction loss at every grid point and pick r*."""
+    """Evaluate the reconstruction loss at every grid point and pick r*.
+
+    Each point is scored one block of whole samples at a time, so no
+    batch-sized y_q is built; its loss has the bytes of `layer_loss` on
+    the whole batch. The points run on `_search_threads` threads and the
+    curve keeps grid order, so the thread count changes no byte.
+    """
     if x_stat.shape != (layer.weight.shape[1],):
         raise ShapeError(
             f"layer {layer.name!r}: x_stat length {x_stat.shape} vs {layer.weight.shape[1]} input channels"
@@ -166,12 +206,28 @@ def search_ratio(
     if q_inputs.shape != fp_inputs.shape:
         raise ShapeError(f"layer {layer.name!r}: inputs differ: {q_inputs.shape} vs {fp_inputs.shape}")
     y_fp = _batch_fp(layer, fp_inputs)
-    # each point's y_q dies inside its loss, before the next point allocates
-    curve = [
-        (r, layer_loss(y_fp, grid_point_output(layer, q_inputs, x_stat, r, cfg_w, cfg_a)))
-        for r in grid.points()
-    ]
-    return select_ratio(curve), tuple(curve)
+    b, n = q_inputs.shape[:2]
+    block_shape = (min(_block_samples(q_inputs), b), n, layer.weight.shape[0])
+
+    def loss_at(r: float) -> float:
+        scale = power_scale(x_stat, r)
+        blocks = _linear_quant_blocks(layer, q_inputs, scale, quantized_weight(layer, scale, cfg_w), cfg_a,
+                                      np.empty(block_shape))
+        sums = np.empty(b)
+        for start, y_q in blocks:
+            stop = start + y_q.shape[0]
+            sums[start:stop] = _sq_diff_sums(y_fp[start:stop], y_q)
+        return float(np.mean(sums))
+
+    points = grid.points()
+    threads = _search_threads(len(points), q_inputs, layer.weight.shape[0])
+    if threads == 1:
+        losses = list(map(loss_at, points))
+    else:
+        with ThreadPoolExecutor(threads, thread_name_prefix="tlq-search") as pool:
+            losses = list(pool.map(loss_at, points))
+    curve = tuple(zip(points, losses))
+    return select_ratio(curve), curve
 
 
 def grid_point_output(
@@ -410,6 +466,8 @@ def calibrate(
 
     `activations` is the (B, N, C) calibration tensor (CalibrationSet
     modality tags play no role here; selection is purely gradient-driven).
+    A batch that is not C-contiguous is copied once into C order, because
+    layout changes the bytes of the rmsnorm sums and the stacked gemms.
     """
 
     def search(task: LinearTask, stat: np.ndarray):
@@ -433,6 +491,8 @@ def _calibration_loop(
     """
     if stat_mode not in STAT_MODES:
         raise ConfigError(f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
+    # a copy, not ledgered, only for a batch that is not C-contiguous
+    activations = np.ascontiguousarray(activations)
     selections = None
     if stat_mode == "topk":
         selections = compute_token_selections(stack, activations, fraction, loss, observer)

@@ -23,8 +23,10 @@ remote grid search: each layer's search dispatches the statistic and
 outputs to the workers and waits for `ratio_fixed`. Every receive goes
 through `_WorkerCtx.recv`, which checks that the message is the step the
 protocol expects. The numeric kernels are the single-context ones on
-bit-identical tensors (float64 survives the wire exactly), so the
-distributed result equals the single-context result bit for bit.
+bit-identical tensors (float64 survives the wire exactly): the coordinator
+builds each whole y_q to send it, and the loss worker's `layer_loss` sums
+each sample as `search_ratio`'s block scorer does, so the distributed
+result equals the single-context result bit for bit.
 
 On either transport the first abort, from a worker that raises, ends every
 waiting send and receive at once with that worker's reason, and nothing
@@ -602,7 +604,8 @@ def run_distributed_calibration(
     calibrator for the same inputs) and the per-worker memory report. The
     caller's thread acts as worker 0, which infers and coordinates; worker 1
     fixes scales and the last worker scores losses. They run as threads and
-    exchange CalMessages only.
+    exchange CalMessages only. A batch that is not C-contiguous is copied
+    once into C order, as in `calibrate`; the ledger does not count the copy.
     """
     if workers not in (2, 3):
         raise ConfigError(f"distributed calibration needs 2 or 3 workers, got {workers}")

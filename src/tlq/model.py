@@ -180,14 +180,31 @@ def apply_linear_quant(
     This is the activation half: `w_hat` is the weight half,
     `quantized_weight(layer, scale, cfg_w)`, built once by the caller for
     every call at this scale. Quantization is simulated (dequantize then
-    float matmul). The activations are divided and quantized one block of
-    whole samples at a time, in one buffer of about `_QDQ_CHUNK_ELEMS`
-    elements that holds at least one sample; the scales are per token, so
-    the block size changes no byte. Each block goes through one stacked
-    matmul, which runs the per-sample gemms and so keeps their bytes; a
-    flattened (k*N, C) gemm would not, because its bytes depend on the BLAS.
-    Every call returns a new array, because the in-process transport queues
-    outputs by reference.
+    float matmul). Every call returns a new array, because the in-process
+    transport queues outputs by reference.
+    """
+    out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
+    for _ in _linear_quant_blocks(layer, xs, scale, w_hat, cfg_a, out):
+        pass
+    return out
+
+
+def _linear_quant_blocks(
+    layer: Linear,
+    xs: np.ndarray,
+    scale: SmoothScale,
+    w_hat: np.ndarray,
+    cfg_a: QuantConfig,
+    out: np.ndarray,
+):
+    """The block loop of `apply_linear_quant`: yield (start, y) for each block of whole samples.
+
+    Each block is divided and quantized in one buffer of about
+    `_QDQ_CHUNK_ELEMS` elements (the scales are per token, so the block size
+    changes no byte), then goes through one stacked matmul, which keeps the
+    per-sample gemms' bytes where a flattened (k*N, C) gemm would not, and
+    gets the bias. `y` is the block's view of `out`, which holds the whole
+    batch or one block that every block reuses.
     """
     c_in = layer.weight.shape[1]
     if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,) or w_hat.shape != layer.weight.shape:
@@ -195,16 +212,17 @@ def apply_linear_quant(
             f"layer {layer.name!r}: inputs {xs.shape}, smoothing scale {scale.values.shape} and "
             f"quantized weight {w_hat.shape} vs weight {layer.weight.shape}"
         )
-    out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
     samples = _block_samples(xs)
+    whole = out.shape[0] == xs.shape[0]
     x_hat = np.empty((min(samples, xs.shape[0]), *xs.shape[1:]))
     for start in range(0, xs.shape[0], samples):
         x_in = xs[start : start + samples]
         block = np.divide(x_in, scale.values, out=x_hat[: x_in.shape[0]])
         _qdq_inplace(block.reshape(-1, c_in), cfg_a)
-        np.matmul(block, w_hat.T, out=out[start : start + samples])
-    out += layer.bias
-    return out
+        y = out[start : start + samples] if whole else out[: x_in.shape[0]]
+        np.matmul(block, w_hat.T, out=y)
+        y += layer.bias
+        yield start, y
 
 
 def _check_input(stack: LayerStack, x: np.ndarray) -> None:

@@ -90,6 +90,8 @@ def quantize(x: np.ndarray, cfg: QuantConfig) -> QuantizedTensor:
     """Row-wise symmetric quantization of a rank-2 tensor."""
     # integer input is quantized from its float64 values
     x = x.astype(np.result_type(x, 1.0), copy=False)
+    if x.dtype not in (np.float32, np.float64):  # float16 cannot hold the scale floor or a 16-bit qmax
+        raise ConfigError(f"quantize needs float32 or float64 input, got {x.dtype}")
     t, scales = _scaled_magnitudes(x, cfg)
     # half away from zero (numpy's round() is half-to-even): round the
     # magnitude, then take the sign of x; int32 turns a -0 code into 0

@@ -1,7 +1,7 @@
 """Measurements only the tests take: planted-fixture checks, heatmap readers,
-the rounding-error law, two small tensor builders, and three reference
-kernels (explicit smoothing, the quantized artifact's forward pass and the
-one-sample-at-a-time evaluation)."""
+the rounding-error law, two small tensor builders, and four reference
+kernels (explicit smoothing, the quantized artifact's forward pass, and the
+one-sample-at-a-time calibration and evaluation)."""
 
 from __future__ import annotations
 
@@ -10,11 +10,19 @@ from typing import Sequence
 
 import numpy as np
 
-from tlq.calibration import CalibrationResult, QuantizedLinear, QuantizedStack, scales_from_result
+from tlq.calibration import (
+    CalibrationResult,
+    LayerCalibration,
+    QuantizedLinear,
+    QuantizedStack,
+    RatioGrid,
+    scales_from_result,
+    select_ratio,
+)
 from tlq.errors import CheckpointError, ConfigError, ShapeError
 from tlq.fixtures import PlantProfile
-from tlq.importance import activation_error_probe, token_importance_sums
-from tlq.layers import LayerStack, Linear
+from tlq.importance import activation_error_probe, select_top_tokens, token_importance_sums
+from tlq.layers import LayerStack, Linear, RMSNorm
 from tlq.model import (
     CalibrationSet,
     ProxyLossSpec,
@@ -28,8 +36,8 @@ from tlq.model import (
     quantized_weights,
 )
 from tlq.report import EvalReport, LayerEval
-from tlq.quantizer import QuantConfig, _qdq_inplace, dequantize, quantize
-from tlq.smoothing import SmoothScale
+from tlq.quantizer import DEFAULT_SCALE_FLOOR, QuantConfig, _qdq_inplace, dequantize, quantize
+from tlq.smoothing import SmoothScale, power_scale
 from tlq.tensor import Rng, _check_shape, matmul
 
 # --- tensors and scales ----------------------------------------------------------
@@ -77,6 +85,82 @@ def forward_quantized(qstack: QuantizedStack, x: np.ndarray) -> np.ndarray:
         else:
             cur = apply_layer_fp(layer, cur)
     return cur
+
+
+def _layer_fp_per_sample(layer, x: np.ndarray) -> np.ndarray:
+    """One layer on one (N, C) sample, written out from the layer formulas."""
+    if isinstance(layer, RMSNorm):
+        return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps) * layer.gain
+    if isinstance(layer, Linear):
+        return x @ layer.weight.T + layer.bias
+    if layer.fn == "relu":
+        return np.maximum(x, 0.0)
+    return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
+
+
+def _linear_quant_per_sample(lin: Linear, x: np.ndarray, s: np.ndarray, cfg_w, cfg_a) -> np.ndarray:
+    """Qa(x/s) @ Qw(W*s).T + b on one sample, from the public quantizer."""
+    w_hat = dequantize(quantize(lin.weight * s, cfg_w))
+    return dequantize(quantize(x / s, cfg_a)) @ w_hat.T + lin.bias
+
+
+def _stat_per_sample(xs: list, stat_mode: str, lin: Linear, selected) -> np.ndarray:
+    """The pooled scale statistic of a list of (N, C) samples."""
+    rows = np.abs(np.concatenate([x if selected is None else x[list(selected.indices)] for x in xs]))
+    if stat_mode == "mean":
+        return np.mean(rows, axis=0)
+    x_absmax = np.max(rows, axis=0)
+    if stat_mode != "sqrt":
+        return x_absmax
+    w_absmax = np.max(np.abs(lin.weight), axis=0)
+    return np.sqrt(np.maximum(x_absmax, DEFAULT_SCALE_FLOOR) / np.maximum(w_absmax, DEFAULT_SCALE_FLOOR))
+
+
+def calibrate_per_sample(
+    stack: LayerStack,
+    activations: np.ndarray,
+    *,
+    strategy: str,
+    stat_mode: str,
+    grid: RatioGrid,
+    cfg_w: QuantConfig,
+    cfg_a: QuantConfig,
+    fraction: float = 0.5,
+    loss: ProxyLossSpec = ProxyLossSpec(),
+) -> CalibrationResult:
+    """`calibrate` one (N, C) sample at a time: the byte reference for its blocks, pool and in-place kernels.
+
+    Each stream is a list of samples. Every linear runs one gemm per
+    sample, both quantized halves come from `dequantize(quantize(.))`, and
+    a grid point's loss is the mean of its per-sample squared sums.
+    """
+    selections = None
+    if stat_mode == "topk":
+        sums = token_importance_sums(backward_token_grads(stack, x, loss) for x in activations)
+        selections = [select_top_tokens(sums[l], fraction) for l in range(len(stack.layers))]
+    streams = {name: list(activations) for name in (("fp", "q") if strategy == "passact1" else ("main",))}
+    rows = []
+    for idx, layer in enumerate(stack.layers):
+        if not isinstance(layer, Linear):
+            streams = {name: [_layer_fp_per_sample(layer, x) for x in xs] for name, xs in streams.items()}
+            continue
+        fp_in, q_in = (streams["fp"], streams["q"]) if strategy == "passact1" else (streams["main"],) * 2
+        stat = _stat_per_sample(q_in, stat_mode, layer, selections[idx] if selections else None)
+        y_fp = [_layer_fp_per_sample(layer, x) for x in fp_in]
+        curve = []
+        for r in grid.points():
+            s = power_scale(stat, r).values
+            diffs = [_linear_quant_per_sample(layer, x, s, cfg_w, cfg_a) - y for x, y in zip(q_in, y_fp)]
+            curve.append((r, float(np.mean([np.sum(d * d) for d in diffs]))))
+        r_star = select_ratio(curve)
+        scale = SmoothScale(power_scale(stat, r_star).values, "sqrt_baseline" if stat_mode == "sqrt" else "stat_ratio")
+        rows.append(LayerCalibration(layer.name, scale, r_star, tuple(curve)))
+        if strategy == "none":
+            streams = {"main": y_fp}
+            continue
+        q_out = [_linear_quant_per_sample(layer, x, scale.values, cfg_w, cfg_a) for x in q_in]
+        streams = {"main": q_out} if strategy == "passact2" else {"fp": y_fp, "q": q_out}
+    return CalibrationResult(tuple(rows), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid)
 
 
 def evaluate_per_sample(

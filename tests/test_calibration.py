@@ -1,3 +1,4 @@
+import threading
 import time
 import tracemalloc
 
@@ -12,6 +13,7 @@ from tlq.calibration import (
     WalkObserver,
     _batch_fp,
     _calibration_loop,
+    _search_threads,
     RatioGrid,
     calibrate,
     gradient_pass_bytes,
@@ -25,7 +27,7 @@ from tlq.calibration import (
     search_ratio,
     select_ratio,
 )
-from tlq.distcal import baseline_peak
+from tlq.distcal import baseline_peak, run_distributed_calibration
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
@@ -603,3 +605,74 @@ def test_calibrate_live_peak_is_within_the_single_layer_baseline():
     assert baseline_peak((128, 128), (64, 64)) == 16_908_288
     assert peak <= 16_908_288
     assert time.monotonic() - start < 5.0
+
+
+def _search_thread_names() -> set:
+    return {t.name for t in threading.enumerate() if t.name.startswith("tlq-search")}
+
+
+def test_pooled_grid_points_raise_as_in_grid_order_and_leave_no_thread(monkeypatch):
+    """An Inf activation fails r = 0 in the quantizer (and later points in the scale) with one message either way."""
+    stack = single_linear_stack(11, 32, 32)
+    xs = rand_normal(Rng(12), (130, 16, 32))
+    opts = dict(strategy="passact2", stat_mode="max", grid=RatioGrid(0.0, 1.0, 0.25), cfg_w=CFG_W, cfg_a=CFG_A)
+    point_threads = []
+    build = quantized_weight
+
+    def recorded(layer, scale, cfg_w):
+        point_threads.append(threading.current_thread().name)
+        return build(layer, scale, cfg_w)
+
+    monkeypatch.setattr(calibration, "quantized_weight", recorded)
+    monkeypatch.setattr(calibration, "_usable_cpus", lambda: 2)
+    assert _search_threads(5, xs, 32) == 2
+    calibrate(stack, xs, **opts)
+    assert all(name.startswith("tlq-search") for name in point_threads[:5])  # the 6th builds fix_scale's weight
+    assert _search_thread_names() == set()
+
+    xs[7, 3, 5] = np.inf
+    messages = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(calibration, "_usable_cpus", lambda: cpus)
+        point_threads.clear()
+        with pytest.raises(NumericError) as err:
+            calibrate(stack, xs, **opts)
+        messages.append(str(err.value))
+        assert point_threads[0].startswith("tlq-search") == (cpus == 2)
+        assert _search_thread_names() == set()
+    assert messages[0] == messages[1] == "quantize input contains NaN or Inf"
+
+
+def test_calibrate_live_peak_on_the_pool_side_is_within_the_single_layer_baseline(monkeypatch):
+    """At readme's width the grid points run on two threads, each with its own blocks, within baseline_peak."""
+    monkeypatch.setattr(calibration, "_usable_cpus", lambda: 2)
+    stack = build_stack(6, 1, 64)
+    calib = build_calibset(6, 128, 64, 64, visual_fraction=0.5)
+    assert _search_threads(21, calib.activations, 64) == 2
+    tracemalloc.start()
+    try:
+        calibrate(stack, calib.activations, strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert baseline_peak((64, 64), (128, 64)) == 16_809_984
+    assert peak <= 16_809_984
+
+
+def test_a_fortran_order_batch_gives_the_bytes_of_its_c_order_copy():
+    """Both entry points copy a non-C-order batch into C order once; rmsnorm sums and gemms see one layout."""
+    stack = build_stack(3, 1, 32)
+    xs = build_calibset(3, 4, 8, 32, visual_fraction=0.5).activations
+    opts = dict(strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+    want = result_to_text(calibrate(stack, xs, **opts))
+    f_order = np.asfortranarray(xs)
+    assert not f_order.flags.c_contiguous
+    assert result_to_text(calibrate(stack, f_order, **opts)) == want
+    dist, _ = run_distributed_calibration(stack, f_order, workers=2, **opts)
+    assert result_to_text(dist) == want
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 16), (2, 0, 16)], ids=["no_samples", "no_tokens"])
+def test_an_empty_batch_fails_in_the_scale_not_in_the_thread_count(shape):
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="smoothing scale"):
+        calibrate(random_block_stack(1, 1, 16), np.zeros(shape), stat_mode="mean", cfg_w=CFG_W, cfg_a=CFG_A)
