@@ -230,14 +230,6 @@ def search_ratio(
     return select_ratio(curve), curve
 
 
-def grid_point_output(
-    layer: Linear, q_inputs: np.ndarray, x_stat: np.ndarray, r: float, cfg_w: QuantConfig, cfg_a: QuantConfig
-) -> np.ndarray:
-    """The quantized output at one grid point: one weight build at scale x_stat^r, then the activation half."""
-    scale = power_scale(x_stat, r)
-    return apply_linear_quant(layer, q_inputs, scale, quantized_weight(layer, scale, cfg_w), cfg_a)
-
-
 def gradient_pass_bytes(stack: LayerStack, n_tokens: int) -> int:
     """Footprint of one sample's forward trace plus its gradient trace."""
     return 2 * sum(8 * n_tokens * w for w in stack.widths())
@@ -491,6 +483,8 @@ def _calibration_loop(
     """
     if stat_mode not in STAT_MODES:
         raise ConfigError(f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
+    if not 0.0 < fraction <= 1.0:  # NaN fails too; the result records it in every stat mode
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     # a copy, not ledgered, only for a batch that is not C-contiguous
     activations = np.ascontiguousarray(activations)
     selections = None
@@ -564,8 +558,8 @@ def quantize_with_result(
     """Emit the deployable artifact: fused smoothing plus quantized weights.
 
     Each linear's smoothing division is folded into its rmsnorm or linear
-    predecessor; the first linear (no predecessor) keeps an explicit input
-    scale. Weights are stored as per-channel quantized tensors.
+    predecessor; a linear with neither (first, or after an activation) keeps
+    an explicit input scale. Weights are stored as per-channel quantized tensors.
     """
     _validate_quant_cfgs(cfg_w, cfg_a)
     check_result_layers(stack, result)
@@ -578,7 +572,7 @@ def quantize_with_result(
         if not isinstance(layer, Linear):
             continue
         scale = by_name[layer.name]
-        if i == 0:
+        if i == 0 or not isinstance(stack.layers[i - 1], (RMSNorm, Linear)):
             explicit[layer.name] = scale.values
         else:
             fused[i - 1] = fuse_into_predecessor(fused[i - 1], scale)

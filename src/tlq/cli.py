@@ -37,22 +37,24 @@ PRESETS = {
     "tlq": {"stat_mode": "topk", "strategy": "passact2", "grid_start": 0.0, "grid_stop": 1.0},
 }
 
-# every calibration option: its default and what a config file may hold for
-# it, an int, a float (an int is widened, as a float flag would parse it) or
-# one of a tuple of names
+# every calibration option: its default, what a flag or a config file may
+# hold for it (an int, a float, which widens an int as the float flag would
+# parse it, or one of a tuple of names) and its flag's help
 _CAL_OPTIONS = {
-    "bits_w": (4, int),
-    "bits_a": (8, int),
-    "strategy": ("passact2", calibration.STRATEGIES),
-    "stat_mode": ("topk", calibration.STAT_MODES),
-    "fraction": (0.5, float),
-    "grid_start": (0.0, float),
-    "grid_stop": (1.0, float),
-    "grid_step": (0.05, float),
-    "workers": (3, int),
-    "transport": ("in_process", distcal.TRANSPORTS),
-    "timeout": (30.0, float),
+    "bits_w": (4, int, "weight bits"),
+    "bits_a": (8, int, "activation bits"),
+    "strategy": ("passact2", calibration.STRATEGIES, "activation propagation"),
+    "stat_mode": ("topk", calibration.STAT_MODES, "per-channel scale statistic"),
+    "fraction": (0.5, float, "top-token fraction for topk"),
+    "grid_start": (0.0, float, "first smoothing ratio"),
+    "grid_stop": (1.0, float, "last smoothing ratio"),
+    "grid_step": (0.05, float, "ratio grid step"),
+    "workers": (3, int, "2 or 3 workers"),
+    "transport": ("in_process", distcal.TRANSPORTS, "worker channels"),
+    "timeout": (30.0, float, "seconds a worker waits"),
 }
+# flags of dist-calibrate only; a calibrate config file may hold them
+_DIST_OPTIONS = ("workers", "transport", "timeout")
 
 
 def _config_value(key: str, value):
@@ -79,20 +81,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_calibration_options(p: argparse.ArgumentParser) -> None:
+def _add_calibration_options(p: argparse.ArgumentParser, dist: bool) -> None:
     p.add_argument("--model", required=True, help="checkpoint file (TLQCKPT1)")
     p.add_argument("--calib", required=True, help="calibration set file (TLQCAL01)")
     p.add_argument("--out", required=True, help="calibration result output path")
     p.add_argument("--config", help="JSON config file; explicit flags win")
     p.add_argument("--preset", choices=sorted(PRESETS), help="rtn, sq or tlq")
-    p.add_argument("--bits-w", type=int, dest="bits_w", default=None)
-    p.add_argument("--bits-a", type=int, dest="bits_a", default=None)
-    p.add_argument("--strategy", choices=calibration.STRATEGIES, default=None)
-    p.add_argument("--stat-mode", choices=calibration.STAT_MODES, dest="stat_mode", default=None)
-    p.add_argument("--fraction", type=float, default=None, help="top-token fraction for topk")
-    p.add_argument("--grid-start", type=float, dest="grid_start", default=None)
-    p.add_argument("--grid-stop", type=float, dest="grid_stop", default=None)
-    p.add_argument("--grid-step", type=float, dest="grid_step", default=None)
+    for key, (_, kind, text) in _CAL_OPTIONS.items():
+        if dist or key not in _DIST_OPTIONS:
+            typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=text, **typed)
 
 
 def _build_parser() -> _Parser:
@@ -125,13 +123,10 @@ def _build_parser() -> _Parser:
     c.add_argument("--out", required=True)
 
     cal = sub.add_parser("calibrate", help="single-context layer-wise calibration")
-    _add_calibration_options(cal)
+    _add_calibration_options(cal, dist=False)
 
     dist = sub.add_parser("dist-calibrate", help="distributed layer-wise calibration")
-    _add_calibration_options(dist)
-    dist.add_argument("--workers", type=int, default=None)
-    dist.add_argument("--transport", choices=distcal.TRANSPORTS, default=None)
-    dist.add_argument("--timeout", type=float, default=None)
+    _add_calibration_options(dist, dist=True)
     dist.add_argument("--memory-report", dest="memory_report", help="memory report output path")
 
     q = sub.add_parser("quantize", help="emit the fused, weight-quantized artifact")
@@ -142,11 +137,7 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("eval", help="score a result: per-layer losses and loss gaps")
     e.add_argument("--model", required=True)
     e.add_argument("--result", required=True)
-    e.add_argument("--calib", help="evaluation calibration set")
-    e.add_argument("--fresh-seed", type=int, dest="fresh_seed", help="generate evaluation data instead")
-    e.add_argument("--batch", type=int, default=16, help="batch for --fresh-seed data")
-    e.add_argument("--tokens", type=int, default=32, help="tokens for --fresh-seed data")
-    e.add_argument("--visual-fraction", type=float, dest="visual_fraction", default=0.5)
+    e.add_argument("--calib", required=True, help="evaluation calibration set")
     e.add_argument("--out", required=True)
 
     h = sub.add_parser("heatmap", help="export token-gradient CSVs before/after selection")
@@ -165,16 +156,13 @@ def _build_parser() -> _Parser:
 
 def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge calibration options: flags > config file > preset > defaults."""
-    merged = {key: default for key, (default, _) in _CAL_OPTIONS.items()}
+    merged = {key: default for key, (default, _, _) in _CAL_OPTIONS.items()}
     if args.preset:
         merged.update(PRESETS[args.preset])
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            loaded = json.loads(_read(args.config, "config file").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must hold a JSON object, got {type(loaded).__name__}")
@@ -195,11 +183,23 @@ def _check_fraction(fraction: float) -> None:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
 
 
-def _require_file(path: str, what: str) -> Path:
+def _read(path: str, what: str) -> bytes:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"{what} not found: {path}")
-    return p
+    return p.read_bytes()
+
+
+def _load_model(path: str):
+    return load_checkpoint(_read(path, "model checkpoint"))
+
+
+def _load_calib(path: str):
+    return load_calibset(_read(path, "calibration set"))
+
+
+def _load_result(path: str):
+    return calibration.load_result(_read(path, "calibration result"))
 
 
 def _prepare_out(path: str) -> Path:
@@ -240,9 +240,7 @@ def _cmd_gen_calib(args) -> int:
 
 
 def _load_inputs(args):
-    stack = load_checkpoint(_require_file(args.model, "model checkpoint").read_bytes())
-    calib = load_calibset(_require_file(args.calib, "calibration set").read_bytes())
-    return stack, calib
+    return _load_model(args.model), _load_calib(args.calib)
 
 
 def _calibration_kwargs(opts: dict) -> dict:
@@ -293,8 +291,8 @@ def _cmd_dist_calibrate(args) -> int:
 
 
 def _cmd_quantize(args) -> int:
-    stack = load_checkpoint(_require_file(args.model, "model checkpoint").read_bytes())
-    result = calibration.load_result(_require_file(args.result, "calibration result").read_bytes())
+    stack = _load_model(args.model)
+    result = _load_result(args.result)
     out = _prepare_out(args.out)
     qstack = calibration.quantize_with_result(
         stack,
@@ -308,20 +306,9 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    stack = load_checkpoint(_require_file(args.model, "model checkpoint").read_bytes())
-    result = calibration.load_result(_require_file(args.result, "calibration result").read_bytes())
-    if (args.calib is None) == (args.fresh_seed is None):
-        raise ConfigError("eval needs exactly one of --calib or --fresh-seed")
-    if args.calib:
-        calib = load_calibset(_require_file(args.calib, "calibration set").read_bytes())
-    else:
-        calib = fixtures.build_calibset(
-            args.fresh_seed,
-            args.batch,
-            args.tokens,
-            stack.input_channels,
-            visual_fraction=args.visual_fraction,
-        )
+    stack = _load_model(args.model)
+    result = _load_result(args.result)
+    calib = _load_calib(args.calib)
     out = _prepare_out(args.out)
     rep = report.evaluate(stack, result, calib)
     out.write_text(rep.to_text())
@@ -331,8 +318,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     _check_fraction(args.fraction)
-    stack = load_checkpoint(_require_file(args.model, "model checkpoint").read_bytes())
-    calib = load_calibset(_require_file(args.calib, "calibration set").read_bytes())
+    stack, calib = _load_inputs(args)
     pre_path = _prepare_out(args.out_pre)
     post_path = _prepare_out(args.out_post)
     pair = report.build_heatmaps(

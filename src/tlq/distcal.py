@@ -54,13 +54,12 @@ from .calibration import (
     WalkObserver,
     _batch_fp,
     _calibration_loop,
-    grid_point_output,
     layer_loss,
     select_ratio,
 )
 from .errors import ConfigError, LedgerError, ProtocolError
 from .layers import LayerStack
-from .model import ProxyLossSpec, _Reader
+from .model import ProxyLossSpec, _Reader, apply_linear_quant, quantized_weight
 from .quantizer import QuantConfig
 from .smoothing import power_scale
 
@@ -649,7 +648,8 @@ def run_distributed_calibration(
         chans.send(CalMessage("stat_request", me, SCALE_WORKER, layer=layer_idx, count=len(points), tensor=stat))
         hand_off("fp", _batch_fp(lin, task.fp_inputs))
         for r in points:
-            hand_off("q", grid_point_output(lin, task.q_inputs, stat, r, cfg_w, cfg_a), r)
+            scale = power_scale(stat, r)
+            hand_off("q", apply_linear_quant(lin, task.q_inputs, scale, quantized_weight(lin, scale, cfg_w), cfg_a), r)
 
         fixed = coordinator.recv(SCALE_WORKER, "ratio_fixed", layer_idx)
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):

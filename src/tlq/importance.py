@@ -35,7 +35,6 @@ from .smoothing import SmoothScale
 @dataclass(frozen=True)
 class SelectedTokens:
     indices: tuple[int, ...]  # sorted ascending
-    fraction: float
 
 
 def first_order_output_error(g: np.ndarray, deltas: np.ndarray) -> float | np.ndarray:
@@ -79,7 +78,7 @@ def select_top_tokens(sums: np.ndarray, fraction: float = 0.5) -> SelectedTokens
     # stable sort on the negated sums keeps lower indices first among ties
     order = np.argsort(-sums, kind="stable")
     chosen = np.sort(order[:k])
-    return SelectedTokens(tuple(int(i) for i in chosen), fraction)
+    return SelectedTokens(tuple(int(i) for i in chosen))
 
 
 def activation_error_probe(

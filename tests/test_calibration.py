@@ -19,6 +19,7 @@ from tlq.calibration import (
     gradient_pass_bytes,
     layer_loss,
     load_quantized,
+    load_result,
     quantize_with_result,
     result_from_text,
     result_to_text,
@@ -676,3 +677,36 @@ def test_a_fortran_order_batch_gives_the_bytes_of_its_c_order_copy():
 def test_an_empty_batch_fails_in_the_scale_not_in_the_thread_count(shape):
     with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="smoothing scale"):
         calibrate(random_block_stack(1, 1, 16), np.zeros(shape), stat_mode="mean", cfg_w=CFG_W, cfg_a=CFG_A)
+
+
+def _run_entry(entry, *args, **kwargs):
+    if entry == "calibrate":
+        return calibrate(*args, **kwargs)
+    return run_distributed_calibration(*args, workers=2, **kwargs)[0]
+
+
+@pytest.mark.parametrize("fraction", [0.0, -1.0, 5.0, float("nan")])
+@pytest.mark.parametrize("stat_mode", ["max", "mean", "sqrt"])
+@pytest.mark.parametrize("entry", ["calibrate", "distributed"])
+def test_a_fraction_outside_the_unit_interval_fails_before_any_work(monkeypatch, entry, stat_mode, fraction):
+    """Every result records its fraction, so every stat mode checks it, or load_result would refuse the result."""
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(calibration, "CalibrationWalk", walk)
+    xs = build_calibset(1, 2, 4, 16, visual_fraction=0.5).activations
+    with pytest.raises(ConfigError, match=r"fraction must be in \(0, 1\]"):
+        _run_entry(entry, random_block_stack(1, 1, 16), xs, stat_mode=stat_mode, fraction=fraction,
+                   cfg_w=CFG_W, cfg_a=CFG_A)
+
+
+@pytest.mark.parametrize("stat_mode", ["max", "mean", "sqrt", "topk"])
+@pytest.mark.parametrize("entry", ["calibrate", "distributed"])
+def test_a_valid_fraction_round_trips_through_load_result(entry, stat_mode):
+    xs = build_calibset(1, 2, 8, 16, visual_fraction=0.5).activations
+    res = _run_entry(entry, random_block_stack(1, 1, 16), xs, stat_mode=stat_mode, fraction=0.25,
+                     cfg_w=CFG_W, cfg_a=CFG_A)
+    text = result_to_text(res)
+    again = load_result(text.encode())
+    assert again.fraction == 0.25
+    assert result_to_text(again) == text

@@ -11,9 +11,10 @@ import pytest
 
 from helpers import parse_heatmap_csv
 from tlq import fixtures
-from tlq.calibration import result_from_text
-from tlq.cli import main
-from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset
+from tlq.calibration import load_quantized, result_from_text
+from tlq.cli import _CAL_OPTIONS, _DIST_OPTIONS, main
+from tlq.layers import LayerStack
+from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset, save_checkpoint
 
 
 def _gen_model(tmp_path, seed=1, depth=2, channels=32, name="model.ckpt"):
@@ -156,6 +157,62 @@ def test_bad_config_value_exits_one(tmp_path, capsys, content):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000], ids=["not_utf8", "too_deep"])
+def test_unreadable_config_exits_one(tmp_path, capsys, content):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    capsys.readouterr()
+    code = main([
+        "calibrate", "--model", str(model), "--calib", str(calib),
+        "--config", str(cfg), "--out", str(tmp_path / "r.txt"),
+    ])
+    assert code == 1
+    _one_error_line(capsys, "config error: config file is not valid JSON: ")
+    assert not (tmp_path / "r.txt").exists()
+
+
+# a value other than the default for every calibration option, as a flag gives it
+_OPTION_VALUES = {
+    "bits_w": "3", "bits_a": "6", "strategy": "passact1", "stat_mode": "max", "fraction": "0.25",
+    "grid_start": "0.1", "grid_stop": "0.9", "grid_step": "0.2",
+    "workers": "2", "transport": "sockets", "timeout": "20",
+}
+
+
+def test_option_values_cover_the_option_table():
+    assert _OPTION_VALUES.keys() == _CAL_OPTIONS.keys()
+
+
+@pytest.mark.parametrize("key", list(_OPTION_VALUES))
+def test_flag_and_config_key_give_the_same_bytes(tmp_path, key):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    value = _OPTION_VALUES[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value if isinstance(_CAL_OPTIONS[key][1], tuple) else json.loads(value)}))
+    command = "dist-calibrate" if key in _DIST_OPTIONS else "calibrate"
+    outs = {}
+    for source, extra in (
+        ("flag", ["--" + key.replace("_", "-"), value]), ("config", ["--config", str(cfg)]), ("default", []),
+    ):
+        out = tmp_path / f"{source}.txt"
+        mem = ["--memory-report", str(tmp_path / f"{source}.mem")] if command == "dist-calibrate" else []
+        assert main([command, "--model", str(model), "--calib", str(calib), "--out", str(out), *mem, *extra]) == 0
+        outs[source] = [p.read_bytes() for p in sorted(tmp_path.glob(f"{source}.*"))]
+    assert outs["flag"] == outs["config"]
+    if command == "calibrate":
+        assert outs["flag"] != outs["default"]
+
+
+@pytest.mark.parametrize("key", _DIST_OPTIONS)
+def test_dist_options_are_not_calibrate_flags(tmp_path, capsys, key):
+    argv = ["--model", "m", "--calib", "c", "--out", str(tmp_path / "r.txt"), "--" + key, _OPTION_VALUES[key]]
+    assert main(["calibrate", *argv]) == 1
+    _one_error_line(capsys, "error: unrecognized arguments: --" + key)
 
 
 @pytest.mark.parametrize("fraction", ["2", "0", "-0.5", "nan"])
@@ -387,7 +444,7 @@ def test_dist_calibrate_supports_presets(tmp_path):
     assert single.read_text() == dist.read_text()
 
 
-def test_quantize_and_eval_roundtrip(tmp_path):
+def test_quantize_and_eval_roundtrip(tmp_path, capsys):
     model = _gen_model(tmp_path)
     calib = _gen_calib(tmp_path)
     result = _calibrate(tmp_path, model, calib)
@@ -402,18 +459,24 @@ def test_quantize_and_eval_roundtrip(tmp_path):
     ]) == 0
     assert report.read_text().startswith("tlq-eval-report v1\n")
 
-    fresh = tmp_path / "eval_fresh.txt"
-    assert main([
-        "eval", "--model", str(model), "--result", str(result),
-        "--fresh-seed", "99", "--batch", "3", "--tokens", "8", "--out", str(fresh),
-    ]) == 0
-    assert fresh.read_text().startswith("tlq-eval-report v1\n")
+    capsys.readouterr()
+    no_calib = tmp_path / "no_calib.txt"
+    assert main(["eval", "--model", str(model), "--result", str(result), "--out", str(no_calib)]) == 1
+    _one_error_line(capsys, "error: the following arguments are required: --calib")
+    assert not no_calib.exists()
 
-    both = main([
-        "eval", "--model", str(model), "--result", str(result),
-        "--calib", str(calib), "--fresh-seed", "1", "--out", str(tmp_path / "x.txt"),
-    ])
-    assert both == 1
+
+def test_quantize_keeps_the_scale_of_a_linear_after_an_activation(tmp_path):
+    layers = fixtures.build_stack(1, 2, 16).layers
+    model = tmp_path / "model.ckpt"  # norm0 -> lin0 -> act0 -> lin1 -> act1
+    model.write_bytes(save_checkpoint(LayerStack(layers[:3] + layers[4:], 16)))
+    result = _calibrate(tmp_path, model, _gen_calib(tmp_path, batch=2, tokens=4, channels=16))
+    qfile = tmp_path / "model.quant"
+    assert main(["quantize", "--model", str(model), "--result", str(result), "--out", str(qfile)]) == 0
+    lin0, lin1 = (layer for layer in load_quantized(qfile.read_bytes()).layers if layer.name.startswith("lin"))
+    assert lin0.input_scale is None  # fused into norm0
+    scale = next(row.scale for row in result_from_text(result.read_text()).layers if row.name == "lin1")
+    assert np.array_equal(lin1.input_scale, scale.values)
 
 
 def test_heatmap_command(tmp_path):
@@ -489,20 +552,6 @@ def test_bad_timeout_exits_one(tmp_path, capsys, source, timeout, json_value):
 def test_gen_calib_empty_batch_exits_one(tmp_path, capsys, flags):
     out = tmp_path / "c.bin"
     code = main(["gen-calib", "--seed", "1", "--channels", "16", *flags, "--out", str(out)])
-    assert code == 1
-    _one_error_line(capsys, "config error: calibration set needs batch and tokens >= 1")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flags", [("--batch", "0"), ("--tokens", "0")])
-def test_eval_fresh_empty_batch_exits_one(tmp_path, capsys, flags):
-    model = _gen_model(tmp_path, channels=16)
-    result = _calibrate(tmp_path, model, _gen_calib(tmp_path, batch=2, tokens=4, channels=16))
-    out = tmp_path / "e.txt"
-    capsys.readouterr()
-    code = main([
-        "eval", "--model", str(model), "--result", str(result), "--fresh-seed", "1", *flags, "--out", str(out),
-    ])
     assert code == 1
     _one_error_line(capsys, "config error: calibration set needs batch and tokens >= 1")
     assert not out.exists()

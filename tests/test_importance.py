@@ -117,19 +117,19 @@ def _stat(x, mode, sel=None):
 
 def test_x_stat_full_selection_equals_absmax_baseline():
     x = rand_normal(Rng(8), (4, 6, 5))
-    sel = SelectedTokens(tuple(range(6)), 1.0)
+    sel = SelectedTokens(tuple(range(6)))
     assert np.array_equal(_stat(x, "topk", sel), _stat(x, "max"))
 
 
 def test_x_stat_single_token():
     x = rand_normal(Rng(9), (1, 5, 4))
-    sel = SelectedTokens((2,), 0.25)
+    sel = SelectedTokens((2,))
     assert np.array_equal(_stat(x, "topk", sel), np.abs(x[0, 2]))
 
 
 def test_x_stat_matches_mask_oracle():
     x = rand_normal(Rng(10), (3, 8, 6))
-    sel = SelectedTokens((1, 4, 5), 0.375)
+    sel = SelectedTokens((1, 4, 5))
     want = np.zeros(6)
     for c in range(6):
         best = 0.0
@@ -143,11 +143,11 @@ def test_x_stat_matches_mask_oracle():
 def test_x_stat_rejects_empty_or_invalid_selection():
     x = rand_normal(Rng(11), (1, 4, 3))
     with pytest.raises(ShapeError):
-        _stat(x, "topk", SelectedTokens((), 0.0))
+        _stat(x, "topk", SelectedTokens(()))
     with pytest.raises(ShapeError):
-        _stat(x, "topk", SelectedTokens((9,), 0.25))
+        _stat(x, "topk", SelectedTokens((9,)))
     with pytest.raises(ShapeError):  # would index the last token
-        _stat(x, "topk", SelectedTokens((-1,), 0.25))
+        _stat(x, "topk", SelectedTokens((-1,)))
 
 
 def test_baselines_constant_tensor():
@@ -170,7 +170,7 @@ def test_baselines_hand_case():
 )
 @settings(max_examples=50)
 def test_restricted_stat_never_exceeds_full_max(x, idx):
-    sel = SelectedTokens(tuple(sorted(idx)), len(idx) / 6)
+    sel = SelectedTokens(tuple(sorted(idx)))
     assert np.all(_stat(x, "topk", sel) <= _stat(x, "max"))
 
 
