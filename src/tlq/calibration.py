@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, ShapeError, TlqError
-from .importance import SelectedTokens, select_top_tokens, token_importance_sums
+from .importance import select_top_tokens, token_importance_sums
 from .layers import LayerStack, Linear, RMSNorm, layer_output_channels
 from .model import (
     ProxyLossSpec,
@@ -259,7 +259,7 @@ def compute_token_selections(
     fraction: float,
     loss: ProxyLossSpec,
     observer: WalkObserver | None = None,
-) -> list[SelectedTokens]:
+) -> list[tuple[int, ...]]:
     """Per-layer top-token sets from full-precision gradients over the batch.
 
     Gradients are taken once on the unquantized model, sample by sample, so
@@ -284,7 +284,7 @@ def layer_stat(
     xs: np.ndarray,
     stat_mode: str,
     layer: Linear,
-    selection: SelectedTokens | None = None,
+    selection: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """Per-channel scale statistic of one layer's (B, N, C) calibration inputs, samples pooled.
 
@@ -296,7 +296,7 @@ def layer_stat(
     if stat_mode == "topk":
         if selection is None:
             raise ConfigError("topk stat mode needs a token selection")
-        idx = np.asarray(selection.indices)
+        idx = np.asarray(selection)
         if idx.size == 0:
             raise ShapeError("empty token selection")
         if idx.min() < 0 or idx.max() >= xs.shape[1]:
@@ -549,19 +549,15 @@ class QuantizedStack:
     bits_a: int
 
 
-def quantize_with_result(
-    stack: LayerStack,
-    result: CalibrationResult,
-    cfg_w: QuantConfig,
-    cfg_a: QuantConfig,
-) -> QuantizedStack:
-    """Emit the deployable artifact: fused smoothing plus quantized weights.
+def quantize_with_result(stack: LayerStack, result: CalibrationResult) -> QuantizedStack:
+    """Emit the deployable artifact: fused smoothing plus quantized weights, at the result's bit widths.
 
     Each linear's smoothing division is folded into its rmsnorm or linear
     predecessor; a linear with neither (first, or after an activation) keeps
     an explicit input scale. Weights are stored as per-channel quantized tensors.
     """
-    _validate_quant_cfgs(cfg_w, cfg_a)
+    cfg_w = QuantConfig(result.bits_w, "per_channel")
+    QuantConfig(result.bits_a)  # a bits_a that load_quantized would refuse fails here
     check_result_layers(stack, result)
     by_name = scales_from_result(result)
 
@@ -587,7 +583,7 @@ def quantize_with_result(
             )
         else:
             out.append(layer)
-    return QuantizedStack(tuple(out), stack.input_channels, cfg_w.bits, cfg_a.bits)
+    return QuantizedStack(tuple(out), stack.input_channels, result.bits_w, result.bits_a)
 
 
 # --- result file format (human-readable, bit-exact floats) --------------------

@@ -294,12 +294,7 @@ def _cmd_quantize(args) -> int:
     stack = _load_model(args.model)
     result = _load_result(args.result)
     out = _prepare_out(args.out)
-    qstack = calibration.quantize_with_result(
-        stack,
-        result,
-        QuantConfig(result.bits_w, "per_channel"),
-        QuantConfig(result.bits_a, "per_token"),
-    )
+    qstack = calibration.quantize_with_result(stack, result)
     out.write_bytes(calibration.save_quantized(qstack))
     print(f"wrote {args.out}: {len(qstack.layers)} layers at W{result.bits_w}A{result.bits_a}")
     return 0

@@ -10,7 +10,6 @@ high-magnitude, near-zero-gradient tokens then stop biasing the scales.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence
 
@@ -20,7 +19,6 @@ from .errors import ShapeError
 from .layers import LayerStack
 from .model import (
     ForwardTrace,
-    GradTrace,
     ProxyLossSpec,
     backward_token_grads,
     forward_fp,
@@ -30,11 +28,6 @@ from .model import (
 )
 from .quantizer import QuantConfig, _qdq_inplace
 from .smoothing import SmoothScale
-
-
-@dataclass(frozen=True)
-class SelectedTokens:
-    indices: tuple[int, ...]  # sorted ascending
 
 
 def first_order_output_error(g: np.ndarray, deltas: np.ndarray) -> float | np.ndarray:
@@ -51,14 +44,14 @@ def channel_mean_abs(g: np.ndarray) -> np.ndarray:
     return np.mean(np.abs(g), axis=1)
 
 
-def token_importance_sums(traces: Iterable[GradTrace]) -> list[np.ndarray]:
-    """Per trace entry, sum_b channel_mean_abs(g_b) over the samples' traces, added in sample order.
+def token_importance_sums(traces: Iterable[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """Per trace entry, sum_b channel_mean_abs(g_b) over the samples' gradient traces, added in sample order.
 
     Given a generator, each sample's trace is computed only when it is summed.
     """
     sums = None
     for gt in traces:
-        rows = [channel_mean_abs(g) for g in gt.grads]
+        rows = [channel_mean_abs(g) for g in gt]
         if sums is not None and [r.shape for r in rows] != [t.shape for t in sums]:
             raise ShapeError(f"inconsistent token counts: {[r.shape for r in rows]} vs {[t.shape for t in sums]}")
         sums = rows if sums is None else [t + r for t, r in zip(sums, rows)]
@@ -67,8 +60,8 @@ def token_importance_sums(traces: Iterable[GradTrace]) -> list[np.ndarray]:
     return sums
 
 
-def select_top_tokens(sums: np.ndarray, fraction: float = 0.5) -> SelectedTokens:
-    """Indices of the ceil(fraction*N) largest token sums; ties go to the lower index."""
+def select_top_tokens(sums: np.ndarray, fraction: float = 0.5) -> tuple[int, ...]:
+    """Ascending indices of the ceil(fraction*N) largest token sums; ties go to the lower index."""
     if not 0.0 < fraction <= 1.0:
         raise ShapeError(f"fraction must be in (0, 1], got {fraction}")
     n = sums.shape[0]
@@ -78,7 +71,7 @@ def select_top_tokens(sums: np.ndarray, fraction: float = 0.5) -> SelectedTokens
     # stable sort on the negated sums keeps lower indices first among ties
     order = np.argsort(-sums, kind="stable")
     chosen = np.sort(order[:k])
-    return SelectedTokens(tuple(int(i) for i in chosen))
+    return tuple(int(i) for i in chosen)
 
 
 def activation_error_probe(
@@ -90,7 +83,7 @@ def activation_error_probe(
     loss: ProxyLossSpec = ProxyLossSpec(),
     *,
     trace: ForwardTrace | None = None,
-    grads: GradTrace | None = None,
+    grads: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Quantize one layer's input activation and compare loss-change estimates.
 
@@ -115,7 +108,7 @@ def activation_error_probe(
     delta -= x_l
     if grads is None:
         grads = backward_token_grads(stack, x, loss)
-    estimate = first_order_output_error(grads.grads[layer_index], delta)
+    estimate = first_order_output_error(grads[layer_index], delta)
     y_pert = forward_fp_from(stack, layer_index, x_l + delta)
     measured = loss_value(y_pert, loss) - loss_value(trace.output, loss)
     return estimate, measured

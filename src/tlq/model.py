@@ -54,11 +54,6 @@ class ForwardTrace:
 
 
 @dataclass(frozen=True)
-class GradTrace:
-    grads: tuple[np.ndarray, ...]  # d(loss)/d(layer input), plus d(loss)/d(output) last
-
-
-@dataclass(frozen=True)
 class ProxyLossSpec:
     kind: str = "sum_sq_output"
     labels: np.ndarray | None = None
@@ -303,18 +298,17 @@ def _layer_input_grad(layer: LayerSpec, x: np.ndarray, g_out: np.ndarray) -> np.
 
 def backward_token_grads(
     stack: LayerStack, x: np.ndarray, loss: ProxyLossSpec = ProxyLossSpec()
-) -> GradTrace:
-    """Reverse-mode gradients of the proxy loss at every layer input.
+) -> tuple[np.ndarray, ...]:
+    """Reverse-mode gradients of the proxy loss at every layer input, plus the final output's last.
 
-    relu uses subgradient 0 at 0; silu uses its exact derivative. The last
-    trace entry is the gradient at the final output.
+    relu uses subgradient 0 at 0; silu uses its exact derivative.
     """
     return backward_from_trace(stack, forward_fp(stack, x), loss)
 
 
 def backward_from_trace(
     stack: LayerStack, trace: ForwardTrace, loss: ProxyLossSpec = ProxyLossSpec()
-) -> GradTrace:
+) -> tuple[np.ndarray, ...]:
     """The backward half of `backward_token_grads`, on a recorded FP trace."""
     if len(trace.inputs) != len(stack.layers):
         raise ShapeError(f"trace has {len(trace.inputs)} layer inputs, stack has {len(stack.layers)} layers")
@@ -323,7 +317,7 @@ def backward_from_trace(
     for layer, x_l in zip(reversed(stack.layers), reversed(trace.inputs)):
         g = _layer_input_grad(layer, x_l, g)
         grads.append(g)
-    return GradTrace(tuple(reversed(grads)))
+    return tuple(reversed(grads))
 
 
 # --- layer table, shared by the checkpoint and the quantized artifact ---------
@@ -492,10 +486,14 @@ def load_checkpoint(data: bytes) -> LayerStack:
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    activations: np.ndarray  # (B, N, C) float64
+    activations: np.ndarray  # (B, N, C) float64, stored C-contiguous
     modality: np.ndarray  # (B, N) uint8, 0 text / 1 visual
 
     def __post_init__(self):
+        if self.activations.dtype != np.float64:
+            raise NumericError(f"activations must be float64, got {self.activations.dtype}")
+        # layout changes the bytes of the rmsnorm sums and the stacked gemms
+        object.__setattr__(self, "activations", np.ascontiguousarray(self.activations))
         if self.activations.ndim != 3:
             raise ShapeError(f"activations must be (B, N, C), got {self.activations.shape}")
         if 0 in self.activations.shape[:2]:

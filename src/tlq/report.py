@@ -20,7 +20,7 @@ from .calibration import (
     STRATEGIES, CalibrationResult, check_result_layers, compute_token_selections, scales_from_result,
 )
 from .errors import ConfigError
-from .importance import SelectedTokens, activation_error_probe, heatmap_rows
+from .importance import activation_error_probe, heatmap_rows
 from .layers import LayerStack
 from .model import (
     CalibrationSet,
@@ -151,7 +151,9 @@ def evaluate(
             sq_sums[lin.name][start : start + k] = sample_sums(d * d)
         y_fp, y_q = t_fp.output, t_q.output
         d = y_q - y_fp
-        per_sample = (loss_value(y_fp, loss), loss_value(y_q, loss), sample_sums(d * d), _ce_term(y_fp, y_q))
+        labels = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=-1))
+        ce = loss_value(y_q, labels) - loss_value(y_fp, labels)
+        per_sample = (loss_value(y_fp, loss), loss_value(y_q, loss), sample_sums(d * d), ce)
         for fp_b, q_b, sq_b, ce_b in zip(*(v.tolist() for v in per_sample)):
             fp_total += fp_b
             q_total += q_b
@@ -179,30 +181,16 @@ def evaluate(
     )
 
 
-def _ce_term(y_fp: np.ndarray, y_q: np.ndarray) -> float | np.ndarray:
-    """CE increase of one sample, or of each sample of a block, labeled by the full-precision argmax."""
-    spec = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=-1))
-    return loss_value(y_q, spec) - loss_value(y_fp, spec)
-
-
 def accuracy_proxy_gap(
     stack: LayerStack, result: CalibrationResult, calib: CalibrationSet
 ) -> float:
-    """Cross-entropy increase against the full-precision model's own argmax.
+    """The eval report's `ce_gap`: cross-entropy increase against the full-precision model's own argmax.
 
     Labeling every token with the unquantized output's argmax makes the gap
     behave like a task-accuracy degradation measure: confidently classified
     tokens dominate, and dead tokens (flat logits) contribute little.
     """
-    cfg_a = QuantConfig(result.bits_a, "per_token")
-    scales = scales_from_result(result)
-    weights = quantized_weights(stack, scales, QuantConfig(result.bits_w, "per_channel"))
-    total = 0.0
-    for b in range(calib.batch):
-        x = calib.activations[b]
-        y_fp = forward_fp(stack, x).output
-        total += _ce_term(y_fp, forward_quant(stack, x, scales, weights, cfg_a).output)
-    return abs(total) / calib.batch
+    return evaluate(stack, result, calib).ce_gap
 
 
 # --- heatmap export -------------------------------------------------------------
@@ -213,7 +201,7 @@ class HeatmapPair:
     channel_indices: tuple[int, ...]
     pre: list  # rows over the (subsampled) full token set
     post: list  # rows over the surviving selected tokens
-    selection: SelectedTokens
+    selection: tuple[int, ...]  # the layer's selected tokens, ascending
 
 
 def _stratified_tokens(
@@ -260,7 +248,7 @@ def build_heatmaps(
             raise ConfigError(f"{what} must be >= 1, got {limit}")
     n = calib.tokens
     selection = compute_token_selections(stack, calib.activations, fraction, loss)[layer_index]
-    grads_sample = backward_token_grads(stack, calib.activations[sample], loss).grads[layer_index]
+    grads_sample = backward_token_grads(stack, calib.activations[sample], loss)[layer_index]
 
     modality = calib.modality[sample]
     rng = Rng(seed).split("heatmap")
@@ -269,7 +257,7 @@ def build_heatmaps(
         channels = np.sort(rng.split("channels").generator().choice(channels, size=max_channels, replace=False))
     pre_tokens = _stratified_tokens(np.arange(n), modality, max_tokens, rng.split("pre"))
     post_tokens = _stratified_tokens(
-        np.asarray(selection.indices, dtype=int), modality, max_tokens, rng.split("post")
+        np.asarray(selection, dtype=int), modality, max_tokens, rng.split("post")
     )
     chan = tuple(int(c) for c in channels)
     pre = heatmap_rows(grads_sample, modality, pre_tokens, chan)

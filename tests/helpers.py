@@ -106,7 +106,7 @@ def _linear_quant_per_sample(lin: Linear, x: np.ndarray, s: np.ndarray, cfg_w, c
 
 def _stat_per_sample(xs: list, stat_mode: str, lin: Linear, selected) -> np.ndarray:
     """The pooled scale statistic of a list of (N, C) samples."""
-    rows = np.abs(np.concatenate([x if selected is None else x[list(selected.indices)] for x in xs]))
+    rows = np.abs(np.concatenate([x if selected is None else x[list(selected)] for x in xs]))
     if stat_mode == "mean":
         return np.mean(rows, axis=0)
     x_absmax = np.max(rows, axis=0)

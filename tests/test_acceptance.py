@@ -95,7 +95,7 @@ def test_c03_gradient_correctness():
         fd_floor = 1e-9 * (1.0 + abs(loss_value(trace.output, loss)))
         gen = Rng(600 + seed).generator()
         for layer_idx in range(len(stack.layers)):
-            g_l = grads.grads[layer_idx]
+            g_l = grads[layer_idx]
             x_l = trace.inputs[layer_idx]
             for _ in range(20):
                 i = int(gen.integers(0, x_l.shape[0]))

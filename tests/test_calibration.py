@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ from helpers import forward_quantized
 from tlq import calibration
 from tlq.calibration import (
     CalibrationWalk,
+    QuantizedLinear,
     WalkObserver,
     _batch_fp,
     _calibration_loop,
@@ -496,18 +498,40 @@ def test_quantize_with_result_requires_full_coverage():
     res = calibrate(stack, xs, strategy="none", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
     partial = res.__class__(res.layers[:1], res.strategy, res.stat_mode, res.bits_w, res.bits_a, res.fraction, res.grid)
     with pytest.raises(ConfigError, match="lin1"):
-        quantize_with_result(stack, partial, CFG_W, CFG_A)
+        quantize_with_result(stack, partial)
     wide = random_block_stack(22, 2, 12)
     res = calibrate(wide, _calib_inputs(23, 2, 4, 12), strategy="none", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
     with pytest.raises(ConfigError, match="lin0"):
-        quantize_with_result(stack, res, CFG_W, CFG_A)
+        quantize_with_result(stack, res)
+
+
+@pytest.mark.parametrize("bits", [(4, 6), (8, 16), (3, 2)])
+def test_artifact_header_carries_the_result_bit_widths(bits):
+    stack = random_block_stack(29, 2, 8)
+    res = calibrate(
+        stack, _calib_inputs(30, 2, 5, 8), strategy="passact2", stat_mode="max",
+        cfg_w=QuantConfig(bits[0], "per_channel"), cfg_a=QuantConfig(bits[1], "per_token"),
+    )
+    blob = save_quantized(quantize_with_result(stack, res))
+    assert blob[8:10] == bytes(bits)  # u8 bits_w | u8 bits_a after the magic
+    again = load_quantized(blob)
+    assert (again.bits_w, again.bits_a) == bits
+    assert {l.qweight.config.bits for l in again.layers if isinstance(l, QuantizedLinear)} == {bits[0]}
+
+
+@pytest.mark.parametrize("field", ["bits_w", "bits_a"])
+def test_quantize_with_result_refuses_bit_widths_the_artifact_cannot_hold(field):
+    stack = random_block_stack(29, 1, 8)
+    res = calibrate(stack, _calib_inputs(30, 2, 5, 8), strategy="none", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+    with pytest.raises(ConfigError, match="bits must be an integer in"):
+        quantize_with_result(stack, dataclasses.replace(res, **{field: 17}))
 
 
 def test_artifact_forward_matches_forward_quant():
     stack = random_block_stack(24, 2, 8)
     xs = _calib_inputs(25, 3, 6, 8)
     res = calibrate(stack, xs, strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
-    qstack = quantize_with_result(stack, res, CFG_W, CFG_A)
+    qstack = quantize_with_result(stack, res)
     scales = scales_from_result(res)
     weights = quantized_weights(stack, scales, CFG_W)
     for b in range(xs.shape[0]):
@@ -520,7 +544,7 @@ def test_artifact_forward_matches_after_file_roundtrip():
     stack = random_block_stack(26, 2, 8)
     xs = _calib_inputs(27, 2, 5, 8)
     res = calibrate(stack, xs, strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
-    qstack = quantize_with_result(stack, res, CFG_W, CFG_A)
+    qstack = quantize_with_result(stack, res)
     blob = save_quantized(qstack)
     again = load_quantized(blob)
     assert save_quantized(again) == blob
@@ -532,7 +556,7 @@ def test_artifact_replay_recovers_curve_minima():
     stack = build_stack(28, 2, 32)
     calib = build_calibset(28, 4, 10, 32, visual_fraction=0.5)
     res = calibrate(stack, calib.activations, strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
-    qstack = quantize_with_result(stack, res, CFG_W, CFG_A)
+    qstack = quantize_with_result(stack, res)
     from tlq.quantizer import dequantize, quantize
 
     by_name = {l.name: l for l in qstack.layers if hasattr(l, "qweight")}
@@ -565,7 +589,7 @@ def test_lossless_grid_case_through_artifact():
         cfg_w=QuantConfig(8, "per_channel"),
         cfg_a=QuantConfig(8, "per_token"),
     )
-    qstack = quantize_with_result(stack, res, QuantConfig(8, "per_channel"), QuantConfig(8, "per_token"))
+    qstack = quantize_with_result(stack, res)
     assert np.array_equal(forward_quantized(qstack, xs[0]), forward_fp(stack, xs[0]).output)
     assert res.layers[0].loss_curve[0][1] == 0.0
 

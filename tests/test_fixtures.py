@@ -58,7 +58,7 @@ def test_modality_gradient_ratio_equals_the_per_sample_reference():
     calib = build_calibset(6, 6, 24, 64, visual_fraction=0.8)
     sums = np.zeros(calib.tokens)
     for b in range(calib.batch):
-        sums += np.mean(np.abs(backward_token_grads(stack, calib.activations[b]).grads[1]), axis=1)
+        sums += np.mean(np.abs(backward_token_grads(stack, calib.activations[b])[1]), axis=1)
     visual = calib.modality[0] == 1
     assert modality_gradient_ratio(stack, calib) == float(sums[visual].mean() / sums[~visual].mean())
 

@@ -8,13 +8,12 @@ from conftest import random_block_stack, single_linear_stack
 from tlq.calibration import layer_stat
 from tlq.errors import ConfigError, ShapeError
 from tlq.importance import (
-    SelectedTokens,
     activation_error_probe,
     first_order_output_error,
     select_top_tokens,
     token_importance_sums,
 )
-from tlq.model import GradTrace, backward_token_grads, forward_fp, loss_value, ProxyLossSpec
+from tlq.model import backward_token_grads, forward_fp, loss_value, ProxyLossSpec
 from tlq.quantizer import QuantConfig
 from tlq.tensor import Rng, rand_normal
 
@@ -38,7 +37,7 @@ def test_first_order_estimate_matches_measured_small_perturbation():
     grads = backward_token_grads(stack, x)
     delta = rand_normal(Rng(7), (5, 6))
     delta *= 1e-3 * np.linalg.norm(x) / np.linalg.norm(delta)
-    est = first_order_output_error(grads.grads[0], delta)
+    est = first_order_output_error(grads[0], delta)
     base = loss_value(forward_fp(stack, x).output, ProxyLossSpec())
     pert = loss_value(forward_fp(stack, x + delta).output, ProxyLossSpec())
     measured = pert - base
@@ -47,7 +46,7 @@ def test_first_order_estimate_matches_measured_small_perturbation():
 
 def _sums(grads):
     """Importance sums of one-entry traces, one trace per sample."""
-    return token_importance_sums(GradTrace((g,)) for g in grads)[0]
+    return token_importance_sums((g,) for g in grads)[0]
 
 
 def test_token_importance_hand_case():
@@ -64,13 +63,13 @@ def test_token_importance_batch_order_invariant():
 
 
 def test_token_importance_sums_every_entry_in_sample_order():
-    traces = [GradTrace((rand_normal(Rng(i), (5, 3)), rand_normal(Rng(10 + i), (5, 2)))) for i in range(3)]
+    traces = [(rand_normal(Rng(i), (5, 3)), rand_normal(Rng(10 + i), (5, 2))) for i in range(3)]
     sums = token_importance_sums(iter(traces))
     assert len(sums) == 2
     for entry, got in enumerate(sums):
         want = np.zeros(5)
         for gt in traces:
-            want += np.mean(np.abs(gt.grads[entry]), axis=1)
+            want += np.mean(np.abs(gt[entry]), axis=1)
         assert got.tobytes() == want.tobytes()
 
 
@@ -85,21 +84,21 @@ def test_token_importance_rejects_ragged_batch():
 
 
 def test_select_top_tokens_hand_case():
-    assert select_top_tokens(np.array([3.0, 1.0, 4.0, 2.0]), 0.5).indices == (0, 2)
+    assert select_top_tokens(np.array([3.0, 1.0, 4.0, 2.0]), 0.5) == (0, 2)
 
 
 def test_select_top_tokens_full_fraction():
-    assert select_top_tokens(np.array([3.0, 1.0, 4.0]), 1.0).indices == (0, 1, 2)
+    assert select_top_tokens(np.array([3.0, 1.0, 4.0]), 1.0) == (0, 1, 2)
 
 
 def test_select_top_tokens_tie_break_prefers_low_index():
-    assert select_top_tokens(np.ones(6), 0.5).indices == (0, 1, 2)
+    assert select_top_tokens(np.ones(6), 0.5) == (0, 1, 2)
 
 
 def test_select_top_tokens_small_selection_warns():
     with pytest.warns(UserWarning):
         sel = select_top_tokens(np.array([1.0, 2.0]), 0.1)
-    assert len(sel.indices) == 1
+    assert len(sel) == 1
 
 
 @given(st.permutations(list(range(5))))
@@ -107,7 +106,7 @@ def test_selection_invariant_under_batch_permutation(order):
     grads = [rand_normal(Rng(100 + i), (6, 4)) for i in range(5)]
     base = select_top_tokens(_sums(grads))
     perm = select_top_tokens(_sums([grads[i] for i in order]))
-    assert base.indices == perm.indices
+    assert base == perm
 
 
 def _stat(x, mode, sel=None):
@@ -117,24 +116,24 @@ def _stat(x, mode, sel=None):
 
 def test_x_stat_full_selection_equals_absmax_baseline():
     x = rand_normal(Rng(8), (4, 6, 5))
-    sel = SelectedTokens(tuple(range(6)))
+    sel = tuple(range(6))
     assert np.array_equal(_stat(x, "topk", sel), _stat(x, "max"))
 
 
 def test_x_stat_single_token():
     x = rand_normal(Rng(9), (1, 5, 4))
-    sel = SelectedTokens((2,))
+    sel = (2,)
     assert np.array_equal(_stat(x, "topk", sel), np.abs(x[0, 2]))
 
 
 def test_x_stat_matches_mask_oracle():
     x = rand_normal(Rng(10), (3, 8, 6))
-    sel = SelectedTokens((1, 4, 5))
+    sel = (1, 4, 5)
     want = np.zeros(6)
     for c in range(6):
         best = 0.0
         for b in range(3):
-            for n in sel.indices:
+            for n in sel:
                 best = max(best, abs(x[b, n, c]))
         want[c] = best
     assert np.array_equal(_stat(x, "topk", sel), want)
@@ -143,11 +142,11 @@ def test_x_stat_matches_mask_oracle():
 def test_x_stat_rejects_empty_or_invalid_selection():
     x = rand_normal(Rng(11), (1, 4, 3))
     with pytest.raises(ShapeError):
-        _stat(x, "topk", SelectedTokens(()))
+        _stat(x, "topk", ())
     with pytest.raises(ShapeError):
-        _stat(x, "topk", SelectedTokens((9,)))
+        _stat(x, "topk", (9,))
     with pytest.raises(ShapeError):  # would index the last token
-        _stat(x, "topk", SelectedTokens((-1,)))
+        _stat(x, "topk", (-1,))
 
 
 def test_baselines_constant_tensor():
@@ -170,7 +169,7 @@ def test_baselines_hand_case():
 )
 @settings(max_examples=50)
 def test_restricted_stat_never_exceeds_full_max(x, idx):
-    sel = SelectedTokens(tuple(sorted(idx)))
+    sel = tuple(sorted(idx))
     assert np.all(_stat(x, "topk", sel) <= _stat(x, "max"))
 
 

@@ -150,14 +150,14 @@ def test_backward_single_linear_closed_form():
     grads = backward_token_grads(stack, x)
     y = x @ lin.weight.T + lin.bias
     want = (y / 4) @ lin.weight
-    assert np.max(np.abs(grads.grads[0] - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(grads.grads[1], y / 4)
+    assert np.max(np.abs(grads[0] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(grads[1], y / 4)
 
 
 def test_backward_zero_input_zero_bias():
     stack = LayerStack((Linear("lin", rand_normal(Rng(1), (3, 3)), np.zeros(3)),), 3)
     grads = backward_token_grads(stack, np.zeros((4, 3)))
-    assert np.array_equal(grads.grads[0], np.zeros((4, 3)))
+    assert np.array_equal(grads[0], np.zeros((4, 3)))
 
 
 @pytest.mark.parametrize("loss_kind", ["sum_sq_output", "ce_pseudo"])
@@ -168,7 +168,7 @@ def test_backward_matches_finite_differences(loss_kind, act):
     labels = Rng(22).generator().integers(0, 6, size=5) if loss_kind == "ce_pseudo" else None
     loss = ProxyLossSpec(loss_kind, labels)
     grads = backward_token_grads(stack, x, loss)
-    g0 = grads.grads[0]
+    g0 = grads[0]
     gen = Rng(23).generator()
     h = 1e-5
     for _ in range(20):
@@ -188,8 +188,8 @@ def test_grad_trace_mirrors_forward_trace():
     x = rand_normal(Rng(25), (3, 5))
     trace = forward_fp(stack, x)
     grads = backward_token_grads(stack, x)
-    assert len(grads.grads) == len(trace.values())
-    for g, v in zip(grads.grads, trace.values()):
+    assert len(grads) == len(trace.values())
+    for g, v in zip(grads, trace.values()):
         assert g.shape == v.shape
 
 
@@ -199,8 +199,8 @@ def test_backward_from_trace_equals_backward_token_grads(loss_kind):
     x = rand_normal(Rng(27), (4, 6))
     labels = np.arange(4) % 6 if loss_kind == "ce_pseudo" else None
     loss = ProxyLossSpec(loss_kind, labels)
-    want = backward_token_grads(stack, x, loss).grads
-    got = backward_from_trace(stack, forward_fp(stack, x), loss).grads
+    want = backward_token_grads(stack, x, loss)
+    got = backward_from_trace(stack, forward_fp(stack, x), loss)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -435,6 +435,23 @@ def test_calibset_validates_modality():
     with pytest.raises(CheckpointError, match="modality") as err:
         load_calibset(bytes(blob))
     assert err.value.code == "bad_field"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64])
+def test_calibset_refuses_activations_that_are_not_float64(dtype):
+    with pytest.raises(NumericError, match=f"activations must be float64, got {np.dtype(dtype)}") as err:
+        CalibrationSet(np.zeros((1, 2, 3), dtype=dtype), np.zeros((1, 2), dtype=np.uint8))
+    assert "\n" not in str(err.value)
+
+
+def test_calibset_stores_activations_in_c_order_and_copies_only_other_layouts():
+    acts = rand_normal(Rng(44), (3, 4, 5))
+    modality = np.zeros((3, 4), dtype=np.uint8)
+    assert CalibrationSet(acts, modality).activations is acts
+    for other in (np.asfortranarray(acts), np.repeat(acts, 2, axis=2)[:, :, ::2]):
+        stored = CalibrationSet(other, modality).activations
+        assert stored.flags.c_contiguous and not np.shares_memory(stored, other)
+        assert stored.tobytes() == acts.tobytes()
 
 
 def test_calibset_unallocatable_shape_rejected():

@@ -46,7 +46,7 @@ def _payloads():
     return {
         "checkpoint": (save_checkpoint(stack), load_checkpoint, CheckpointError),
         "calibset": (save_calibset(calib), load_calibset, CheckpointError),
-        "artifact": (save_quantized(quantize_with_result(stack, result, CFG_W, CFG_A)), load_quantized, CheckpointError),
+        "artifact": (save_quantized(quantize_with_result(stack, result)), load_quantized, CheckpointError),
         "result": (result_to_text(result).encode("utf-8"), load_result, CheckpointError),
         "frame": (encode_message(tensor)[4:], decode_message, ProtocolError),
         "abort_frame": (encode_message(abort)[4:], decode_message, ProtocolError),

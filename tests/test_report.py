@@ -19,6 +19,7 @@ from tlq.errors import ConfigError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.importance import activation_error_probe
 from tlq.model import (
+    CalibrationSet,
     ProxyLossSpec,
     apply_linear_quant,
     backward_token_grads,
@@ -212,7 +213,7 @@ def test_evaluate_and_ce_gap_build_each_linear_weight_once(monkeypatch, strategy
     assert built == names
 
 
-# seed, depth, channels, batch, tokens; column-major stores the batch in Fortran order
+# seed, depth, channels, batch, tokens; column-major builds the set from a Fortran-order batch
 EVAL_SHAPES = {
     "C17-N3-B5": (21, 2, 17, 5, 3, False),
     "B1-N1": (22, 2, 16, 1, 1, False),
@@ -287,6 +288,32 @@ def test_evaluate_rejects_result_for_another_stack():
         evaluate(stack, wide, calib)
 
 
+def test_accuracy_proxy_gap_rejects_a_result_with_an_extra_layer():
+    """It is evaluate's ce_gap, so it checks the result's layers as evaluate does."""
+    stack, calib, res = _calibrated(seed=15, depth=3)
+    with pytest.raises(ConfigError, match=r"extra \['lin2'\]"):
+        accuracy_proxy_gap(build_stack(15, 2, 32), res, calib)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_evaluate_and_heatmaps_give_the_bytes_of_the_c_order_batch(layout):
+    """A set built from a Fortran-order or channel-strided batch stores the C-order copy."""
+    stack, calib, res = _calibrated(seed=27, c=64, b=6, n=16)
+    acts = calib.activations
+    other = np.asfortranarray(acts) if layout == "fortran" else np.repeat(acts, 2, axis=2)[:, :, ::2]
+    assert not other.flags.c_contiguous
+    same = CalibrationSet(other, calib.modality)
+    assert evaluate(stack, res, same).to_text() == evaluate(stack, res, calib).to_text()
+    for layer_index in range(len(stack.layers)):
+        want = build_heatmaps(stack, calib, layer_index, seed=2, sample=1)
+        got = build_heatmaps(stack, same, layer_index, seed=2, sample=1)
+        assert got.selection == want.selection
+        for rows in ("pre", "post"):
+            assert heatmap_csv(getattr(got, rows), got.channel_indices) == heatmap_csv(
+                getattr(want, rows), want.channel_indices
+            )
+
+
 def test_evaluate_rejects_unknown_strategy():
     stack, calib, res = _calibrated(seed=15)
     with pytest.raises(ConfigError, match="strategy"):
@@ -302,7 +329,7 @@ def test_heatmap_row_counts_and_selection_size():
     pair = build_heatmaps(stack, calib, layer_index=1, seed=0)
     assert len(pair.pre) == 16
     assert len(pair.post) == int(np.ceil(0.5 * 16))
-    assert len(pair.selection.indices) == len(pair.post)
+    assert len(pair.selection) == len(pair.post)
 
 
 def test_heatmap_near_zero_fraction_drops_after_selection():
@@ -339,7 +366,7 @@ def _reference_heatmap(stack, calib, layer_index, fraction, sample):
     """The per-sample loop build_heatmaps replaced: batch sums, selection and one sample's rows."""
     sums = np.zeros(calib.tokens)
     for b in range(calib.batch):
-        g = backward_token_grads(stack, calib.activations[b], ProxyLossSpec()).grads[layer_index]
+        g = backward_token_grads(stack, calib.activations[b], ProxyLossSpec())[layer_index]
         sums += np.mean(np.abs(g), axis=1)
         if b == sample:
             g_sample = g
@@ -362,7 +389,7 @@ def test_heatmaps_equal_the_per_sample_reference(layer_index, fraction, sample):
     selection, rows = _reference_heatmap(stack, calib, layer_index, fraction, sample)
     channels = tuple(range(32))
     pair = build_heatmaps(stack, calib, layer_index, fraction=fraction, seed=5, sample=sample)
-    assert pair.selection.indices == selection
+    assert pair.selection == selection
     assert pair.channel_indices == channels
     assert pair.pre == rows(range(calib.tokens), channels)
     assert pair.post == rows(selection, channels)
@@ -370,7 +397,7 @@ def test_heatmaps_equal_the_per_sample_reference(layer_index, fraction, sample):
     assert heatmap_csv(pair.post, channels) == heatmap_csv(rows(selection, channels), channels)
     # subsampled exports keep the same values for the tokens and channels they keep
     sub = build_heatmaps(stack, calib, layer_index, fraction=fraction, seed=5, sample=sample, max_tokens=7, max_channels=9)
-    assert sub.selection.indices == selection
+    assert sub.selection == selection
     assert sub.pre == rows([r[0] for r in sub.pre], sub.channel_indices)
     assert sub.post == rows([r[0] for r in sub.post], sub.channel_indices)
     assert {r[0] for r in sub.post} <= set(selection)
