@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -116,6 +116,8 @@ class LayerCalibration:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """What `calibrate` returns and `load_result` reads; every field rule of both is here."""
+
     layers: tuple[LayerCalibration, ...]
     strategy: str
     stat_mode: str
@@ -123,6 +125,22 @@ class CalibrationResult:
     bits_a: int
     fraction: float
     grid: RatioGrid
+
+    def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if self.stat_mode not in STAT_MODES:
+            raise ConfigError(f"stat mode must be one of {STAT_MODES}, got {self.stat_mode!r}")
+        if not 0.0 < self.fraction <= 1.0:  # NaN fails too; every stat mode records it
+            raise ConfigError(f"fraction must be in (0, 1], got {self.fraction!r}")
+        QuantConfig(self.bits_w)
+        QuantConfig(self.bits_a)
+        origin = "sqrt_baseline" if self.stat_mode == "sqrt" else "stat_ratio"  # as `scale_for` labels it
+        for row in self.layers:
+            if not 0.0 <= row.ratio <= 1.0:
+                raise ConfigError(f"ratio of {row.name!r} must be in [0, 1], got {row.ratio!r}")
+            if row.scale.origin != origin:
+                raise ConfigError(f"scale of {row.name!r}: stat mode {self.stat_mode} gives origin {origin}")
 
 
 def _sq_diff_sums(y_fp: np.ndarray, y_q: np.ndarray) -> np.ndarray:
@@ -481,10 +499,7 @@ def _calibration_loop(
     `search` scores one layer's grid; `observer` sees every memory event of
     the selection passes and the walk, in order.
     """
-    if stat_mode not in STAT_MODES:
-        raise ConfigError(f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
-    if not 0.0 < fraction <= 1.0:  # NaN fails too; the result records it in every stat mode
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+    header = CalibrationResult((), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid)  # checks run first
     # a copy, not ledgered, only for a batch that is not C-contiguous
     activations = np.ascontiguousarray(activations)
     selections = None
@@ -500,9 +515,7 @@ def _calibration_loop(
         rows.append(LayerCalibration(task.layer.name, scale, r_star, curve))
         walk.fix_scale(scale)
         del task  # it holds the streams fix_scale replaced; free them before the walk advances
-    return CalibrationResult(
-        tuple(rows), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid
-    )
+    return replace(header, layers=tuple(rows))
 
 
 def scales_from_result(result: CalibrationResult) -> dict[str, SmoothScale]:
@@ -557,7 +570,6 @@ def quantize_with_result(stack: LayerStack, result: CalibrationResult) -> Quanti
     an explicit input scale. Weights are stored as per-channel quantized tensors.
     """
     cfg_w = QuantConfig(result.bits_w, "per_channel")
-    QuantConfig(result.bits_a)  # a bits_a that load_quantized would refuse fails here
     check_result_layers(stack, result)
     by_name = scales_from_result(result)
 
@@ -623,17 +635,17 @@ def result_to_text(result: CalibrationResult) -> str:
 
 class _TextReader:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
+        self.lines = iter(text.splitlines())
 
-    def next(self, expect: str | None = None) -> str:
-        if self.pos >= len(self.lines):
+    def next(self, key: str | None = None) -> str:
+        """The next line; given `key`, which must be the line's first word, the text after it and one space."""
+        line = next(self.lines, None)
+        if line is None:
             raise CheckpointError("truncated", "result text ended early")
-        line = self.lines[self.pos]
-        self.pos += 1
-        if expect is not None and not line.startswith(expect):
-            raise CheckpointError("bad_field", f"expected {expect!r}, got {line!r}")
-        return line
+        word, _, rest = line.partition(" ")
+        if key is not None and word != key:
+            raise CheckpointError("bad_field", f"expected {key!r}, got {line!r}")
+        return line if key is None else rest
 
 
 def _parse(kind: type, text: str, what: str):
@@ -653,56 +665,35 @@ def result_from_text(text: str) -> CalibrationResult:
     r = _TextReader(text)
     if r.next() != _RESULT_HEADER:
         raise CheckpointError("bad_magic", "not a calibration result document")
-    strategy = r.next("strategy ").split(" ", 1)[1]
-    if strategy not in STRATEGIES:
-        raise CheckpointError("bad_field", f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    stat_mode = r.next("stat_mode ").split(" ", 1)[1]
-    if stat_mode not in STAT_MODES:
-        raise CheckpointError("bad_field", f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
-    bits_w = _parse(int, r.next("bits_w ").split(" ", 1)[1], "bits_w")
-    bits_a = _parse(int, r.next("bits_a ").split(" ", 1)[1], "bits_a")
-    fraction = _parse(float, r.next("fraction ").split(" ", 1)[1], "fraction")
-    if not 0.0 < fraction <= 1.0:  # NaN fails too
-        raise CheckpointError("bad_field", f"fraction must be in (0, 1], got {fraction!r}")
-    g = r.next("grid ").split()[1:]
+    strategy, stat_mode = r.next("strategy"), r.next("stat_mode")
+    bits_w = _parse(int, r.next("bits_w"), "bits_w")
+    bits_a = _parse(int, r.next("bits_a"), "bits_a")
+    fraction = _parse(float, r.next("fraction"), "fraction")
+    g = r.next("grid").split()
     if len(g) != 3:
         raise CheckpointError("bad_field", f"grid needs start, stop and step, got {g!r}")
     g = [_parse(float, v, "grid") for v in g]
-    n_layers = _parse(int, r.next("layers ").split(" ", 1)[1], "layers")
     rows = []
-    for _ in range(n_layers):
-        name = r.next("layer ").split(" ", 1)[1]
-        ratio = _parse(float, r.next("ratio ").split(" ", 1)[1], f"ratio of {name!r}")
-        if not 0.0 <= ratio <= 1.0:
-            raise CheckpointError("bad_field", f"ratio of {name!r} must be in [0, 1], got {ratio!r}")
-        origin = r.next("origin ").split(" ", 1)[1]
-        parts = r.next("scale ").split()[1:]
-        if not parts:
-            raise CheckpointError("bad_field", f"scale of {name!r} has no length")
-        count = _parse(int, parts[0], f"scale length of {name!r}")
-        values = np.array([_parse(float, v, f"scale of {name!r}") for v in parts[1:]])
+    for _ in range(_parse(int, r.next("layers"), "layers")):
+        name = r.next("layer")
+        ratio = _parse(float, r.next("ratio"), f"ratio of {name!r}")
+        origin = r.next("origin")
+        count, _, parts = r.next("scale").partition(" ")
+        count = _parse(int, count, f"scale length of {name!r}")
+        values = np.array([_parse(float, v, f"scale of {name!r}") for v in parts.split()])
         if values.shape[0] != count:
             raise CheckpointError("bad_dims", f"scale for {name!r}: expected {count} values, got {values.shape[0]}")
-        n_curve = _parse(int, r.next("curve ").split(" ", 1)[1], f"curve length of {name!r}")
         curve = []
-        for _ in range(n_curve):
-            point = r.next().split()
-            if len(point) != 2:
-                raise CheckpointError("bad_field", f"curve point of {name!r}: expected 'ratio loss', got {point!r}")
-            curve.append(tuple(_parse(float, v, f"curve of {name!r}") for v in point))
-        try:
-            scale = SmoothScale(values, origin=origin)
-        except TlqError as exc:
-            raise CheckpointError("bad_field", f"scale of {name!r}: {exc}") from None
-        rows.append(LayerCalibration(name, scale, ratio, tuple(curve)))
+        for _ in range(_parse(int, r.next("curve"), f"curve length of {name!r}")):
+            point, _, loss = r.next().partition(" ")  # 'ratio loss'
+            curve.append((_parse(float, point, f"curve of {name!r}"), _parse(float, loss, f"curve of {name!r}")))
+        rows.append((name, values, origin, ratio, tuple(curve)))
     r.next("end")
     try:
-        grid = RatioGrid(*g)
-        QuantConfig(bits_w)
-        QuantConfig(bits_a)
+        layers = tuple(LayerCalibration(name, SmoothScale(v, origin), ratio, c) for name, v, origin, ratio, c in rows)
+        return CalibrationResult(layers, strategy, stat_mode, bits_w, bits_a, fraction, RatioGrid(*g))
     except TlqError as exc:
         raise CheckpointError("bad_field", str(exc)) from None
-    return CalibrationResult(tuple(rows), strategy, stat_mode, bits_w, bits_a, fraction, grid)
 
 
 # --- quantized artifact file format (TLQQNT01) --------------------------------

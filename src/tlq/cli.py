@@ -174,13 +174,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         explicit = getattr(args, key, None)
         if explicit is not None:
             merged[key] = explicit
-    _check_fraction(merged["fraction"])
     return merged
-
-
-def _check_fraction(fraction: float) -> None:
-    if not 0.0 < fraction <= 1.0:  # NaN fails too
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
 
 
 def _read(path: str, what: str) -> bytes:
@@ -312,7 +306,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    _check_fraction(args.fraction)
     stack, calib = _load_inputs(args)
     pre_path = _prepare_out(args.out_pre)
     post_path = _prepare_out(args.out_post)

@@ -89,6 +89,8 @@ class LayerStack:
         names = [layer.name for layer in self.layers]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate layer names in stack: {sorted(names)}")
+        if any("".join(name.splitlines()) != name for name in names):  # a result file holds one name a line
+            raise ConfigError(f"layer names must not hold a line break: {names}")
         # Walking the widths validates that adjacent layers compose.
         self.widths()
 

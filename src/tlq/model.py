@@ -220,18 +220,20 @@ def _linear_quant_blocks(
         yield start, y
 
 
-def _check_input(stack: LayerStack, x: np.ndarray) -> None:
+def _check_input(stack: LayerStack, x: np.ndarray) -> np.ndarray:
+    if x.dtype != np.float64:
+        raise NumericError(f"stack input must be float64, got {x.dtype}")
     if x.ndim not in (2, 3):
         raise ShapeError(f"stack input must be (tokens, channels) or (samples, tokens, channels), got {x.shape}")
     if x.shape[-1] != stack.input_channels:
         raise ShapeError(f"stack expects {stack.input_channels} input channels, got {x.shape[-1]}")
+    return np.ascontiguousarray(x)  # layout changes the bytes of the rmsnorm sums and the stacked gemms
 
 
 def forward_fp(stack: LayerStack, x: np.ndarray) -> ForwardTrace:
     """Exact float composition, recording every intermediate layer input."""
-    _check_input(stack, x)
     inputs = []
-    cur = x
+    cur = _check_input(stack, x)
     for layer in stack.layers:
         inputs.append(cur)
         cur = apply_layer_fp(layer, cur)
@@ -264,10 +266,9 @@ def forward_quant(
 
     `quantized_weights` builds them all; the pass only reads them.
     """
-    _check_input(stack, x)
+    cur = _check_input(stack, x)
     _check_granularity(cfg_a, "per_token", "activation")
     inputs = []
-    cur = x
     for layer in stack.layers:
         inputs.append(cur)
         if isinstance(layer, Linear):
@@ -475,7 +476,8 @@ def load_checkpoint(data: bytes) -> LayerStack:
     try:
         return LayerStack(layers, input_channels)
     except (ShapeError, ConfigError, NumericError) as exc:
-        raise CheckpointError("bad_dims", f"inconsistent stack: {exc}") from exc
+        code = "bad_name" if isinstance(exc, ConfigError) else "bad_dims"  # the stack's ConfigErrors are its name rules
+        raise CheckpointError(code, f"inconsistent stack: {exc}") from exc
 
 
 # --- calibration set format (TLQCAL01) ---------------------------------------

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import (
-    STRATEGIES, CalibrationResult, check_result_layers, compute_token_selections, scales_from_result,
-)
+from .calibration import CalibrationResult, check_result_layers, compute_token_selections, scales_from_result
 from .errors import ConfigError
 from .importance import activation_error_probe, heatmap_rows
 from .layers import LayerStack
@@ -114,8 +112,6 @@ def evaluate(
     kernel keeps each sample's bytes, and the per-sample values are added
     as floats in sample order, so the report is that of a one-sample loop.
     """
-    if result.strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {result.strategy!r}")
     check_result_layers(stack, result)
     cfg_a = QuantConfig(result.bits_a, "per_token")
     scales = scales_from_result(result)

@@ -10,6 +10,9 @@ from conftest import random_block_stack, reference_linear_quant, single_linear_s
 from helpers import forward_quantized
 from tlq import calibration
 from tlq.calibration import (
+    STAT_MODES,
+    STRATEGIES,
+    CalibrationResult,
     CalibrationWalk,
     QuantizedLinear,
     WalkObserver,
@@ -44,7 +47,7 @@ from tlq.model import (
     quantized_weights,
 )
 from tlq.quantizer import _QDQ_CHUNK_ELEMS, QuantConfig
-from tlq.smoothing import power_scale
+from tlq.smoothing import SmoothScale, power_scale
 from tlq.tensor import Rng, rand_normal
 
 CFG_W = QuantConfig(4, "per_channel")
@@ -477,6 +480,7 @@ def _mutated_result_text(field, value):
         ("ratio", "nan"),
         ("ratio", "1.5"),
         ("origin", "guess"),
+        ("origin", "sqrt_baseline"),
         ("scale", "32 1.0"),
         ("scale", "x"),
         ("curve", "many"),
@@ -487,6 +491,86 @@ def _mutated_result_text(field, value):
 def test_result_from_text_rejects_invalid_fields(field, value):
     with pytest.raises(CheckpointError):
         result_from_text(_mutated_result_text(field, value))
+
+
+def _small_result(strategy="passact2", stat_mode="max"):
+    xs = build_calibset(1, 2, 8, 16, visual_fraction=0.5).activations
+    return calibrate(random_block_stack(1, 1, 16), xs, strategy=strategy, stat_mode=stat_mode, cfg_w=CFG_W, cfg_a=CFG_A)
+
+
+_BITS = "bits must be an integer in"
+_FRACTION = r"fraction must be in \(0, 1\]"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("strategy", "bogus", "strategy must be one of"),
+        ("stat_mode", "median", "stat mode must be one of"),
+        ("fraction", 0.0, _FRACTION),
+        ("fraction", 7.0, _FRACTION),
+        ("fraction", float("nan"), _FRACTION),
+        ("bits_w", 1, _BITS),
+        ("bits_w", 17, _BITS),
+        ("bits_a", 1, _BITS),
+        ("bits_a", 17, _BITS),
+    ],
+)
+def test_a_result_refuses_an_invalid_field(field, value, message):
+    res = _small_result()
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(res, **{field: value})
+    fields = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+    with pytest.raises(ConfigError, match=message):
+        CalibrationResult(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), 1.5, -0.1])
+def test_a_result_refuses_a_row_ratio_outside_the_unit_interval(ratio):
+    res = _small_result()
+    with pytest.raises(ConfigError, match=r"ratio of 'lin0' must be in \[0, 1\]"):
+        dataclasses.replace(res, layers=(dataclasses.replace(res.layers[0], ratio=ratio),))
+
+
+@pytest.mark.parametrize("stat_mode", STAT_MODES)
+def test_a_result_refuses_a_scale_origin_its_stat_mode_does_not_give(stat_mode):
+    res = _small_result(stat_mode=stat_mode)
+    row = res.layers[0]
+    wrong = "stat_ratio" if stat_mode == "sqrt" else "sqrt_baseline"
+    with pytest.raises(ConfigError, match="gives origin"):
+        dataclasses.replace(res, layers=(dataclasses.replace(row, scale=SmoothScale(row.scale.values, wrong)),))
+
+
+@pytest.mark.parametrize("bad", [{"stat_mode": "median"}, {"fraction": 0.0}, {"fraction": 7.0}, {"fraction": float("nan")}])
+@pytest.mark.parametrize("entry", ["calibrate", "distributed"])
+def test_a_bad_stat_mode_or_fraction_fails_before_the_first_backward_pass(monkeypatch, entry, bad):
+    calls = []
+    real = calibration.backward_token_grads
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "backward_token_grads", counted)
+    stack, xs = random_block_stack(1, 1, 16), build_calibset(1, 2, 4, 16, visual_fraction=0.5).activations
+    with pytest.raises(ConfigError, match="stat mode must be one of|fraction must be in"):
+        _run_entry(entry, stack, xs, **{"stat_mode": "topk", "fraction": 0.5, **bad}, cfg_w=CFG_W, cfg_a=CFG_A)
+    assert calls == []
+    _run_entry(entry, stack, xs, stat_mode="topk", fraction=0.5, cfg_w=CFG_W, cfg_a=CFG_A)
+    assert len(calls) == 2  # the counter sees each sample's pass of a valid run
+
+
+@pytest.mark.parametrize("stat_mode", STAT_MODES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_calibrated_result_reads_back_to_its_own_text(strategy, stat_mode):
+    text = result_to_text(_small_result(strategy, stat_mode))
+    assert result_to_text(load_result(text.encode())) == text
+
+
+def test_a_layer_name_with_spaces_and_tabs_reads_back():
+    stack = LayerStack((Linear("lin 0\t x ", np.eye(16), np.zeros(16)),), 16)
+    res = calibrate(stack, build_calibset(1, 2, 8, 16).activations, stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+    assert load_result(result_to_text(res).encode()).layers[0].name == "lin 0\t x "
 
 
 # --- quantized artifact --------------------------------------------------------

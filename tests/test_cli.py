@@ -15,6 +15,7 @@ from tlq.calibration import load_quantized, result_from_text
 from tlq.cli import _CAL_OPTIONS, _DIST_OPTIONS, main
 from tlq.layers import LayerStack
 from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset, save_checkpoint
+from test_model import checkpoint_with_linear_named
 
 
 def _gen_model(tmp_path, seed=1, depth=2, channels=32, name="model.ckpt"):
@@ -641,3 +642,21 @@ def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     _one_error_line(capsys, "error: out of memory: Unable to allocate")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x85", "\u2028"], ids=repr)
+@pytest.mark.parametrize("command", ["calibrate", "dist-calibrate", "heatmap"])
+def test_a_layer_name_holding_a_line_break_exits_two(tmp_path, capsys, command, brk):
+    """The result file holds one layer name a line, so `calibrate` must not write one that `load_result` refuses."""
+    model = tmp_path / "m.ckpt"
+    model.write_bytes(checkpoint_with_linear_named(f"lin{brk}0", channels=16))
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    outs = [tmp_path / "r.txt", tmp_path / "s.csv"]
+    if command == "heatmap":
+        argv = ["--layer", "0", "--out-pre", str(outs[0]), "--out-post", str(outs[1])]
+    else:
+        argv = ["--out", str(outs[0])]
+    capsys.readouterr()
+    assert main([command, "--model", str(model), "--calib", str(calib), *argv]) == 2
+    _one_error_line(capsys, "error: inconsistent stack: layer names must not hold a line break")
+    assert not any(p.exists() for p in outs)

@@ -9,8 +9,11 @@ from helpers import rand_uniform, unit_scale
 from tlq.calibration import QuantizedLinear, QuantizedStack, load_quantized, save_quantized
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
+from tlq.fixtures import build_calibset, build_stack
 from tlq.model import (
+    CHECKPOINT_MAGIC,
     CalibrationSet,
+    _pack_linear,
     ProxyLossSpec,
     apply_layer_fp,
     backward_from_trace,
@@ -20,6 +23,7 @@ from tlq.model import (
     load_calibset,
     load_checkpoint,
     loss_value,
+    pack_layers,
     quantized_weight,
     quantized_weights,
     save_calibset,
@@ -481,3 +485,64 @@ def test_calibset_rejects_empty_batch_or_token_axis(b, n):
     with pytest.raises(CheckpointError, match="at least one sample") as err:
         load_calibset(blob)
     assert err.value.code == "bad_field"
+
+
+# every character str.splitlines splits on, and the two-character "\r\n"
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def checkpoint_with_linear_named(name: str, channels: int = 4) -> bytes:
+    """Checkpoint bytes of one identity linear, built by `pack_layers` so that no `LayerStack` checks the name."""
+    lin = Linear(name, np.eye(channels), np.zeros(channels))
+    return CHECKPOINT_MAGIC + struct.pack("<I", channels) + pack_layers((lin,), _pack_linear)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)
+def test_a_layer_name_holding_a_line_break_is_refused(brk):
+    lin = Linear(f"lin{brk}0", np.eye(4), np.zeros(4))
+    with pytest.raises(ConfigError, match="must not hold a line break"):
+        LayerStack((lin,), 4)
+    with pytest.raises(CheckpointError, match="must not hold a line break") as err:
+        load_checkpoint(checkpoint_with_linear_named(lin.name))
+    assert err.value.code == "bad_name"
+    assert len(str(err.value).splitlines()) == 1
+
+
+def _layout_digests(stack, x, scales, weights):
+    """Bytes of the FP output, every gradient and the quantized output for one input."""
+    grads = backward_token_grads(stack, x)
+    out_q = forward_quant(stack, x, scales, weights, CFG_A8).output
+    return forward_fp(stack, x).output.tobytes(), b"".join(g.tobytes() for g in grads), out_q.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+@pytest.mark.parametrize("block", [False, True], ids=["sample", "block"])
+def test_forwards_and_backward_give_the_bytes_of_the_c_order_input(layout, block):
+    stack = build_stack(5, 2, 32)
+    acts = build_calibset(5, 3, 16, 32, visual_fraction=0.5).activations
+    x = acts if block else acts[0]
+    other = np.asfortranarray(x) if layout == "fortran" else np.repeat(x, 2, axis=-1)[..., ::2]
+    assert not other.flags.c_contiguous
+    scales = {lin.name: SmoothScale(np.linspace(0.5, 2.0, 32)) for _, lin in stack.linears()}
+    weights = quantized_weights(stack, scales, CFG_W8)
+    assert _layout_digests(stack, other, scales, weights) == _layout_digests(stack, x, scales, weights)
+    # a C-order float64 input is not copied
+    assert forward_fp(stack, x).inputs[0] is x
+    assert forward_quant(stack, x, scales, weights, CFG_A8).inputs[0] is x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64])
+def test_forwards_and_backward_refuse_inputs_that_are_not_float64(dtype):
+    stack = random_block_stack(45, 1, 4)
+    scales = _ones_scales(stack)
+    weights = quantized_weights(stack, scales, CFG_W8)
+    x = np.ones((3, 4), dtype=dtype)
+    calls = (
+        lambda: forward_fp(stack, x),
+        lambda: backward_token_grads(stack, x),
+        lambda: forward_quant(stack, x, scales, weights, CFG_A8),
+    )
+    for call in calls:
+        with pytest.raises(NumericError, match=f"stack input must be float64, got {np.dtype(dtype)}") as err:
+            call()
+        assert "\n" not in str(err.value)
