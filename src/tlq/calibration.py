@@ -27,7 +27,7 @@ matmul, which runs the per-sample gemms and keeps their bytes; a flattened
 
 The distributed calibrator is this single-context loop with a remote grid
 search: `calibrate` and `distcal.run_distributed_calibration` both run
-`_calibration_loop` (selection, walk, statistic, search, `scale_for`,
+`_calibration_loop` (selection, walk, statistic, search, `power_scale`,
 `fix_scale`) and differ only in the per-layer search and in the
 `WalkObserver` that ledgers memory. The workers receive the identical
 tensors, so the two results agree bit for bit.
@@ -135,12 +135,9 @@ class CalibrationResult:
             raise ConfigError(f"fraction must be in (0, 1], got {self.fraction!r}")
         QuantConfig(self.bits_w)
         QuantConfig(self.bits_a)
-        origin = "sqrt_baseline" if self.stat_mode == "sqrt" else "stat_ratio"  # as `scale_for` labels it
         for row in self.layers:
             if not 0.0 <= row.ratio <= 1.0:
                 raise ConfigError(f"ratio of {row.name!r} must be in [0, 1], got {row.ratio!r}")
-            if row.scale.origin != origin:
-                raise ConfigError(f"scale of {row.name!r}: stat mode {self.stat_mode} gives origin {origin}")
 
 
 def _sq_diff_sums(y_fp: np.ndarray, y_q: np.ndarray) -> np.ndarray:
@@ -285,6 +282,8 @@ def compute_token_selections(
     traces are alive at a time. The observer's "grad-pass" bytes bracket
     each sample's trace lifetime for memory accounting.
     """
+    if not 0.0 < fraction <= 1.0:  # before any backward pass; NaN fails too
+        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     obs = observer or WalkObserver()
     trace_bytes = gradient_pass_bytes(stack, activations.shape[1])
 
@@ -331,11 +330,8 @@ def layer_stat(
 
 
 def scale_for(stat_mode: str, stat: np.ndarray, ratio: float) -> SmoothScale:
-    """Build the layer scale, labeling sqrt-derived scales with their origin."""
-    scale = power_scale(stat, ratio)
-    if stat_mode == "sqrt":
-        return SmoothScale(scale.values, origin="sqrt_baseline")
-    return scale
+    """`power_scale` under the name the benchmark's replay calls; `stat_mode` is unused."""
+    return power_scale(stat, ratio)
 
 
 @dataclass(frozen=True)
@@ -511,7 +507,7 @@ def _calibration_loop(
         sel = selections[task.index] if selections is not None else None
         stat = layer_stat(task.stat_inputs, stat_mode, task.layer, sel)
         r_star, curve = search(task, stat)
-        scale = scale_for(stat_mode, stat, r_star)
+        scale = power_scale(stat, r_star)
         rows.append(LayerCalibration(task.layer.name, scale, r_star, curve))
         walk.fix_scale(scale)
         del task  # it holds the streams fix_scale replaced; free them before the walk advances
@@ -605,6 +601,11 @@ def quantize_with_result(stack: LayerStack, result: CalibrationResult) -> Quanti
 _RESULT_HEADER = "tlq-result v1"
 
 
+def _origin(stat_mode: str) -> str:
+    """Each row's `origin` line: a sqrt-mode scale is SmoothQuant's baseline."""
+    return "sqrt_baseline" if stat_mode == "sqrt" else "stat_ratio"
+
+
 def _fmt_floats(values) -> str:
     return " ".join(repr(float(v)) for v in values)
 
@@ -623,8 +624,7 @@ def result_to_text(result: CalibrationResult) -> str:
     for row in result.layers:
         lines.append(f"layer {row.name}")
         lines.append(f"ratio {repr(float(row.ratio))}")
-        origin = row.scale.origin
-        lines.append(f"origin {origin}")
+        lines.append(f"origin {_origin(result.stat_mode)}")
         lines.append(f"scale {row.scale.values.shape[0]} {_fmt_floats(row.scale.values)}")
         lines.append(f"curve {len(row.loss_curve)}")
         for r, loss in row.loss_curve:
@@ -673,11 +673,12 @@ def result_from_text(text: str) -> CalibrationResult:
     if len(g) != 3:
         raise CheckpointError("bad_field", f"grid needs start, stop and step, got {g!r}")
     g = [_parse(float, v, "grid") for v in g]
-    rows = []
+    rows, origin = [], _origin(stat_mode)
     for _ in range(_parse(int, r.next("layers"), "layers")):
         name = r.next("layer")
         ratio = _parse(float, r.next("ratio"), f"ratio of {name!r}")
-        origin = r.next("origin")
+        if r.next("origin") != origin:
+            raise CheckpointError("bad_field", f"origin of {name!r}: stat mode {stat_mode} gives {origin}")
         count, _, parts = r.next("scale").partition(" ")
         count = _parse(int, count, f"scale length of {name!r}")
         values = np.array([_parse(float, v, f"scale of {name!r}") for v in parts.split()])
@@ -687,10 +688,10 @@ def result_from_text(text: str) -> CalibrationResult:
         for _ in range(_parse(int, r.next("curve"), f"curve length of {name!r}")):
             point, _, loss = r.next().partition(" ")  # 'ratio loss'
             curve.append((_parse(float, point, f"curve of {name!r}"), _parse(float, loss, f"curve of {name!r}")))
-        rows.append((name, values, origin, ratio, tuple(curve)))
+        rows.append((name, values, ratio, tuple(curve)))
     r.next("end")
     try:
-        layers = tuple(LayerCalibration(name, SmoothScale(v, origin), ratio, c) for name, v, origin, ratio, c in rows)
+        layers = tuple(LayerCalibration(name, SmoothScale(v), ratio, c) for name, v, ratio, c in rows)
         return CalibrationResult(layers, strategy, stat_mode, bits_w, bits_a, fraction, RatioGrid(*g))
     except TlqError as exc:
         raise CheckpointError("bad_field", str(exc)) from None

@@ -101,16 +101,6 @@ def _build_parser() -> _Parser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--depth", type=int, default=2, help="number of (rmsnorm, linear, act) blocks")
     g.add_argument("--channels", type=int, default=64)
-    g.add_argument("--outlier-fraction", type=float, dest="outlier_fraction", default=1 / 16)
-    g.add_argument("--outlier-gain", type=float, dest="outlier_gain", default=fixtures.OUTLIER_GAIN)
-    g.add_argument(
-        "--visual-weight-gain",
-        type=float,
-        dest="visual_weight_gain",
-        default=fixtures.VISUAL_WEIGHT_GAIN,
-    )
-    g.add_argument("--act", choices=("relu", "silu"), default="silu")
-    g.add_argument("--eps", type=float, default=fixtures.GEN_EPS)
     g.add_argument("--out", required=True)
 
     c = sub.add_parser("gen-calib", help="generate a redundant-visual-token calibration set")
@@ -119,7 +109,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--tokens", type=int, default=64)
     c.add_argument("--channels", type=int, default=64)
     c.add_argument("--visual-fraction", type=float, dest="visual_fraction", default=0.5)
-    c.add_argument("--redundancy", type=float, default=0.95)
     c.add_argument("--out", required=True)
 
     cal = sub.add_parser("calibrate", help="single-context layer-wise calibration")
@@ -204,30 +193,14 @@ def _prepare_out(path: str) -> Path:
 
 
 def _cmd_gen_model(args) -> int:
-    stack = fixtures.build_stack(
-        args.seed,
-        args.depth,
-        args.channels,
-        outlier_fraction=args.outlier_fraction,
-        outlier_gain=args.outlier_gain,
-        visual_weight_gain=args.visual_weight_gain,
-        act=args.act,
-        eps=args.eps,
-    )
+    stack = fixtures.build_stack(args.seed, args.depth, args.channels)
     _prepare_out(args.out).write_bytes(save_checkpoint(stack))
     print(f"wrote {args.out}: {len(stack.layers)} layers, {args.channels} channels")
     return 0
 
 
 def _cmd_gen_calib(args) -> int:
-    calib = fixtures.build_calibset(
-        args.seed,
-        args.batch,
-        args.tokens,
-        args.channels,
-        visual_fraction=args.visual_fraction,
-        redundancy=args.redundancy,
-    )
+    calib = fixtures.build_calibset(args.seed, args.batch, args.tokens, args.channels, args.visual_fraction)
     _prepare_out(args.out).write_bytes(save_calibset(calib))
     print(f"wrote {args.out}: B={calib.batch} N={calib.tokens} C={calib.channels}")
     return 0

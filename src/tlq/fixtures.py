@@ -29,12 +29,18 @@ from .model import CalibrationSet
 from .tensor import Rng, rand_normal
 
 # plant strengths; tests pin fixtures through these values
+OUTLIER_FRACTION = 1 / 16
 OUTLIER_GAIN = 50.0
 VISUAL_AMP = 20.0
 VISUAL_NOISE = 1e-8  # off-subspace leak; keeps visual gradients far below text
 VISUAL_WEIGHT_GAIN = 1.5  # visual channels carry stronger weight columns
 TEXT_VISUAL_SIGMA = 0.3
+GEN_ACT = "silu"
 GEN_EPS = 0.1
+REDUNDANCY = 0.95  # least pairwise cosine of one sample's visual tokens
+# with jitter orthogonal to the template, pairwise cosine is at least
+# (1 - rho^2) / (1 + rho^2); solve for rho with a safety margin
+JITTER_RADIUS = 0.9 * np.sqrt((1.0 - REDUNDANCY) / (1.0 + REDUNDANCY))
 
 
 @dataclass(frozen=True)
@@ -44,17 +50,15 @@ class PlantProfile:
     null_basis: np.ndarray  # (C, k) orthonormal, annihilated by the first linear
 
 
-def plant_profile(seed: int, channels: int, outlier_fraction: float = 1 / 16) -> PlantProfile:
+def plant_profile(seed: int, channels: int) -> PlantProfile:
     """Channel partition and visual subspace shared by model and data generators."""
     if channels < 16:
         raise ConfigError(f"planted fixtures need at least 16 channels, got {channels}")
-    if not 0 < outlier_fraction < 0.5:
-        raise ConfigError(f"outlier fraction must be in (0, 0.5), got {outlier_fraction}")
     gen = Rng(seed).split("plant-profile").generator()
     perm = gen.permutation(channels)
     n_vis = (channels // 4) & ~1  # even, so channels pair up
     visual = np.sort(perm[:n_vis])
-    n_out = max(1, round(outlier_fraction * channels))
+    n_out = max(1, round(OUTLIER_FRACTION * channels))
     outlier = np.sort(perm[n_vis : n_vis + n_out])
     # one orthonormal basis vector per disjoint visual channel pair; the
     # complement within each pair stays visible to the first linear layer
@@ -67,16 +71,7 @@ def plant_profile(seed: int, channels: int, outlier_fraction: float = 1 / 16) ->
     return PlantProfile(outlier, visual, basis)
 
 
-def build_stack(
-    seed: int,
-    depth: int,
-    channels: int,
-    outlier_fraction: float = 1 / 16,
-    outlier_gain: float = OUTLIER_GAIN,
-    visual_weight_gain: float = VISUAL_WEIGHT_GAIN,
-    act: str = "silu",
-    eps: float = GEN_EPS,
-) -> LayerStack:
+def build_stack(seed: int, depth: int, channels: int) -> LayerStack:
     """Deterministic stack of `depth` (rmsnorm -> linear -> act) blocks.
 
     Biases are zero so that tokens annihilated by the first linear stay
@@ -86,49 +81,32 @@ def build_stack(
     """
     if depth < 1:
         raise ConfigError(f"depth must be >= 1, got {depth}")
-    if not (0 < outlier_gain < np.inf and 0 < visual_weight_gain < np.inf):  # NaN fails too
-        raise ConfigError(f"gains must be finite and > 0, got outlier {outlier_gain}, visual weight {visual_weight_gain}")
-    profile = plant_profile(seed, channels, outlier_fraction)
+    profile = plant_profile(seed, channels)
     rng = Rng(seed)
     layers = []
     for d in range(depth):
         gain = np.ones(channels)
-        gain[profile.outlier_channels] = outlier_gain
+        gain[profile.outlier_channels] = OUTLIER_GAIN
         w = rand_normal(rng.split(f"weight{d}"), (channels, channels)) / np.sqrt(channels)
-        w[:, profile.outlier_channels] /= outlier_gain
-        w[:, profile.visual_channels] *= visual_weight_gain
+        w[:, profile.outlier_channels] /= OUTLIER_GAIN
+        w[:, profile.visual_channels] *= VISUAL_WEIGHT_GAIN
         if d == 0:
             # column scaling first, projection second: the planted subspace
             # must stay annihilated by the final weight matrix
             u = profile.null_basis
             w = w - (w @ u) @ u.T
-        layers.append(RMSNorm(f"norm{d}", gain, eps))
+        layers.append(RMSNorm(f"norm{d}", gain, GEN_EPS))
         layers.append(Linear(f"lin{d}", w, np.zeros(channels)))
-        layers.append(Activation(f"act{d}", act))
+        layers.append(Activation(f"act{d}", GEN_ACT))
     return LayerStack(tuple(layers), channels)
 
 
-def _jitter_radius(redundancy: float) -> float:
-    # with jitter orthogonal to the template, pairwise cosine is at least
-    # (1 - rho^2) / (1 + rho^2); solve for rho with a safety margin
-    if not 0.0 < redundancy < 1.0:
-        raise ConfigError(f"redundancy must be in (0, 1), got {redundancy}")
-    return 0.9 * np.sqrt((1.0 - redundancy) / (1.0 + redundancy))
-
-
-def build_calibset(
-    seed: int,
-    batch: int,
-    tokens: int,
-    channels: int,
-    visual_fraction: float = 0.5,
-    redundancy: float = 0.95,
-) -> CalibrationSet:
+def build_calibset(seed: int, batch: int, tokens: int, channels: int, visual_fraction: float = 0.5) -> CalibrationSet:
     """Calibration batch whose visual tokens are redundant and gradient-dead.
 
     The leading round(visual_fraction * tokens) positions of every sample are
     visual: a per-sample template drawn from the planted null subspace plus a
-    small in-subspace jitter (pairwise cosine >= redundancy) and a tiny
+    small in-subspace jitter (pairwise cosine >= REDUNDANCY) and a tiny
     generic perturbation. Text tokens are dense gaussians, damped on the
     visual channels so visual magnitudes clearly dominate there.
     """
@@ -140,7 +118,6 @@ def build_calibset(
     u = profile.null_basis
     k = u.shape[1]
     n_vis = round(visual_fraction * tokens)
-    rho = _jitter_radius(redundancy)
     rng = Rng(seed)
 
     acts = np.empty((batch, tokens, channels))
@@ -161,11 +138,11 @@ def build_calibset(
         template /= np.linalg.norm(template)
         jit = gen.standard_normal((n_vis, k))
         jitter = jit @ u.T
-        # remove the template component so the redundancy bound is exact
+        # remove the template component so the REDUNDANCY bound is exact
         jitter -= np.outer(jitter @ template, template)
         norms = np.linalg.norm(jitter, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
-        jitter *= rho / norms
+        jitter *= JITTER_RADIUS / norms
         amp = VISUAL_AMP * (1.0 + 0.1 * gen.uniform(-1.0, 1.0, size=(n_vis, 1)))
         rows = amp * (template + jitter)
         rows += VISUAL_NOISE * gen.standard_normal((n_vis, channels))

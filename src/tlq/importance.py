@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .layers import LayerStack
 from .model import (
     ForwardTrace,
@@ -61,9 +61,10 @@ def token_importance_sums(traces: Iterable[tuple[np.ndarray, ...]]) -> list[np.n
 
 
 def select_top_tokens(sums: np.ndarray, fraction: float = 0.5) -> tuple[int, ...]:
-    """Ascending indices of the ceil(fraction*N) largest token sums; ties go to the lower index."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+    """Ascending indices of the ceil(fraction*N) largest token sums; ties go to the lower index.
+
+    `compute_token_selections`, the one library caller, checks that fraction is in (0, 1].
+    """
     n = sums.shape[0]
     k = ceil(fraction * n)
     if k < 2:

@@ -14,15 +14,15 @@ quantization (calibration, quantized forwards, error probes) instead calls
 `dequantize(quantize(x))` without building the codes. Both share the scale
 helper below, and each states its rounding once.
 
-Two steps work on the float's bits, as unsigned integers of its own width.
+Two steps work on the float's bits, as 64-bit unsigned integers.
 The row absmax is the integer max of |x|: with the sign bit clear, bit
 order is value order, and a NaN sorts above +inf, so a non-finite row still
 shows. `_qdq_inplace` scales the rounded magnitude, |q| * s, and ORs it under
 x's sign bit; rounding is sign-symmetric, so these are the bytes of
 copysign(q, x) * s. No clip is needed: s >= fl(absmax / qmax) gives
 |x| / s <= qmax * (1 + 2u) for unit roundoff u (qmax exactly at the scale
-floor), so |q| <= qmax whenever 2u * qmax < 1/2, as for float64 and float32
-at every allowed bit width.
+floor), so |q| <= qmax whenever 2u * qmax < 1/2, as for float64 at every
+allowed bit width.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _scaled_magnitudes(x: np.ndarray, cfg: QuantConfig, out: np.ndarray | None =
         raise ShapeError(f"cannot quantize rows of length 0, got shape {x.shape}")
     t = np.abs(x, out=out)
     # the sign bit of |x| is clear, so its bits sort as its values, NaN last
-    absmax = np.max(t.view(f"u{t.itemsize}"), axis=1).view(t.dtype)
+    absmax = np.max(t.view(np.uint64), axis=1).view(np.float64)
     # the row absmax is non-finite exactly when the row holds NaN or Inf
     if not np.all(np.isfinite(absmax)):
         raise NumericError("quantize input contains NaN or Inf")
@@ -87,11 +87,9 @@ def _scaled_magnitudes(x: np.ndarray, cfg: QuantConfig, out: np.ndarray | None =
 
 
 def quantize(x: np.ndarray, cfg: QuantConfig) -> QuantizedTensor:
-    """Row-wise symmetric quantization of a rank-2 tensor."""
-    # integer input is quantized from its float64 values
-    x = x.astype(np.result_type(x, 1.0), copy=False)
-    if x.dtype not in (np.float32, np.float64):  # float16 cannot hold the scale floor or a 16-bit qmax
-        raise ConfigError(f"quantize needs float32 or float64 input, got {x.dtype}")
+    """Row-wise symmetric quantization of a rank-2 float64 tensor."""
+    if x.dtype != np.float64:
+        raise NumericError(f"quantize needs float64 input, got {x.dtype}")
     t, scales = _scaled_magnitudes(x, cfg)
     # half away from zero (numpy's round() is half-to-even): round the
     # magnitude, then take the sign of x; int32 turns a -0 code into 0
@@ -109,7 +107,7 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
 
 
 def _qdq_inplace(x: np.ndarray, cfg: QuantConfig) -> None:
-    """Overwrite rank-2 float `x` with the bytes of dequantize(quantize(x, cfg)).
+    """Overwrite rank-2 float64 `x` with the bytes of dequantize(quantize(x, cfg)).
 
     Works through blocks of whole rows with one cache-sized scratch buffer,
     so no temporary of x's size is allocated.
@@ -118,8 +116,7 @@ def _qdq_inplace(x: np.ndarray, cfg: QuantConfig) -> None:
         raise ShapeError(f"quantize expects a rank-2 tensor, got shape {x.shape}")
     rows = max(1, _QDQ_CHUNK_ELEMS // max(1, x.shape[1]))
     scratch = np.empty((min(rows, x.shape[0]), x.shape[1]), dtype=x.dtype)
-    uint = np.dtype(f"u{x.itemsize}")
-    sign = uint.type(1 << (8 * x.itemsize - 1))
+    sign = np.uint64(1 << 63)
     # one pass even for zero rows, so the shape checks still run
     for start in range(0, max(x.shape[0], 1), rows):
         block = x[start : start + rows]
@@ -129,8 +126,8 @@ def _qdq_inplace(x: np.ndarray, cfg: QuantConfig) -> None:
         np.floor(t, out=t)
         t *= scales[:, None]
         # x's sign bit over the magnitude's bits: copysign(q, x) * s
-        bits = block.view(uint)
+        bits = block.view(np.uint64)
         bits &= sign
-        bits |= t.view(uint)
+        bits |= t.view(np.uint64)
         # a zero code under a negative x is -0 here and +0 through int32
         block += 0.0

@@ -17,19 +17,14 @@ from .errors import ConfigError, NumericError, ShapeError
 from .layers import Linear, RMSNorm
 from .quantizer import DEFAULT_SCALE_FLOOR
 
-SCALE_ORIGINS = ("sqrt_baseline", "stat_ratio")
-
 
 @dataclass(frozen=True)
 class SmoothScale:
     values: np.ndarray  # (C_in,) strictly positive
-    origin: str = "stat_ratio"
 
     def __post_init__(self):
         if self.values.ndim != 1:
             raise ShapeError(f"smoothing scale must be rank 1, got {self.values.shape}")
-        if self.origin not in SCALE_ORIGINS:
-            raise ConfigError(f"scale origin must be one of {SCALE_ORIGINS}, got {self.origin!r}")
         if not np.all(np.isfinite(self.values)) or not np.all(self.values > 0):
             raise NumericError("smoothing scale values must be finite and > 0")
 
@@ -40,7 +35,7 @@ def power_scale(x_stat: np.ndarray, r: float) -> SmoothScale:
         raise ConfigError(f"smoothing ratio must be in [0, 1], got {r}")
     if x_stat.ndim != 1:
         raise ShapeError(f"x_stat must be rank 1, got {x_stat.shape}")
-    return SmoothScale(np.maximum(x_stat, DEFAULT_SCALE_FLOOR) ** r, origin="stat_ratio")
+    return SmoothScale(np.maximum(x_stat, DEFAULT_SCALE_FLOOR) ** r)
 
 
 def fuse_into_predecessor(prev: RMSNorm | Linear, s: SmoothScale):

@@ -153,7 +153,7 @@ def calibrate_per_sample(
             diffs = [_linear_quant_per_sample(layer, x, s, cfg_w, cfg_a) - y for x, y in zip(q_in, y_fp)]
             curve.append((r, float(np.mean([np.sum(d * d) for d in diffs]))))
         r_star = select_ratio(curve)
-        scale = SmoothScale(power_scale(stat, r_star).values, "sqrt_baseline" if stat_mode == "sqrt" else "stat_ratio")
+        scale = power_scale(stat, r_star)
         rows.append(LayerCalibration(layer.name, scale, r_star, tuple(curve)))
         if strategy == "none":
             streams = {"main": y_fp}

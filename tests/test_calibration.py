@@ -47,7 +47,8 @@ from tlq.model import (
     quantized_weights,
 )
 from tlq.quantizer import _QDQ_CHUNK_ELEMS, QuantConfig
-from tlq.smoothing import SmoothScale, power_scale
+from tlq.report import build_heatmaps
+from tlq.smoothing import power_scale
 from tlq.tensor import Rng, rand_normal
 
 CFG_W = QuantConfig(4, "per_channel")
@@ -123,6 +124,8 @@ def test_layer_loss_reads_y_fp_and_overwrites_y_q():
 def test_select_ratio_prefers_smallest_among_ties():
     curve = [(0.0, 5.0), (0.25, 1.0), (0.5, 1.0 + 1e-15), (0.75, 1.0), (1.0, 2.0)]
     assert select_ratio(curve) == 0.25
+    # 1e-10 relative is no tie: the later, smaller loss wins
+    assert select_ratio([(0.0, 1.0 + 1e-10), (0.5, 1.0)]) == 0.5
     with pytest.raises(ConfigError):
         select_ratio([])
 
@@ -432,7 +435,7 @@ def test_sqrt_stat_mode_records_origin():
         cfg_w=CFG_W,
         cfg_a=CFG_A,
     )
-    assert res.layers[0].scale.origin == "sqrt_baseline"
+    assert "\norigin sqrt_baseline\n" in result_to_text(res)
     assert res.layers[0].ratio == 1.0
 
 
@@ -493,6 +496,15 @@ def test_result_from_text_rejects_invalid_fields(field, value):
         result_from_text(_mutated_result_text(field, value))
 
 
+@pytest.mark.parametrize("stat_mode", STAT_MODES)
+def test_result_from_text_refuses_an_origin_its_stat_mode_does_not_give(stat_mode):
+    text = result_to_text(_small_result(stat_mode=stat_mode))
+    right, wrong = ("sqrt_baseline", "stat_ratio") if stat_mode == "sqrt" else ("stat_ratio", "sqrt_baseline")
+    assert f"\norigin {right}\n" in text
+    with pytest.raises(CheckpointError, match=f"origin of 'lin0': stat mode {stat_mode} gives {right}"):
+        result_from_text(text.replace(f"\norigin {right}\n", f"\norigin {wrong}\n", 1))
+
+
 def _small_result(strategy="passact2", stat_mode="max"):
     xs = build_calibset(1, 2, 8, 16, visual_fraction=0.5).activations
     return calibrate(random_block_stack(1, 1, 16), xs, strategy=strategy, stat_mode=stat_mode, cfg_w=CFG_W, cfg_a=CFG_A)
@@ -532,17 +544,15 @@ def test_a_result_refuses_a_row_ratio_outside_the_unit_interval(ratio):
         dataclasses.replace(res, layers=(dataclasses.replace(res.layers[0], ratio=ratio),))
 
 
-@pytest.mark.parametrize("stat_mode", STAT_MODES)
-def test_a_result_refuses_a_scale_origin_its_stat_mode_does_not_give(stat_mode):
-    res = _small_result(stat_mode=stat_mode)
-    row = res.layers[0]
-    wrong = "stat_ratio" if stat_mode == "sqrt" else "sqrt_baseline"
-    with pytest.raises(ConfigError, match="gives origin"):
-        dataclasses.replace(res, layers=(dataclasses.replace(row, scale=SmoothScale(row.scale.values, wrong)),))
+_BAD_OPTIONS = {"bad0": {"stat_mode": "median"}, "bad1": {"fraction": 0.0}, "bad2": {"fraction": 7.0},
+                "bad3": {"fraction": float("nan")}}
 
 
-@pytest.mark.parametrize("bad", [{"stat_mode": "median"}, {"fraction": 0.0}, {"fraction": 7.0}, {"fraction": float("nan")}])
-@pytest.mark.parametrize("entry", ["calibrate", "distributed"])
+@pytest.mark.parametrize("entry, bad", [
+    pytest.param(entry, bad, id=f"{entry}-{key}")
+    for entry in ("calibrate", "distributed", "heatmap") for key, bad in _BAD_OPTIONS.items()
+    if entry != "heatmap" or "fraction" in bad  # a heatmap takes no stat mode
+])
 def test_a_bad_stat_mode_or_fraction_fails_before_the_first_backward_pass(monkeypatch, entry, bad):
     calls = []
     real = calibration.backward_token_grads
@@ -552,12 +562,18 @@ def test_a_bad_stat_mode_or_fraction_fails_before_the_first_backward_pass(monkey
         return real(*args, **kwargs)
 
     monkeypatch.setattr(calibration, "backward_token_grads", counted)
-    stack, xs = random_block_stack(1, 1, 16), build_calibset(1, 2, 4, 16, visual_fraction=0.5).activations
+    stack, calib = random_block_stack(1, 1, 16), build_calibset(1, 2, 4, 16, visual_fraction=0.5)
+
+    def run(**opts):
+        if entry == "heatmap":
+            return build_heatmaps(stack, calib, 0, fraction=opts["fraction"])
+        return _run_entry(entry, stack, calib.activations, **opts, cfg_w=CFG_W, cfg_a=CFG_A)
+
     with pytest.raises(ConfigError, match="stat mode must be one of|fraction must be in"):
-        _run_entry(entry, stack, xs, **{"stat_mode": "topk", "fraction": 0.5, **bad}, cfg_w=CFG_W, cfg_a=CFG_A)
+        run(**{"stat_mode": "topk", "fraction": 0.5, **bad})
     assert calls == []
-    _run_entry(entry, stack, xs, stat_mode="topk", fraction=0.5, cfg_w=CFG_W, cfg_a=CFG_A)
-    assert len(calls) == 2  # the counter sees each sample's pass of a valid run
+    run(stat_mode="topk", fraction=0.5)
+    assert len(calls) == 2  # the counter sees each sample's selection pass of a valid run
 
 
 @pytest.mark.parametrize("stat_mode", STAT_MODES)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -16,6 +17,22 @@ from tlq.cli import _CAL_OPTIONS, _DIST_OPTIONS, main
 from tlq.layers import LayerStack
 from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset, save_checkpoint
 from test_model import checkpoint_with_linear_named
+
+
+def _readme_walkthrough() -> list[list[str]]:
+    """Each line of README's fenced bash block under "CLI walkthrough", split into words."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI walkthrough\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    commands = _readme_walkthrough()
+    assert len(commands) >= 8 and all(words[0] == "tlq" for words in commands)
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        assert main(words[1:]) == 0, (words, capsys.readouterr().err)
 
 
 def _gen_model(tmp_path, seed=1, depth=2, channels=32, name="model.ckpt"):
@@ -426,10 +443,10 @@ def test_presets(tmp_path):
     assert all(row.ratio == 0.0 for row in rtn_res.layers)
     assert all(np.all(row.scale.values == 1.0) for row in rtn_res.layers)
 
-    sq_res = result_from_text(
-        _calibrate(tmp_path, model, calib, "sq.txt", ("--preset", "sq")).read_text()
-    )
-    assert all(row.scale.origin == "sqrt_baseline" for row in sq_res.layers)
+    sq_text = _calibrate(tmp_path, model, calib, "sq.txt", ("--preset", "sq")).read_text()
+    assert result_from_text(sq_text).stat_mode == "sqrt"
+    origins = [line for line in sq_text.splitlines() if line.startswith("origin ")]
+    assert origins == ["origin sqrt_baseline"] * 2
 
 
 def test_dist_calibrate_supports_presets(tmp_path):
@@ -613,22 +630,15 @@ def test_bad_dist_option_exits_one(tmp_path, capsys, source):
     assert not out.exists() and not mem.exists()
 
 
-@pytest.mark.parametrize("flag", ["--outlier-gain", "--visual-weight-gain"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-def test_bad_generator_gain_exits_one(tmp_path, capsys, flag, value):
-    out = tmp_path / "m.ckpt"
-    code = main(["gen-model", "--seed", "1", "--depth", "1", "--channels", "16", flag, value, "--out", str(out)])
+@pytest.mark.parametrize("command, flag", [
+    ("gen-model", "--outlier-fraction"), ("gen-model", "--outlier-gain"), ("gen-model", "--visual-weight-gain"),
+    ("gen-model", "--act"), ("gen-model", "--eps"), ("gen-calib", "--redundancy"),
+])
+def test_removed_generator_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    out = tmp_path / "fixture.bin"
+    code = main([command, "--seed", "1", "--channels", "16", flag, "1", "--out", str(out)])
     assert code == 1
-    _one_error_line(capsys, "config error: gains must be finite and > 0")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["0", "nan", "inf"])
-def test_bad_generator_eps_exits_one(tmp_path, capsys, value):
-    out = tmp_path / "m.ckpt"
-    code = main(["gen-model", "--seed", "1", "--depth", "1", "--channels", "16", "--eps", value, "--out", str(out)])
-    assert code == 1
-    _one_error_line(capsys, "config error: rmsnorm 'norm0': eps must be finite and > 0")
+    _one_error_line(capsys, f"error: unrecognized arguments: {flag}")
     assert not out.exists()
 
 

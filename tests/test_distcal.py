@@ -768,7 +768,7 @@ def test_sqrt_stat_distributed_equivalence(transport):
         cfg_w=CFG_W, cfg_a=CFG_A,
     )
     assert result_to_text(dist) == result_to_text(single)
-    assert all(row.scale.origin == "sqrt_baseline" for row in dist.layers)
+    assert "\norigin sqrt_baseline\n" in result_to_text(dist)
 
 
 def test_worker_validation(monkeypatch):

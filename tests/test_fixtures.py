@@ -64,7 +64,7 @@ def test_modality_gradient_ratio_equals_the_per_sample_reference():
 
 
 def test_visual_tokens_are_near_duplicates():
-    calib = build_calibset(7, 6, 24, 64, visual_fraction=0.8, redundancy=0.95)
+    calib = build_calibset(7, 6, 24, 64, visual_fraction=0.8)
     assert min_visual_cosine(calib) >= 0.95
 
 
@@ -80,8 +80,6 @@ def test_fixture_validation():
         plant_profile(1, 8)
     with pytest.raises(ConfigError):
         build_calibset(1, 2, 4, 32, visual_fraction=1.5)
-    with pytest.raises(ConfigError):
-        build_calibset(1, 2, 4, 32, redundancy=1.0)
 
 
 @pytest.mark.parametrize("batch, tokens", [(0, 8), (-1, 8), (2, 0), (2, -3)])

@@ -349,6 +349,8 @@ def test_heatmap_subsampling_is_deterministic_and_ratio_preserving():
     assert len(a.pre) == 10 and len(a.channel_indices) == 8
     visual = sum(r[1] for r in a.pre)
     assert visual == 5  # same visual:text ratio as the full token set
+    # 7 * 10 / 20 = 3.5 visual tokens, which round (half to even) to 4
+    assert sum(r[1] for r in build_heatmaps(stack, calib, 1, seed=3, max_tokens=7).pre) == 4
 
 
 def test_heatmap_csv_roundtrip():

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import apply_smoothing, rand_uniform, unit_scale
-from tlq.calibration import layer_stat, scale_for
+from tlq.calibration import CalibrationResult, LayerCalibration, RatioGrid, layer_stat, result_to_text, scale_for
 from tlq.errors import ConfigError, NumericError
 from tlq.layers import Activation, Linear, RMSNorm
 from tlq.model import apply_layer_fp
+from tlq.quantizer import DEFAULT_SCALE_FLOOR
 from tlq.smoothing import SmoothScale, fuse_into_predecessor, power_scale
 from tlq.tensor import Rng, rand_normal
 
@@ -25,11 +26,15 @@ def test_sqrt_scale_symmetric_inputs_give_ones():
 def test_sqrt_scale_hand_case():
     s = scale_for("sqrt", _sqrt_stat([[4.0]], [[1.0]]), 1.0)
     assert s.values[0] == pytest.approx(2.0, rel=1e-15)
-    assert s.origin == "sqrt_baseline"
+    row = LayerCalibration("lin", s, 1.0, ((1.0, 0.0),))
+    text = result_to_text(CalibrationResult((row,), "none", "sqrt", 4, 8, 0.5, RatioGrid(1.0, 1.0)))
+    assert "\norigin sqrt_baseline\n" in text
 
 
 def test_sqrt_scale_dead_channel_floors():
     assert _sqrt_stat([[0.0]], [[1.0]])[0] > 0
+    # a zero weight column: max|W| is floored too, so the scale stays finite
+    assert _sqrt_stat([[2.0, 1.0]], [[1.0, 0.0]])[1] == np.sqrt(1.0 / DEFAULT_SCALE_FLOOR)
 
 
 def test_power_scale_endpoints_and_hand_case():
@@ -50,8 +55,6 @@ def test_smooth_scale_validation():
         SmoothScale(np.array([1.0, 0.0]))
     with pytest.raises(NumericError):
         SmoothScale(np.array([1.0, np.inf]))
-    with pytest.raises(ConfigError):
-        SmoothScale(np.ones(2), origin="other")
 
 
 def test_apply_smoothing_identity_scale():
