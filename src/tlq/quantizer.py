@@ -71,6 +71,8 @@ def _scaled_magnitudes(x: np.ndarray, cfg: QuantConfig, out: np.ndarray | None =
     |x| / s equals |x / s| bit for bit, since division by s > 0 is
     sign-symmetric, so the sign can be restored from x afterwards.
     """
+    if x.dtype != np.float64:  # the bit steps below read x as 64-bit words
+        raise NumericError(f"quantize needs float64 input, got {x.dtype}")
     if x.ndim != 2:
         raise ShapeError(f"quantize expects a rank-2 tensor, got shape {x.shape}")
     if x.shape[1] == 0:
@@ -88,8 +90,6 @@ def _scaled_magnitudes(x: np.ndarray, cfg: QuantConfig, out: np.ndarray | None =
 
 def quantize(x: np.ndarray, cfg: QuantConfig) -> QuantizedTensor:
     """Row-wise symmetric quantization of a rank-2 float64 tensor."""
-    if x.dtype != np.float64:
-        raise NumericError(f"quantize needs float64 input, got {x.dtype}")
     t, scales = _scaled_magnitudes(x, cfg)
     # half away from zero (numpy's round() is half-to-even): round the
     # magnitude, then take the sign of x; int32 turns a -0 code into 0

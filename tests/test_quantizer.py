@@ -256,6 +256,15 @@ def test_quantize_refuses_every_dtype_but_float64(dtype):
         quantize(np.ones((2, 3), dtype), QuantConfig(8))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_qdq_inplace_refuses_every_dtype_but_float64(dtype):
+    # even rows: a float32 block would view as 64-bit words without error
+    x = np.arange(1, 9, dtype=dtype).reshape(2, 4)
+    with pytest.raises(NumericError, match=f"^quantize needs float64 input, got {np.dtype(dtype)}$"):
+        _qdq_inplace(x, QuantConfig(8))
+    assert np.array_equal(x, np.arange(1, 9).reshape(2, 4))  # left as it was
+
+
 @pytest.mark.parametrize("x, bits", [
     (np.zeros((1, 4), np.float16), 8),  # the 1e-12 scale floor underflows to 0: scale 0, code -2^31
     (np.array([[1.0, 0.99995, -0.5]], np.float16), 16),  # float16 cannot hold qmax: code 32768
