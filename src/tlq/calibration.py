@@ -50,6 +50,7 @@ from .model import (
     ProxyLossSpec,
     _Reader,
     _block_samples,
+    _check_input,
     _linear_quant_blocks,
     _validate_quant_cfgs,
     apply_layer_fp,
@@ -470,7 +471,7 @@ def calibrate(
 ) -> CalibrationResult:
     """Run the full layer-wise ratio search over a calibration batch.
 
-    `activations` is the (B, N, C) calibration tensor (CalibrationSet
+    `activations` is the (B, N, C) float64 calibration tensor (CalibrationSet
     modality tags play no role here; selection is purely gradient-driven).
     A batch that is not C-contiguous is copied once into C order, because
     layout changes the bytes of the rmsnorm sums and the stacked gemms.
@@ -496,8 +497,8 @@ def _calibration_loop(
     the selection passes and the walk, in order.
     """
     header = CalibrationResult((), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid)  # checks run first
-    # a copy, not ledgered, only for a batch that is not C-contiguous
-    activations = np.ascontiguousarray(activations)
+    # float64 in every stat mode; a copy, not ledgered, only for a batch that is not C-contiguous
+    activations = _check_input(stack, activations)
     selections = None
     if stat_mode == "topk":
         selections = compute_token_selections(stack, activations, fraction, loss, observer)

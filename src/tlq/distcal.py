@@ -124,10 +124,17 @@ def baseline_peak(model_dims: tuple[int, int], batch_dims: tuple[int, int]) -> i
 
 # --- messages and wire format ---------------------------------------------------
 
-MSG_KINDS = ("layer_output", "stat_request", "loss_report", "ratio_fixed", "done", "abort")
-
-_KIND_CODES = {k: i + 1 for i, k in enumerate(MSG_KINDS)}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+# kind -> (struct format of its fixed fields, their CalMessage names in wire
+# order, whether a tensor follows them); a kind's code is its position plus 1
+_LAYOUTS = {
+    "layer_output": ("<IBId", ("layer", "stream", "count", "ratio"), True),
+    "stat_request": ("<II", ("layer", "count"), True),
+    "loss_report": ("<Idd", ("layer", "ratio", "loss"), False),
+    "ratio_fixed": ("<Id", ("layer", "ratio"), True),
+    "done": ("<", (), False),
+    "abort": ("<", (), False),
+}
+MSG_KINDS = tuple(_LAYOUTS)
 
 
 @dataclass(frozen=True)
@@ -146,16 +153,6 @@ class CalMessage:
     reason: str | None = None  # abort
 
 
-def _decode_tensor(c: _Reader) -> np.ndarray:
-    (ndim,) = c.unpack("<B")
-    shape = c.unpack(f"<{ndim}I")
-    (crc,) = c.unpack("<I")
-    tensor = c.f64s(*shape)
-    if zlib.crc32(tensor) != crc:
-        raise ProtocolError("tensor checksum mismatch")
-    return tensor
-
-
 def _frame_parts(msg: CalMessage) -> list:
     """One frame as a short list of parts whose concatenation is the frame.
 
@@ -163,36 +160,22 @@ def _frame_parts(msg: CalMessage) -> list:
     tensor's payload follows as a byte view of its own (C-order, float64)
     buffer, not a copy, and then any trailing fields.
     """
-    head = struct.pack("<BHHQ", _KIND_CODES[msg.kind], msg.sender, msg.receiver, msg.seq)
-    tensor, tail = None, b""
-    if msg.kind == "layer_output":
-        stream_code = 0 if msg.stream == "fp" else 1
-        ratio = float("nan") if msg.ratio is None else msg.ratio
-        head += struct.pack("<IBId", msg.layer, stream_code, msg.count or 0, ratio)
-        tensor = msg.tensor
-    elif msg.kind == "stat_request":
-        head += struct.pack("<II", msg.layer, msg.count)
-        tensor = msg.tensor
-    elif msg.kind == "loss_report":
-        head += struct.pack("<Idd", msg.layer, msg.ratio, msg.loss)
-    elif msg.kind == "ratio_fixed":
-        head += struct.pack("<Id", msg.layer, msg.ratio)
-        tensor = msg.tensor
-        tail = struct.pack("<I", len(msg.curve)) + b"".join(struct.pack("<dd", r, loss) for r, loss in msg.curve)
-    elif msg.kind == "done":
-        pass
-    elif msg.kind == "abort":
-        raw = (msg.reason or "").encode("utf-8")
-        head += struct.pack("<H", len(raw)) + raw
-    else:
+    if msg.kind not in _LAYOUTS:
         raise ProtocolError(f"cannot encode message kind {msg.kind!r}")
-    parts = [head]
-    if tensor is not None:
-        payload = np.ascontiguousarray(tensor, dtype="<f8").reshape(-1).view(np.uint8)
-        parts[0] += struct.pack(f"<B{tensor.ndim}II", tensor.ndim, *tensor.shape, zlib.crc32(payload))
+    fmt, names, has_tensor = _LAYOUTS[msg.kind]
+    fields = [getattr(msg, name) for name in names]
+    if msg.kind == "layer_output":  # the stream as its code, a missing ratio as NaN
+        fields[1:] = 0 if msg.stream == "fp" else 1, msg.count or 0, float("nan") if msg.ratio is None else msg.ratio
+    parts = [struct.pack("<BHHQ" + fmt[1:], MSG_KINDS.index(msg.kind) + 1, msg.sender, msg.receiver, msg.seq, *fields)]
+    if msg.kind == "abort":  # a length-prefixed UTF-8 reason
+        raw = (msg.reason or "").encode("utf-8")
+        parts[0] += struct.pack("<H", len(raw)) + raw
+    if has_tensor:
+        payload = np.ascontiguousarray(msg.tensor, dtype="<f8").reshape(-1).view(np.uint8)
+        parts[0] += struct.pack(f"<B{msg.tensor.ndim}II", msg.tensor.ndim, *msg.tensor.shape, zlib.crc32(payload))
         parts.append(payload)
-    if tail:
-        parts.append(tail)
+    if msg.kind == "ratio_fixed":  # the loss curve trails the tensor
+        parts.append(struct.pack("<I", len(msg.curve)) + b"".join(struct.pack("<dd", r, loss) for r, loss in msg.curve))
     parts[0] = struct.pack("<I", sum(len(p) for p in parts)) + parts[0]
     return parts
 
@@ -209,40 +192,29 @@ def decode_message(blob) -> CalMessage:
     """
     c = _Reader(blob, error=ProtocolError)
     code, sender, receiver, seq = c.unpack("<BHHQ")
-    if code not in _KIND_NAMES:
+    if not 1 <= code <= len(MSG_KINDS):
         raise ProtocolError(f"unknown message kind code {code}")
-    kind = _KIND_NAMES[code]
-    msg = CalMessage(kind, sender, receiver, seq)
-    if kind == "layer_output":
-        layer, stream_code, count, ratio = c.unpack("<IBId")
-        if stream_code > 1:
-            raise ProtocolError(f"unknown stream code {stream_code}")
-        tensor = _decode_tensor(c)
-        msg = replace(
-            msg,
-            layer=layer,
-            stream="fp" if stream_code == 0 else "q",
-            count=count,
-            ratio=None if np.isnan(ratio) else ratio,
-            tensor=tensor,
-        )
-    elif kind == "stat_request":
-        layer, count = c.unpack("<II")
-        msg = replace(msg, layer=layer, count=count, tensor=_decode_tensor(c))
-    elif kind == "loss_report":
-        layer, ratio, loss = c.unpack("<Idd")
-        msg = replace(msg, layer=layer, ratio=ratio, loss=loss)
-    elif kind == "ratio_fixed":
-        layer, ratio = c.unpack("<Id")
-        tensor = _decode_tensor(c)
-        (n,) = c.unpack("<I")
-        curve = tuple(c.unpack("<dd") for _ in range(n))
-        msg = replace(msg, layer=layer, ratio=ratio, tensor=tensor, curve=curve)
-    elif kind == "abort":
-        (n,) = c.unpack("<H")
-        msg = replace(msg, reason=c.text(n))
+    kind = MSG_KINDS[code - 1]
+    fmt, names, has_tensor = _LAYOUTS[kind]
+    fields = dict(zip(names, c.unpack(fmt)))
+    if kind == "layer_output":  # the stream from its code, NaN as a missing ratio
+        if fields["stream"] > 1:
+            raise ProtocolError(f"unknown stream code {fields['stream']}")
+        fields["stream"] = ("fp", "q")[fields["stream"]]
+        fields["ratio"] = None if np.isnan(fields["ratio"]) else fields["ratio"]
+    elif kind == "abort":  # a length-prefixed UTF-8 reason
+        fields["reason"] = c.text(*c.unpack("<H"))
+    if has_tensor:
+        (ndim,) = c.unpack("<B")
+        shape = c.unpack(f"<{ndim}I")
+        (crc,) = c.unpack("<I")
+        fields["tensor"] = c.f64s(*shape)
+        if zlib.crc32(fields["tensor"]) != crc:
+            raise ProtocolError("tensor checksum mismatch")
+    if kind == "ratio_fixed":  # the loss curve trails the tensor
+        fields["curve"] = tuple(c.unpack("<dd") for _ in range(*c.unpack("<I")))
     c.done()
-    return msg
+    return CalMessage(kind, sender, receiver, seq, **fields)
 
 
 # --- transports -----------------------------------------------------------------

@@ -21,7 +21,7 @@ from tlq.calibration import (
 )
 from tlq.errors import CheckpointError, ConfigError, ShapeError
 from tlq.fixtures import PlantProfile
-from tlq.importance import activation_error_probe, select_top_tokens, token_importance_sums
+from tlq.importance import select_top_tokens, token_importance_sums
 from tlq.layers import LayerStack, Linear, RMSNorm
 from tlq.model import (
     CalibrationSet,
@@ -188,9 +188,13 @@ def evaluate_per_sample(
         fp_vals, q_vals = t_fp.values(), t_q.values()
         for idx, lin in linears:
             s = scales[lin.name]
-            est, meas = activation_error_probe(stack, x, idx, cfg_a, scale=s, loss=loss, trace=t_fp, grads=grads)
-            probes[lin.name][0] += est
-            probes[lin.name][1] += meas
+            x_l = t_fp.inputs[idx]  # the probe, written out: perturb the input, rerun the FP tail
+            delta = dequantize(quantize(x_l / s.values, cfg_a)) * s.values - x_l
+            y_pert = x_l + delta
+            for layer in stack.layers[idx:]:
+                y_pert = apply_layer_fp(layer, y_pert)
+            probes[lin.name][0] += float(np.sum(grads[idx] * delta))
+            probes[lin.name][1] += loss_value(y_pert, loss) - loss_value(t_fp.output, loss)
             if result.strategy == "passact2":
                 d = apply_layer_fp(lin, t_q.inputs[idx]) - q_vals[idx + 1]
             elif result.strategy == "passact1":

@@ -824,6 +824,20 @@ def test_a_fraction_outside_the_unit_interval_fails_before_any_work(monkeypatch,
                    cfg_w=CFG_W, cfg_a=CFG_A)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64])
+@pytest.mark.parametrize("stat_mode", ["max", "mean", "sqrt", "topk"])
+@pytest.mark.parametrize("entry", ["calibrate", "distributed"])
+def test_a_batch_that_is_not_float64_fails_before_any_work(monkeypatch, entry, stat_mode, dtype):
+    """Every stat mode refuses the batch, not only topk, whose selection pass reaches the model's check."""
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(calibration, "CalibrationWalk", walk)
+    xs = build_calibset(1, 2, 4, 16, visual_fraction=0.5).activations.astype(dtype)
+    with pytest.raises(NumericError, match=rf"^stack input must be float64, got {np.dtype(dtype)}$"):
+        _run_entry(entry, random_block_stack(1, 1, 16), xs, stat_mode=stat_mode, cfg_w=CFG_W, cfg_a=CFG_A)
+
+
 @pytest.mark.parametrize("stat_mode", ["max", "mean", "sqrt", "topk"])
 @pytest.mark.parametrize("entry", ["calibrate", "distributed"])
 def test_a_valid_fraction_round_trips_through_load_result(entry, stat_mode):

@@ -2,12 +2,14 @@ import collections
 import hashlib
 import itertools
 import math
+import re
 import resource
 import struct
 import threading
 import time
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +193,45 @@ def test_wire_non_utf8_abort_reason_rejected():
     frame = encode_message(CalMessage("abort", 0, 1, seq=0, reason="boom"))[4:]
     with pytest.raises(ProtocolError, match="bad_text"):
         decode_message(frame[:-1] + b"\xff")
+
+
+def test_encoding_an_unknown_kind_is_a_protocol_error():
+    with pytest.raises(ProtocolError, match=r"^cannot encode message kind 'bogus'$"):
+        encode_message(CalMessage("bogus", 0, 1, seq=0))
+
+
+@pytest.mark.parametrize("code", [0, len(distcal.MSG_KINDS) + 1, 255])
+def test_decoding_an_unknown_kind_code_is_a_protocol_error(code):
+    frame = bytearray(encode_message(CalMessage("done", 0, 1, seq=0))[4:])
+    frame[0] = code  # header: u8 kind first
+    with pytest.raises(ProtocolError, match=rf"^unknown message kind code {code}$"):
+        decode_message(bytes(frame))
+
+
+def _readme_wire_kinds() -> dict:
+    """code -> (kind, its fields) for each entry of README's wire-protocol block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("### Wire protocol", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    entries = {}
+    for line in block.split("kinds:", 1)[1].split("\ntensor:", 1)[0].splitlines():
+        if m := re.match(r"\s*(\d+) (\w+):?(.*)", line):
+            code, kind, rest = int(m[1]), m[2], m[3]
+            entries[code] = (kind, [rest])
+        else:
+            entries[code][1].append(line)
+    return {code: (kind, [f.strip() for f in " ".join(lines).split("|") if f.strip()])
+            for code, (kind, lines) in entries.items()}
+
+
+def test_readme_wire_protocol_states_the_codec_layouts():
+    entries = _readme_wire_kinds()
+    assert sorted(entries) == list(range(1, len(distcal.MSG_KINDS) + 1))
+    for code, (kind, fields) in entries.items():
+        assert distcal.MSG_KINDS[code - 1] == kind
+        fmt, _, has_tensor = distcal._LAYOUTS[kind]
+        fixed = itertools.takewhile(lambda f: not f.startswith(("tensor", "u16 len", "u32 n")), fields)
+        assert "<" + "".join({"u8": "B", "u16": "H", "u32": "I", "f64": "d"}[f.split()[0]] for f in fixed) == fmt, kind
+        assert any(f.startswith("tensor") for f in fields) == has_tensor, kind
 
 
 def test_transport_rejects_stale_sequence():
