@@ -1,0 +1,165 @@
+#!/usr/bin/env python3
+"""Mutation runner: does tier-1 catch a deliberately broken library?
+
+Each mutant in MUTANTS is one text edit of a file under src/tlq. For each
+mutant the runner copies the repository into a temporary directory, applies
+the edit there, and runs pytest (stopping at the first failure) on the test
+files that cover the mutated module. A mutant is killed when a test fails,
+and survives when every test passes. It prints one table row per mutant:
+the outcome, the first failing test, and the seconds the run took.
+
+Mutants run one at a time: two test runs at once on a small host can fail
+a timing- or memory-sensitive test for reasons of their own.
+
+Usage: python scripts/run_mutants.py [--mutant NAME ...] [--test NODE ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work")
+TIMEOUT_S = 600.0  # a mutant whose run takes longer is counted as killed by a hang
+
+# module -> the tier-1 test files that cover it
+COVERING = {
+    "quantizer": ("tests/test_quantizer.py", "tests/test_calibrate_reference.py"),
+    "model": ("tests/test_model.py", "tests/test_input_contract.py", "tests/test_acceptance.py"),
+    "calibration": (
+        "tests/test_calibration.py", "tests/test_smoothing.py", "tests/test_importance.py",
+        "tests/test_calibrate_reference.py", "tests/test_acceptance.py",
+    ),
+    "importance": ("tests/test_importance.py", "tests/test_report.py", "tests/test_acceptance.py"),
+    "report": ("tests/test_report.py", "tests/test_acceptance.py"),
+    "distcal": ("tests/test_distcal.py", "tests/test_mutations.py", "tests/test_acceptance.py"),
+}
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # src/tlq/<module>.py, and the COVERING key
+    old: str  # must occur exactly once in the module
+    new: str
+
+
+MUTANTS = (
+    Mutant("tie-tolerance-1e-9", "calibration", "TIE_REL_TOL = 1e-12", "TIE_REL_TOL = 1e-9"),
+    Mutant(
+        "sqrt-stat-no-weight-floor", "calibration",
+        "/ np.maximum(w_absmax, DEFAULT_SCALE_FLOOR))", "/ w_absmax)",
+    ),
+    Mutant(
+        "heatmap-k-vis-truncated", "report",
+        "k_vis = round(max_tokens * visual.shape[0]", "k_vis = int(max_tokens * visual.shape[0]",
+    ),
+    Mutant(
+        "probe-delta-in-scaled-space", "importance",
+        "    delta *= scale.values\n    delta -= x_l\n", "    delta -= x_l / scale.values\n    delta *= scale.values\n",
+    ),
+    Mutant("top-tokens-round", "importance", "k = ceil(fraction * n)", "k = round(fraction * n)"),
+    Mutant(
+        "rmsnorm-backward-no-eps", "model",
+        "    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)\n    u = g_out",
+        "    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True))\n    u = g_out",
+    ),
+    Mutant(
+        "quantize-round-offset", "quantizer",
+        "    t += 0.5\n    np.floor(t, out=t)\n    np.copysign", "    t += 0.4999999\n    np.floor(t, out=t)\n    np.copysign",
+    ),
+    Mutant(
+        "probe-estimate-next-gradient", "importance",
+        "sample_sums(grads[layer_index] * delta)", "sample_sums(grads[layer_index + 1] * delta)",
+    ),
+    Mutant(
+        "probe-measured-sign", "importance",
+        "forward_fp_from(stack, layer_index, x_l + delta)", "forward_fp_from(stack, layer_index, x_l - delta)",
+    ),
+    Mutant("probe-unscaled-quantization", "importance", "delta = x_l / scale.values", "delta = x_l * 1.0"),
+    Mutant("check-input-keeps-layout", "model", "return np.ascontiguousarray(x)  # layout", "return x  # layout"),
+    Mutant("loss-grad-unnormalized", "model", "        return y / n\n", "        return y\n"),
+    Mutant("qmax-off-by-one", "quantizer", "return 2 ** (self.bits - 1) - 1", "return 2 ** (self.bits - 1)"),
+    Mutant("eval-mse-per-channel", "report", "sq_b / acts.shape[1]", "sq_b / acts.shape[2]"),
+    Mutant(
+        "ce-labels-from-quantized", "report",
+        'ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=-1))', 'ProxyLossSpec("ce_pseudo", np.argmax(y_q, axis=-1))',
+    ),
+    Mutant("layer-loss-sum", "calibration", "return float(np.mean(_sq_diff_sums(y_fp, y_q)))",
+           "return float(np.sum(_sq_diff_sums(y_fp, y_q)))"),
+    Mutant(
+        "dist-reported-loss-negated", "distcal",
+        "points = ((rep.ratio, rep.loss) for rep in reports)", "points = ((rep.ratio, -rep.loss) for rep in reports)",
+    ),
+    Mutant(
+        "dist-curve-freed-once", "distcal",
+        'account.free(16 * len(curve), f"curve[L{layer}]")', 'account.free(16, f"curve[L{layer}]")',
+    ),
+    Mutant("dist-encode-missing-field", "distcal", "    if missing:\n", "    if False:\n"),
+    Mutant("dist-crc-unchecked", "distcal", "if zlib.crc32(fields[\"tensor\"]) != crc:", "if False:"),
+)
+
+
+def _first_failure(output: str) -> str:
+    """The node id of the first FAILED or ERROR line of pytest's short summary."""
+    m = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", output, re.MULTILINE)  # a node id may hold spaces
+    return m.group(1) if m else "?"
+
+
+def run_mutant(mutant: Mutant, tests: tuple[str, ...]) -> tuple[str, str, float]:
+    """(outcome, first failing test, seconds) of one mutant against `tests` in a temporary copy."""
+    with tempfile.TemporaryDirectory(prefix="tlq-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
+        path = copy / "src" / "tlq" / f"{mutant.module}.py"
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"mutant {mutant.name}: its text occurs {text.count(mutant.old)} times in {path.name}")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
+        start = time.monotonic()
+        try:
+            done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed", f"(timeout after {TIMEOUT_S:.0f} s)", time.monotonic() - start
+        seconds = time.monotonic() - start
+    if done.returncode == 0:
+        return "survived", "-", seconds
+    if done.returncode in (1, 2):  # test failures, or errors during collection
+        return "killed", _first_failure(done.stdout), seconds
+    raise SystemExit(f"mutant {mutant.name}: pytest exited {done.returncode}\n{done.stdout}{done.stderr}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--mutant", action="append", help="run only this mutant (repeatable)")
+    ap.add_argument("--test", action="append", help="run these pytest node ids instead of the covering files")
+    args = ap.parse_args()
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = sorted(set(args.mutant or ()) - set(by_name))
+    if unknown:
+        ap.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.mutant] if args.mutant else list(MUTANTS)
+    width = max(len(m.name) for m in chosen)
+    print(f"{'mutant':<{width}}  {'outcome':<8}  {'seconds':>7}  killed by")
+    killed = 0
+    for m in chosen:
+        outcome, test, seconds = run_mutant(m, tuple(args.test or COVERING[m.module]))
+        killed += outcome == "killed"
+        print(f"{m.name:<{width}}  {outcome:<8}  {seconds:7.1f}  {test}", flush=True)
+    print(f"killed {killed} of {len(chosen)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -163,20 +163,29 @@ def _frame_parts(msg: CalMessage) -> list:
     if msg.kind not in _LAYOUTS:
         raise ProtocolError(f"cannot encode message kind {msg.kind!r}")
     fmt, names, has_tensor = _LAYOUTS[msg.kind]
+    needed = [*names] + ["tensor"] * has_tensor + ["curve"] * (msg.kind == "ratio_fixed")
+    missing = [n for n in needed if getattr(msg, n) is None and (msg.kind, n) != ("layer_output", "ratio")]
+    if missing:
+        raise ProtocolError(f"cannot encode {msg.kind} message without {', '.join(missing)}")
     fields = [getattr(msg, name) for name in names]
     if msg.kind == "layer_output":  # the stream as its code, a missing ratio as NaN
-        fields[1:] = 0 if msg.stream == "fp" else 1, msg.count or 0, float("nan") if msg.ratio is None else msg.ratio
-    parts = [struct.pack("<BHHQ" + fmt[1:], MSG_KINDS.index(msg.kind) + 1, msg.sender, msg.receiver, msg.seq, *fields)]
-    if msg.kind == "abort":  # a length-prefixed UTF-8 reason
-        raw = (msg.reason or "").encode("utf-8")
-        parts[0] += struct.pack("<H", len(raw)) + raw
-    if has_tensor:
-        payload = np.ascontiguousarray(msg.tensor, dtype="<f8").reshape(-1).view(np.uint8)
-        parts[0] += struct.pack(f"<B{msg.tensor.ndim}II", msg.tensor.ndim, *msg.tensor.shape, zlib.crc32(payload))
-        parts.append(payload)
-    if msg.kind == "ratio_fixed":  # the loss curve trails the tensor
-        parts.append(struct.pack("<I", len(msg.curve)) + b"".join(struct.pack("<dd", r, loss) for r, loss in msg.curve))
-    parts[0] = struct.pack("<I", sum(len(p) for p in parts)) + parts[0]
+        if msg.stream not in ("fp", "q"):
+            raise ProtocolError(f"cannot encode layer_output stream {msg.stream!r}")
+        fields[1], fields[3] = ("fp", "q").index(msg.stream), float("nan") if msg.ratio is None else msg.ratio
+    try:
+        parts = [struct.pack("<BHHQ" + fmt[1:], MSG_KINDS.index(msg.kind) + 1, msg.sender, msg.receiver, msg.seq, *fields)]
+        if msg.kind == "abort":  # a length-prefixed UTF-8 reason
+            raw = (msg.reason or "").encode("utf-8")
+            parts[0] += struct.pack("<H", len(raw)) + raw
+        if has_tensor:
+            payload = np.ascontiguousarray(msg.tensor, dtype="<f8").reshape(-1).view(np.uint8)
+            parts[0] += struct.pack(f"<B{msg.tensor.ndim}II", msg.tensor.ndim, *msg.tensor.shape, zlib.crc32(payload))
+            parts.append(payload)
+        if msg.kind == "ratio_fixed":  # the loss curve trails the tensor
+            parts.append(struct.pack("<I", len(msg.curve)) + b"".join(struct.pack("<dd", r, loss) for r, loss in msg.curve))
+        parts[0] = struct.pack("<I", sum(len(p) for p in parts)) + parts[0]
+    except struct.error as e:  # a field outside its wire range, such as an unsent message's seq -1
+        raise ProtocolError(f"cannot encode {msg.kind} message: {e}") from None
     return parts
 
 

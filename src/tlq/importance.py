@@ -1,4 +1,4 @@
-"""First-order output-error analysis and gradient-guided token selection.
+"""First-order activation-error probe and gradient-guided token selection.
 
 Token importance is the gradient magnitude of the proxy loss aggregated
 over the calibration batch: sums[n] = sum_b mean_c |g[b, n, c]|. The top
@@ -17,24 +17,10 @@ import numpy as np
 
 from .errors import ShapeError
 from .layers import LayerStack
-from .model import (
-    ForwardTrace,
-    ProxyLossSpec,
-    backward_token_grads,
-    forward_fp,
-    forward_fp_from,
-    loss_value,
-    sample_sums,
-)
+from .model import ForwardTrace, ProxyLossSpec, forward_fp_from, loss_value, sample_sums
+from .model import backward_token_grads, forward_fp  # noqa: F401 -- unused; perfbench/traced.py patches them here
 from .quantizer import QuantConfig, _qdq_inplace
 from .smoothing import SmoothScale
-
-
-def first_order_output_error(g: np.ndarray, deltas: np.ndarray) -> float | np.ndarray:
-    """Linearized loss change sum_i g_i . delta_i for one layer's perturbation, per sample of a block."""
-    if g.shape != deltas.shape:
-        raise ShapeError(f"gradient shape {g.shape} != perturbation shape {deltas.shape}")
-    return sample_sums(g * deltas)
 
 
 def channel_mean_abs(g: np.ndarray) -> np.ndarray:
@@ -77,39 +63,31 @@ def select_top_tokens(sums: np.ndarray, fraction: float = 0.5) -> tuple[int, ...
 
 def activation_error_probe(
     stack: LayerStack,
-    x: np.ndarray,
+    trace: ForwardTrace,
+    grads: tuple[np.ndarray, ...],
     layer_index: int,
+    scale: SmoothScale,
     cfg_a: QuantConfig,
-    scale: SmoothScale | None = None,
     loss: ProxyLossSpec = ProxyLossSpec(),
-    *,
-    trace: ForwardTrace | None = None,
-    grads: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Quantize one layer's input activation and compare loss-change estimates.
 
+    `trace` is `forward_fp` on one sample or a (k, N, C) block and `grads`
+    its `backward_from_trace`, shared by every layer the caller probes.
     Returns (first-order estimate, measured loss change) where the estimate
     is the gradient inner product with the effective input perturbation
     delta = (dequantize(quantize(x/s)) * s) - x and the measured value reruns
-    the full-precision tail on the perturbed input. For a (k, N, C) block of
-    samples both are (k,) arrays of per-sample values. A caller probing
-    several layers of one sample or block passes its `forward_fp` trace and
-    gradients, so only the tail forward is recomputed per layer.
+    the full-precision tail on the perturbed input. For a block both are
+    (k,) arrays of per-sample values.
     """
-    if trace is None:
-        trace = forward_fp(stack, x)
     if not 0 <= layer_index < len(stack.layers):
         raise ShapeError(f"layer index {layer_index} out of range")
     x_l = trace.inputs[layer_index]
-    s = scale.values if scale is not None else np.ones(x_l.shape[-1])
-    delta = x_l / s
-    for d in delta.reshape(-1, *delta.shape[-2:]):  # each sample's view, quantized in place
-        _qdq_inplace(d, cfg_a)
-    delta *= s
+    delta = x_l / scale.values
+    _qdq_inplace(delta.reshape(-1, delta.shape[-1]), cfg_a)  # per-token rows, so one call serves a block
+    delta *= scale.values
     delta -= x_l
-    if grads is None:
-        grads = backward_token_grads(stack, x, loss)
-    estimate = first_order_output_error(grads[layer_index], delta)
+    estimate = sample_sums(grads[layer_index] * delta)
     y_pert = forward_fp_from(stack, layer_index, x_l + delta)
     measured = loss_value(y_pert, loss) - loss_value(trace.output, loss)
     return estimate, measured

@@ -133,7 +133,7 @@ def evaluate(
         fp_vals, q_vals = t_fp.values(), t_q.values()
         for idx, lin in linears:
             s = scales[lin.name]
-            est, meas = activation_error_probe(stack, x, idx, cfg_a, scale=s, loss=loss, trace=t_fp, grads=grads)
+            est, meas = activation_error_probe(stack, t_fp, grads, idx, s, cfg_a, loss)
             probe = probes[lin.name]
             for e, m in zip(est.tolist(), meas.tolist()):
                 probe[0] += e

@@ -200,6 +200,24 @@ def test_encoding_an_unknown_kind_is_a_protocol_error():
         encode_message(CalMessage("bogus", 0, 1, seq=0))
 
 
+@pytest.mark.parametrize("msg, error", [
+    (CalMessage("loss_report", 2, 1, seq=0, layer=0, ratio=0.5), "cannot encode loss_report message without loss"),
+    (CalMessage("stat_request", 0, 1, seq=0, layer=0, count=1), "cannot encode stat_request message without tensor"),
+    (CalMessage("ratio_fixed", 1, 0, seq=0, layer=0, ratio=0.5, tensor=np.ones(2)),
+     "cannot encode ratio_fixed message without curve"),
+    (CalMessage("layer_output", 0, 2, seq=0, stream="q", count=1, tensor=np.ones(2)),
+     "cannot encode layer_output message without layer"),
+    (CalMessage("done", 0, 1), "cannot encode done message: argument out of range"),
+    (CalMessage("layer_output", 0, 2, seq=0, layer=0, tensor=np.ones(2)),
+     "cannot encode layer_output message without stream, count"),
+    (CalMessage("layer_output", 0, 2, seq=0, layer=0, stream="x", count=1, tensor=np.ones(2)),
+     "cannot encode layer_output stream 'x'"),
+])
+def test_encoding_a_message_with_a_missing_or_bad_field_is_a_protocol_error(msg, error):
+    with pytest.raises(ProtocolError, match=rf"^{re.escape(error)}$"):
+        encode_message(msg)
+
+
 @pytest.mark.parametrize("code", [0, len(distcal.MSG_KINDS) + 1, 255])
 def test_decoding_an_unknown_kind_code_is_a_protocol_error(code):
     frame = bytearray(encode_message(CalMessage("done", 0, 1, seq=0))[4:])

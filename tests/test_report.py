@@ -22,6 +22,7 @@ from tlq.model import (
     CalibrationSet,
     ProxyLossSpec,
     apply_linear_quant,
+    backward_from_trace,
     backward_token_grads,
     forward_fp,
     forward_quant,
@@ -120,9 +121,9 @@ def test_shared_trace_eval_equals_standalone_probes(seed, depth, strategy):
     for layer in rep.layers:
         est_total = meas_total = 0.0
         for b in range(calib.batch):
-            est, meas = activation_error_probe(
-                stack, calib.activations[b], index[layer.name], cfg_a, scale=scales[layer.name]
-            )
+            trace = forward_fp(stack, calib.activations[b])
+            grads = backward_from_trace(stack, trace)
+            est, meas = activation_error_probe(stack, trace, grads, index[layer.name], scales[layer.name], cfg_a)
             est_total += est
             meas_total += meas
         assert layer.estimate == est_total

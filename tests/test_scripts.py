@@ -30,3 +30,11 @@ def test_run_ablation_prints_medians():
     out = _run("run_ablation.py", "--seeds", "1", "--channels", "16", "--batch", "4", "--tokens", "8")
     assert "medians over seeds (lower is better):" in out
     assert "mean+none (base)   " in out and "(+0.0% vs base)" in out
+
+
+def test_run_mutants_kills_one_mutant_with_one_test():
+    out = _run("run_mutants.py", "--mutant", "quantize-round-offset", "--test", "tests/test_quantizer.py::test_hand_case_n4")
+    row = out.splitlines()[1].split()
+    assert row[:2] == ["quantize-round-offset", "killed"]
+    assert row[3] == "tests/test_quantizer.py::test_hand_case_n4"
+    assert out.endswith("killed 1 of 1\n")
