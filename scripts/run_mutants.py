@@ -39,7 +39,10 @@ COVERING = {
         "tests/test_calibration.py", "tests/test_smoothing.py", "tests/test_importance.py",
         "tests/test_calibrate_reference.py", "tests/test_acceptance.py",
     ),
-    "importance": ("tests/test_importance.py", "tests/test_report.py", "tests/test_acceptance.py"),
+    "importance": (
+        "tests/test_importance.py", "tests/test_report.py", "tests/test_calibrate_reference.py",
+        "tests/test_acceptance.py",
+    ),
     "report": ("tests/test_report.py", "tests/test_acceptance.py"),
     "distcal": ("tests/test_distcal.py", "tests/test_mutations.py", "tests/test_acceptance.py"),
 }
@@ -65,7 +68,7 @@ MUTANTS = (
     ),
     Mutant(
         "probe-delta-in-scaled-space", "importance",
-        "    delta *= scale.values\n    delta -= x_l\n", "    delta -= x_l / scale.values\n    delta *= scale.values\n",
+        "            delta *= s\n            delta -= x_l\n", "            delta -= x_l / s\n            delta *= s\n",
     ),
     Mutant("top-tokens-round", "importance", "k = ceil(fraction * n)", "k = round(fraction * n)"),
     Mutant(
@@ -79,13 +82,23 @@ MUTANTS = (
     ),
     Mutant(
         "probe-estimate-next-gradient", "importance",
-        "sample_sums(grads[layer_index] * delta)", "sample_sums(grads[layer_index + 1] * delta)",
+        "zip(stack.layers, trace.inputs, grads)", "zip(stack.layers, trace.inputs, grads[1:])",
     ),
+    Mutant("probe-measured-sign", "importance", "[tail, x_l + delta]", "[tail, x_l - delta]"),
+    Mutant("probe-unscaled-quantization", "importance", "delta = x_l / s", "delta = x_l * 1.0"),
     Mutant(
-        "probe-measured-sign", "importance",
-        "forward_fp_from(stack, layer_index, x_l + delta)", "forward_fp_from(stack, layer_index, x_l - delta)",
+        "probe-joins-after-its-layer", "importance",
+        "            tail = np.concatenate([tail, x_l + delta])\n        tail = apply_layer_fp(layer, tail)\n",
+        "        tail = apply_layer_fp(layer, tail)\n"
+        "        if isinstance(layer, Linear):\n            tail = np.concatenate([tail, x_l + delta])\n",
     ),
-    Mutant("probe-unscaled-quantization", "importance", "delta = x_l / scale.values", "delta = x_l * 1.0"),
+    Mutant("probe-slice-next-linear", "importance", "tail[j * k : (j + 1) * k]", "tail[(j + 1) * k : (j + 2) * k]"),
+    Mutant(
+        "importance-sums-last-sample", "importance",
+        "sums = rows if sums is None else [t + r for t, r in zip(sums, rows)]", "sums = rows",
+    ),
+    Mutant("channel-mean-abs-signed", "importance", "np.mean(np.abs(g), axis=1)", "np.mean(g, axis=1)"),
+    Mutant("channel-mean-abs-squared", "importance", "np.mean(np.abs(g), axis=1)", "np.mean(g * g, axis=1)"),
     Mutant("check-input-keeps-layout", "model", "return np.ascontiguousarray(x)  # layout", "return x  # layout"),
     Mutant("loss-grad-unnormalized", "model", "        return y / n\n", "        return y\n"),
     Mutant("qmax-off-by-one", "quantizer", "return 2 ** (self.bits - 1) - 1", "return 2 ** (self.bits - 1)"),

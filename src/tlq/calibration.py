@@ -499,6 +499,8 @@ def _calibration_loop(
     header = CalibrationResult((), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid)  # checks run first
     # float64 in every stat mode; a copy, not ledgered, only for a batch that is not C-contiguous
     activations = _check_input(stack, activations)
+    if 0 in activations.shape[:2]:
+        raise ShapeError(f"calibration batch needs at least one sample and one token, got {activations.shape}")
     selections = None
     if stat_mode == "topk":
         selections = compute_token_selections(stack, activations, fraction, loss, observer)

@@ -587,7 +587,7 @@ def run_distributed_calibration(
     exchange CalMessages only. A batch that is not C-contiguous is copied
     once into C order, as in `calibrate`; the ledger does not count the copy.
     """
-    if workers not in (2, 3):
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers not in (2, 3):
         raise ConfigError(f"distributed calibration needs 2 or 3 workers, got {workers}")
     if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN and inf fail too; longer waits overflow
         raise ConfigError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} seconds, got {timeout}")

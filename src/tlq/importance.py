@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import warnings
 from math import ceil
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .layers import LayerStack
-from .model import ForwardTrace, ProxyLossSpec, forward_fp_from, loss_value, sample_sums
+from .layers import LayerStack, Linear
+from .model import ForwardTrace, ProxyLossSpec, apply_layer_fp, loss_value, sample_sums
 from .model import backward_token_grads, forward_fp  # noqa: F401 -- unused; perfbench/traced.py patches them here
 from .quantizer import QuantConfig, _qdq_inplace
 from .smoothing import SmoothScale
@@ -65,32 +65,36 @@ def activation_error_probe(
     stack: LayerStack,
     trace: ForwardTrace,
     grads: tuple[np.ndarray, ...],
-    layer_index: int,
-    scale: SmoothScale,
+    scales: Mapping[str, SmoothScale],
     cfg_a: QuantConfig,
-    loss: ProxyLossSpec = ProxyLossSpec(),
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Quantize one layer's input activation and compare loss-change estimates.
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Quantize each linear's input activation and compare loss-change estimates.
 
-    `trace` is `forward_fp` on one sample or a (k, N, C) block and `grads`
-    its `backward_from_trace`, shared by every layer the caller probes.
-    Returns (first-order estimate, measured loss change) where the estimate
-    is the gradient inner product with the effective input perturbation
-    delta = (dequantize(quantize(x/s)) * s) - x and the measured value reruns
-    the full-precision tail on the perturbed input. For a block both are
-    (k,) arrays of per-sample values.
+    `trace` is `forward_fp` on one (k, N, C) block and `grads` its
+    `backward_from_trace`. Returns {linear name: (first-order estimate,
+    measured loss change)}, each a (k,) array of per-sample values. The
+    estimate is the gradient inner product with the effective input
+    perturbation delta = (dequantize(quantize(x/s)) * s) - x; the measured
+    value reruns the full-precision tail on x + delta. One walk runs every
+    tail: each linear's perturbed block joins a stack just before its layer,
+    and each layer runs once on the stack, which keeps each sample's bytes.
     """
-    if not 0 <= layer_index < len(stack.layers):
-        raise ShapeError(f"layer index {layer_index} out of range")
-    x_l = trace.inputs[layer_index]
-    delta = x_l / scale.values
-    _qdq_inplace(delta.reshape(-1, delta.shape[-1]), cfg_a)  # per-token rows, so one call serves a block
-    delta *= scale.values
-    delta -= x_l
-    estimate = sample_sums(grads[layer_index] * delta)
-    y_pert = forward_fp_from(stack, layer_index, x_l + delta)
-    measured = loss_value(y_pert, loss) - loss_value(trace.output, loss)
-    return estimate, measured
+    estimates, tail = {}, trace.inputs[0][:0]  # the stack starts with no sample
+    for layer, x_l, g_l in zip(stack.layers, trace.inputs, grads):
+        if isinstance(layer, Linear):
+            s = scales[layer.name].values
+            delta = x_l / s
+            _qdq_inplace(delta.reshape(-1, delta.shape[-1]), cfg_a)  # per-token rows, so one call serves a block
+            delta *= s
+            delta -= x_l
+            estimates[layer.name] = sample_sums(g_l * delta)
+            tail = np.concatenate([tail, x_l + delta])
+        tail = apply_layer_fp(layer, tail)
+    k, base = trace.output.shape[0], loss_value(trace.output, ProxyLossSpec())
+    return {
+        name: (est, loss_value(tail[j * k : (j + 1) * k], ProxyLossSpec()) - base)
+        for j, (name, est) in enumerate(estimates.items())
+    }
 
 
 def heatmap_rows(

@@ -240,16 +240,6 @@ def forward_fp(stack: LayerStack, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(tuple(inputs), cur)
 
 
-def forward_fp_from(stack: LayerStack, start: int, x: np.ndarray) -> np.ndarray:
-    """Full-precision forward through layers[start:], for perturbation probes."""
-    if not 0 <= start <= len(stack.layers):
-        raise ShapeError(f"layer index {start} out of range for {len(stack.layers)} layers")
-    cur = x
-    for layer in stack.layers[start:]:
-        cur = apply_layer_fp(layer, cur)
-    return cur
-
-
 def _validate_quant_cfgs(cfg_w: QuantConfig, cfg_a: QuantConfig) -> None:
     _check_granularity(cfg_a, "per_token", "activation")
     _check_granularity(cfg_w, "per_channel", "weight")

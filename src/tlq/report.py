@@ -93,12 +93,7 @@ def _eval_block(stack: LayerStack, acts: np.ndarray) -> int:
     return max(1, acts.shape[0] * acts.shape[2] // (3 * sum(stack.widths())))
 
 
-def evaluate(
-    stack: LayerStack,
-    result: CalibrationResult,
-    calib: CalibrationSet,
-    loss: ProxyLossSpec = ProxyLossSpec(),
-) -> EvalReport:
+def evaluate(stack: LayerStack, result: CalibrationResult, calib: CalibrationSet) -> EvalReport:
     """Score a calibration result on evaluation data.
 
     Each linear's quantized weight is built once, before the block loop.
@@ -128,16 +123,15 @@ def evaluate(
     for start in range(0, b_total, k):
         x = acts[start : start + k]
         t_fp = forward_fp(stack, x)
-        grads = backward_from_trace(stack, t_fp, loss)
+        grads = backward_from_trace(stack, t_fp)
         t_q = forward_quant(stack, x, scales, weights, cfg_a)
         fp_vals, q_vals = t_fp.values(), t_q.values()
+        for name, (est, meas) in activation_error_probe(stack, t_fp, grads, scales, cfg_a).items():
+            for e, m in zip(est.tolist(), meas.tolist()):
+                probes[name][0] += e
+                probes[name][1] += m
         for idx, lin in linears:
             s = scales[lin.name]
-            est, meas = activation_error_probe(stack, t_fp, grads, idx, s, cfg_a, loss)
-            probe = probes[lin.name]
-            for e, m in zip(est.tolist(), meas.tolist()):
-                probe[0] += e
-                probe[1] += m
             if result.strategy == "passact2":
                 d = apply_layer_fp(lin, t_q.inputs[idx]) - q_vals[idx + 1]
             elif result.strategy == "passact1":
@@ -149,7 +143,7 @@ def evaluate(
         d = y_q - y_fp
         labels = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=-1))
         ce = loss_value(y_q, labels) - loss_value(y_fp, labels)
-        per_sample = (loss_value(y_fp, loss), loss_value(y_q, loss), sample_sums(d * d), ce)
+        per_sample = (loss_value(y_fp, ProxyLossSpec()), loss_value(y_q, ProxyLossSpec()), sample_sums(d * d), ce)
         for fp_b, q_b, sq_b, ce_b in zip(*(v.tolist() for v in per_sample)):
             fp_total += fp_b
             q_total += q_b
@@ -223,7 +217,6 @@ def build_heatmaps(
     layer_index: int,
     *,
     fraction: float = 0.5,
-    loss: ProxyLossSpec = ProxyLossSpec(),
     seed: int = 0,
     sample: int = 0,
     max_tokens: int | None = None,
@@ -243,8 +236,8 @@ def build_heatmaps(
         if limit is not None and limit < 1:
             raise ConfigError(f"{what} must be >= 1, got {limit}")
     n = calib.tokens
-    selection = compute_token_selections(stack, calib.activations, fraction, loss)[layer_index]
-    grads_sample = backward_token_grads(stack, calib.activations[sample], loss)[layer_index]
+    selection = compute_token_selections(stack, calib.activations, fraction, ProxyLossSpec())[layer_index]
+    grads_sample = backward_token_grads(stack, calib.activations[sample])[layer_index]
 
     modality = calib.modality[sample]
     rng = Rng(seed).split("heatmap")

@@ -87,6 +87,13 @@ def forward_quantized(qstack: QuantizedStack, x: np.ndarray) -> np.ndarray:
     return cur
 
 
+def forward_fp_from(stack: LayerStack, start: int, x: np.ndarray) -> np.ndarray:
+    """Full-precision forward through layers[start:], for finite differences and probe tails."""
+    for layer in stack.layers[start:]:
+        x = apply_layer_fp(layer, x)
+    return x
+
+
 def _layer_fp_per_sample(layer, x: np.ndarray) -> np.ndarray:
     """One layer on one (N, C) sample, written out from the layer formulas."""
     if isinstance(layer, RMSNorm):
@@ -136,7 +143,9 @@ def calibrate_per_sample(
     """
     selections = None
     if stat_mode == "topk":
-        sums = token_importance_sums(backward_token_grads(stack, x, loss) for x in activations)
+        grads = [backward_token_grads(stack, x, loss) for x in activations]
+        # token importance written out: sum over samples, in sample order, of mean_c |g|
+        sums = [sum(np.mean(np.abs(g[l]), axis=1) for g in grads) for l in range(len(stack.layers))]
         selections = [select_top_tokens(sums[l], fraction) for l in range(len(stack.layers))]
     streams = {name: list(activations) for name in (("fp", "q") if strategy == "passact1" else ("main",))}
     rows = []

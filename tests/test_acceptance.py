@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from conftest import random_block_stack, reference_linear_quant
-from helpers import near_zero_fraction, rand_uniform, rounding_error_stats, unit_scale
+from helpers import forward_fp_from, near_zero_fraction, rand_uniform, rounding_error_stats, unit_scale
 from test_calibration import conditioned_layer
 from tlq.calibration import (
     RatioGrid,
@@ -30,7 +30,6 @@ from tlq.model import (
     backward_from_trace,
     backward_token_grads,
     forward_fp,
-    forward_fp_from,
     loss_value,
     ProxyLossSpec,
 )
@@ -118,11 +117,12 @@ def test_c04_first_order_estimate_converges():
     monotone = 0
     for seed in range(8):
         stack = random_block_stack(700 + seed, 1, 8)
-        trace = forward_fp(stack, rand_normal(Rng(800 + seed), (6, 8)))
+        trace = forward_fp(stack, rand_normal(Rng(800 + seed), (6, 8))[None])
         grads = backward_from_trace(stack, trace)
         devs = []
         for bits in (4, 6, 8):
-            est, meas = activation_error_probe(stack, trace, grads, 1, unit_scale(8), QuantConfig(bits, "per_token"))
+            probes = activation_error_probe(stack, trace, grads, {"lin0": unit_scale(8)}, QuantConfig(bits, "per_token"))
+            est, meas = (float(v[0]) for v in probes["lin0"])
             devs.append(abs(est - meas) / abs(meas))
         if devs[0] > devs[1] > devs[2]:
             monotone += 1

@@ -2,6 +2,7 @@ import dataclasses
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -797,16 +798,27 @@ def test_a_fortran_order_batch_gives_the_bytes_of_its_c_order_copy():
     assert result_to_text(dist) == want
 
 
-@pytest.mark.parametrize("shape", [(0, 4, 16), (2, 0, 16)], ids=["no_samples", "no_tokens"])
-def test_an_empty_batch_fails_in_the_scale_not_in_the_thread_count(shape):
-    with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="smoothing scale"):
-        calibrate(random_block_stack(1, 1, 16), np.zeros(shape), stat_mode="mean", cfg_w=CFG_W, cfg_a=CFG_A)
-
-
 def _run_entry(entry, *args, **kwargs):
     if entry == "calibrate":
         return calibrate(*args, **kwargs)
     return run_distributed_calibration(*args, workers=2, **kwargs)[0]
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 16), (2, 0, 16)], ids=["no_samples", "no_tokens"])
+@pytest.mark.parametrize("stat_mode", ["max", "mean", "sqrt", "topk"])
+@pytest.mark.parametrize("entry", ["calibrate", "distributed"])
+def test_an_empty_batch_fails_with_one_shape_error_before_any_work(monkeypatch, entry, stat_mode, shape):
+    """One ShapeError on every path, with no warning, before selection, the walk or the thread count."""
+    def work(*args, **kwargs):
+        raise AssertionError("selection or the walk started")
+
+    monkeypatch.setattr(calibration, "CalibrationWalk", work)
+    monkeypatch.setattr(calibration, "compute_token_selections", work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError, match=r"^calibration batch needs at least one sample and one token, got "):
+            _run_entry(entry, random_block_stack(1, 1, 16), np.zeros(shape), stat_mode=stat_mode,
+                       cfg_w=CFG_W, cfg_a=CFG_A)
 
 
 @pytest.mark.parametrize("fraction", [0.0, -1.0, 5.0, float("nan")])

@@ -835,7 +835,7 @@ def test_worker_validation(monkeypatch):
     # rejected before any thread or socket exists
     monkeypatch.setattr(distcal, "make_transport", lambda *args: pytest.fail("transport was built"))
     before = threading.active_count()
-    for workers in (1, 0, -2, 4, 10):
+    for workers in (1, 0, -2, 4, 10, 2.0, 3.0, True):
         with pytest.raises(ConfigError, match="2 or 3 workers"):
             run_distributed_calibration(stack, acts, workers=workers, transport="sockets", cfg_w=CFG_W, cfg_a=CFG_A)
     assert threading.active_count() <= before

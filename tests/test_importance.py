@@ -149,10 +149,11 @@ def test_restricted_stat_never_exceeds_full_max(x, idx):
 
 def test_estimate_accuracy_improves_with_bits():
     stack = random_block_stack(12, 1, 8)
-    trace = forward_fp(stack, rand_normal(Rng(13), (6, 8)))
+    trace = forward_fp(stack, rand_normal(Rng(13), (6, 8))[None])
     grads = backward_from_trace(stack, trace)
     devs = []
     for bits in (4, 6, 8):
-        est, meas = activation_error_probe(stack, trace, grads, 1, unit_scale(8), QuantConfig(bits, "per_token"))
+        probes = activation_error_probe(stack, trace, grads, {"lin0": unit_scale(8)}, QuantConfig(bits, "per_token"))
+        est, meas = (float(v[0]) for v in probes["lin0"])
         devs.append(abs(est - meas) / abs(meas))
     assert devs[0] > devs[1] > devs[2]

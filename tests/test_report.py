@@ -6,7 +6,7 @@ from math import ceil
 import numpy as np
 import pytest
 
-from helpers import evaluate_per_sample, near_zero_fraction, parse_heatmap_csv
+from helpers import evaluate_per_sample, forward_fp_from, near_zero_fraction, parse_heatmap_csv
 from tlq import calibration, importance, model, report
 from tlq.calibration import (
     CalibrationWalk,
@@ -30,7 +30,7 @@ from tlq.model import (
     quantized_weight,
     quantized_weights,
 )
-from tlq.quantizer import QuantConfig
+from tlq.quantizer import QuantConfig, dequantize, quantize
 from tlq.report import (
     accuracy_proxy_gap,
     build_heatmaps,
@@ -110,24 +110,34 @@ def test_estimate_tracks_measured_loss_change():
     "seed, depth, strategy", [(12, 4, "passact1"), (13, 2, "passact2"), (16, 3, "none")]
 )
 def test_shared_trace_eval_equals_standalone_probes(seed, depth, strategy):
-    """evaluate's single trace per sample gives the bytes of the standalone calls."""
+    """The stacked probe gives, per linear, the bytes of a tail run for that linear alone, and evaluate their sums."""
     stack, calib, res = _calibrated(seed=seed, depth=depth, strategy=strategy)
     rep = evaluate(stack, res, calib)
     scales = scales_from_result(res)
     cfg_w = QuantConfig(res.bits_w, "per_channel")
     cfg_a = QuantConfig(res.bits_a, "per_token")
-    index = {lin.name: idx for idx, lin in stack.linears()}
+    loss = ProxyLossSpec()
+    totals = {lin.name: [0.0, 0.0] for _, lin in stack.linears()}
     assert [l.name for l in rep.layers] == [row.name for row in res.layers]
+    # a block of 3 samples and one of 1: the order in which the perturbed blocks join the tail stack matters
+    for block in (calib.activations[:3], calib.activations[3:]):
+        trace = forward_fp(stack, block)
+        grads = backward_from_trace(stack, trace)
+        probes = activation_error_probe(stack, trace, grads, scales, cfg_a)
+        assert list(probes) == [lin.name for _, lin in stack.linears()]
+        for idx, lin in stack.linears():
+            x_l, s = trace.inputs[idx], scales[lin.name].values
+            q = dequantize(quantize((x_l / s).reshape(-1, x_l.shape[-1]), cfg_a)).reshape(x_l.shape)
+            delta = q * s - x_l
+            est = np.sum(grads[idx] * delta, axis=(1, 2))
+            meas = loss_value(forward_fp_from(stack, idx, x_l + delta), loss) - loss_value(trace.output, loss)
+            assert probes[lin.name][0].tobytes() == est.tobytes()
+            assert probes[lin.name][1].tobytes() == meas.tobytes()
+            for e, m in zip(est.tolist(), meas.tolist()):
+                totals[lin.name][0] += e
+                totals[lin.name][1] += m
     for layer in rep.layers:
-        est_total = meas_total = 0.0
-        for b in range(calib.batch):
-            trace = forward_fp(stack, calib.activations[b])
-            grads = backward_from_trace(stack, trace)
-            est, meas = activation_error_probe(stack, trace, grads, index[layer.name], scales[layer.name], cfg_a)
-            est_total += est
-            meas_total += meas
-        assert layer.estimate == est_total
-        assert layer.measured == meas_total
+        assert [layer.estimate, layer.measured] == totals[layer.name]
     assert rep.ce_gap == accuracy_proxy_gap(stack, res, calib)
     weights = quantized_weights(stack, scales, cfg_w)
     ce_total = 0.0
