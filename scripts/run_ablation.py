@@ -17,7 +17,7 @@ import sys
 from tlq.calibration import calibrate
 from tlq.fixtures import build_calibset, build_stack
 from tlq.quantizer import QuantConfig
-from tlq.report import evaluate
+from tlq.report import accuracy_proxy_gap
 
 CONFIGS = {
     "topk+passact2": ("passact2", "topk"),
@@ -61,7 +61,7 @@ def main() -> int:
                 cfg_a=cfg_a,
                 fraction=args.fraction,
             )
-            gaps[label] = evaluate(stack, res, calib).ce_gap
+            gaps[label] = accuracy_proxy_gap(stack, res, calib)
         rows.append(gaps)
         print(f"seed {seed}: " + "  ".join(f"{k}={v:.4g}" for k, v in gaps.items()))
 

@@ -73,9 +73,26 @@ MUTANTS = (
     Mutant("top-tokens-round", "importance", "k = ceil(fraction * n)", "k = round(fraction * n)"),
     Mutant(
         "rmsnorm-backward-no-eps", "model",
-        "    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)\n    u = g_out",
-        "    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True))\n    u = g_out",
+        "    u = g_out * layer.gain\n",
+        "    u = g_out * layer.gain\n    saved = np.sqrt(np.mean(x * x, axis=-1, keepdims=True))\n",
     ),
+    Mutant(
+        "backward-sigmoid-of-previous-silu", "model",
+        "trace.saved[l], g)", "trace.saved[l - 3 if isinstance(stack.layers[l], Activation) else l], g)",
+    ),
+    Mutant(
+        "backward-r-of-another-rmsnorm", "model",
+        "trace.saved[l], g)", "trace.saved[l - 3 if isinstance(stack.layers[l], RMSNorm) else l], g)",
+    ),
+    Mutant(
+        "backward-stops-above-lowest-kept", "model",
+        "min(keep, default=n) - 1, -1)", "min(keep, default=n), -1)",
+    ),
+    Mutant(
+        "selection-keep-off-by-one", "calibration",
+        "keep = [i for i, _ in stack.linears()]", "keep = [i + 1 for i, _ in stack.linears()]",
+    ),
+    Mutant("eval-keep-off-by-one", "report", "keep=[i for i, _ in linears]", "keep=[i - 1 for i, _ in linears]"),
     Mutant(
         "quantize-round-offset", "quantizer",
         "    t += 0.5\n    np.floor(t, out=t)\n    np.copysign", "    t += 0.4999999\n    np.floor(t, out=t)\n    np.copysign",

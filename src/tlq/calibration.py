@@ -247,7 +247,7 @@ def search_ratio(
 
 
 def gradient_pass_bytes(stack: LayerStack, n_tokens: int) -> int:
-    """Footprint of one sample's forward trace plus its gradient trace."""
+    """Charge of one sample's selection pass (trace, saved values, gradients); its live peak may pass it by < 64 KiB."""
     return 2 * sum(8 * n_tokens * w for w in stack.widths())
 
 
@@ -259,7 +259,7 @@ class WalkObserver:
     tags its streams `stream:<name>` and each layer's parameters
     `params[L<index>]`; `compute_token_selections` brackets each sample's
     gradient pass with `alloc(nbytes, "grad-pass")` and `free(nbytes,
-    "grad-pass")`.
+    "grad-pass")`, nbytes being `gradient_pass_bytes`.
     """
 
     def alloc(self, nbytes: int, tag: str) -> None:
@@ -275,8 +275,9 @@ def compute_token_selections(
     fraction: float,
     loss: ProxyLossSpec,
     observer: WalkObserver | None = None,
-) -> list[tuple[int, ...]]:
-    """Per-layer top-token sets from full-precision gradients over the batch.
+    layers: Sequence[int] | None = None,
+) -> dict[int, tuple[int, ...]]:
+    """Top-token sets of `layers` (layer indices, default the linears') from full-precision gradients.
 
     Gradients are taken once on the unquantized model, sample by sample, so
     selection never depends on partially fixed scales and only one sample's
@@ -287,15 +288,17 @@ def compute_token_selections(
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
     obs = observer or WalkObserver()
     trace_bytes = gradient_pass_bytes(stack, activations.shape[1])
+    keep = [i for i, _ in stack.linears()] if layers is None else layers
 
     def grad_passes():
         for x in activations:
             obs.alloc(trace_bytes, "grad-pass")
-            yield backward_token_grads(stack, x, loss)
+            grads = backward_token_grads(stack, x, loss, keep)
+            yield [grads[l] for l in keep]
             obs.free(trace_bytes, "grad-pass")
 
     sums = token_importance_sums(grad_passes())
-    return [select_top_tokens(sums[l], fraction) for l in range(len(stack.layers))]
+    return {l: select_top_tokens(s, fraction) for l, s in zip(keep, sums)}
 
 
 def layer_stat(
@@ -497,17 +500,17 @@ def _calibration_loop(
     the selection passes and the walk, in order.
     """
     header = CalibrationResult((), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid)  # checks run first
+    if activations.ndim != 3:  # the walk's check; selection would take an (N, C) batch's rows for samples
+        raise ShapeError(f"calibration activations must be (B, N, C), got {activations.shape}")
     # float64 in every stat mode; a copy, not ledgered, only for a batch that is not C-contiguous
     activations = _check_input(stack, activations)
     if 0 in activations.shape[:2]:
         raise ShapeError(f"calibration batch needs at least one sample and one token, got {activations.shape}")
-    selections = None
-    if stat_mode == "topk":
-        selections = compute_token_selections(stack, activations, fraction, loss, observer)
+    selections = compute_token_selections(stack, activations, fraction, loss, observer) if stat_mode == "topk" else {}
     walk = CalibrationWalk(stack, activations, strategy, cfg_w, cfg_a, observer)
     rows: list[LayerCalibration] = []
     while (task := walk.next_linear()) is not None:
-        sel = selections[task.index] if selections is not None else None
+        sel = selections.get(task.index)
         stat = layer_stat(task.stat_inputs, stat_mode, task.layer, sel)
         r_star, curve = search(task, stat)
         scale = power_scale(stat, r_star)

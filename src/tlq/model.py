@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Collection, Mapping
 
 import numpy as np
 
@@ -47,6 +47,7 @@ LOSS_KINDS = ("sum_sq_output", "ce_pseudo")
 class ForwardTrace:
     inputs: tuple[np.ndarray, ...]  # input of every layer, in order
     output: np.ndarray
+    saved: tuple[np.ndarray | None, ...] = ()  # forward_fp's, per layer: what the backward reads (`_apply_fp`)
 
     def values(self) -> tuple[np.ndarray, ...]:
         """All trace entries: one per layer input plus the final output."""
@@ -63,11 +64,6 @@ class ProxyLossSpec:
             raise ConfigError(f"loss kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         if self.kind == "ce_pseudo" and self.labels is None:
             raise ConfigError("ce_pseudo loss requires labels")
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form avoids exp overflow for large negative inputs
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _softmax(y: np.ndarray) -> np.ndarray:
@@ -107,20 +103,26 @@ def loss_grad(y: np.ndarray, spec: ProxyLossSpec) -> np.ndarray:
 
 def apply_layer_fp(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
     """Full-precision application of one layer to (tokens, channels) or (samples, tokens, channels)."""
+    return _apply_fp(layer, x)[0]
+
+
+def _apply_fp(layer: LayerSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """`apply_layer_fp` and what the layer's backward reads: rmsnorm's per-token r, silu's sigmoid, else None."""
     if isinstance(layer, RMSNorm):
         if x.shape[-1] != layer.gain.shape[0]:
             raise ShapeError(f"layer {layer.name!r}: input width {x.shape[-1]} vs gain {layer.gain.shape[0]}")
-        rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)
-        return x / rms * layer.gain
+        r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)
+        return x / r * layer.gain, r
     if isinstance(layer, Linear):
         if x.shape[-1] != layer.weight.shape[1]:
             raise ShapeError(
                 f"layer {layer.name!r}: input width {x.shape[-1]} vs weight {layer.weight.shape}"
             )
-        return matmul(x, layer.weight.T) + layer.bias
+        return matmul(x, layer.weight.T) + layer.bias, None
     if layer.fn == "relu":
-        return np.maximum(x, 0.0)
-    return x * _sigmoid(x)
+        return np.maximum(x, 0.0), None
+    sig = 0.5 * (1.0 + np.tanh(0.5 * x))  # tanh form avoids exp overflow for large negative inputs
+    return x * sig, sig
 
 
 def _block_samples(xs: np.ndarray) -> int:
@@ -231,13 +233,14 @@ def _check_input(stack: LayerStack, x: np.ndarray) -> np.ndarray:
 
 
 def forward_fp(stack: LayerStack, x: np.ndarray) -> ForwardTrace:
-    """Exact float composition, recording every intermediate layer input."""
-    inputs = []
+    """Exact float composition, recording every layer input and the values the backward reads."""
+    inputs, saved = [], []
     cur = _check_input(stack, x)
     for layer in stack.layers:
         inputs.append(cur)
-        cur = apply_layer_fp(layer, cur)
-    return ForwardTrace(tuple(inputs), cur)
+        cur, s = _apply_fp(layer, cur)
+        saved.append(s)
+    return ForwardTrace(tuple(inputs), cur, tuple(saved))
 
 
 def _validate_quant_cfgs(cfg_w: QuantConfig, cfg_a: QuantConfig) -> None:
@@ -272,43 +275,46 @@ def forward_quant(
     return ForwardTrace(tuple(inputs), cur)
 
 
-def _layer_input_grad(layer: LayerSpec, x: np.ndarray, g_out: np.ndarray) -> np.ndarray:
+def _layer_input_grad(layer: LayerSpec, x: np.ndarray, saved: np.ndarray | None, g_out: np.ndarray) -> np.ndarray:
     if isinstance(layer, Linear):
         return matmul(g_out, layer.weight)
     if isinstance(layer, Activation):
         if layer.fn == "relu":
             return g_out * (x > 0.0)
-        sig = _sigmoid(x)
-        return g_out * sig * (1.0 + x * (1.0 - sig))
-    # rmsnorm: y = g * x / r with r = sqrt(mean(x^2) + eps), per token
-    c = x.shape[-1]
-    r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)
+        return g_out * saved * (1.0 + x * (1.0 - saved))  # saved: the forward's sigmoid
+    # rmsnorm: y = g * x / r with r = sqrt(mean(x^2) + eps) per token, the forward's saved r
     u = g_out * layer.gain
-    return u / r - x * np.sum(u * x, axis=-1, keepdims=True) / (c * r**3)
+    return u / saved - x * np.sum(u * x, axis=-1, keepdims=True) / (x.shape[-1] * saved**3)
 
 
 def backward_token_grads(
-    stack: LayerStack, x: np.ndarray, loss: ProxyLossSpec = ProxyLossSpec()
-) -> tuple[np.ndarray, ...]:
-    """Reverse-mode gradients of the proxy loss at every layer input, plus the final output's last.
+    stack: LayerStack, x: np.ndarray, loss: ProxyLossSpec = ProxyLossSpec(), keep: Collection[int] | None = None
+) -> tuple[np.ndarray | None, ...]:
+    """Reverse-mode gradients of the proxy loss at every layer input in `keep`, plus the final output's last.
 
     relu uses subgradient 0 at 0; silu uses its exact derivative.
     """
-    return backward_from_trace(stack, forward_fp(stack, x), loss)
+    return backward_from_trace(stack, forward_fp(stack, x), loss, keep)
 
 
 def backward_from_trace(
-    stack: LayerStack, trace: ForwardTrace, loss: ProxyLossSpec = ProxyLossSpec()
-) -> tuple[np.ndarray, ...]:
-    """The backward half of `backward_token_grads`, on a recorded FP trace."""
-    if len(trace.inputs) != len(stack.layers):
-        raise ShapeError(f"trace has {len(trace.inputs)} layer inputs, stack has {len(stack.layers)} layers")
+    stack: LayerStack, trace: ForwardTrace, loss: ProxyLossSpec = ProxyLossSpec(), keep: Collection[int] | None = None
+) -> tuple[np.ndarray | None, ...]:
+    """The backward half of `backward_token_grads`, on a `forward_fp` trace.
+
+    `keep` holds the indices whose gradients the caller reads (default: every
+    layer input and the output); the pass stops at the lowest, and leaves the others None.
+    """
+    n = len(stack.layers)
+    if len(trace.inputs) != n or len(trace.saved) != n:
+        raise ShapeError(f"trace has {len(trace.inputs)} layer inputs and {len(trace.saved)} saved, stack {n} layers")
+    keep = range(n + 1) if keep is None else keep
     g = loss_grad(trace.output, loss)
-    grads = [g]
-    for layer, x_l in zip(reversed(stack.layers), reversed(trace.inputs)):
-        g = _layer_input_grad(layer, x_l, g)
-        grads.append(g)
-    return tuple(reversed(grads))
+    grads = [None] * n + [g if n in keep else None]
+    for l in range(n - 1, min(keep, default=n) - 1, -1):
+        g = _layer_input_grad(stack.layers[l], trace.inputs[l], trace.saved[l], g)
+        grads[l] = g if l in keep else None
+    return tuple(grads)
 
 
 # --- layer table, shared by the checkpoint and the quantized artifact ---------

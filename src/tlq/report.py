@@ -87,13 +87,15 @@ class EvalReport:
 def _eval_block(stack: LayerStack, acts: np.ndarray) -> int:
     """Samples per block of `evaluate`: the most whose three traces fit in the batch's own size.
 
-    The FP trace, its gradients and the quantized trace each hold
-    k*N*sum(widths) floats, against the batch's B*N*C.
+    The FP trace, the quantized trace, and the FP trace's saved sigmoids with
+    the linears' gradients each hold at most k*N*sum(widths) floats, against B*N*C.
     """
     return max(1, acts.shape[0] * acts.shape[2] // (3 * sum(stack.widths())))
 
 
-def evaluate(stack: LayerStack, result: CalibrationResult, calib: CalibrationSet) -> EvalReport:
+def evaluate(
+    stack: LayerStack, result: CalibrationResult, calib: CalibrationSet, *, per_layer: bool = True
+) -> EvalReport:
     """Score a calibration result on evaluation data.
 
     Each linear's quantized weight is built once, before the block loop.
@@ -106,6 +108,7 @@ def evaluate(stack: LayerStack, result: CalibrationResult, calib: CalibrationSet
     per-sample squared sums has the bytes of `calibration.layer_loss`. Every
     kernel keeps each sample's bytes, and the per-sample values are added
     as floats in sample order, so the report is that of a one-sample loop.
+    Without `per_layer` it has no layer rows and runs no backward or probe.
     """
     check_result_layers(stack, result)
     cfg_a = QuantConfig(result.bits_a, "per_token")
@@ -115,7 +118,7 @@ def evaluate(stack: LayerStack, result: CalibrationResult, calib: CalibrationSet
     b_total = acts.shape[0]
     k = _eval_block(stack, acts)
 
-    linears = stack.linears()
+    linears = stack.linears() if per_layer else ()
     sq_sums = {lin.name: np.empty(b_total) for _, lin in linears}
     # first-order estimate vs measured loss change, per layer, summed over batch
     probes = {lin.name: [0.0, 0.0] for _, lin in linears}
@@ -123,13 +126,14 @@ def evaluate(stack: LayerStack, result: CalibrationResult, calib: CalibrationSet
     for start in range(0, b_total, k):
         x = acts[start : start + k]
         t_fp = forward_fp(stack, x)
-        grads = backward_from_trace(stack, t_fp)
         t_q = forward_quant(stack, x, scales, weights, cfg_a)
         fp_vals, q_vals = t_fp.values(), t_q.values()
-        for name, (est, meas) in activation_error_probe(stack, t_fp, grads, scales, cfg_a).items():
-            for e, m in zip(est.tolist(), meas.tolist()):
-                probes[name][0] += e
-                probes[name][1] += m
+        if linears:
+            grads = backward_from_trace(stack, t_fp, keep=[i for i, _ in linears])
+            for name, (est, meas) in activation_error_probe(stack, t_fp, grads, scales, cfg_a).items():
+                for e, m in zip(est.tolist(), meas.tolist()):
+                    probes[name][0] += e
+                    probes[name][1] += m
         for idx, lin in linears:
             s = scales[lin.name]
             if result.strategy == "passact2":
@@ -154,7 +158,7 @@ def evaluate(stack: LayerStack, result: CalibrationResult, calib: CalibrationSet
     quant_loss = q_total / b_total
     rows = tuple(
         LayerEval(row.name, row.ratio, float(np.mean(sq_sums[row.name])), *probes[row.name])
-        for row in result.layers
+        for row in result.layers if per_layer
     )
     return EvalReport(
         result.strategy,
@@ -180,7 +184,7 @@ def accuracy_proxy_gap(
     behave like a task-accuracy degradation measure: confidently classified
     tokens dominate, and dead tokens (flat logits) contribute little.
     """
-    return evaluate(stack, result, calib).ce_gap
+    return evaluate(stack, result, calib, per_layer=False).ce_gap
 
 
 # --- heatmap export -------------------------------------------------------------
@@ -236,8 +240,9 @@ def build_heatmaps(
         if limit is not None and limit < 1:
             raise ConfigError(f"{what} must be >= 1, got {limit}")
     n = calib.tokens
-    selection = compute_token_selections(stack, calib.activations, fraction, ProxyLossSpec())[layer_index]
-    grads_sample = backward_token_grads(stack, calib.activations[sample])[layer_index]
+    keep = (layer_index,)
+    selection = compute_token_selections(stack, calib.activations, fraction, ProxyLossSpec(), layers=keep)[layer_index]
+    grads_sample = backward_token_grads(stack, calib.activations[sample], keep=keep)[layer_index]
 
     modality = calib.modality[sample]
     rng = Rng(seed).split("heatmap")

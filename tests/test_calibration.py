@@ -22,6 +22,7 @@ from tlq.calibration import (
     _search_threads,
     RatioGrid,
     calibrate,
+    compute_token_selections,
     gradient_pass_bytes,
     layer_loss,
     load_quantized,
@@ -785,6 +786,33 @@ def test_calibrate_live_peak_on_the_pool_side_is_within_the_single_layer_baselin
     assert peak <= 16_809_984
 
 
+def _no_norm_stack(seed: int, c: int) -> LayerStack:
+    rng = Rng(seed)
+    w0, w1 = (rand_normal(rng.split(f"w{d}"), (c, c)) / np.sqrt(c) for d in range(2))
+    lin0, lin1 = Linear("lin0", w0, np.zeros(c)), Linear("lin1", w1, np.zeros(c))
+    return LayerStack((lin0, Activation("act0", "silu"), lin1, Activation("act1", "relu")), c)
+
+
+# id -> (depth, channels) of a `build_stack` fixture; depth 0 is `_no_norm_stack`
+SELECTION_STACKS = {"D2C64": (2, 64), "D2C256": (2, 256), "D8C64": (8, 64), "no_rmsnorm": (0, 64)}
+
+
+@pytest.mark.parametrize("shape", SELECTION_STACKS)
+def test_one_selection_pass_holds_at_most_its_grad_pass_charge_plus_64_kib(shape):
+    """tracemalloc's peak of one sample's selection pass, above its inputs, against the ledger's charge."""
+    depth, channels = SELECTION_STACKS[shape]
+    stack = build_stack(7, depth, channels) if depth else _no_norm_stack(7, channels)
+    acts = build_calibset(7, 1, 64, channels, visual_fraction=0.5).activations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compute_token_selections(stack, acts, 0.5, ProxyLossSpec())
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= gradient_pass_bytes(stack, 64) + 64 * 1024
+
+
 def test_a_fortran_order_batch_gives_the_bytes_of_its_c_order_copy():
     """Both entry points copy a non-C-order batch into C order once; rmsnorm sums and gemms see one layout."""
     stack = build_stack(3, 1, 32)
@@ -819,6 +847,19 @@ def test_an_empty_batch_fails_with_one_shape_error_before_any_work(monkeypatch, 
         with pytest.raises(ShapeError, match=r"^calibration batch needs at least one sample and one token, got "):
             _run_entry(entry, random_block_stack(1, 1, 16), np.zeros(shape), stat_mode=stat_mode,
                        cfg_w=CFG_W, cfg_a=CFG_A)
+
+
+@pytest.mark.parametrize("stat_mode", ["max", "topk"])
+@pytest.mark.parametrize("entry", ["calibrate", "distributed"])
+def test_a_rank_2_batch_fails_with_the_walks_shape_error_before_selection(monkeypatch, entry, stat_mode):
+    """topk's selection would take each row of an (N, C) batch for a sample and name a (C,) shape."""
+    def work(*args, **kwargs):
+        raise AssertionError("selection or the walk started")
+
+    monkeypatch.setattr(calibration, "compute_token_selections", work)
+    with pytest.raises(ShapeError, match=r"^calibration activations must be \(B, N, C\), got \(4, 16\)$"):
+        _run_entry(entry, random_block_stack(1, 1, 16), np.ones((4, 16)), stat_mode=stat_mode,
+                   cfg_w=CFG_W, cfg_a=CFG_A)
 
 
 @pytest.mark.parametrize("fraction", [0.0, -1.0, 5.0, float("nan")])

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_block_stack, single_linear_stack
 from helpers import rand_uniform, unit_scale
+from tlq import model
 from tlq.calibration import QuantizedLinear, QuantizedStack, load_quantized, save_quantized
 from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
@@ -208,6 +209,47 @@ def test_backward_from_trace_equals_backward_token_grads(loss_kind):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def test_forward_fp_saves_each_rmsnorm_r_and_silu_sigmoid_of_its_own_input():
+    stack = LayerStack(random_block_stack(30, 2, 5).layers + (Activation("act_relu", "relu"),), 5)
+    trace = forward_fp(stack, rand_normal(Rng(31), (2, 3, 5)))
+    assert len(trace.saved) == len(stack.layers)
+    for layer, x, saved in zip(stack.layers, trace.inputs, trace.saved):
+        if isinstance(layer, RMSNorm):
+            assert saved.tobytes() == np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps).tobytes()
+        elif isinstance(layer, Activation) and layer.fn == "silu":
+            assert saved.tobytes() == (0.5 * (1.0 + np.tanh(0.5 * x))).tobytes()
+        else:
+            assert saved is None
+
+
+@pytest.mark.parametrize("keep", [(1, 4), (4, 1), (4,), (0, 6), (6,), (2, 3), ()])
+def test_backward_keeps_only_the_asked_gradients_and_stops_at_the_lowest(monkeypatch, keep):
+    """Each kept entry has the bytes of the all-layer pass; the pass runs no layer below the lowest."""
+    stack = random_block_stack(32, 2, 6)
+    x = rand_normal(Rng(33), (4, 6))
+    full = backward_token_grads(stack, x)
+    calls = []
+    real = model._layer_input_grad
+
+    def counted(layer, *args):
+        calls.append(layer.name)
+        return real(layer, *args)
+
+    monkeypatch.setattr(model, "_layer_input_grad", counted)
+    got = backward_token_grads(stack, x, keep=keep)
+    assert len(got) == len(full) == 7
+    for l, g in enumerate(got):
+        assert g is None if l not in keep else g.tobytes() == full[l].tobytes()
+    assert calls == [layer.name for layer in stack.layers[min(keep, default=6):]][::-1]
+
+
+def test_backward_from_trace_rejects_a_trace_without_saved_values():
+    stack = random_block_stack(34, 1, 5)
+    trace = forward_fp(stack, rand_normal(Rng(35), (2, 5)))
+    with pytest.raises(ShapeError, match="saved"):
+        backward_from_trace(stack, dataclasses.replace(trace, saved=()))
 
 
 def test_backward_from_trace_rejects_another_stacks_trace():

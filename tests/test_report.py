@@ -306,6 +306,22 @@ def test_accuracy_proxy_gap_rejects_a_result_with_an_extra_layer():
         accuracy_proxy_gap(build_stack(15, 2, 32), res, calib)
 
 
+@pytest.mark.parametrize("strategy", ["none", "passact1", "passact2"])
+def test_accuracy_proxy_gap_runs_no_backward_probe_or_layer_loss(monkeypatch, strategy):
+    """evaluate's ce_gap from its block loop alone: the same float, with no per-layer work."""
+    stack, calib, res = _calibrated(seed=17, depth=3, strategy=strategy)
+    want = evaluate(stack, res, calib).ce_gap
+
+    def per_layer(*args, **kwargs):
+        raise AssertionError("accuracy_proxy_gap ran per-layer work")
+
+    for module in (model, report):
+        monkeypatch.setattr(module, "backward_from_trace", per_layer)
+    for name in ("activation_error_probe", "apply_layer_fp", "apply_linear_quant"):  # the probe and layer losses
+        monkeypatch.setattr(report, name, per_layer)
+    assert accuracy_proxy_gap(stack, res, calib) == want
+
+
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
 def test_evaluate_and_heatmaps_give_the_bytes_of_the_c_order_batch(layout):
     """A set built from a Fortran-order or channel-strided batch stores the C-order copy."""

@@ -24,6 +24,7 @@ def test_memory_demo_prints_peak_summaries():
     assert out.count("max worker peak / baseline = ") == 2
     assert out.count("calibrate live peak (tracemalloc) ") == 2
     assert out.count("evaluate live peak (tracemalloc) ") == 2
+    assert out.count("selection pass live peak (tracemalloc) ") == 2
 
 
 def test_run_ablation_prints_medians():
