@@ -45,6 +45,7 @@ COVERING = {
     ),
     "report": ("tests/test_report.py", "tests/test_acceptance.py"),
     "distcal": ("tests/test_distcal.py", "tests/test_mutations.py", "tests/test_acceptance.py"),
+    "cli": ("tests/test_cli.py", "tests/test_mutations.py", "tests/test_acceptance.py", "tests/test_scripts.py"),
 }
 
 
@@ -136,6 +137,26 @@ MUTANTS = (
     ),
     Mutant("dist-encode-missing-field", "distcal", "    if missing:\n", "    if False:\n"),
     Mutant("dist-crc-unchecked", "distcal", "if zlib.crc32(fields[\"tensor\"]) != crc:", "if False:"),
+    Mutant(
+        "abort-frame-ignored", "distcal",
+        '        if msg.kind == "abort":\n            raise', '        if False:\n            raise',
+    ),
+    Mutant(
+        "coord-scale-check-off", "distcal",
+        "if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):", "if False:",
+    ),
+    Mutant(
+        "ratio-fixed-curve-unchecked", "distcal",
+        "if tuple(r for r, _ in fixed.curve) != points or fixed.ratio != select_ratio(fixed.curve):", "if False:",
+    ),
+    Mutant("seq-gap-allowed", "distcal", "if msg.seq != last + 1 and", "if msg.seq <= last and"),
+    Mutant(
+        "exit-keeps-ends-open", "distcal",
+        "        finally:  # exiting closes the worker's ends, as a process's exit would\n"
+        "            chans.close_ends(wid)\n",
+        "",
+    ),
+    Mutant("cli-oserror-traceback", "cli", "    except OSError as exc:\n", "    except () as exc:\n"),
 )
 
 

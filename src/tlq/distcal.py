@@ -28,9 +28,11 @@ builds each whole y_q to send it, and the loss worker's `layer_loss` sums
 each sample as `search_ratio`'s block scorer does, so the distributed
 result equals the single-context result bit for bit.
 
-On either transport the first abort, from a worker that raises, ends every
-waiting send and receive at once with that worker's reason, and nothing
-wakes a wait before then. A worker that dies silently costs one timeout.
+A failure reaches a peer only through the failing worker's own channels,
+as it would between processes: a worker that raises sends an abort frame
+with its reason to every peer, and a worker's exit, failed or not, closes
+its channel ends. A wait on a closed channel ends at once and names the
+worker that closed it; frames sent before the close stay readable.
 """
 
 from __future__ import annotations
@@ -234,13 +236,13 @@ class _BaseTransport:
 
     `send_timeout` bounds how long a send may block on a full channel
     (None: no bound); a send that runs out of it raises ProtocolError.
+    Subclasses provide `_send`, `_recv` and `close_ends(worker)`, which
+    closes the worker's end of each of its channels, as its exit would.
     """
 
     def __init__(self, worker_ids: Sequence[int]):
         self.worker_ids = tuple(worker_ids)
         self.send_timeout: float | None = None
-        self.aborted_by: int | None = None  # the first worker to call abort_peers
-        self.abort_reason: str | None = None
         self._send_seq: dict[tuple[int, int], int] = {}
         self._recv_seq: dict[tuple[int, int], int] = {}
 
@@ -253,22 +255,16 @@ class _BaseTransport:
         self._send(msg, self.send_timeout)
 
     def abort_peers(self, sender: int, reason: str) -> None:
-        """Best-effort abort to every other worker, for failure paths.
+        """Best-effort abort frame to every other worker, then `sender`'s ends close.
 
         It never waits on a full channel: the peer behind it has stopped
         reading, and waiting would add a second full timeout to the run.
-        The first abort is also recorded on the transport: it names the
-        worker whose failure is the run's cause, and waits that its message
-        cannot reach stop on it.
         """
-        if self.aborted_by is None:
-            self.aborted_by, self.abort_reason = sender, f"worker {sender} aborted: {reason}"
         for peer in self.worker_ids:
             if peer != sender:
-                try:
+                with contextlib.suppress(Exception):  # the run is failing already
                     self._send(CalMessage("abort", sender, peer, reason=reason), 0.0)
-                except Exception:  # noqa: BLE001 - the run is failing already
-                    pass
+        self.close_ends(sender)
 
     def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
         """Next message on channel sender->receiver, checked for route, order and abort."""
@@ -279,20 +275,14 @@ class _BaseTransport:
                 f"misrouted frame: {msg.sender}->{msg.receiver} on channel {sender}->{receiver}"
             )
         last = self._recv_seq.get(key, -1)
-        if msg.seq <= last:
+        if msg.seq != last + 1 and msg.kind != "abort":  # abort_peers may spend a seq on a send that failed
             raise ProtocolError(
-                f"out-of-order message on channel {key}: seq {msg.seq} after {last}"
+                f"out-of-order message on channel {key}: expected seq {last + 1}, got {msg.seq}"
             )
         self._recv_seq[key] = msg.seq
         if msg.kind == "abort":
             raise ProtocolError(f"worker {msg.sender} aborted: {msg.reason}")
         return msg
-
-    def _send(self, msg: CalMessage, timeout: float | None) -> None:
-        raise NotImplementedError
-
-    def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
-        raise NotImplementedError
 
     def close(self) -> None:
         pass
@@ -308,10 +298,9 @@ class InProcessTransport(_BaseTransport):
     Each channel holds at most `CHANNEL_FRAMES` messages, so at most that
     many times the largest tensor is in flight on it, unledgered. A send to
     a full channel or a receive from an empty one waits on the channel's
-    condition until the peer acts or the deadline passes. The first abort
-    wakes every wait, which ends at once with that worker's reason: a worker
-    that failed stops reading, and its abort message may not fit in a full
-    channel.
+    condition until the peer acts, either end closes or the deadline
+    passes. A closed channel refuses sends at once and still yields the
+    frames queued on it, then refuses receives.
     """
 
     def __init__(self, worker_ids: Sequence[int]):
@@ -319,37 +308,44 @@ class InProcessTransport(_BaseTransport):
         lock = threading.Lock()  # one lock for every channel's condition
         self._queues = {(a, b): collections.deque() for a in worker_ids for b in worker_ids if a != b}
         self._conds = {key: threading.Condition(lock) for key in self._queues}
+        self._closed: set[tuple[int, int]] = set()
 
     def _wait(self, cond: threading.Condition, ready, timeout: float | None, failure: str) -> None:
-        """Under `cond`: wait until ready(), the run aborts or `timeout` passes (None: no bound)."""
-        if not cond.wait_for(lambda: ready() or self.abort_reason is not None, timeout):
+        """Under `cond`: wait until ready() or `timeout` passes (None: no bound)."""
+        if not cond.wait_for(ready, timeout):
             raise ProtocolError(failure)
-        if not ready():
-            raise ProtocolError(self.abort_reason)
 
     def _send(self, msg: CalMessage, timeout: float | None) -> None:
         key = (msg.sender, msg.receiver)
         framed = replace(msg, seq=self._next_seq(*key))
         chan, cond = self._queues[key], self._conds[key]
+        failed = f"send to worker {msg.receiver} (sender {msg.sender}) failed"
         with cond:  # a timeout of 0 fails at once: abort_peers never waits
-            self._wait(cond, lambda: len(chan) < CHANNEL_FRAMES, timeout,
-                       f"send to worker {msg.receiver} (sender {msg.sender}) failed: channel full for {timeout} s")
+            self._wait(cond, lambda: key in self._closed or len(chan) < CHANNEL_FRAMES, timeout,
+                       f"{failed}: channel full for {timeout} s")
+            if key in self._closed:
+                raise ProtocolError(f"{failed}: worker {msg.receiver} closed the channel")
             chan.append(framed)
             cond.notify_all()
 
     def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
-        chan, cond = self._queues[(sender, receiver)], self._conds[(sender, receiver)]
+        key = (sender, receiver)
+        chan, cond = self._queues[key], self._conds[key]
         with cond:
-            self._wait(cond, lambda: chan, timeout, f"timeout waiting for worker {sender} (receiver {receiver})")
+            self._wait(cond, lambda: chan or key in self._closed, timeout,
+                       f"timeout waiting for worker {sender} (receiver {receiver})")
+            if not chan:
+                raise ProtocolError(f"connection closed while waiting for worker {sender} (receiver {receiver})")
             msg = chan.popleft()
             cond.notify_all()
         return msg
 
-    def abort_peers(self, sender: int, reason: str) -> None:
-        super().abort_peers(sender, reason)
-        for cond in self._conds.values():
-            with cond:
-                cond.notify_all()
+    def close_ends(self, worker: int) -> None:
+        for peer in set(self.worker_ids) - {worker}:
+            for key in ((worker, peer), (peer, worker)):
+                with self._conds[key]:
+                    self._closed.add(key)
+                    self._conds[key].notify_all()
 
 
 class SocketTransport(_BaseTransport):
@@ -357,11 +353,9 @@ class SocketTransport(_BaseTransport):
 
     Every worker pair gets one full-duplex socketpair, so tensors really
     cross a byte stream with checksums, mirroring a multi-process setup.
-    A send or receive blocks in the socket until its frame has crossed or
-    its deadline passes; nothing wakes it in between. The first abort shuts
-    every socket down after the abort messages are written, so each waiting
-    send or receive ends at once, with that worker's reason; frames already
-    written stay readable.
+    A send or receive blocks in the socket until its frame has crossed,
+    its deadline passes or the peer shuts its end down; frames written
+    before the shutdown stay readable.
     """
 
     def __init__(self, worker_ids: Sequence[int]):
@@ -377,8 +371,7 @@ class SocketTransport(_BaseTransport):
         """Write the frame's parts in order under one deadline for the whole frame.
 
         A timeout of 0, as `abort_peers` uses, never waits. A send waiting
-        for room when the run is aborted fails at once with the abort's
-        reason: the abort shuts its socket down.
+        for room fails at once when the receiver shuts its end down.
         """
         seq = self._next_seq(msg.sender, msg.receiver)
         parts = _frame_parts(replace(msg, seq=seq))
@@ -388,9 +381,7 @@ class SocketTransport(_BaseTransport):
             for part in parts:
                 sock.settimeout(None if deadline is None else max(0.0, deadline - time.monotonic()))
                 sock.sendall(part)
-        except OSError as exc:  # TimeoutError included: the receiver stopped reading
-            if self.abort_reason is not None:  # BrokenPipeError: the abort shut the channel
-                raise ProtocolError(self.abort_reason) from None
+        except OSError as exc:  # TimeoutError: the receiver stopped reading; BrokenPipeError: it closed
             raise ProtocolError(f"send to worker {msg.receiver} (sender {msg.sender}) failed: {exc}") from None
 
     def _read_exact(self, sock: socket.socket, n: int, who: str, deadline: float) -> np.ndarray:
@@ -411,8 +402,8 @@ class SocketTransport(_BaseTransport):
                 k = sock.recv_into(view[got:])
             except (TimeoutError, BlockingIOError):  # BlockingIOError: past the deadline, nothing had arrived
                 raise ProtocolError(f"timeout waiting for {who}") from None
-            if not k:  # the peer closed, or an abort shut the channel down
-                raise ProtocolError(self.abort_reason or f"connection closed while waiting for {who}")
+            if not k:  # the peer closed or shut its end down
+                raise ProtocolError(f"connection closed while waiting for {who}")
             got += k
         return buf
 
@@ -423,11 +414,10 @@ class SocketTransport(_BaseTransport):
         (length,) = struct.unpack("<I", self._read_exact(sock, 4, who, deadline))
         return decode_message(self._read_exact(sock, length, who, deadline))
 
-    def abort_peers(self, sender: int, reason: str) -> None:
-        super().abort_peers(sender, reason)
-        for sock in self._ends.values():  # shutdown, not close: other threads may be using the socket
+    def close_ends(self, worker: int) -> None:
+        for peer in set(self.worker_ids) - {worker}:  # shutdown, not close: a later use reads as a closed channel
             with contextlib.suppress(OSError):
-                sock.shutdown(socket.SHUT_RDWR)
+                self._ends[(worker, peer)].shutdown(socket.SHUT_RDWR)
 
     def close(self) -> None:
         for sock in self._ends.values():
@@ -602,8 +592,10 @@ def run_distributed_calibration(
         try:
             _cal_worker_loop(_WorkerCtx(wid, chans, accounts[wid], timeout))
         except BaseException as exc:  # noqa: BLE001 - propagated to the coordinator
-            errors.append(exc)
+            errors.append(exc)  # before the abort: a peer that fails on it is not the cause
             chans.abort_peers(wid, f"{type(exc).__name__}: {exc}")
+        finally:  # exiting closes the worker's ends, as a process's exit would
+            chans.close_ends(wid)
 
     threads = [
         threading.Thread(target=_run_worker, args=(w,), daemon=True, name=f"calworker-{w}")
@@ -633,6 +625,11 @@ def run_distributed_calibration(
             hand_off("q", apply_linear_quant(lin, task.q_inputs, scale, quantized_weight(lin, scale, cfg_w), cfg_a), r)
 
         fixed = coordinator.recv(SCALE_WORKER, "ratio_fixed", layer_idx)
+        if tuple(r for r, _ in fixed.curve) != points or fixed.ratio != select_ratio(fixed.curve):
+            raise ProtocolError(
+                f"layer {lin.name!r}: ratio_fixed from worker {SCALE_WORKER} does not hold "
+                "this grid's curve and its selected ratio"
+            )
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):
             raise ProtocolError(
                 f"layer {lin.name!r}: scale from worker {SCALE_WORKER} does not match "
@@ -648,8 +645,9 @@ def run_distributed_calibration(
         for wid in helpers:
             chans.send(CalMessage("done", sender=me, receiver=wid))
     except BaseException:
+        first = not errors  # a helper that failed first appended its error before its ends closed
         chans.abort_peers(me, "coordinator failed")
-        if not errors or chans.aborted_by == me:
+        if first:
             raise
         # a worker failed first: its error, raised below, is the cause
     finally:

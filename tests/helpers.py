@@ -1,12 +1,14 @@
 """Measurements only the tests take: planted-fixture checks, heatmap readers,
-the rounding-error law, two small tensor builders, and four reference
-kernels (explicit smoothing, the quantized artifact's forward pass, and the
-one-sample-at-a-time calibration and evaluation)."""
+the rounding-error law, two small tensor builders, four reference kernels
+(explicit smoothing, the quantized artifact's forward pass, and the
+one-sample-at-a-time calibration and evaluation), and a transport wrapper
+that corrupts one sent frame."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from tlq.calibration import (
     scales_from_result,
     select_ratio,
 )
+from tlq.distcal import CalMessage
 from tlq.errors import CheckpointError, ConfigError, ShapeError
 from tlq.fixtures import PlantProfile
 from tlq.importance import select_top_tokens, token_importance_sums
@@ -322,3 +325,30 @@ def parse_heatmap_csv(text: str) -> list:
         parts = line.split(",")
         rows.append((int(parts[0]), int(parts[1]), float(parts[2]), [float(v) for v in parts[3:]]))
     return rows
+
+
+# --- distributed faults -----------------------------------------------------------------
+
+
+def relabelling_transport(make_transport, kind: str, stream: str | None, nth: int,
+                          change: Callable[[CalMessage], CalMessage]):
+    """A `distcal.make_transport` whose transports send the `nth` (from 1)
+    frame of `kind` and `stream` as `change(frame)`.
+
+    The change is made before encoding, as a sender's bug would make it, so
+    the frame's checksum holds.
+    """
+
+    def build(name, worker_ids):
+        transport = make_transport(name, worker_ids)
+        send, seen = transport.send, itertools.count(1)
+
+        def relabelled(msg: CalMessage) -> None:
+            if (msg.kind, msg.stream) == (kind, stream) and next(seen) == nth:
+                msg = change(msg)
+            send(msg)
+
+        transport.send = relabelled
+        return transport
+
+    return build

@@ -642,6 +642,16 @@ def test_removed_generator_flags_are_usage_errors(tmp_path, capsys, command, fla
     assert not out.exists()
 
 
+def test_an_output_path_that_is_a_directory_exits_two(tmp_path, capsys):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["calibrate", "--model", str(model), "--calib", str(calib), "--out", str(out)]) == 2
+    _one_error_line(capsys, "io error: [Errno 21] Is a directory")
+
+
 def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 74.5 GiB for an array")

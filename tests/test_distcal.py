@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import relabelling_transport
 from tlq import distcal
 from tlq.calibration import RatioGrid, calibrate, result_to_text
 from tlq.distcal import (
@@ -288,8 +289,20 @@ def test_full_in_process_channel_fails_a_send_after_its_timeout():
     assert chans.recv(1, 0, timeout=1.0).kind == "done"
 
 
+def test_transport_names_a_sequence_gap():
+    chans = InProcessTransport([0, 1])
+    chans._queues[(0, 1)].extend([CalMessage("done", 0, 1, seq=0), CalMessage("done", 0, 1, seq=2)])
+    chans.recv(1, 0, timeout=1.0)
+    with pytest.raises(ProtocolError, match=r"channel \(0, 1\): expected seq 1, got 2"):
+        chans.recv(1, 0, timeout=1.0)
+    # abort_peers spends a seq even when its send fails, so an abort after a gap still gives its reason
+    chans._queues[(0, 1)].append(CalMessage("abort", 0, 1, seq=4, reason="failing"))
+    with pytest.raises(ProtocolError, match="worker 0 aborted: failing"):
+        chans.recv(1, 0, timeout=1.0)
+
+
 @pytest.mark.parametrize("transport", ["in_process", "sockets"])
-def test_sends_and_receives_stop_on_a_recorded_abort(transport):
+def test_an_abort_stops_only_the_aborting_workers_channels(transport):
     chans = distcal.make_transport(transport, [0, 1, 2])
     chans.send_timeout = 30.0
     if transport == "in_process":  # fill channel 0->1
@@ -301,16 +314,22 @@ def test_sends_and_receives_stop_on_a_recorded_abort(transport):
     timer = threading.Timer(0.2, chans.abort_peers, args=(1, "failing"))
     timer.start()
     start = time.monotonic()
-    with pytest.raises(ProtocolError, match="worker 1 aborted: failing"):
-        chans.send(frame)  # worker 1 never reads
+    with pytest.raises(ProtocolError, match=r"send to worker 1 \(sender 0\) failed"):
+        chans.send(frame)  # worker 1 never reads; its abort closes channel 0->1
     assert time.monotonic() - start < 1.0
     timer.join()
     start = time.monotonic()
-    with pytest.raises(ProtocolError, match="worker 1 aborted: failing"):
-        chans.recv(2, 0, timeout=30.0)  # nothing arrives on channel 0->2
+    with pytest.raises(ProtocolError, match=r"send to worker 1 \(sender 0\) failed"):
+        chans.send(CalMessage("done", 0, 1))
     assert time.monotonic() - start < 0.5
+    with pytest.raises(ProtocolError, match="worker 1 aborted: failing"):
+        chans.recv(2, 1, timeout=1.0)  # the reason travels in worker 1's abort frame
     start = time.monotonic()
-    chans.abort_peers(0, "failing too")  # channel 0->1 is full: that abort does not wait
+    with pytest.raises(ProtocolError, match=r"timeout waiting for worker 0 \(receiver 2\)"):
+        chans.recv(2, 0, timeout=0.2)  # channel 0->2 is not worker 1's: its abort does not end this wait
+    assert time.monotonic() - start >= 0.2
+    start = time.monotonic()
+    chans.abort_peers(0, "failing too")  # channel 0->1 is closed: that abort does not wait
     assert time.monotonic() - start < 0.5
     chans.close()
 
@@ -792,6 +811,93 @@ def test_socket_loss_worker_crash_aborts_within_bound(monkeypatch):
     # the blocked send costs one timeout; the abort broadcast must not add another
     assert time.time() - t0 < 1.5
     assert isinstance(outcome[0], ProtocolError)
+
+
+_CRASHES = ((2, 1, 3), (3, 1, 1), (3, 2, 3))  # (workers, the worker that exits, after how many messages)
+
+
+@pytest.mark.parametrize("workers, worker, after, transport", [
+    pytest.param(*case, transport, id="-".join(map(str, case)) + f"-{transport}")
+    for transport in ("in_process", "sockets") for case in _CRASHES
+])
+def test_a_silent_exit_ends_the_run_at_once(monkeypatch, workers, worker, after, transport):
+    """An exit closes the worker's channel ends, so no peer waits out its timeout."""
+    _crash_silently(monkeypatch, worker=worker, after=after)
+    stack = build_stack(6, 1, 64)
+    acts = build_calibset(6, 32, 64, 64, visual_fraction=0.5).activations  # 1 MiB outputs fill a channel
+    threads = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(ProtocolError):
+        run_distributed_calibration(
+            stack, acts, workers=workers, transport=transport, strategy="passact2",
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=30.0,
+        )
+    assert time.monotonic() - start < 3.0
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("transport", ["in_process", "sockets"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_coordinator_failing_first_ends_the_run_with_its_own_error(monkeypatch, workers, transport):
+    """It fails at the 6th grid point, after 5 went out; with 3 workers the scale worker waits on the loss worker."""
+    calls = itertools.count(1)
+    quant = distcal.apply_linear_quant
+
+    def failing_quant(*args):
+        if next(calls) == 6:
+            raise NumericError("coordinator failure")
+        return quant(*args)
+
+    monkeypatch.setattr(distcal, "apply_linear_quant", failing_quant)
+    stack = build_stack(6, 1, 64)
+    acts = build_calibset(6, 32, 64, 64, visual_fraction=0.5).activations
+    threads = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(NumericError, match="coordinator failure"):
+        run_distributed_calibration(
+            stack, acts, workers=workers, transport=transport, strategy="passact2",
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=30.0,
+        )
+    assert time.monotonic() - start < 3.0
+    assert threading.active_count() == threads
+
+
+def _off_grid(msg):
+    return replace(msg, ratio=msg.ratio + 0.01)
+
+
+def _another_minimum(msg):
+    return replace(msg, curve=tuple((r, float(r == msg.ratio)) for r, _ in msg.curve))
+
+
+def _doubled_scale(msg):
+    return replace(msg, tensor=2.0 * msg.tensor)
+
+
+_CURVE = "does not hold this grid's curve"
+_RELABELS = (  # (kind, stream, which frame, change, the coordinator's error)
+    ("loss_report", None, 5, _off_grid, _CURVE),
+    ("layer_output", "q", 5, _off_grid, _CURVE),
+    ("ratio_fixed", None, 1, _another_minimum, _CURVE),
+    ("ratio_fixed", None, 1, _doubled_scale, "does not match the coordinator's statistic"),
+)
+
+
+@pytest.mark.parametrize("kind, stream, nth, change, error, transport", [
+    pytest.param(*case, transport, id=f"{case[0]}-{case[1]}-{case[3].__name__}-{transport}")
+    for transport in ("in_process", "sockets") for case in _RELABELS
+])
+def test_a_mislabelled_frame_never_gives_a_result(monkeypatch, kind, stream, nth, change, error, transport):
+    """A sender's bug that relabels one frame is refused by the coordinator, naming the layer."""
+    monkeypatch.setattr(distcal, "make_transport",
+                        relabelling_transport(distcal.make_transport, kind, stream, nth, change))
+    stack, acts = _fixture(seed=9)
+    first = next(lin for _, lin in stack.linears()).name  # every relabelled frame is of the first linear
+    with pytest.raises(ProtocolError, match=f"layer '{first}': .*{error}"):
+        run_distributed_calibration(
+            stack, acts, workers=3, transport=transport, strategy="passact2",
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=5.0,
+        )
 
 
 # the C08 fixture's exact memory report: worker 0 is the infer worker, 1 holds
