@@ -44,6 +44,8 @@ COVERING = {
         "tests/test_acceptance.py",
     ),
     "report": ("tests/test_report.py", "tests/test_acceptance.py"),
+    "layers": ("tests/test_model.py", "tests/test_fixtures.py", "tests/test_acceptance.py"),
+    "smoothing": ("tests/test_smoothing.py", "tests/test_calibration.py", "tests/test_acceptance.py"),
     "distcal": ("tests/test_distcal.py", "tests/test_mutations.py", "tests/test_acceptance.py"),
     "cli": ("tests/test_cli.py", "tests/test_mutations.py", "tests/test_acceptance.py", "tests/test_scripts.py"),
 }
@@ -120,7 +122,17 @@ MUTANTS = (
     Mutant("check-input-keeps-layout", "model", "return np.ascontiguousarray(x)  # layout", "return x  # layout"),
     Mutant("loss-grad-unnormalized", "model", "        return y / n\n", "        return y\n"),
     Mutant("qmax-off-by-one", "quantizer", "return 2 ** (self.bits - 1) - 1", "return 2 ** (self.bits - 1)"),
-    Mutant("eval-mse-per-channel", "report", "sq_b / acts.shape[1]", "sq_b / acts.shape[2]"),
+    Mutant(
+        "eval-mse-per-channel", "report", "sample_sums(d * d) / acts.shape[1]", "sample_sums(d * d) / acts.shape[2]",
+    ),
+    Mutant("passact2-carried-by-fp", "calibration", '"passact2": {"main": "q"}', '"passact2": {"main": "fp"}'),
+    Mutant(
+        "walk-fp-q-inputs-swapped", "calibration",
+        "LinearTask(self._idx, layer, streams[-1], streams[0], streams[-1])",
+        "LinearTask(self._idx, layer, streams[-1], streams[-1], streams[0])",
+    ),
+    Mutant("eval-reference-always-fp", "report", 'fp_own, q_own = carriers[0] == "fp",', "fp_own, q_own = True,"),
+    Mutant("eval-sum-pairwise", "report", "float(np.add.accumulate(v)[-1])", "float(np.sum(v))"),
     Mutant(
         "ce-labels-from-quantized", "report",
         'ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=-1))', 'ProxyLossSpec("ce_pseudo", np.argmax(y_q, axis=-1))',
@@ -156,7 +168,25 @@ MUTANTS = (
         "            chans.close_ends(wid)\n",
         "",
     ),
+    Mutant(
+        "in-process-wait-ignores-close", "distcal", "lambda: chan or key in self._closed, timeout,", "lambda: chan, timeout,",
+    ),
+    Mutant(
+        "sockets-close-without-shutdown", "distcal",
+        "                self._ends[(worker, peer)].shutdown(socket.SHUT_RDWR)\n", "                pass\n",
+    ),
     Mutant("cli-oserror-traceback", "cli", "    except OSError as exc:\n", "    except () as exc:\n"),
+    Mutant(
+        "runtime-error-exits-1", "cli",
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 2\n',
+        '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n',
+    ),
+    Mutant("warning-printed-with-source", "cli", "            warnings.showwarning = _print_warning\n", ""),
+    Mutant("rmsnorm-eps-unbounded", "layers", 'if not 0 < self.eps < float("inf"):', "if not 0 < self.eps:"),
+    Mutant(
+        "smooth-scale-allows-inf", "smoothing",
+        "if not np.all(np.isfinite(self.values)) or not np.all(self.values > 0):", "if not np.all(self.values > 0):",
+    ),
 )
 
 

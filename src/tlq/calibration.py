@@ -3,15 +3,10 @@
 For every linear layer the calibrator computes a per-channel activation
 statistic, sweeps the exponent r over a grid, and keeps the r whose scale
 x_stat^r minimizes the mean squared difference between the layer's
-full-precision and quantization-exposed outputs. Three propagation
-strategies control which activations later layers calibrate on:
-
-* none: every layer sees exact full-precision inputs.
-* passact1: two streams per layer; the reference output comes from the
-  full-precision stream while the quantized function consumes the stream
-  produced by previously fixed quantized layers.
-* passact2: a single stream where each calibrated layer's quantized output
-  replaces the input of the next layer, matching the real inference path.
+full-precision and quantization-exposed outputs. A propagation strategy,
+a row of `STREAMS`, controls which activations later layers calibrate on;
+passact2 follows the real inference path, and none and passact1 are its
+ablations.
 
 Quantization-exposed batch work runs the block loop of
 `model.apply_linear_quant`, the one quantized linear, which the
@@ -63,7 +58,11 @@ from .model import (
 from .quantizer import DEFAULT_SCALE_FLOOR, QuantConfig, QuantizedTensor, quantize
 from .smoothing import SmoothScale, fuse_into_predecessor, power_scale
 
-STRATEGIES = ("none", "passact1", "passact2")
+# each strategy's streams in ledger order, each mapped to the layer that carries it
+# past a fixed linear: "fp" the full-precision one, "q" the quantized one. The first
+# stream feeds the FP reference; the last feeds the quantized function and the statistic.
+STREAMS = {"none": {"main": "fp"}, "passact1": {"fp": "fp", "q": "q"}, "passact2": {"main": "q"}}
+STRATEGIES = tuple(STREAMS)
 STAT_MODES = ("mean", "max", "topk", "sqrt")
 
 QUANTIZED_MAGIC = b"TLQQNT01"
@@ -365,7 +364,7 @@ class CalibrationWalk:
     `next_linear` advances every live stream through full-precision layers
     until the next linear layer and returns its calibration task (or None at
     the end of the stack); `fix_scale` commits that layer's smoothing scale
-    and propagates past it according to the strategy.
+    and carries each stream past it by the layer its `STREAMS` row names.
     """
 
     def __init__(
@@ -387,10 +386,7 @@ class CalibrationWalk:
         self.cfg_w = cfg_w
         self.cfg_a = cfg_a
         self.obs = observer or WalkObserver()
-        if strategy == "passact1":
-            self._streams = {"fp": activations, "q": activations}
-        else:
-            self._streams = {"main": activations}
+        self._streams = dict.fromkeys(STREAMS[strategy], activations)
         for name, arr in self._streams.items():
             self.obs.alloc(arr.nbytes, f"stream:{name}")
         self._idx = 0
@@ -422,13 +418,8 @@ class CalibrationWalk:
             if isinstance(layer, Linear):
                 self._pending = layer
                 self._params(self.obs.alloc)
-                if self.strategy == "passact1":
-                    fp_in, q_in = self._streams["fp"], self._streams["q"]
-                else:
-                    fp_in = q_in = self._streams["main"]
-                # the scale statistic comes from the same inputs the quantized
-                # function consumes
-                return LinearTask(self._idx, layer, q_in, fp_in, q_in)
+                streams = list(self._streams.values())
+                return LinearTask(self._idx, layer, streams[-1], streams[0], streams[-1])
             self._advance_fp(layer)
         for name, arr in self._streams.items():
             self.obs.free(arr.nbytes, f"stream:{name}")
@@ -438,18 +429,11 @@ class CalibrationWalk:
     def fix_scale(self, scale: SmoothScale) -> None:
         if self._pending is None:
             raise ConfigError("no pending linear layer to fix")
-        layer = self._pending
-        updates: dict[str, np.ndarray] = {}
-        if self.strategy == "none":
-            updates["main"] = _batch_fp(layer, self._streams["main"])
-        else:
-            w_hat = quantized_weight(layer, scale, self.cfg_w)
-            if self.strategy == "passact2":
-                updates["main"] = apply_linear_quant(layer, self._streams["main"], scale, w_hat, self.cfg_a)
-            else:
-                updates["fp"] = _batch_fp(layer, self._streams["fp"])
-                updates["q"] = apply_linear_quant(layer, self._streams["q"], scale, w_hat, self.cfg_a)
-        for name, new in updates.items():
+        layer, carriers = self._pending, STREAMS[self.strategy]
+        w_hat = quantized_weight(layer, scale, self.cfg_w) if "q" in carriers.values() else None
+        for name, by in carriers.items():
+            x = self._streams[name]
+            new = _batch_fp(layer, x) if by == "fp" else apply_linear_quant(layer, x, scale, w_hat, self.cfg_a)
             self._replace_stream(name, new)
         self._params(self.obs.free)
         self._pending = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationResult, check_result_layers, compute_token_selections, scales_from_result
+from .calibration import STREAMS, CalibrationResult, check_result_layers, compute_token_selections, scales_from_result
 from .errors import ConfigError
 from .importance import activation_error_probe, heatmap_rows
 from .layers import LayerStack
@@ -93,6 +93,11 @@ def _eval_block(stack: LayerStack, acts: np.ndarray) -> int:
     return max(1, acts.shape[0] * acts.shape[2] // (3 * sum(stack.widths())))
 
 
+def _in_order(v: np.ndarray) -> float:
+    """v's float sum in sample order, with the bytes of a `+=` loop from 0.0 (`np.sum` adds pairwise)."""
+    return float(np.add.accumulate(v)[-1]) + 0.0  # + 0.0 as the loop's start: an all -0.0 sum is 0.0
+
+
 def evaluate(
     stack: LayerStack, result: CalibrationResult, calib: CalibrationSet, *, per_layer: bool = True
 ) -> EvalReport:
@@ -101,14 +106,17 @@ def evaluate(
     Each linear's quantized weight is built once, before the block loop.
     Each block of `_eval_block` whole samples gets one FP trace `t_fp`, one
     backward pass over it and one quantized trace `t_q`, and every number
-    reads from those. With `t[l]` the input of layer `l`, a linear's loss
-    compares the outputs its strategy calibrated on: passact1 `t_fp[l+1]`
-    and `t_q[l+1]`; passact2 the FP layer on `t_q[l]` and `t_q[l+1]`; none
-    `t_fp[l+1]` and the quantized layer on `t_fp[l]`. The batch mean of the
-    per-sample squared sums has the bytes of `calibration.layer_loss`. Every
-    kernel keeps each sample's bytes, and the per-sample values are added
-    as floats in sample order, so the report is that of a one-sample loop.
-    Without `per_layer` it has no layer rows and runs no backward or probe.
+    reads from those. A linear's loss compares the outputs its strategy
+    calibrated on: the FP layer on its `calibration.STREAMS` row's first
+    stream and the quantized layer on its last, where a stream carried by
+    the FP (quantized) layer is `t_fp` (`t_q`). Where that is the output's
+    own trace, its next value is the output; otherwise the layer runs on the
+    other trace's input. Every number keeps one (B,) array of per-sample
+    values. A layer's loss is its array's mean, with the bytes of
+    `calibration.layer_loss`; every other number is its array's sum in
+    sample order. Every kernel keeps each sample's bytes, so the report is
+    that of a one-sample loop. Without `per_layer` it has no layer rows and
+    runs no backward or probe.
     """
     check_result_layers(stack, result)
     cfg_a = QuantConfig(result.bits_a, "per_token")
@@ -119,59 +127,50 @@ def evaluate(
     k = _eval_block(stack, acts)
 
     linears = stack.linears() if per_layer else ()
-    sq_sums = {lin.name: np.empty(b_total) for _, lin in linears}
-    # first-order estimate vs measured loss change, per layer, summed over batch
-    probes = {lin.name: [0.0, 0.0] for _, lin in linears}
-    fp_total = q_total = mse_total = ce_total = 0.0
+    carriers = tuple(STREAMS[result.strategy].values())
+    fp_own, q_own = carriers[0] == "fp", carriers[-1] == "q"  # each output is its own trace's next value
+    layer_cols = {lin.name: np.empty((3, b_total)) for _, lin in linears}  # loss, estimate, measured
+    cols = np.empty((4, b_total))  # fp loss, quant loss, output squared error per token, CE gap
     for start in range(0, b_total, k):
-        x = acts[start : start + k]
+        x, at = acts[start : start + k], slice(start, start + k)
         t_fp = forward_fp(stack, x)
         t_q = forward_quant(stack, x, scales, weights, cfg_a)
         fp_vals, q_vals = t_fp.values(), t_q.values()
         if linears:
             grads = backward_from_trace(stack, t_fp, keep=[i for i, _ in linears])
-            for name, (est, meas) in activation_error_probe(stack, t_fp, grads, scales, cfg_a).items():
-                for e, m in zip(est.tolist(), meas.tolist()):
-                    probes[name][0] += e
-                    probes[name][1] += m
+            for name, est_meas in activation_error_probe(stack, t_fp, grads, scales, cfg_a).items():
+                layer_cols[name][1:, at] = est_meas
         for idx, lin in linears:
-            s = scales[lin.name]
-            if result.strategy == "passact2":
-                d = apply_layer_fp(lin, t_q.inputs[idx]) - q_vals[idx + 1]
-            elif result.strategy == "passact1":
-                d = fp_vals[idx + 1] - q_vals[idx + 1]
-            else:
-                d = fp_vals[idx + 1] - apply_linear_quant(lin, t_fp.inputs[idx], s, weights[lin.name], cfg_a)
-            sq_sums[lin.name][start : start + k] = sample_sums(d * d)
+            y_fp = fp_vals[idx + 1] if fp_own else apply_layer_fp(lin, t_q.inputs[idx])
+            y_q = q_vals[idx + 1] if q_own else apply_linear_quant(
+                lin, t_fp.inputs[idx], scales[lin.name], weights[lin.name], cfg_a)
+            d = y_fp - y_q
+            layer_cols[lin.name][0, at] = sample_sums(d * d)
         y_fp, y_q = t_fp.output, t_q.output
         d = y_q - y_fp
         labels = ProxyLossSpec("ce_pseudo", np.argmax(y_fp, axis=-1))
         ce = loss_value(y_q, labels) - loss_value(y_fp, labels)
-        per_sample = (loss_value(y_fp, ProxyLossSpec()), loss_value(y_q, ProxyLossSpec()), sample_sums(d * d), ce)
-        for fp_b, q_b, sq_b, ce_b in zip(*(v.tolist() for v in per_sample)):
-            fp_total += fp_b
-            q_total += q_b
-            mse_total += sq_b / acts.shape[1]
-            ce_total += ce_b
+        cols[:, at] = (
+            loss_value(y_fp, ProxyLossSpec()), loss_value(y_q, ProxyLossSpec()), sample_sums(d * d) / acts.shape[1], ce
+        )
 
-    fp_loss = fp_total / b_total
-    quant_loss = q_total / b_total
-    rows = tuple(
-        LayerEval(row.name, row.ratio, float(np.mean(sq_sums[row.name])), *probes[row.name])
-        for row in result.layers if per_layer
-    )
+    fp_loss, quant_loss, output_mse, ce_gap = (_in_order(c) / b_total for c in cols)
+    rows = []
+    for row in result.layers if per_layer else ():
+        loss, est, meas = layer_cols[row.name]
+        rows.append(LayerEval(row.name, row.ratio, float(np.mean(loss)), _in_order(est), _in_order(meas)))
     return EvalReport(
         result.strategy,
         result.stat_mode,
         result.bits_w,
         result.bits_a,
         b_total,
-        rows,
+        tuple(rows),
         fp_loss,
         quant_loss,
         abs(quant_loss - fp_loss),
-        mse_total / b_total,
-        abs(ce_total) / b_total,
+        output_mse,
+        abs(ce_gap),
     )
 
 

@@ -1,8 +1,8 @@
 """Measurements only the tests take: planted-fixture checks, heatmap readers,
 the rounding-error law, two small tensor builders, four reference kernels
 (explicit smoothing, the quantized artifact's forward pass, and the
-one-sample-at-a-time calibration and evaluation), and a transport wrapper
-that corrupts one sent frame."""
+one-sample-at-a-time calibration and evaluation), and two transport
+wrappers: one corrupts a sent frame, the other loses one."""
 
 from __future__ import annotations
 
@@ -349,6 +349,30 @@ def relabelling_transport(make_transport, kind: str, stream: str | None, nth: in
             send(msg)
 
         transport.send = relabelled
+        return transport
+
+    return build
+
+
+def losing_transport(make_transport, kind: str, stream: str | None, nth: int):
+    """A `distcal.make_transport` whose transports lose the `nth` (from 1)
+    frame of `kind` and `stream`.
+
+    The frame's seq is spent, as a frame lost on its way would spend it, so
+    the next frame on its channel arrives one seq past the one expected.
+    """
+
+    def build(name, worker_ids):
+        transport = make_transport(name, worker_ids)
+        send, seen = transport._send, itertools.count(1)
+
+        def lossy(msg: CalMessage, timeout: float | None) -> None:
+            if (msg.kind, msg.stream) == (kind, stream) and next(seen) == nth:
+                transport._next_seq(msg.sender, msg.receiver)
+                return
+            send(msg, timeout)
+
+        transport._send = lossy
         return transport
 
     return build

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import relabelling_transport
+from helpers import losing_transport, relabelling_transport
 from tlq import distcal
 from tlq.calibration import RatioGrid, calibrate, result_to_text
 from tlq.distcal import (
@@ -31,7 +31,7 @@ from tlq.distcal import (
     encode_message,
     run_distributed_calibration,
 )
-from tlq.errors import ConfigError, LedgerError, NumericError, ProtocolError
+from tlq.errors import ConfigError, LedgerError, NumericError, ProtocolError, TlqError
 from tlq.fixtures import build_calibset, build_stack
 from tlq.quantizer import QuantConfig
 from tlq.tensor import Rng, rand_normal
@@ -282,7 +282,7 @@ def test_full_in_process_channel_fails_a_send_after_its_timeout():
     with pytest.raises(ProtocolError, match="channel full"):
         chans.send(CalMessage("done", 0, 1))
     assert 0.05 <= time.monotonic() - start < 0.5
-    chans.send_timeout = 30.0
+    chans.send_timeout = 5.0
     start = time.monotonic()
     chans.abort_peers(0, "failing")  # the full channel drops the abort at once
     assert time.monotonic() - start < 0.5
@@ -304,7 +304,7 @@ def test_transport_names_a_sequence_gap():
 @pytest.mark.parametrize("transport", ["in_process", "sockets"])
 def test_an_abort_stops_only_the_aborting_workers_channels(transport):
     chans = distcal.make_transport(transport, [0, 1, 2])
-    chans.send_timeout = 30.0
+    chans.send_timeout = 5.0
     if transport == "in_process":  # fill channel 0->1
         for _ in range(distcal.CHANNEL_FRAMES):
             chans.send(CalMessage("done", 0, 1))
@@ -611,7 +611,7 @@ def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, worker
     with pytest.raises(ProtocolError, match="worker failed: injected failure") as info:
         run_distributed_calibration(
             stack, acts, workers=workers, transport=transport, strategy="passact2",
-            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=30.0,
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=5.0,
         )
     assert time.monotonic() - start < 3.0
     assert isinstance(info.value.__cause__, NumericError)
@@ -830,7 +830,7 @@ def test_a_silent_exit_ends_the_run_at_once(monkeypatch, workers, worker, after,
     with pytest.raises(ProtocolError):
         run_distributed_calibration(
             stack, acts, workers=workers, transport=transport, strategy="passact2",
-            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=30.0,
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=5.0,
         )
     assert time.monotonic() - start < 3.0
     assert threading.active_count() == threads
@@ -856,7 +856,7 @@ def test_a_coordinator_failing_first_ends_the_run_with_its_own_error(monkeypatch
     with pytest.raises(NumericError, match="coordinator failure"):
         run_distributed_calibration(
             stack, acts, workers=workers, transport=transport, strategy="passact2",
-            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=30.0,
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=5.0,
         )
     assert time.monotonic() - start < 3.0
     assert threading.active_count() == threads
@@ -945,6 +945,52 @@ def test_worker_validation(monkeypatch):
         with pytest.raises(ConfigError, match="2 or 3 workers"):
             run_distributed_calibration(stack, acts, workers=workers, transport="sockets", cfg_w=CFG_W, cfg_a=CFG_A)
     assert threading.active_count() <= before
+
+
+_GAPS = (  # (kind, stream, which frame, the gap its channel's next frame shows)
+    ("layer_output", "q", 1, r"channel \(0, 2\): expected seq 1, got 2"),
+    ("layer_output", "q", 5, r"channel \(0, 2\): expected seq 5, got 6"),
+    ("loss_report", None, 3, r"channel \(2, 1\): expected seq 2, got 3"),
+)
+
+
+@pytest.mark.parametrize("kind, stream, nth, gap, transport", [
+    pytest.param(*case, transport, id=f"{case[0]}-{case[1]}-{case[2]}-{transport}")
+    for transport in ("in_process", "sockets") for case in _GAPS
+])
+def test_a_lost_frame_followed_by_another_ends_the_run_at_once(monkeypatch, kind, stream, nth, gap, transport):
+    monkeypatch.setattr(distcal, "make_transport", losing_transport(distcal.make_transport, kind, stream, nth))
+    stack, acts = _fixture(seed=9, b=8, n=16)
+    threads = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match=gap) as info:
+        run_distributed_calibration(
+            stack, acts, workers=3, transport=transport, strategy="passact2",
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=0.5,
+        )
+    assert time.monotonic() - start < 0.5
+    assert "\n" not in str(info.value)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("transport", ["in_process", "sockets"])
+@pytest.mark.parametrize("kind, stream", [("ratio_fixed", None), ("layer_output", "q")])
+def test_a_lost_frame_with_no_later_frame_ends_within_the_timeout(monkeypatch, kind, stream, transport):
+    """The first ratio_fixed, or the last q layer_output: nothing follows either on its channel."""
+    stack, acts = _fixture(seed=9, b=8, n=16)
+    nth = 1 if kind == "ratio_fixed" else len(stack.linears()) * len(RatioGrid().points())
+    monkeypatch.setattr(distcal, "make_transport", losing_transport(distcal.make_transport, kind, stream, nth))
+    timeout = 0.5
+    threads = threading.active_count()
+    start = time.monotonic()
+    with pytest.raises(TlqError, match="timeout") as info:
+        run_distributed_calibration(
+            stack, acts, workers=3, transport=transport, strategy="passact2",
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=timeout,
+        )
+    assert time.monotonic() - start < 1.5 * timeout
+    assert "\n" not in str(info.value)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("timeout", [-1.0, 0.0, math.nan, math.inf, 1e12])

@@ -1,6 +1,7 @@
-"""Smoke runs of the experiment scripts under scripts/, as subprocesses."""
+"""Smoke runs of the experiment scripts under scripts/, as subprocesses, and the mutation runner's table."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,12 @@ def test_run_mutants_kills_one_mutant_with_one_test():
     assert row[:2] == ["quantize-round-offset", "killed"]
     assert row[3] == "tests/test_quantizer.py::test_hand_case_n4"
     assert out.endswith("killed 1 of 1\n")
+
+
+def test_every_mutant_edits_one_place_of_a_covered_module():
+    runner = runpy.run_path(str(ROOT / "scripts" / "run_mutants.py"))
+    mutants, covering = runner["MUTANTS"], runner["COVERING"]
+    assert len({m.name for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert m.module in covering, m.name
+        assert (ROOT / "src" / "tlq" / f"{m.module}.py").read_text().count(m.old) == 1, m.name
