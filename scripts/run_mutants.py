@@ -3,8 +3,9 @@
 
 Each mutant in MUTANTS is one text edit of a file under src/tlq. For each
 mutant the runner copies the repository into a temporary directory, applies
-the edit there, and runs pytest (stopping at the first failure) on the test
-files that cover the mutated module. A mutant is killed when a test fails,
+the edit there, and runs pytest (stopping at the first failure) on each
+test file that covers the mutated module in turn, until one fails. A mutant
+is killed when a test fails,
 and survives when every test passes. It prints one table row per mutant:
 the outcome, the first failing test, and the seconds the run took.
 
@@ -182,6 +183,30 @@ MUTANTS = (
         '        print(f"error: {exc}", file=sys.stderr)\n        return 1\n',
     ),
     Mutant("warning-printed-with-source", "cli", "            warnings.showwarning = _print_warning\n", ""),
+    Mutant("fold-in-stack-order", "calibration", "for i in reversed(range(len(out))):", "for i in range(len(out)):"),
+    Mutant(
+        "result-negative-layers", "calibration",
+        '_count(r.next("layers"), "layers")', '_parse(int, r.next("layers"), "layers")',
+    ),
+    Mutant(
+        "result-negative-curve", "calibration",
+        '_count(r.next("curve"), f"curve length', '_parse(int, r.next("curve"), f"curve length',
+    ),
+    Mutant(
+        "result-curve-off-grid", "calibration",
+        "if tuple(point for point, _ in row.loss_curve) != result.grid.points():", "if False:",
+    ),
+    Mutant(
+        "result-loss-nan", "calibration", "if not all(loss >= 0.0 for _, loss in row.loss_curve):", "if False:",
+    ),
+    Mutant("result-ratio-not-minimizer", "calibration", "if row.ratio != select_ratio(row.loss_curve):", "if False:"),
+    Mutant("result-origin-unchecked", "calibration", 'if r.next("origin") != origin:', 'if r.next("origin") is None:'),
+    Mutant("result-scale-count-unchecked", "calibration", "if values.shape[0] != count:", "if False:"),
+    Mutant("calibset-non-finite-unchecked", "model", "if not np.isfinite(acts).all():", "if False:"),
+    Mutant("reader-text-decode-unhandled", "model", "except UnicodeDecodeError as exc:", "except () as exc:"),
+    Mutant("reader-trailing-unchecked", "model", "if self.pos != len(self.data):", "if False:"),
+    Mutant("cli-read-missing-unchecked", "cli", "    if not p.is_file():\n", "    if False:\n"),
+    Mutant("cli-out-dir-unchecked", "cli", "if p.parent and not p.parent.exists():", "if False:"),
     Mutant("rmsnorm-eps-unbounded", "layers", 'if not 0 < self.eps < float("inf"):', "if not 0 < self.eps:"),
     Mutant(
         "smooth-scale-allows-inf", "smoothing",
@@ -206,19 +231,22 @@ def run_mutant(mutant: Mutant, tests: tuple[str, ...]) -> tuple[str, str, float]
         if text.count(mutant.old) != 1:
             raise SystemExit(f"mutant {mutant.name}: its text occurs {text.count(mutant.old)} times in {path.name}")
         path.write_text(text.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider", *tests]
+        # no test uses an installed pytest plugin (hypothesis runs without its own), and loading them costs ~1 s a run
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider"]
         start = time.monotonic()
-        try:
-            done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return "killed", f"(timeout after {TIMEOUT_S:.0f} s)", time.monotonic() - start
-        seconds = time.monotonic() - start
-    if done.returncode == 0:
-        return "survived", "-", seconds
-    if done.returncode in (1, 2):  # test failures, or errors during collection
-        return "killed", _first_failure(done.stdout), seconds
-    raise SystemExit(f"mutant {mutant.name}: pytest exited {done.returncode}\n{done.stdout}{done.stderr}")
+        for test in tests:  # one at a time: collecting the files after the first failure would cost seconds
+            try:
+                done = subprocess.run([*cmd, test], cwd=copy, env=env, capture_output=True, text=True,
+                                      timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                return "killed", f"(timeout after {TIMEOUT_S:.0f} s)", time.monotonic() - start
+            if done.returncode in (1, 2):  # test failures, or errors during collection
+                return "killed", _first_failure(done.stdout), time.monotonic() - start
+            if done.returncode != 0:
+                raise SystemExit(f"mutant {mutant.name}: pytest exited {done.returncode}\n{done.stdout}{done.stderr}")
+    return "survived", "-", time.monotonic() - start
 
 
 def main() -> int:

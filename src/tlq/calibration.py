@@ -551,36 +551,24 @@ class QuantizedStack:
 def quantize_with_result(stack: LayerStack, result: CalibrationResult) -> QuantizedStack:
     """Emit the deployable artifact: fused smoothing plus quantized weights, at the result's bit widths.
 
-    Each linear's smoothing division is folded into its rmsnorm or linear
-    predecessor; a linear with neither (first, or after an activation) keeps
-    an explicit input scale. Weights are stored as per-channel quantized tensors.
+    One pass from the last layer to the first: each linear's smoothing division
+    folds into its rmsnorm or linear predecessor, or else (first, or after an
+    activation) stays its explicit input scale. Then its own weight, which its
+    successor has already folded into, is quantized per channel at `bits_w`,
+    which only the `QuantizedStack` records.
     """
     cfg_w = QuantConfig(result.bits_w, "per_channel")
     check_result_layers(stack, result)
     by_name = scales_from_result(result)
-
-    # fold every linear's input scale into its predecessor first, then quantize
-    fused: list = list(stack.layers)
-    explicit: dict[str, np.ndarray] = {}
-    for i, layer in enumerate(stack.layers):
-        if not isinstance(layer, Linear):
-            continue
-        scale = by_name[layer.name]
-        if i == 0 or not isinstance(stack.layers[i - 1], (RMSNorm, Linear)):
-            explicit[layer.name] = scale.values
-        else:
-            fused[i - 1] = fuse_into_predecessor(fused[i - 1], scale)
-
-    out: list = []
-    for layer in fused:
-        if isinstance(layer, Linear):
+    out = list(stack.layers)
+    for i in reversed(range(len(out))):
+        if isinstance(layer := out[i], Linear):
             scale = by_name[layer.name]
+            fold = i > 0 and isinstance(out[i - 1], (RMSNorm, Linear))
+            if fold:
+                out[i - 1] = fuse_into_predecessor(out[i - 1], scale)
             qw = quantize(layer.weight * scale.values, cfg_w)
-            out.append(
-                QuantizedLinear(layer.name, qw, layer.bias, explicit.get(layer.name))
-            )
-        else:
-            out.append(layer)
+            out[i] = QuantizedLinear(layer.name, qw, layer.bias, None if fold else scale.values)
     return QuantizedStack(tuple(out), stack.input_channels, result.bits_w, result.bits_a)
 
 
@@ -594,10 +582,6 @@ _RESULT_HEADER = "tlq-result v1"
 def _origin(stat_mode: str) -> str:
     """Each row's `origin` line: a sqrt-mode scale is SmoothQuant's baseline."""
     return "sqrt_baseline" if stat_mode == "sqrt" else "stat_ratio"
-
-
-def _fmt_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
 
 
 def result_to_text(result: CalibrationResult) -> str:
@@ -615,7 +599,7 @@ def result_to_text(result: CalibrationResult) -> str:
         lines.append(f"layer {row.name}")
         lines.append(f"ratio {repr(float(row.ratio))}")
         lines.append(f"origin {_origin(result.stat_mode)}")
-        lines.append(f"scale {row.scale.values.shape[0]} {_fmt_floats(row.scale.values)}")
+        lines.append(f"scale {row.scale.values.shape[0]} {' '.join(repr(float(v)) for v in row.scale.values)}")
         lines.append(f"curve {len(row.loss_curve)}")
         for r, loss in row.loss_curve:
             lines.append(f"{repr(float(r))} {repr(float(loss))}")
@@ -645,10 +629,16 @@ def _parse(kind: type, text: str, what: str):
         raise CheckpointError("bad_field", f"{what}: expected {kind.__name__}, got {text!r}") from None
 
 
+def _count(text: str, what: str) -> int:
+    n = _parse(int, text, what)
+    if n < 0:
+        raise CheckpointError("bad_field", f"{what}: expected a count >= 0, got {n}")
+    return n
+
+
 def load_result(data: bytes) -> CalibrationResult:
     """A result document read from a file: UTF-8 text for `result_from_text`."""
-    r = _Reader(data)
-    return result_from_text(r.text(len(data)))
+    return result_from_text(_Reader(data).text(len(data)))
 
 
 def result_from_text(text: str) -> CalibrationResult:
@@ -664,7 +654,7 @@ def result_from_text(text: str) -> CalibrationResult:
         raise CheckpointError("bad_field", f"grid needs start, stop and step, got {g!r}")
     g = [_parse(float, v, "grid") for v in g]
     rows, origin = [], _origin(stat_mode)
-    for _ in range(_parse(int, r.next("layers"), "layers")):
+    for _ in range(_count(r.next("layers"), "layers")):
         name = r.next("layer")
         ratio = _parse(float, r.next("ratio"), f"ratio of {name!r}")
         if r.next("origin") != origin:
@@ -675,16 +665,24 @@ def result_from_text(text: str) -> CalibrationResult:
         if values.shape[0] != count:
             raise CheckpointError("bad_dims", f"scale for {name!r}: expected {count} values, got {values.shape[0]}")
         curve = []
-        for _ in range(_parse(int, r.next("curve"), f"curve length of {name!r}")):
+        for _ in range(_count(r.next("curve"), f"curve length of {name!r}")):
             point, _, loss = r.next().partition(" ")  # 'ratio loss'
             curve.append((_parse(float, point, f"curve of {name!r}"), _parse(float, loss, f"curve of {name!r}")))
         rows.append((name, values, ratio, tuple(curve)))
     r.next("end")
     try:
         layers = tuple(LayerCalibration(name, SmoothScale(v), ratio, c) for name, v, ratio, c in rows)
-        return CalibrationResult(layers, strategy, stat_mode, bits_w, bits_a, fraction, RatioGrid(*g))
+        result = CalibrationResult(layers, strategy, stat_mode, bits_w, bits_a, fraction, RatioGrid(*g))
     except TlqError as exc:
         raise CheckpointError("bad_field", str(exc)) from None
+    for row in result.layers:  # what `calibrate` writes: the grid's curve, its losses >= 0, and its minimizer
+        if tuple(point for point, _ in row.loss_curve) != result.grid.points():
+            raise CheckpointError("bad_field", f"curve of {row.name!r}: its ratios are not the grid's points")
+        if not all(loss >= 0.0 for _, loss in row.loss_curve):  # NaN fails too; select_ratio needs neither
+            raise CheckpointError("bad_field", f"curve of {row.name!r}: a loss is negative or NaN")
+        if row.ratio != select_ratio(row.loss_curve):
+            raise CheckpointError("bad_field", f"ratio of {row.name!r}: not the minimizer of its curve")
+    return result
 
 
 # --- quantized artifact file format (TLQQNT01) --------------------------------
@@ -717,7 +715,7 @@ def load_quantized(data: bytes) -> QuantizedStack:
         raise CheckpointError("bad_magic", "bad magic: not a quantized stack payload")
     bits_w, bits_a, input_channels = r.unpack("<BBI")
     try:
-        cfg_w = QuantConfig(bits_w, "per_channel")
+        QuantConfig(bits_w)
         QuantConfig(bits_a)
     except ConfigError as exc:
         raise CheckpointError("bad_field", str(exc)) from None
@@ -729,7 +727,7 @@ def load_quantized(data: bytes) -> QuantizedStack:
         input_scale = r.f64s(c_in) if has_input_scale else None
         scales = r.f64s(c_out)
         q = r.array("<i4", c_out, c_in)
-        return QuantizedLinear(name, QuantizedTensor(q, scales, cfg_w), r.f64s(c_out), input_scale)
+        return QuantizedLinear(name, QuantizedTensor(q, scales), r.f64s(c_out), input_scale)
 
     layers = unpack_layers(r, unpack_qlinear)
     r.done()

@@ -651,6 +651,7 @@ def run_distributed_calibration(
             raise
         # a worker failed first: its error, raised below, is the cause
     finally:
+        chans.close_ends(me)  # as the helpers' exits do: one still waiting on the coordinator ends at once
         for t in threads:
             t.join(timeout=timeout)
         chans.close()

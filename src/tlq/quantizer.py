@@ -55,10 +55,9 @@ class QuantConfig:
 
 
 @dataclass(frozen=True)
-class QuantizedTensor:
+class QuantizedTensor:  # its bit width is stated once, by its artifact's `QuantizedStack.bits_w`
     q: np.ndarray  # int32 codes, same shape as the source
     scales: np.ndarray  # one positive scale per row
-    config: QuantConfig
 
 
 # rows per pass of _qdq_inplace are sized to keep its temporaries in cache
@@ -96,7 +95,7 @@ def quantize(x: np.ndarray, cfg: QuantConfig) -> QuantizedTensor:
     t += 0.5
     np.floor(t, out=t)
     np.copysign(t, x, out=t)
-    return QuantizedTensor(t.astype(np.int32), scales, cfg)
+    return QuantizedTensor(t.astype(np.int32), scales)
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Measurements only the tests take: planted-fixture checks, heatmap readers,
 the rounding-error law, two small tensor builders, four reference kernels
 (explicit smoothing, the quantized artifact's forward pass, and the
-one-sample-at-a-time calibration and evaluation), and two transport
-wrappers: one corrupts a sent frame, the other loses one."""
+one-sample-at-a-time calibration and evaluation), and a transport
+wrapper that loses, repeats, reorders or relabels one frame."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -233,6 +233,40 @@ def evaluate_per_sample(
     )
 
 
+# --- result files -----------------------------------------------------------------------
+
+# how a result text that `load_result` refuses, though each line parses, is made from
+# one `calibrate` wrote -> the refusal's message, which names the first layer
+BROKEN_RESULTS = {
+    "layers_negative": "layers: expected a count >= 0, got -1",
+    "curve_negative": "curve length of {name!r}: expected a count >= 0, got -1",
+    "curve_off_grid": "curve of {name!r}: its ratios are not the grid's points",
+    "loss_nan": "curve of {name!r}: a loss is negative or NaN",
+    "ratio_not_minimizer": "ratio of {name!r}: not the minimizer of its curve",
+}
+
+
+def broken_result_text(text: str, how: str) -> tuple[str, str]:
+    """(`text` broken as `how` in BROKEN_RESULTS says, the refusal's message)."""
+    lines = text.splitlines()
+    at = {word: next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == word)
+          for word in ("layers", "layer", "ratio", "curve")}
+    name, curve = lines[at["layer"]].split(" ", 1)[1], at["curve"]
+    if how == "layers_negative":  # and no layer rows
+        lines[at["layers"] + 1 : -1] = []
+        lines[at["layers"]] = "layers -1"
+    elif how == "curve_negative":  # and no curve lines
+        lines[curve + 1 : curve + 1 + int(lines[curve].split()[1])] = []
+        lines[curve] = "curve -1"
+    elif how == "curve_off_grid":  # its first two points in the other order
+        lines[curve + 1], lines[curve + 2] = lines[curve + 2], lines[curve + 1]
+    elif how == "loss_nan":  # at its first point
+        lines[curve + 1] = lines[curve + 1].split(" ")[0] + " nan"
+    else:  # another grid point
+        lines[at["ratio"]] = "ratio 1.0" if lines[at["ratio"]] == "ratio 0.0" else "ratio 0.0"
+    return "\n".join(lines) + "\n", BROKEN_RESULTS[how].format(name=name)
+
+
 # --- rounding error ----------------------------------------------------------------
 
 
@@ -330,49 +364,35 @@ def parse_heatmap_csv(text: str) -> list:
 # --- distributed faults -----------------------------------------------------------------
 
 
-def relabelling_transport(make_transport, kind: str, stream: str | None, nth: int,
-                          change: Callable[[CalMessage], CalMessage]):
-    """A `distcal.make_transport` whose transports send the `nth` (from 1)
-    frame of `kind` and `stream` as `change(frame)`.
+def faulty_transport(make_transport, fault, kind: str, stream: str | None, nth: int, receiver: int):
+    """A `distcal.make_transport` whose transports fault the `nth` (from 1)
+    frame of `kind` and `stream` that worker `receiver` reads.
 
-    The change is made before encoding, as a sender's bug would make it, so
-    the frame's checksum holds.
+    The frame is faulted on its way, after its sender spent its seq: "drop"
+    loses it, "duplicate" delivers it twice, and "swap" delivers it after
+    the next frame on its channel. Any other `fault` is a function, and
+    the frame arrives as `fault(frame)`: a relabelling that a sender's bug
+    would make before encoding, so the frame's checksum holds.
     """
 
     def build(name, worker_ids):
         transport = make_transport(name, worker_ids)
-        send, seen = transport.send, itertools.count(1)
+        recv, seen, held = transport._recv, itertools.count(1), {}
 
-        def relabelled(msg: CalMessage) -> None:
-            if (msg.kind, msg.stream) == (kind, stream) and next(seen) == nth:
-                msg = change(msg)
-            send(msg)
+        def faulty(me: int, sender: int, timeout: float) -> CalMessage:
+            if (sender, me) in held:
+                return held.pop((sender, me))
+            msg = recv(me, sender, timeout)
+            if (me, msg.kind, msg.stream) != (receiver, kind, stream) or next(seen) != nth:
+                return msg
+            if fault == "drop":
+                return recv(me, sender, timeout)
+            if fault in ("duplicate", "swap"):
+                held[(sender, me)] = msg
+                return msg if fault == "duplicate" else recv(me, sender, timeout)
+            return fault(msg)
 
-        transport.send = relabelled
-        return transport
-
-    return build
-
-
-def losing_transport(make_transport, kind: str, stream: str | None, nth: int):
-    """A `distcal.make_transport` whose transports lose the `nth` (from 1)
-    frame of `kind` and `stream`.
-
-    The frame's seq is spent, as a frame lost on its way would spend it, so
-    the next frame on its channel arrives one seq past the one expected.
-    """
-
-    def build(name, worker_ids):
-        transport = make_transport(name, worker_ids)
-        send, seen = transport._send, itertools.count(1)
-
-        def lossy(msg: CalMessage, timeout: float | None) -> None:
-            if (msg.kind, msg.stream) == (kind, stream) and next(seen) == nth:
-                transport._next_seq(msg.sender, msg.receiver)
-                return
-            send(msg, timeout)
-
-        transport._send = lossy
+        transport._recv = faulty
         return transport
 
     return build

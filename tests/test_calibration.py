@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import re
 import threading
 import time
 import tracemalloc
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import random_block_stack, reference_linear_quant, single_linear_stack
-from helpers import forward_quantized
+from helpers import BROKEN_RESULTS, broken_result_text, forward_quantized, rand_uniform
 from tlq import calibration
 from tlq.calibration import (
     STAT_MODES,
@@ -498,6 +500,15 @@ def test_result_from_text_rejects_invalid_fields(field, value):
         result_from_text(_mutated_result_text(field, value))
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("how", sorted(BROKEN_RESULTS))
+def test_load_result_refuses_what_calibrate_never_writes(how, strategy):
+    text, message = broken_result_text(result_to_text(_small_result(strategy)), how)
+    with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+        load_result(text.encode())
+    assert info.value.code == "bad_field"
+
+
 @pytest.mark.parametrize("stat_mode", STAT_MODES)
 def test_result_from_text_refuses_an_origin_its_stat_mode_does_not_give(stat_mode):
     text = result_to_text(_small_result(stat_mode=stat_mode))
@@ -618,7 +629,35 @@ def test_artifact_header_carries_the_result_bit_widths(bits):
     assert blob[8:10] == bytes(bits)  # u8 bits_w | u8 bits_a after the magic
     again = load_quantized(blob)
     assert (again.bits_w, again.bits_a) == bits
-    assert {l.qweight.config.bits for l in again.layers if isinstance(l, QuantizedLinear)} == {bits[0]}
+
+
+# sha256 of the artifact below, recorded before the fold became one pass from the last layer
+_EVERY_PREDECESSOR_SHA256 = "40d56cd9eb41c20e3f137e22817aa2b4bbca47470966c5de52d619f6b8c5f6b4"
+
+
+def test_quantize_folds_each_scale_by_the_kind_of_its_predecessor():
+    """A linear first, after a linear, after an activation and after an rmsnorm.
+
+    Only a linear after an rmsnorm or a linear has its scale folded away; the
+    folded linear is quantized after its successor's scale divides its rows.
+    """
+    rng = Rng(47)
+
+    def linear(name):
+        return Linear(name, rand_normal(rng.split(f"w{name}"), (8, 8)) / np.sqrt(8), rand_normal(rng.split(name), (8,)))
+
+    stack = LayerStack((
+        linear("first"), linear("after_linear"), Activation("act", "silu"),
+        linear("after_act"), RMSNorm("norm", rand_uniform(rng.split("gain"), (8,), 0.5, 1.5), 1e-6),
+        linear("after_norm"),
+    ), 8)
+    res = calibrate(stack, _calib_inputs(48, 2, 4, 8), strategy="passact2", stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A)
+    blob = save_quantized(quantize_with_result(stack, res))
+    assert hashlib.sha256(blob).hexdigest() == _EVERY_PREDECESSOR_SHA256
+    scales = {row.name: row.scale.values for row in res.layers}
+    got = {layer.name: layer.input_scale for layer in load_quantized(blob).layers if isinstance(layer, QuantizedLinear)}
+    assert got["after_linear"] is None and got["after_norm"] is None
+    assert np.array_equal(got["first"], scales["first"]) and np.array_equal(got["after_act"], scales["after_act"])
 
 
 @pytest.mark.parametrize("field", ["bits_w", "bits_a"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import parse_heatmap_csv
+from helpers import BROKEN_RESULTS, broken_result_text, parse_heatmap_csv
 from tlq import fixtures
 from tlq.calibration import load_quantized, result_from_text
 from tlq.cli import _CAL_OPTIONS, _DIST_OPTIONS, main
@@ -361,6 +361,24 @@ def test_invalid_result_exits_two(tmp_path, capsys, old, new):
     assert not (tmp_path / "q").exists()
 
 
+@pytest.mark.parametrize("how", sorted(BROKEN_RESULTS))
+def test_a_result_calibrate_never_writes_exits_two(tmp_path, capsys, how):
+    model = _gen_model(tmp_path)
+    calib = _gen_calib(tmp_path)
+    result = _calibrate(tmp_path, model, calib)
+    text, message = broken_result_text(result.read_text(), how)
+    result.write_text(text)
+    outs = [tmp_path / "q", tmp_path / "e.txt"]
+    for argv in (
+        ["quantize", "--model", str(model), "--result", str(result), "--out", str(outs[0])],
+        ["eval", "--model", str(model), "--result", str(result), "--calib", str(calib), "--out", str(outs[1])],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        _one_error_line(capsys, f"error: {message}")
+    assert not any(p.exists() for p in outs)
+
+
 def test_non_numeric_ratio_exits_two(tmp_path, capsys):
     model = _gen_model(tmp_path)
     calib = _gen_calib(tmp_path)
@@ -650,6 +668,37 @@ def test_an_output_path_that_is_a_directory_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["calibrate", "--model", str(model), "--calib", str(calib), "--out", str(out)]) == 2
     _one_error_line(capsys, "io error: [Errno 21] Is a directory")
+
+
+_OUTPUTS = {  # each command's output flags
+    "gen-model": ("--out",), "gen-calib": ("--out",), "calibrate": ("--out",),
+    "dist-calibrate": ("--out", "--memory-report"), "quantize": ("--out",), "eval": ("--out",),
+    "heatmap": ("--out-pre", "--out-post"),
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _OUTPUTS.items() for f in flags])
+def test_a_missing_output_directory_exits_one_and_writes_nothing(tmp_path, capsys, command, flag):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    inputs = {
+        "gen-model": ["--seed", "1", "--channels", "16"], "gen-calib": ["--seed", "1", "--channels", "16"],
+        "calibrate": ["--model", str(model), "--calib", str(calib)],
+        "quantize": ["--model", str(model), "--result", str(_calibrate(tmp_path, model, calib))],
+        "heatmap": ["--model", str(model), "--calib", str(calib), "--layer", "1"],
+    }
+    inputs["dist-calibrate"] = inputs["calibrate"]
+    inputs["eval"] = inputs["quantize"] + ["--calib", str(calib)]
+    outs = tmp_path / "outs"
+    outs.mkdir()
+    missing = tmp_path / "missing" / "out.txt"
+    argv = [command, *inputs[command]]
+    for f in _OUTPUTS[command]:
+        argv += [f, str(missing if f == flag else outs / f.strip("-"))]
+    capsys.readouterr()
+    assert main(argv) == 1
+    _one_error_line(capsys, f"config error: output directory does not exist: {missing.parent}")
+    assert not missing.parent.exists() and not any(outs.iterdir())
 
 
 def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):

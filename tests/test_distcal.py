@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import losing_transport, relabelling_transport
+from helpers import faulty_transport
 from tlq import distcal
 from tlq.calibration import RatioGrid, calibrate, result_to_text
 from tlq.distcal import (
@@ -24,6 +24,7 @@ from tlq.distcal import (
     InProcessTransport,
     MemoryAccount,
     SocketTransport,
+    TRANSPORTS,
     _cal_worker_loop,
     _WorkerCtx,
     baseline_peak,
@@ -875,22 +876,22 @@ def _doubled_scale(msg):
 
 
 _CURVE = "does not hold this grid's curve"
-_RELABELS = (  # (kind, stream, which frame, change, the coordinator's error)
-    ("loss_report", None, 5, _off_grid, _CURVE),
-    ("layer_output", "q", 5, _off_grid, _CURVE),
-    ("ratio_fixed", None, 1, _another_minimum, _CURVE),
-    ("ratio_fixed", None, 1, _doubled_scale, "does not match the coordinator's statistic"),
+_RELABELS = (  # (kind, stream, which frame, its receiver, change, the coordinator's error)
+    ("loss_report", None, 5, 1, _off_grid, _CURVE),
+    ("layer_output", "q", 5, 2, _off_grid, _CURVE),
+    ("ratio_fixed", None, 1, 0, _another_minimum, _CURVE),
+    ("ratio_fixed", None, 1, 0, _doubled_scale, "does not match the coordinator's statistic"),
 )
 
 
-@pytest.mark.parametrize("kind, stream, nth, change, error, transport", [
-    pytest.param(*case, transport, id=f"{case[0]}-{case[1]}-{case[3].__name__}-{transport}")
+@pytest.mark.parametrize("kind, stream, nth, receiver, change, error, transport", [
+    pytest.param(*case, transport, id=f"{case[0]}-{case[1]}-{case[4].__name__}-{transport}")
     for transport in ("in_process", "sockets") for case in _RELABELS
 ])
-def test_a_mislabelled_frame_never_gives_a_result(monkeypatch, kind, stream, nth, change, error, transport):
+def test_a_mislabelled_frame_never_gives_a_result(monkeypatch, kind, stream, nth, receiver, change, error, transport):
     """A sender's bug that relabels one frame is refused by the coordinator, naming the layer."""
     monkeypatch.setattr(distcal, "make_transport",
-                        relabelling_transport(distcal.make_transport, kind, stream, nth, change))
+                        faulty_transport(distcal.make_transport, change, kind, stream, nth, receiver))
     stack, acts = _fixture(seed=9)
     first = next(lin for _, lin in stack.linears()).name  # every relabelled frame is of the first linear
     with pytest.raises(ProtocolError, match=f"layer '{first}': .*{error}"):
@@ -947,19 +948,20 @@ def test_worker_validation(monkeypatch):
     assert threading.active_count() <= before
 
 
-_GAPS = (  # (kind, stream, which frame, the gap its channel's next frame shows)
-    ("layer_output", "q", 1, r"channel \(0, 2\): expected seq 1, got 2"),
-    ("layer_output", "q", 5, r"channel \(0, 2\): expected seq 5, got 6"),
-    ("loss_report", None, 3, r"channel \(2, 1\): expected seq 2, got 3"),
+_GAPS = (  # (kind, stream, which frame, its receiver, the gap its channel's next frame shows)
+    ("layer_output", "q", 1, 2, r"channel \(0, 2\): expected seq 1, got 2"),
+    ("layer_output", "q", 5, 2, r"channel \(0, 2\): expected seq 5, got 6"),
+    ("loss_report", None, 3, 1, r"channel \(2, 1\): expected seq 2, got 3"),
 )
 
 
-@pytest.mark.parametrize("kind, stream, nth, gap, transport", [
+@pytest.mark.parametrize("kind, stream, nth, receiver, gap, transport", [
     pytest.param(*case, transport, id=f"{case[0]}-{case[1]}-{case[2]}-{transport}")
     for transport in ("in_process", "sockets") for case in _GAPS
 ])
-def test_a_lost_frame_followed_by_another_ends_the_run_at_once(monkeypatch, kind, stream, nth, gap, transport):
-    monkeypatch.setattr(distcal, "make_transport", losing_transport(distcal.make_transport, kind, stream, nth))
+def test_a_lost_frame_followed_by_another_ends_the_run_at_once(monkeypatch, kind, stream, nth, receiver, gap, transport):
+    monkeypatch.setattr(distcal, "make_transport",
+                        faulty_transport(distcal.make_transport, "drop", kind, stream, nth, receiver))
     stack, acts = _fixture(seed=9, b=8, n=16)
     threads = threading.active_count()
     start = time.monotonic()
@@ -973,23 +975,77 @@ def test_a_lost_frame_followed_by_another_ends_the_run_at_once(monkeypatch, kind
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("transport", ["in_process", "sockets"])
-@pytest.mark.parametrize("kind, stream", [("ratio_fixed", None), ("layer_output", "q")])
-def test_a_lost_frame_with_no_later_frame_ends_within_the_timeout(monkeypatch, kind, stream, transport):
-    """The first ratio_fixed, or the last q layer_output: nothing follows either on its channel."""
+_MATRIX_GRID = RatioGrid(0.0, 1.0, 0.25)
+_MATRIX_TIMEOUT = 0.25
+_LAST = 2 * len(_MATRIX_GRID.points())  # the q outputs or loss reports of a D2 run
+# The first and last frame of each kind in a D2 run, per worker count: (kind, stream,
+# receiver, nth, followed, read_last). `followed`: a frame of the same layer's dispatch
+# comes after it on its channel. `read_last`: its receiver reads its channel no more.
+_MATRIX_FRAMES = {
+    3: (
+        ("stat_request", None, 1, 1, False, False), ("stat_request", None, 1, 2, False, False),
+        ("layer_output", "fp", 2, 1, True, False), ("layer_output", "fp", 2, 2, True, False),
+        ("layer_output", "q", 2, 1, True, False), ("layer_output", "q", 2, _LAST, False, False),
+        ("loss_report", None, 1, 1, True, False), ("loss_report", None, 1, _LAST, False, True),
+        ("ratio_fixed", None, 0, 1, False, False), ("ratio_fixed", None, 0, 2, False, True),
+        ("done", None, 1, 1, False, True), ("done", None, 2, 1, False, True),
+    ),
+    2: (
+        ("stat_request", None, 1, 1, True, False), ("stat_request", None, 1, 2, True, False),
+        ("layer_output", "fp", 1, 1, True, False), ("layer_output", "fp", 1, 2, True, False),
+        ("layer_output", "q", 1, 1, True, False), ("layer_output", "q", 1, _LAST, False, False),
+        ("ratio_fixed", None, 0, 1, False, False), ("ratio_fixed", None, 0, 2, False, True),
+        ("done", None, 1, 1, False, True),
+    ),
+}
+_RELABEL = {"ratio": lambda msg: replace(msg, ratio=(msg.ratio or 0.0) + 0.01),
+            "layer": lambda msg: replace(msg, layer=msg.layer + 1)}
+
+
+def _matrix_cases():
+    """Every fault a frame can take. A swap needs a next frame that does not wait on its own
+    frame (without one it is a drop); a relabelled field must be one the frame carries."""
+    for workers, frames in _MATRIX_FRAMES.items():
+        for kind, stream, receiver, nth, followed, read_last in frames:
+            for fault in ("drop", "duplicate", "swap", "ratio", "layer"):
+                if (fault == "swap" and not followed or fault == "layer" and kind == "done"
+                        or fault == "ratio" and kind in ("stat_request", "done")):
+                    continue
+                for transport in TRANSPORTS:
+                    yield pytest.param(workers, transport, fault, kind, stream, receiver, nth, followed, read_last,
+                                       id=f"{workers}w-{fault}-{kind}-{stream}-{nth}-to{receiver}-{transport}")
+
+
+@pytest.mark.parametrize("workers, transport, fault, kind, stream, receiver, nth, followed, read_last",
+                         _matrix_cases())
+def test_a_faulted_frame_its_receiver_reads_never_gives_a_result(
+    monkeypatch, workers, transport, fault, kind, stream, receiver, nth, followed, read_last,
+):
+    """A lost, repeated, reordered or relabelled frame ends the run in one TlqError line.
+
+    Only a fault its receiver never reads gives calibrate's result: a copy of
+    the last frame read on its channel, or a ratio on a full-precision output.
+    """
     stack, acts = _fixture(seed=9, b=8, n=16)
-    nth = 1 if kind == "ratio_fixed" else len(stack.linears()) * len(RatioGrid().points())
-    monkeypatch.setattr(distcal, "make_transport", losing_transport(distcal.make_transport, kind, stream, nth))
-    timeout = 0.5
+    opts = dict(strategy="passact2", stat_mode="max", grid=_MATRIX_GRID, cfg_w=CFG_W, cfg_a=CFG_A)
+    unread = fault == "duplicate" and read_last or fault == "ratio" and stream == "fp"
+    want = result_to_text(calibrate(stack, acts, **opts)) if unread else None
+    # a lost frame that nothing follows costs one timeout, but for `done`: the coordinator's exit ends that wait
+    pays_timeout = fault == "drop" and not followed and kind != "done"
+    monkeypatch.setattr(distcal, "make_transport", faulty_transport(
+        distcal.make_transport, _RELABEL.get(fault, fault), kind, stream, nth, receiver))
     threads = threading.active_count()
     start = time.monotonic()
-    with pytest.raises(TlqError, match="timeout") as info:
-        run_distributed_calibration(
-            stack, acts, workers=3, transport=transport, strategy="passact2",
-            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=timeout,
-        )
-    assert time.monotonic() - start < 1.5 * timeout
-    assert "\n" not in str(info.value)
+    try:
+        result, _ = run_distributed_calibration(stack, acts, workers=workers, transport=transport,
+                                                timeout=_MATRIX_TIMEOUT, **opts)
+        assert unread and result_to_text(result) == want
+    except TlqError as exc:
+        assert not unread and "\n" not in str(exc) and ("timeout" in str(exc)) == pays_timeout, exc
+        gap = re.search(r"expected seq (\d+), got (\d+)", str(exc))
+        if fault == "duplicate" or fault in ("drop", "swap") and followed:  # the receiver's seq check
+            assert gap and int(gap[2]) - int(gap[1]) == (-1 if fault == "duplicate" else 1), exc
+    assert time.monotonic() - start < (1.5 if pays_timeout else 1.0) * _MATRIX_TIMEOUT
     assert threading.active_count() == threads
 
 
