@@ -151,24 +151,22 @@ MUTANTS = (
     Mutant("dist-encode-missing-field", "distcal", "    if missing:\n", "    if False:\n"),
     Mutant("dist-crc-unchecked", "distcal", "if zlib.crc32(fields[\"tensor\"]) != crc:", "if False:"),
     Mutant(
-        "abort-frame-ignored", "distcal",
-        '        if msg.kind == "abort":\n            raise', '        if False:\n            raise',
-    ),
-    Mutant(
         "coord-scale-check-off", "distcal",
         "if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):", "if False:",
     ),
     Mutant(
         "ratio-fixed-curve-unchecked", "distcal",
-        "if tuple(r for r, _ in fixed.curve) != points or fixed.ratio != select_ratio(fixed.curve):", "if False:",
+        "if fault := row_fault(points, fixed.curve, fixed.ratio):", "if fault := None:",
     ),
-    Mutant("seq-gap-allowed", "distcal", "if msg.seq != last + 1 and", "if msg.seq <= last and"),
+    Mutant("fp-ratio-unchecked", "distcal", "if fp.ratio is not None:", "if False:"),
+    Mutant("seq-gap-allowed", "distcal", "if msg.seq != last + 1:", "if msg.seq <= last:"),
     Mutant(
         "exit-keeps-ends-open", "distcal",
-        "        finally:  # exiting closes the worker's ends, as a process's exit would\n"
+        "        finally:  # as a process's exit would: a peer still waiting on this worker ends at once\n"
         "            chans.close_ends(wid)\n",
         "",
     ),
+    Mutant("coordinator-error-wrapped", "distcal", "        if wid == COORDINATOR:\n            raise exc\n", ""),
     Mutant(
         "in-process-wait-ignores-close", "distcal", "lambda: chan or key in self._closed, timeout,", "lambda: chan, timeout,",
     ),
@@ -192,14 +190,12 @@ MUTANTS = (
         "result-negative-curve", "calibration",
         '_count(r.next("curve"), f"curve length', '_parse(int, r.next("curve"), f"curve length',
     ),
+    Mutant("row-curve-off-grid", "calibration", "if tuple(r for r, _ in curve) != points:", "if False:"),
+    Mutant("select-ratio-loss-unchecked", "calibration", "if not all(loss >= 0.0 for _, loss in curve):", "if False:"),
     Mutant(
-        "result-curve-off-grid", "calibration",
-        "if tuple(point for point, _ in row.loss_curve) != result.grid.points():", "if False:",
+        "row-ratio-not-minimizer", "calibration",
+        "None if ratio == select_ratio(curve) else", "None if select_ratio(curve) is not None else",
     ),
-    Mutant(
-        "result-loss-nan", "calibration", "if not all(loss >= 0.0 for _, loss in row.loss_curve):", "if False:",
-    ),
-    Mutant("result-ratio-not-minimizer", "calibration", "if row.ratio != select_ratio(row.loss_curve):", "if False:"),
     Mutant("result-origin-unchecked", "calibration", 'if r.next("origin") != origin:', 'if r.next("origin") is None:'),
     Mutant("result-scale-count-unchecked", "calibration", "if values.shape[0] != count:", "if False:"),
     Mutant("calibset-non-finite-unchecked", "model", "if not np.isfinite(acts).all():", "if False:"),

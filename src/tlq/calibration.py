@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, ShapeError, TlqError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError, TlqError
 from .importance import select_top_tokens, token_importance_sums
 from .layers import LayerStack, Linear, RMSNorm, layer_output_channels
 from .model import (
@@ -168,15 +168,28 @@ def _batch_fp(layer, xs: np.ndarray) -> np.ndarray:
 
 
 def select_ratio(curve: Sequence[tuple[float, float]]) -> float:
-    """Grid minimizer; losses within TIE_REL_TOL of the best tie to smaller r."""
+    """Grid minimizer; losses within TIE_REL_TOL of the best tie to smaller r. Each loss must be >= 0."""
     if len(curve) == 0:
         raise ConfigError("empty ratio grid")
+    if not all(loss >= 0.0 for _, loss in curve):  # NaN fails too
+        raise NumericError("a curve loss is negative or NaN")
     best = min(loss for _, loss in curve)
     cutoff = best + abs(best) * TIE_REL_TOL
-    for r, loss in curve:
-        if loss <= cutoff:
-            return r
-    raise AssertionError("unreachable: minimum not found in its own curve")
+    return next(r for r, loss in curve if loss <= cutoff)
+
+
+def row_fault(points: tuple[float, ...], curve: Sequence[tuple[float, float]], ratio: float) -> str | None:
+    """How a layer's curve and ratio break the rule `calibrate` keeps, or None.
+
+    The rule: the curve's ratios are the grid's `points` in order, every
+    loss is >= 0 and not NaN, and the ratio is the curve's `select_ratio`.
+    """
+    if tuple(r for r, _ in curve) != points:
+        return "its curve's ratios are not the grid's points"
+    try:
+        return None if ratio == select_ratio(curve) else "its ratio is not its curve's select_ratio"
+    except NumericError as exc:
+        return str(exc)
 
 
 def _usable_cpus() -> int:
@@ -675,13 +688,9 @@ def result_from_text(text: str) -> CalibrationResult:
         result = CalibrationResult(layers, strategy, stat_mode, bits_w, bits_a, fraction, RatioGrid(*g))
     except TlqError as exc:
         raise CheckpointError("bad_field", str(exc)) from None
-    for row in result.layers:  # what `calibrate` writes: the grid's curve, its losses >= 0, and its minimizer
-        if tuple(point for point, _ in row.loss_curve) != result.grid.points():
-            raise CheckpointError("bad_field", f"curve of {row.name!r}: its ratios are not the grid's points")
-        if not all(loss >= 0.0 for _, loss in row.loss_curve):  # NaN fails too; select_ratio needs neither
-            raise CheckpointError("bad_field", f"curve of {row.name!r}: a loss is negative or NaN")
-        if row.ratio != select_ratio(row.loss_curve):
-            raise CheckpointError("bad_field", f"ratio of {row.name!r}: not the minimizer of its curve")
+    for row in result.layers:
+        if fault := row_fault(result.grid.points(), row.loss_curve, row.ratio):
+            raise CheckpointError("bad_field", f"layer {row.name!r}: {fault}")
     return result
 
 

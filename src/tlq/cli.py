@@ -19,13 +19,7 @@ from pathlib import Path
 from . import calibration, distcal, fixtures, report
 from .calibration import RatioGrid
 from .errors import ConfigError, TlqError
-from .model import (
-    ProxyLossSpec,
-    load_calibset,
-    load_checkpoint,
-    save_calibset,
-    save_checkpoint,
-)
+from .model import load_calibset, load_checkpoint, save_calibset, save_checkpoint
 from .quantizer import QuantConfig
 
 PRESETS = {
@@ -218,7 +212,6 @@ def _calibration_kwargs(opts: dict) -> dict:
         cfg_w=QuantConfig(opts["bits_w"], "per_channel"),
         cfg_a=QuantConfig(opts["bits_a"], "per_token"),
         fraction=opts["fraction"],
-        loss=ProxyLossSpec(),
     )
 
 

@@ -28,11 +28,12 @@ builds each whole y_q to send it, and the loss worker's `layer_loss` sums
 each sample as `search_ratio`'s block scorer does, so the distributed
 result equals the single-context result bit for bit.
 
-A failure reaches a peer only through the failing worker's own channels,
-as it would between processes: a worker that raises sends an abort frame
-with its reason to every peer, and a worker's exit, failed or not, closes
-its channel ends. A wait on a closed channel ends at once and names the
-worker that closed it; frames sent before the close stay readable.
+Every worker, the coordinator included, runs under one lifecycle: a
+failure is recorded for the run, and the worker's exit, failed or not,
+closes its channel ends, as a process's exit would. So a failure reaches a
+peer only through the failing worker's own channels. A wait on a closed
+channel ends at once and names the worker that closed it; frames sent
+before the close stay readable. The run raises the first failure.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .calibration import (
     _batch_fp,
     _calibration_loop,
     layer_loss,
+    row_fault,
     select_ratio,
 )
 from .errors import ConfigError, LedgerError, ProtocolError
@@ -134,7 +136,6 @@ _LAYOUTS = {
     "loss_report": ("<Idd", ("layer", "ratio", "loss"), False),
     "ratio_fixed": ("<Id", ("layer", "ratio"), True),
     "done": ("<", (), False),
-    "abort": ("<", (), False),
 }
 MSG_KINDS = tuple(_LAYOUTS)
 
@@ -152,7 +153,6 @@ class CalMessage:
     loss: float | None = None
     curve: tuple | None = None  # ratio_fixed carries the full loss curve
     count: int | None = None  # grid length, so receivers know how much to expect
-    reason: str | None = None  # abort
 
 
 def _frame_parts(msg: CalMessage) -> list:
@@ -176,9 +176,6 @@ def _frame_parts(msg: CalMessage) -> list:
         fields[1], fields[3] = ("fp", "q").index(msg.stream), float("nan") if msg.ratio is None else msg.ratio
     try:
         parts = [struct.pack("<BHHQ" + fmt[1:], MSG_KINDS.index(msg.kind) + 1, msg.sender, msg.receiver, msg.seq, *fields)]
-        if msg.kind == "abort":  # a length-prefixed UTF-8 reason
-            raw = (msg.reason or "").encode("utf-8")
-            parts[0] += struct.pack("<H", len(raw)) + raw
         if has_tensor:
             payload = np.ascontiguousarray(msg.tensor, dtype="<f8").reshape(-1).view(np.uint8)
             parts[0] += struct.pack(f"<B{msg.tensor.ndim}II", msg.tensor.ndim, *msg.tensor.shape, zlib.crc32(payload))
@@ -213,8 +210,6 @@ def decode_message(blob) -> CalMessage:
             raise ProtocolError(f"unknown stream code {fields['stream']}")
         fields["stream"] = ("fp", "q")[fields["stream"]]
         fields["ratio"] = None if np.isnan(fields["ratio"]) else fields["ratio"]
-    elif kind == "abort":  # a length-prefixed UTF-8 reason
-        fields["reason"] = c.text(*c.unpack("<H"))
     if has_tensor:
         (ndim,) = c.unpack("<B")
         shape = c.unpack(f"<{ndim}I")
@@ -236,7 +231,7 @@ class _BaseTransport:
 
     `send_timeout` bounds how long a send may block on a full channel
     (None: no bound); a send that runs out of it raises ProtocolError.
-    Subclasses provide `_send`, `_recv` and `close_ends(worker)`, which
+    Subclasses provide `send`, `_recv` and `close_ends(worker)`, which
     closes the worker's end of each of its channels, as its exit would.
     """
 
@@ -251,23 +246,8 @@ class _BaseTransport:
         self._send_seq[(src, dst)] = seq
         return seq
 
-    def send(self, msg: CalMessage) -> None:
-        self._send(msg, self.send_timeout)
-
-    def abort_peers(self, sender: int, reason: str) -> None:
-        """Best-effort abort frame to every other worker, then `sender`'s ends close.
-
-        It never waits on a full channel: the peer behind it has stopped
-        reading, and waiting would add a second full timeout to the run.
-        """
-        for peer in self.worker_ids:
-            if peer != sender:
-                with contextlib.suppress(Exception):  # the run is failing already
-                    self._send(CalMessage("abort", sender, peer, reason=reason), 0.0)
-        self.close_ends(sender)
-
     def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
-        """Next message on channel sender->receiver, checked for route, order and abort."""
+        """Next message on channel sender->receiver, checked for route and order."""
         msg = self._recv(receiver, sender, timeout)
         key = (sender, receiver)
         if (msg.sender, msg.receiver) != key:
@@ -275,13 +255,9 @@ class _BaseTransport:
                 f"misrouted frame: {msg.sender}->{msg.receiver} on channel {sender}->{receiver}"
             )
         last = self._recv_seq.get(key, -1)
-        if msg.seq != last + 1 and msg.kind != "abort":  # abort_peers may spend a seq on a send that failed
-            raise ProtocolError(
-                f"out-of-order message on channel {key}: expected seq {last + 1}, got {msg.seq}"
-            )
+        if msg.seq != last + 1:
+            raise ProtocolError(f"out-of-order message on channel {key}: expected seq {last + 1}, got {msg.seq}")
         self._recv_seq[key] = msg.seq
-        if msg.kind == "abort":
-            raise ProtocolError(f"worker {msg.sender} aborted: {msg.reason}")
         return msg
 
     def close(self) -> None:
@@ -315,14 +291,14 @@ class InProcessTransport(_BaseTransport):
         if not cond.wait_for(ready, timeout):
             raise ProtocolError(failure)
 
-    def _send(self, msg: CalMessage, timeout: float | None) -> None:
+    def send(self, msg: CalMessage) -> None:
         key = (msg.sender, msg.receiver)
         framed = replace(msg, seq=self._next_seq(*key))
         chan, cond = self._queues[key], self._conds[key]
         failed = f"send to worker {msg.receiver} (sender {msg.sender}) failed"
-        with cond:  # a timeout of 0 fails at once: abort_peers never waits
-            self._wait(cond, lambda: key in self._closed or len(chan) < CHANNEL_FRAMES, timeout,
-                       f"{failed}: channel full for {timeout} s")
+        with cond:
+            self._wait(cond, lambda: key in self._closed or len(chan) < CHANNEL_FRAMES, self.send_timeout,
+                       f"{failed}: channel full for {self.send_timeout} s")
             if key in self._closed:
                 raise ProtocolError(f"{failed}: worker {msg.receiver} closed the channel")
             chan.append(framed)
@@ -367,16 +343,15 @@ class SocketTransport(_BaseTransport):
                 self._ends[(a, b)] = end_a  # a's endpoint for peer b
                 self._ends[(b, a)] = end_b
 
-    def _send(self, msg: CalMessage, timeout: float | None) -> None:
+    def send(self, msg: CalMessage) -> None:
         """Write the frame's parts in order under one deadline for the whole frame.
 
-        A timeout of 0, as `abort_peers` uses, never waits. A send waiting
-        for room fails at once when the receiver shuts its end down.
+        A send waiting for room fails at once when the receiver shuts its end down.
         """
         seq = self._next_seq(msg.sender, msg.receiver)
         parts = _frame_parts(replace(msg, seq=seq))
         sock = self._ends[(msg.sender, msg.receiver)]
-        deadline = None if timeout is None else time.monotonic() + timeout
+        deadline = None if self.send_timeout is None else time.monotonic() + self.send_timeout
         try:
             for part in parts:
                 sock.settimeout(None if deadline is None else max(0.0, deadline - time.monotonic()))
@@ -494,6 +469,8 @@ def _scored_points(ctx: _WorkerCtx, fp: CalMessage):
     the coordinator drops its own reference once `hand_off` returns.
     """
     layer, y_fp = fp.layer, fp.tensor
+    if fp.ratio is not None:
+        raise ProtocolError(f"worker {ctx.me}: the full-precision output of layer {layer} carries a ratio")
     ctx.account.alloc(y_fp.nbytes, f"y_fp[L{layer}]")
     for _ in range(fp.count):
         msg = ctx.recv(COORDINATOR, "layer_output", layer, "q")
@@ -581,54 +558,46 @@ def run_distributed_calibration(
         raise ConfigError(f"distributed calibration needs 2 or 3 workers, got {workers}")
     if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN and inf fail too; longer waits overflow
         raise ConfigError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} seconds, got {timeout}")
-    me, loss_worker, helpers = COORDINATOR, workers - 1, range(1, workers)
+    loss_worker, helpers = workers - 1, range(1, workers)
     chans = make_transport(transport, range(workers))
     chans.send_timeout = timeout
-    accounts = [MemoryAccount() for _ in range(workers)]
-    coordinator = _WorkerCtx(me, chans, accounts[me], timeout)
-    errors: list[BaseException] = []
+    ctxs = [_WorkerCtx(wid, chans, MemoryAccount(), timeout) for wid in range(workers)]
+    failures: list[tuple[int, BaseException]] = []  # (worker, its error), in the order they failed
 
-    def _run_worker(wid: int) -> None:
+    def run_worker(wid: int, role):
+        """role(worker wid's context), whose value it returns; a failure is recorded before the exit closes its ends."""
         try:
-            _cal_worker_loop(_WorkerCtx(wid, chans, accounts[wid], timeout))
-        except BaseException as exc:  # noqa: BLE001 - propagated to the coordinator
-            errors.append(exc)  # before the abort: a peer that fails on it is not the cause
-            chans.abort_peers(wid, f"{type(exc).__name__}: {exc}")
-        finally:  # exiting closes the worker's ends, as a process's exit would
+            return role(ctxs[wid])
+        except BaseException as exc:  # noqa: BLE001 - the run raises the first failure
+            failures.append((wid, exc))
+        finally:  # as a process's exit would: a peer still waiting on this worker ends at once
             chans.close_ends(wid)
-
-    threads = [
-        threading.Thread(target=_run_worker, args=(w,), daemon=True, name=f"calworker-{w}")
-        for w in helpers
-    ]
-    for t in threads:
-        t.start()
 
     points = grid.points()
 
     def remote_search(task: LinearTask, stat: np.ndarray):
         """Score one layer's grid on the scale and loss workers; (r*, curve) from ratio_fixed."""
-        layer_idx, lin = task.index, task.layer
+        layer_idx, lin, ctx = task.index, task.layer, ctxs[COORDINATOR]
 
         def hand_off(stream: str, y: np.ndarray, ratio: float | None = None) -> None:
             """Send one output to the loss worker; the coordinator holds it until the send completes."""
             tag = f"y_{stream}[L{layer_idx}]"
-            accounts[me].alloc(y.nbytes, tag)
-            chans.send(CalMessage("layer_output", me, loss_worker, layer=layer_idx, count=len(points),
+            ctx.account.alloc(y.nbytes, tag)
+            chans.send(CalMessage("layer_output", ctx.me, loss_worker, layer=layer_idx, count=len(points),
                                   stream=stream, ratio=ratio, tensor=y))
-            accounts[me].free(y.nbytes, tag)
+            ctx.account.free(y.nbytes, tag)
 
-        chans.send(CalMessage("stat_request", me, SCALE_WORKER, layer=layer_idx, count=len(points), tensor=stat))
+        chans.send(CalMessage("stat_request", ctx.me, SCALE_WORKER, layer=layer_idx, count=len(points), tensor=stat))
         hand_off("fp", _batch_fp(lin, task.fp_inputs))
         for r in points:
             scale = power_scale(stat, r)
             hand_off("q", apply_linear_quant(lin, task.q_inputs, scale, quantized_weight(lin, scale, cfg_w), cfg_a), r)
 
-        fixed = coordinator.recv(SCALE_WORKER, "ratio_fixed", layer_idx)
-        if tuple(r for r, _ in fixed.curve) != points or fixed.ratio != select_ratio(fixed.curve):
+        fixed = ctx.recv(SCALE_WORKER, "ratio_fixed", layer_idx)
+        if fault := row_fault(points, fixed.curve, fixed.ratio):
             raise ProtocolError(
                 f"layer {lin.name!r}: ratio_fixed from worker {SCALE_WORKER} does not hold "
-                "this grid's curve and its selected ratio"
+                f"this grid's curve and its selected ratio: {fault}"
             )
         if not np.array_equal(power_scale(stat, fixed.ratio).values, fixed.tensor):
             raise ProtocolError(
@@ -637,30 +606,34 @@ def run_distributed_calibration(
             )
         return fixed.ratio, tuple(fixed.curve)
 
-    try:
+    def coordinate(ctx: _WorkerCtx) -> CalibrationResult:
         result = _calibration_loop(
-            stack, activations, remote_search, accounts[me],
+            stack, activations, remote_search, ctx.account,
             strategy=strategy, stat_mode=stat_mode, grid=grid, cfg_w=cfg_w, cfg_a=cfg_a, fraction=fraction, loss=loss,
         )
         for wid in helpers:
-            chans.send(CalMessage("done", sender=me, receiver=wid))
-    except BaseException:
-        first = not errors  # a helper that failed first appended its error before its ends closed
-        chans.abort_peers(me, "coordinator failed")
-        if first:
-            raise
-        # a worker failed first: its error, raised below, is the cause
-    finally:
-        chans.close_ends(me)  # as the helpers' exits do: one still waiting on the coordinator ends at once
-        for t in threads:
-            t.join(timeout=timeout)
-        chans.close()
-    if errors:
-        raise ProtocolError(f"worker failed: {errors[0]}") from errors[0]
+            chans.send(CalMessage("done", sender=ctx.me, receiver=wid))
+        return result
+
+    threads = [
+        threading.Thread(target=run_worker, args=(w, _cal_worker_loop), daemon=True, name=f"calworker-{w}")
+        for w in helpers
+    ]
+    for t in threads:
+        t.start()
+    result = run_worker(COORDINATOR, coordinate)
+    for t in threads:
+        t.join(timeout=timeout)
+    chans.close()
+    if failures:
+        wid, exc = failures[0]
+        if wid == COORDINATOR:
+            raise exc
+        raise ProtocolError(f"worker failed: {exc}") from exc
 
     b, n = activations.shape[0], activations.shape[1]
     base = max(baseline_peak((lin.weight.shape[1], lin.weight.shape[0]), (b, n)) for _, lin in stack.linears())
     report = MemoryReport(
-        base, tuple(WorkerMemory(wid, acc.peak, acc.current, len(acc.events)) for wid, acc in enumerate(accounts))
+        base, tuple(WorkerMemory(c.me, c.account.peak, c.account.current, len(c.account.events)) for c in ctxs)
     )
     return result, report

@@ -240,9 +240,9 @@ def evaluate_per_sample(
 BROKEN_RESULTS = {
     "layers_negative": "layers: expected a count >= 0, got -1",
     "curve_negative": "curve length of {name!r}: expected a count >= 0, got -1",
-    "curve_off_grid": "curve of {name!r}: its ratios are not the grid's points",
-    "loss_nan": "curve of {name!r}: a loss is negative or NaN",
-    "ratio_not_minimizer": "ratio of {name!r}: not the minimizer of its curve",
+    "curve_off_grid": "layer {name!r}: its curve's ratios are not the grid's points",
+    "loss_nan": "layer {name!r}: a curve loss is negative or NaN",
+    "ratio_not_minimizer": "layer {name!r}: its ratio is not its curve's select_ratio",
 }
 
 

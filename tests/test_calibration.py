@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import re
 import threading
 import time
@@ -132,6 +133,15 @@ def test_select_ratio_prefers_smallest_among_ties():
     assert select_ratio([(0.0, 1.0 + 1e-10), (0.5, 1.0)]) == 0.5
     with pytest.raises(ConfigError):
         select_ratio([])
+
+
+@pytest.mark.parametrize("loss", [-1.0, math.nan])
+@pytest.mark.parametrize("at", [0, 2])
+def test_select_ratio_refuses_a_negative_or_nan_loss(loss, at):
+    curve = [(0.0, 5.0), (0.5, 1.0), (1.0, 2.0)]
+    curve[at] = (curve[at][0], loss)
+    with pytest.raises(NumericError, match="^a curve loss is negative or NaN$"):
+        select_ratio(curve)
 
 
 def _calib_inputs(seed, b, n, c):

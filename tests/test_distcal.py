@@ -136,7 +136,6 @@ def test_wire_roundtrip_all_small_kinds():
     assert fixed.curve == ((0.0, 1.0), (0.5, 0.5))
 
     assert _roundtrip(CalMessage("done", 0, 1, seq=3)).kind == "done"
-    assert _roundtrip(CalMessage("abort", 0, 1, seq=4, reason="boom")).reason == "boom"
 
 
 def test_wire_checksum_detects_corruption():
@@ -189,12 +188,6 @@ def test_wire_unknown_stream_code_rejected():
     frame[17] = 7
     with pytest.raises(ProtocolError, match="unknown stream code 7"):
         decode_message(bytes(frame))
-
-
-def test_wire_non_utf8_abort_reason_rejected():
-    frame = encode_message(CalMessage("abort", 0, 1, seq=0, reason="boom"))[4:]
-    with pytest.raises(ProtocolError, match="bad_text"):
-        decode_message(frame[:-1] + b"\xff")
 
 
 def test_encoding_an_unknown_kind_is_a_protocol_error():
@@ -283,11 +276,6 @@ def test_full_in_process_channel_fails_a_send_after_its_timeout():
     with pytest.raises(ProtocolError, match="channel full"):
         chans.send(CalMessage("done", 0, 1))
     assert 0.05 <= time.monotonic() - start < 0.5
-    chans.send_timeout = 5.0
-    start = time.monotonic()
-    chans.abort_peers(0, "failing")  # the full channel drops the abort at once
-    assert time.monotonic() - start < 0.5
-    assert chans.recv(1, 0, timeout=1.0).kind == "done"
 
 
 def test_transport_names_a_sequence_gap():
@@ -296,14 +284,10 @@ def test_transport_names_a_sequence_gap():
     chans.recv(1, 0, timeout=1.0)
     with pytest.raises(ProtocolError, match=r"channel \(0, 1\): expected seq 1, got 2"):
         chans.recv(1, 0, timeout=1.0)
-    # abort_peers spends a seq even when its send fails, so an abort after a gap still gives its reason
-    chans._queues[(0, 1)].append(CalMessage("abort", 0, 1, seq=4, reason="failing"))
-    with pytest.raises(ProtocolError, match="worker 0 aborted: failing"):
-        chans.recv(1, 0, timeout=1.0)
 
 
 @pytest.mark.parametrize("transport", ["in_process", "sockets"])
-def test_an_abort_stops_only_the_aborting_workers_channels(transport):
+def test_closing_a_workers_ends_stops_only_its_channels(transport):
     chans = distcal.make_transport(transport, [0, 1, 2])
     chans.send_timeout = 5.0
     if transport == "in_process":  # fill channel 0->1
@@ -312,26 +296,25 @@ def test_an_abort_stops_only_the_aborting_workers_channels(transport):
         frame = CalMessage("done", 0, 1)
     else:  # 8 MiB fill the socket buffers
         frame = CalMessage("layer_output", 0, 1, layer=0, stream="fp", tensor=np.zeros((1024, 1024)), count=1)
-    timer = threading.Timer(0.2, chans.abort_peers, args=(1, "failing"))
+    timer = threading.Timer(0.2, chans.close_ends, args=(1,))
     timer.start()
     start = time.monotonic()
     with pytest.raises(ProtocolError, match=r"send to worker 1 \(sender 0\) failed"):
-        chans.send(frame)  # worker 1 never reads; its abort closes channel 0->1
+        chans.send(frame)  # worker 1 never reads; its exit closes channel 0->1
     assert time.monotonic() - start < 1.0
     timer.join()
     start = time.monotonic()
     with pytest.raises(ProtocolError, match=r"send to worker 1 \(sender 0\) failed"):
         chans.send(CalMessage("done", 0, 1))
     assert time.monotonic() - start < 0.5
-    with pytest.raises(ProtocolError, match="worker 1 aborted: failing"):
-        chans.recv(2, 1, timeout=1.0)  # the reason travels in worker 1's abort frame
+    start = time.monotonic()
+    with pytest.raises(ProtocolError, match=r"connection closed while waiting for worker 1 \(receiver 2\)"):
+        chans.recv(2, 1, timeout=1.0)
+    assert time.monotonic() - start < 0.5
     start = time.monotonic()
     with pytest.raises(ProtocolError, match=r"timeout waiting for worker 0 \(receiver 2\)"):
-        chans.recv(2, 0, timeout=0.2)  # channel 0->2 is not worker 1's: its abort does not end this wait
+        chans.recv(2, 0, timeout=0.2)  # channel 0->2 is not worker 1's: its close does not end this wait
     assert time.monotonic() - start >= 0.2
-    start = time.monotonic()
-    chans.abort_peers(0, "failing too")  # channel 0->1 is closed: that abort does not wait
-    assert time.monotonic() - start < 0.5
     chans.close()
 
 
@@ -367,13 +350,12 @@ _EVERY_KIND = [
     CalMessage("loss_report", 2, 1, layer=1, ratio=0.25, loss=1.5),
     CalMessage("ratio_fixed", 1, 0, layer=1, ratio=0.25, tensor=np.ones(5), curve=((0.0, 2.0), (0.25, 1.5))),
     CalMessage("done", 0, 1),
-    CalMessage("abort", 1, 0, reason="stopped – on purpose"),
     CalMessage("layer_output", 0, 2, layer=2, stream="q", ratio=0.5, count=3, tensor=_TRANSPOSED),
 ]
 
 
-# sha256 of the eight frames: the wire format is fixed, whatever the encoder does
-_EVERY_KIND_SHA256 = "84262f6bb4469cb1b22eb7a49d3a93a796cf6dd3ee2f9a7f524a7dcac4b76016"
+# sha256 of the seven frames: the wire format is fixed, whatever the encoder does
+_EVERY_KIND_SHA256 = "30678fcb071a4cc1ebf16dffacac0a0c447278d74a0d7b9e17576539b5d86bf8"
 
 
 def test_socket_wire_bytes_are_pinned_to_encode_message():
@@ -510,7 +492,8 @@ def _stat(layer):
 
 
 def _output(stream, layer):
-    return CalMessage("layer_output", 0, 1, layer=layer, stream=stream, ratio=0.0, tensor=np.ones(2), count=1)
+    ratio = 0.0 if stream == "q" else None  # a full-precision output carries none
+    return CalMessage("layer_output", 0, 1, layer=layer, stream=stream, ratio=ratio, tensor=np.ones(2), count=1)
 
 
 # one case per receive of the scale and loss workers: the loop, the inline
@@ -761,7 +744,7 @@ def test_documented_memory_fixture_peaks():
 
 
 def _crash_silently(monkeypatch, worker, after=3):
-    """Worker `worker` receives `after` messages from the coordinator, then stops without an abort."""
+    """Worker `worker` receives `after` messages from the coordinator, then returns without an error."""
     worker_loop = distcal._cal_worker_loop
 
     def crashing_loop(ctx):
@@ -809,7 +792,7 @@ def test_socket_loss_worker_crash_aborts_within_bound(monkeypatch):
     thread.start()
     thread.join(timeout=10)
     assert not thread.is_alive(), "distributed run still blocked after 10 s"
-    # the blocked send costs one timeout; the abort broadcast must not add another
+    # the blocked send costs one timeout; the failure spreading must not add another
     assert time.time() - t0 < 1.5
     assert isinstance(outcome[0], ProtocolError)
 
@@ -899,6 +882,38 @@ def test_a_mislabelled_frame_never_gives_a_result(monkeypatch, kind, stream, nth
             stack, acts, workers=3, transport=transport, strategy="passact2",
             stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=5.0,
         )
+
+
+def _first_loss(loss):
+    return lambda msg: replace(msg, curve=((msg.curve[0][0], loss), *msg.curve[1:]))
+
+
+_BAD_LOSSES = {  # id -> (kind, which frame, its receiver, change, whether the coordinator names the layer)
+    "ratio_fixed-nan": ("ratio_fixed", 1, 0, _first_loss(math.nan), True),
+    "ratio_fixed-negative": ("ratio_fixed", 1, 0, _first_loss(-1.0), True),
+    "loss_report-nan": ("loss_report", 1, 1, lambda msg: replace(msg, loss=math.nan), False),
+}
+
+
+@pytest.mark.parametrize("kind, nth, receiver, change, named, transport", [
+    pytest.param(*case, transport, id=f"{name}-{transport}")
+    for transport in ("in_process", "sockets") for name, case in _BAD_LOSSES.items()
+])
+def test_a_negative_or_nan_loss_ends_the_run_in_one_protocol_error_line(
+    monkeypatch, kind, nth, receiver, change, named, transport,
+):
+    monkeypatch.setattr(distcal, "make_transport",
+                        faulty_transport(distcal.make_transport, change, kind, None, nth, receiver))
+    stack, acts = _fixture(seed=9)
+    first = next(lin for _, lin in stack.linears()).name
+    with pytest.raises(ProtocolError, match="a curve loss is negative or NaN") as info:
+        run_distributed_calibration(
+            stack, acts, workers=3, transport=transport, strategy="passact2",
+            stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=5.0,
+        )
+    assert "\n" not in str(info.value)
+    assert str(info.value).startswith(f"layer '{first}': " if named else "worker failed: "), info.value
+    assert named or isinstance(info.value.__cause__, NumericError)  # the scale worker's select_ratio
 
 
 # the C08 fixture's exact memory report: worker 0 is the infer worker, 1 holds
@@ -1024,11 +1039,11 @@ def test_a_faulted_frame_its_receiver_reads_never_gives_a_result(
     """A lost, repeated, reordered or relabelled frame ends the run in one TlqError line.
 
     Only a fault its receiver never reads gives calibrate's result: a copy of
-    the last frame read on its channel, or a ratio on a full-precision output.
+    the last frame read on its channel.
     """
     stack, acts = _fixture(seed=9, b=8, n=16)
     opts = dict(strategy="passact2", stat_mode="max", grid=_MATRIX_GRID, cfg_w=CFG_W, cfg_a=CFG_A)
-    unread = fault == "duplicate" and read_last or fault == "ratio" and stream == "fp"
+    unread = fault == "duplicate" and read_last
     want = result_to_text(calibrate(stack, acts, **opts)) if unread else None
     # a lost frame that nothing follows costs one timeout, but for `done`: the coordinator's exit ends that wait
     pays_timeout = fault == "drop" and not followed and kind != "done"

@@ -42,14 +42,12 @@ def _payloads():
     # small bodies, so that header, tag and shape bytes take a large share
     calib = CalibrationSet(xs[:, :, :1], np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8))
     tensor = CalMessage("ratio_fixed", 1, 0, seq=3, layer=1, ratio=0.5, tensor=np.ones((1, 2)), curve=((0.0, 1.0),))
-    abort = CalMessage("abort", 2, 0, seq=4, reason="worker failed")
     return {
         "checkpoint": (save_checkpoint(stack), load_checkpoint, CheckpointError),
         "calibset": (save_calibset(calib), load_calibset, CheckpointError),
         "artifact": (save_quantized(quantize_with_result(stack, result)), load_quantized, CheckpointError),
         "result": (result_to_text(result).encode("utf-8"), load_result, CheckpointError),
         "frame": (encode_message(tensor)[4:], decode_message, ProtocolError),
-        "abort_frame": (encode_message(abort)[4:], decode_message, ProtocolError),
     }
 
 
