@@ -37,7 +37,7 @@ COVERING = {
     "quantizer": ("tests/test_quantizer.py", "tests/test_calibrate_reference.py"),
     "model": ("tests/test_model.py", "tests/test_input_contract.py", "tests/test_acceptance.py"),
     "calibration": (
-        "tests/test_calibration.py", "tests/test_smoothing.py", "tests/test_importance.py",
+        "tests/test_calibration.py", "tests/test_model.py", "tests/test_smoothing.py", "tests/test_importance.py",
         "tests/test_calibrate_reference.py", "tests/test_acceptance.py",
     ),
     "importance": (
@@ -207,6 +207,23 @@ MUTANTS = (
     Mutant(
         "smooth-scale-allows-inf", "smoothing",
         "if not np.all(np.isfinite(self.values)) or not np.all(self.values > 0):", "if not np.all(self.values > 0):",
+    ),
+    Mutant(
+        "checkpoint-codes-swapped", "model",
+        'isinstance(exc, ConfigError) else "bad_dims"', 'isinstance(exc, ShapeError) else "bad_dims"',
+    ),
+    Mutant("artifact-flag-unchecked", "calibration", "if has_input_scale > 1:", "if False:"),
+    Mutant(
+        "artifact-bits-unchecked", "calibration", "        QuantConfig(bits_w)\n        QuantConfig(bits_a)\n", "        pass\n",
+    ),
+    Mutant("rmsnorm-gain-width-unchecked", "layers", "if layer.gain.shape[0] != in_channels:", "if False:"),
+    Mutant("stack-names-may-repeat", "layers", "if len(set(names)) != len(names):", "if False:"),
+    Mutant("heatmap-sample-unchecked", "report", "if not 0 <= sample < calib.batch:", "if False:"),
+    Mutant("config-overflow-unhandled", "cli", "    except OverflowError:\n", "    except ():\n"),
+    Mutant("transport-name-unchecked", "distcal", 'if name == "sockets":', "if True:"),
+    Mutant(
+        "result-row-rule-off", "calibration",
+        "if fault := row_fault(points, row.loss_curve, row.ratio):", "if fault := None:",
     ),
 )
 

@@ -47,7 +47,6 @@ from .model import (
     _block_samples,
     _check_input,
     _linear_quant_blocks,
-    _validate_quant_cfgs,
     apply_layer_fp,
     apply_linear_quant,
     backward_token_grads,
@@ -135,9 +134,10 @@ class CalibrationResult:
             raise ConfigError(f"fraction must be in (0, 1], got {self.fraction!r}")
         QuantConfig(self.bits_w)
         QuantConfig(self.bits_a)
+        points = self.grid.points()
         for row in self.layers:
-            if not 0.0 <= row.ratio <= 1.0:
-                raise ConfigError(f"ratio of {row.name!r} must be in [0, 1], got {row.ratio!r}")
+            if fault := row_fault(points, row.loss_curve, row.ratio):
+                raise ConfigError(f"layer {row.name!r}: {fault}")
 
 
 def _sq_diff_sums(y_fp: np.ndarray, y_q: np.ndarray) -> np.ndarray:
@@ -393,7 +393,6 @@ class CalibrationWalk:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
         if activations.ndim != 3:
             raise ShapeError(f"calibration activations must be (B, N, C), got {activations.shape}")
-        _validate_quant_cfgs(cfg_w, cfg_a)
         self.stack = stack
         self.strategy = strategy
         self.cfg_w = cfg_w
@@ -685,13 +684,9 @@ def result_from_text(text: str) -> CalibrationResult:
     r.next("end")
     try:
         layers = tuple(LayerCalibration(name, SmoothScale(v), ratio, c) for name, v, ratio, c in rows)
-        result = CalibrationResult(layers, strategy, stat_mode, bits_w, bits_a, fraction, RatioGrid(*g))
+        return CalibrationResult(layers, strategy, stat_mode, bits_w, bits_a, fraction, RatioGrid(*g))
     except TlqError as exc:
         raise CheckpointError("bad_field", str(exc)) from None
-    for row in result.layers:
-        if fault := row_fault(result.grid.points(), row.loss_curve, row.ratio):
-            raise CheckpointError("bad_field", f"layer {row.name!r}: {fault}")
-    return result
 
 
 # --- quantized artifact file format (TLQQNT01) --------------------------------

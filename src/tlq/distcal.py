@@ -61,7 +61,7 @@ from .calibration import (
     row_fault,
     select_ratio,
 )
-from .errors import ConfigError, LedgerError, ProtocolError
+from .errors import ConfigError, LedgerError, NumericError, ProtocolError
 from .layers import LayerStack
 from .model import ProxyLossSpec, _Reader, apply_linear_quant, quantized_weight
 from .quantizer import QuantConfig
@@ -229,31 +229,29 @@ def decode_message(blob) -> CalMessage:
 class _BaseTransport:
     """Point-to-point ordered channels with per-channel sequence numbers.
 
-    `send_timeout` bounds how long a send may block on a full channel
-    (None: no bound); a send that runs out of it raises ProtocolError.
-    Subclasses provide `send`, `_recv` and `close_ends(worker)`, which
-    closes the worker's end of each of its channels, as its exit would.
+    `send`, the only way to write a frame, numbers it and hands it to `_put`,
+    which writes it on the channel its route names. `timeout` bounds a send
+    on a full channel and a worker's receive (None: no bound); a wait that
+    runs out of it raises ProtocolError. Subclasses provide `_put`, `_recv`
+    and `close_ends(worker)`, which closes the worker's end of each of its
+    channels, as its exit would.
     """
 
     def __init__(self, worker_ids: Sequence[int]):
         self.worker_ids = tuple(worker_ids)
-        self.send_timeout: float | None = None
+        self.timeout: float | None = None
         self._send_seq: dict[tuple[int, int], int] = {}
         self._recv_seq: dict[tuple[int, int], int] = {}
 
-    def _next_seq(self, src: int, dst: int) -> int:
-        seq = self._send_seq.get((src, dst), -1) + 1
-        self._send_seq[(src, dst)] = seq
-        return seq
+    def send(self, msg: CalMessage) -> None:
+        key = (msg.sender, msg.receiver)
+        seq = self._send_seq[key] = self._send_seq.get(key, -1) + 1
+        self._put(replace(msg, seq=seq))
 
     def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
-        """Next message on channel sender->receiver, checked for route and order."""
+        """Next message on channel sender->receiver, checked for order."""
         msg = self._recv(receiver, sender, timeout)
         key = (sender, receiver)
-        if (msg.sender, msg.receiver) != key:
-            raise ProtocolError(
-                f"misrouted frame: {msg.sender}->{msg.receiver} on channel {sender}->{receiver}"
-            )
         last = self._recv_seq.get(key, -1)
         if msg.seq != last + 1:
             raise ProtocolError(f"out-of-order message on channel {key}: expected seq {last + 1}, got {msg.seq}")
@@ -291,17 +289,16 @@ class InProcessTransport(_BaseTransport):
         if not cond.wait_for(ready, timeout):
             raise ProtocolError(failure)
 
-    def send(self, msg: CalMessage) -> None:
+    def _put(self, msg: CalMessage) -> None:
         key = (msg.sender, msg.receiver)
-        framed = replace(msg, seq=self._next_seq(*key))
         chan, cond = self._queues[key], self._conds[key]
         failed = f"send to worker {msg.receiver} (sender {msg.sender}) failed"
         with cond:
-            self._wait(cond, lambda: key in self._closed or len(chan) < CHANNEL_FRAMES, self.send_timeout,
-                       f"{failed}: channel full for {self.send_timeout} s")
+            self._wait(cond, lambda: key in self._closed or len(chan) < CHANNEL_FRAMES, self.timeout,
+                       f"{failed}: channel full for {self.timeout} s")
             if key in self._closed:
                 raise ProtocolError(f"{failed}: worker {msg.receiver} closed the channel")
-            chan.append(framed)
+            chan.append(msg)
             cond.notify_all()
 
     def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
@@ -343,15 +340,14 @@ class SocketTransport(_BaseTransport):
                 self._ends[(a, b)] = end_a  # a's endpoint for peer b
                 self._ends[(b, a)] = end_b
 
-    def send(self, msg: CalMessage) -> None:
+    def _put(self, msg: CalMessage) -> None:
         """Write the frame's parts in order under one deadline for the whole frame.
 
         A send waiting for room fails at once when the receiver shuts its end down.
         """
-        seq = self._next_seq(msg.sender, msg.receiver)
-        parts = _frame_parts(replace(msg, seq=seq))
+        parts = _frame_parts(msg)
         sock = self._ends[(msg.sender, msg.receiver)]
-        deadline = None if self.send_timeout is None else time.monotonic() + self.send_timeout
+        deadline = None if self.timeout is None else time.monotonic() + self.timeout
         try:
             for part in parts:
                 sock.settimeout(None if deadline is None else max(0.0, deadline - time.monotonic()))
@@ -447,11 +443,10 @@ class _WorkerCtx:
     me: int
     transport: _BaseTransport
     account: MemoryAccount
-    timeout: float
 
     def recv(self, sender: int, kind: str | None = None, layer: int | None = None, stream: str | None = None):
         """Next message from `sender`; with a `kind`, exactly that step (same kind, layer and stream)."""
-        msg = self.transport.recv(self.me, sender, self.timeout)
+        msg = self.transport.recv(self.me, sender, self.transport.timeout)
         if kind is not None and (msg.kind, msg.layer, msg.stream) != (kind, layer, stream):
             raise ProtocolError(
                 f"worker {self.me} expected {kind} (layer {layer}, stream {stream}), "
@@ -520,7 +515,10 @@ def _cal_worker_loop(ctx: _WorkerCtx) -> None:
             reports = (ctx.recv(loss_worker, "loss_report", layer) for _ in range(msg.count))
             points = ((rep.ratio, rep.loss) for rep in reports)
         curve = _charged_curve(account, layer, points)
-        r_star = select_ratio(curve)
+        try:
+            r_star = select_ratio(curve)
+        except NumericError as exc:  # the frames name the layer by index, not by name
+            raise NumericError(f"layer {layer}: {exc}") from exc
         scale = power_scale(x_stat, r_star).values
         account.alloc(scale.nbytes, f"scale[L{layer}]")
         account.free(scale.nbytes, f"scale[L{layer}]")
@@ -560,8 +558,8 @@ def run_distributed_calibration(
         raise ConfigError(f"timeout must be > 0 and at most {threading.TIMEOUT_MAX:.0f} seconds, got {timeout}")
     loss_worker, helpers = workers - 1, range(1, workers)
     chans = make_transport(transport, range(workers))
-    chans.send_timeout = timeout
-    ctxs = [_WorkerCtx(wid, chans, MemoryAccount(), timeout) for wid in range(workers)]
+    chans.timeout = timeout
+    ctxs = [_WorkerCtx(wid, chans, MemoryAccount()) for wid in range(workers)]
     failures: list[tuple[int, BaseException]] = []  # (worker, its error), in the order they failed
 
     def run_worker(wid: int, role):

@@ -130,11 +130,6 @@ def _block_samples(xs: np.ndarray) -> int:
     return max(1, _QDQ_CHUNK_ELEMS // max(1, xs.shape[1] * xs.shape[2]))
 
 
-def _check_granularity(cfg: QuantConfig, want: str, what: str) -> None:
-    if cfg.granularity != want:
-        raise ConfigError(f"{what} quantization must be {want}")
-
-
 def quantized_weight(layer: Linear, scale: SmoothScale, cfg_w: QuantConfig) -> np.ndarray:
     """The weight half of the quantized linear: Qw(W*s), simulated (dequantized), as a read-only array.
 
@@ -142,7 +137,6 @@ def quantized_weight(layer: Linear, scale: SmoothScale, cfg_w: QuantConfig) -> n
     build serves every `apply_linear_quant` call at that scale; it is
     read-only because those calls share it.
     """
-    _check_granularity(cfg_w, "per_channel", "weight")
     if scale.values.shape != (layer.weight.shape[1],):
         raise ShapeError(
             f"layer {layer.name!r}: smoothing scale {scale.values.shape} vs {layer.weight.shape[1]} input channels"
@@ -243,11 +237,6 @@ def forward_fp(stack: LayerStack, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(tuple(inputs), cur, tuple(saved))
 
 
-def _validate_quant_cfgs(cfg_w: QuantConfig, cfg_a: QuantConfig) -> None:
-    _check_granularity(cfg_a, "per_token", "activation")
-    _check_granularity(cfg_w, "per_channel", "weight")
-
-
 def forward_quant(
     stack: LayerStack,
     x: np.ndarray,
@@ -260,7 +249,6 @@ def forward_quant(
     `quantized_weights` builds them all; the pass only reads them.
     """
     cur = _check_input(stack, x)
-    _check_granularity(cfg_a, "per_token", "activation")
     inputs = []
     for layer in stack.layers:
         inputs.append(cur)

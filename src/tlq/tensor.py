@@ -1,10 +1,9 @@
-"""Dense numeric core shared by every other module.
+"""A seeded random source and a shape-checked matmul.
 
-Values are plain numpy float64 ndarrays of rank 1 to 3, row major.
-Functions here are pure: inputs are never mutated and results are freshly
-allocated. The package's one in-place numeric kernel lives elsewhere:
-`quantizer._qdq_inplace` overwrites its rank-2 argument, and its callers
-always hand it a freshly computed array.
+`Rng` and `rand_normal` give the fixtures and the heatmap's token subsample
+the same draws for the same seed on every run. `matmul` is the product of
+the full-precision linear and its backward. Both are pure: inputs are never
+mutated and results are freshly allocated.
 """
 
 from __future__ import annotations

@@ -563,8 +563,33 @@ def test_a_result_refuses_an_invalid_field(field, value, message):
 @pytest.mark.parametrize("ratio", [float("nan"), 1.5, -0.1])
 def test_a_result_refuses_a_row_ratio_outside_the_unit_interval(ratio):
     res = _small_result()
-    with pytest.raises(ConfigError, match=r"ratio of 'lin0' must be in \[0, 1\]"):
+    with pytest.raises(ConfigError, match="layer 'lin0': its ratio is not its curve's select_ratio"):
         dataclasses.replace(res, layers=(dataclasses.replace(res.layers[0], ratio=ratio),))
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda row: {"loss_curve": row.loss_curve[1::-1] + row.loss_curve[2:]},
+                 "its curve's ratios are not the grid's points", id="curve_off_grid"),
+    pytest.param(lambda row: {"loss_curve": row.loss_curve[:-1]},
+                 "its curve's ratios are not the grid's points", id="curve_short"),
+    pytest.param(lambda row: {"ratio": next(r for r, _ in row.loss_curve if r != row.ratio)},
+                 "its ratio is not its curve's select_ratio", id="ratio_not_minimizer"),
+])
+def test_the_result_constructor_refuses_a_row_that_calibrate_never_builds(change, message):
+    res = _small_result()
+    row = dataclasses.replace(res.layers[0], **change(res.layers[0]))
+    with pytest.raises(ConfigError, match=f"layer 'lin0': {re.escape(message)}"):
+        dataclasses.replace(res, layers=(row,))  # replace runs the constructor's checks
+
+
+def test_the_granularity_label_changes_no_calibration_byte():
+    xs = build_calibset(1, 2, 8, 16, visual_fraction=0.5).activations
+    stack = random_block_stack(1, 1, 16)
+    texts = {
+        result_to_text(calibrate(stack, xs, stat_mode="max", cfg_w=cfg_w, cfg_a=CFG_A))
+        for cfg_w in (QuantConfig(4), QuantConfig(4, "per_channel"))  # the default label, and the orientation's
+    }
+    assert len(texts) == 1
 
 
 _BAD_OPTIONS = {"bad0": {"stat_mode": "median"}, "bad1": {"fraction": 0.0}, "bad2": {"fraction": 7.0},

@@ -16,7 +16,7 @@ from tlq.calibration import load_quantized, result_from_text
 from tlq.cli import _CAL_OPTIONS, _DIST_OPTIONS, main
 from tlq.layers import LayerStack
 from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset, save_checkpoint
-from test_model import checkpoint_with_linear_named
+from test_model import UNSTACKABLE, checkpoint_of, checkpoint_with_linear_named
 
 
 def _readme_walkthrough() -> list[list[str]]:
@@ -582,6 +582,48 @@ def test_bad_timeout_exits_one(tmp_path, capsys, source, timeout, json_value):
     assert code == 1
     _one_error_line(capsys, "config error: timeout")
     assert not out.exists() and not mem.exists()
+
+
+def test_a_config_integer_too_large_for_a_float_option_exits_one(tmp_path, capsys):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "r.txt"
+    cfg.write_text('{"grid_step": ' + "1" * 400 + "}")
+    capsys.readouterr()
+    code = main(["calibrate", "--model", str(model), "--calib", str(calib), "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    _one_error_line(capsys, "config error: config key 'grid_step' is out of range")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("how", sorted(UNSTACKABLE))
+def test_a_checkpoint_whose_layers_make_no_stack_exits_two(tmp_path, capsys, how):
+    layers, _, message = UNSTACKABLE[how]
+    model, out = tmp_path / "m.ckpt", tmp_path / "report.txt"
+    model.write_bytes(checkpoint_of(layers, 16))
+    calib = _gen_calib(tmp_path, batch=2, tokens=4, channels=16)
+    capsys.readouterr()
+    # eval reads the model first, so no result file is needed
+    code = main(["eval", "--model", str(model), "--result", str(tmp_path / "r.txt"), "--calib", str(calib),
+                 "--out", str(out)])
+    assert code == 2
+    _one_error_line(capsys, f"error: inconsistent stack: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sample", ["-1", "4"])
+def test_a_heatmap_sample_outside_the_batch_exits_one(tmp_path, capsys, sample):
+    model = _gen_model(tmp_path, channels=16)
+    calib = _gen_calib(tmp_path, batch=4, tokens=4, channels=16)
+    pre, post = tmp_path / "p.csv", tmp_path / "q.csv"
+    capsys.readouterr()
+    code = main([
+        "heatmap", "--model", str(model), "--calib", str(calib), "--layer", "1", "--sample", sample,
+        "--out-pre", str(pre), "--out-post", str(post),
+    ])
+    assert code == 1
+    _one_error_line(capsys, f"config error: sample {sample} out of range for batch 4")
+    assert not pre.exists() and not post.exists()
 
 
 @pytest.mark.parametrize("flags", [("--batch", "0"), ("--batch", "-1"), ("--tokens", "0")])

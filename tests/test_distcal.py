@@ -257,6 +257,17 @@ def test_transport_rejects_stale_sequence():
         chans.recv(1, 0, timeout=1.0)
 
 
+def test_an_unknown_transport_fails_before_any_worker_starts(monkeypatch):
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self.name) or start(self))
+    stack, acts = _fixture()
+    threads = threading.active_count()
+    with pytest.raises(ConfigError, match=r"transport must be one of \('in_process', 'sockets'\), got 'bogus'"):
+        run_distributed_calibration(stack, acts, transport="bogus", cfg_w=CFG_W, cfg_a=CFG_A)
+    assert started == []
+    assert threading.active_count() == threads
+
+
 def test_transport_timeout():
     chans = InProcessTransport([0, 1])
     with pytest.raises(ProtocolError, match="timeout"):
@@ -269,7 +280,7 @@ def test_transport_timeout():
 
 def test_full_in_process_channel_fails_a_send_after_its_timeout():
     chans = InProcessTransport([0, 1])
-    chans.send_timeout = 0.05
+    chans.timeout = 0.05
     for _ in range(distcal.CHANNEL_FRAMES):
         chans.send(CalMessage("done", 0, 1))
     start = time.monotonic()
@@ -289,7 +300,7 @@ def test_transport_names_a_sequence_gap():
 @pytest.mark.parametrize("transport", ["in_process", "sockets"])
 def test_closing_a_workers_ends_stops_only_its_channels(transport):
     chans = distcal.make_transport(transport, [0, 1, 2])
-    chans.send_timeout = 5.0
+    chans.timeout = 5.0
     if transport == "in_process":  # fill channel 0->1
         for _ in range(distcal.CHANNEL_FRAMES):
             chans.send(CalMessage("done", 0, 1))
@@ -510,11 +521,11 @@ def _output(stream, layer):
 ])
 def test_worker_rejects_out_of_phase_message(workers, messages, error):
     chans = InProcessTransport(range(workers))
-    chans.send_timeout = 1.0
+    chans.timeout = 1.0
     # up to four frames share channel 0->1, which holds two: send while the worker reads
     sender = threading.Thread(target=lambda: [chans.send(m) for m in messages + [CalMessage("done", 0, 1)]])
     sender.start()
-    ctx = _WorkerCtx(1, chans, MemoryAccount(), timeout=1.0)
+    ctx = _WorkerCtx(1, chans, MemoryAccount())
     with pytest.raises(ProtocolError, match=error):
         _cal_worker_loop(ctx)
     sender.join()
@@ -592,7 +603,8 @@ def test_failing_worker_stops_the_run_at_once_with_its_error(monkeypatch, worker
     acts = build_calibset(6, 32, 64, 64, visual_fraction=0.5).activations  # 1 MiB outputs fill a channel
     threads = threading.active_count()
     start = time.monotonic()
-    with pytest.raises(ProtocolError, match="worker failed: injected failure") as info:
+    named = "layer 1: " if fails_in == "select_ratio" else ""  # the scale worker names its layer's index
+    with pytest.raises(ProtocolError, match=f"^worker failed: {named}injected failure$") as info:
         run_distributed_calibration(
             stack, acts, workers=workers, transport=transport, strategy="passact2",
             stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=5.0,
@@ -905,14 +917,17 @@ def test_a_negative_or_nan_loss_ends_the_run_in_one_protocol_error_line(
     monkeypatch.setattr(distcal, "make_transport",
                         faulty_transport(distcal.make_transport, change, kind, None, nth, receiver))
     stack, acts = _fixture(seed=9)
-    first = next(lin for _, lin in stack.linears()).name
+    index, first = stack.linears()[0]
     with pytest.raises(ProtocolError, match="a curve loss is negative or NaN") as info:
         run_distributed_calibration(
             stack, acts, workers=3, transport=transport, strategy="passact2",
             stat_mode="max", cfg_w=CFG_W, cfg_a=CFG_A, timeout=5.0,
         )
     assert "\n" not in str(info.value)
-    assert str(info.value).startswith(f"layer '{first}': " if named else "worker failed: "), info.value
+    # the scale worker knows the layer by the index its frames carry, the coordinator by its name
+    assert str(info.value).startswith(f"layer '{first.name}': " if named else f"worker failed: layer {index}: "), (
+        info.value
+    )
     assert named or isinstance(info.value.__cause__, NumericError)  # the scale worker's select_ratio
 
 

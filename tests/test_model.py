@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -138,14 +139,11 @@ def test_single_layer_matches_hand_simulated_quantization():
     assert np.array_equal(got, want)
 
 
-def test_forward_quant_requires_scales_and_granularities():
+def test_forward_quant_requires_scales():
     stack = single_linear_stack(9, 4, 4)
     x = rand_normal(Rng(9), (2, 4))
-    scales = _ones_scales(stack)
     with pytest.raises(ConfigError, match="lin"):
         forward_quant(stack, x, {}, {}, CFG_A8)
-    with pytest.raises(ConfigError):
-        forward_quant(stack, x, scales, quantized_weights(stack, scales, CFG_A8), CFG_A8)
 
 
 def test_backward_single_linear_closed_form():
@@ -533,10 +531,29 @@ def test_calibset_rejects_empty_batch_or_token_axis(b, n):
 LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
+def checkpoint_of(layers, channels: int) -> bytes:
+    """Checkpoint bytes of `layers` on `channels` inputs, built by `pack_layers` so that no `LayerStack` checks them."""
+    return CHECKPOINT_MAGIC + struct.pack("<I", channels) + pack_layers(layers, _pack_linear)
+
+
 def checkpoint_with_linear_named(name: str, channels: int = 4) -> bytes:
-    """Checkpoint bytes of one identity linear, built by `pack_layers` so that no `LayerStack` checks the name."""
-    lin = Linear(name, np.eye(channels), np.zeros(channels))
-    return CHECKPOINT_MAGIC + struct.pack("<I", channels) + pack_layers((lin,), _pack_linear)
+    """Checkpoint bytes of one identity linear, which no `LayerStack` checks the name of."""
+    return checkpoint_of((Linear(name, np.eye(channels), np.zeros(channels)),), channels)
+
+
+# layers, on 16 input channels, that make no stack -> (the refusal's code, its message)
+UNSTACKABLE = {
+    "narrow_gain": ((RMSNorm("norm", np.ones(3)),), "bad_dims", "layer 'norm': gain length 3 != input width 16"),
+    "repeated_name": ((Activation("act"), Activation("act")), "bad_name", "duplicate layer names in stack"),
+}
+
+
+@pytest.mark.parametrize("how", sorted(UNSTACKABLE))
+def test_a_checkpoint_whose_layers_make_no_stack_is_refused_with_its_code(how):
+    layers, code, message = UNSTACKABLE[how]
+    with pytest.raises(CheckpointError, match=re.escape(message)) as err:
+        load_checkpoint(checkpoint_of(layers, 16))
+    assert err.value.code == code
 
 
 @pytest.mark.parametrize("brk", LINE_BREAKS, ids=repr)

@@ -359,6 +359,14 @@ def test_heatmap_row_counts_and_selection_size():
     assert len(pair.selection) == len(pair.post)
 
 
+@pytest.mark.parametrize("sample", [-1, 4])
+def test_a_heatmap_sample_outside_the_batch_is_refused(sample):
+    stack = build_stack(7, 1, 16)
+    calib = build_calibset(7, 4, 8, 16, visual_fraction=0.5)
+    with pytest.raises(ConfigError, match=f"sample {sample} out of range for batch 4"):
+        build_heatmaps(stack, calib, layer_index=1, sample=sample)
+
+
 def test_heatmap_near_zero_fraction_drops_after_selection():
     stack = build_stack(8, 2, 32)
     calib = build_calibset(8, 4, 20, 32, visual_fraction=0.8)
