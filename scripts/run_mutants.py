@@ -46,8 +46,10 @@ COVERING = {
     ),
     "report": ("tests/test_report.py", "tests/test_acceptance.py"),
     "layers": ("tests/test_model.py", "tests/test_fixtures.py", "tests/test_acceptance.py"),
-    "smoothing": ("tests/test_smoothing.py", "tests/test_calibration.py", "tests/test_acceptance.py"),
-    "distcal": ("tests/test_distcal.py", "tests/test_mutations.py", "tests/test_acceptance.py"),
+    "smoothing": (
+        "tests/test_smoothing.py", "tests/test_model.py", "tests/test_calibration.py", "tests/test_acceptance.py",
+    ),
+    "distcal": ("tests/test_distcal.py", "tests/test_model.py", "tests/test_mutations.py", "tests/test_acceptance.py"),
     "cli": ("tests/test_cli.py", "tests/test_mutations.py", "tests/test_acceptance.py", "tests/test_scripts.py"),
 }
 
@@ -168,7 +170,8 @@ MUTANTS = (
     ),
     Mutant("coordinator-error-wrapped", "distcal", "        if wid == COORDINATOR:\n            raise exc\n", ""),
     Mutant(
-        "in-process-wait-ignores-close", "distcal", "lambda: chan or key in self._closed, timeout,", "lambda: chan, timeout,",
+        "in-process-wait-ignores-close", "distcal", "lambda: chan or key in self._closed, self.timeout,",
+        "lambda: chan, self.timeout,",
     ),
     Mutant(
         "sockets-close-without-shutdown", "distcal",
@@ -224,6 +227,24 @@ MUTANTS = (
     Mutant(
         "result-row-rule-off", "calibration",
         "if fault := row_fault(points, row.loss_curve, row.ratio):", "if fault := None:",
+    ),
+    Mutant("rmsnorm-gain-rank-unchecked", "layers", "if self.gain.ndim != 1:", "if False:"),
+    Mutant("linear-weight-rank-unchecked", "layers", "if self.weight.ndim != 2:", "if False:"),
+    Mutant("linear-bias-shape-unchecked", "layers", "if self.bias.shape != (self.weight.shape[0],):", "if False:"),
+    Mutant("activation-fn-unchecked", "layers", "if self.fn not in ACT_FNS:", "if False:"),
+    Mutant("stack-zero-width-allowed", "layers", "if 0 in (widths := self.widths()):",
+           "if (widths := self.widths()) is None:"),
+    Mutant("calibset-rank-unchecked", "model", "if self.activations.ndim != 3:", "if False:"),
+    Mutant("calibset-modality-shape-unchecked", "model", "if self.modality.shape != self.activations.shape[:2]:",
+           "if False:"),
+    Mutant("stack-input-rank-unchecked", "model", "if x.ndim not in (2, 3):", "if False:"),
+    Mutant("checkpoint-name-length-unchecked", "model", "if len(name) > 0xFFFF:", "if False:"),
+    Mutant("smooth-scale-rank-unchecked", "smoothing", "if self.values.ndim != 1:", "if False:"),
+    Mutant("power-scale-rank-unchecked", "smoothing", "if x_stat.ndim != 1:", "if False:"),
+    Mutant(
+        "ledger-free-zero-allowed", "distcal",
+        '        if nbytes <= 0:\n            raise LedgerError(f"free must',
+        '        if nbytes < 0:\n            raise LedgerError(f"free must',
     ),
 )
 

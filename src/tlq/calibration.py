@@ -227,10 +227,6 @@ def search_ratio(
     the whole batch. The points run on `_search_threads` threads and the
     curve keeps grid order, so the thread count changes no byte.
     """
-    if x_stat.shape != (layer.weight.shape[1],):
-        raise ShapeError(
-            f"layer {layer.name!r}: x_stat length {x_stat.shape} vs {layer.weight.shape[1]} input channels"
-        )
     if q_inputs.shape != fp_inputs.shape:
         raise ShapeError(f"layer {layer.name!r}: inputs differ: {q_inputs.shape} vs {fp_inputs.shape}")
     y_fp = _batch_fp(layer, fp_inputs)
@@ -327,8 +323,6 @@ def layer_stat(
     if stat_mode not in STAT_MODES:
         raise ConfigError(f"stat mode must be one of {STAT_MODES}, got {stat_mode!r}")
     if stat_mode == "topk":
-        if selection is None:
-            raise ConfigError("topk stat mode needs a token selection")
         idx = np.asarray(selection)
         if idx.size == 0:
             raise ShapeError("empty token selection")
@@ -378,6 +372,10 @@ class CalibrationWalk:
     until the next linear layer and returns its calibration task (or None at
     the end of the stack); `fix_scale` commits that layer's smoothing scale
     and carries each stream past it by the layer its `STREAMS` row names.
+    Drivers alternate the two, one `fix_scale` after each task, and the walk
+    does not check the order: `next_linear` leaves its index on the linear,
+    and `fix_scale` reads the layer there. Its drivers check the strategy
+    and the batch's rank before they build it.
     """
 
     def __init__(
@@ -389,10 +387,6 @@ class CalibrationWalk:
         cfg_a: QuantConfig,
         observer: WalkObserver | None = None,
     ):
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-        if activations.ndim != 3:
-            raise ShapeError(f"calibration activations must be (B, N, C), got {activations.shape}")
         self.stack = stack
         self.strategy = strategy
         self.cfg_w = cfg_w
@@ -402,7 +396,6 @@ class CalibrationWalk:
         for name, arr in self._streams.items():
             self.obs.alloc(arr.nbytes, f"stream:{name}")
         self._idx = 0
-        self._pending: Linear | None = None
 
     def _params(self, hook) -> None:
         # parameter lifetime of the current layer; activations have none
@@ -423,12 +416,9 @@ class CalibrationWalk:
         self._idx += 1
 
     def next_linear(self) -> LinearTask | None:
-        if self._pending is not None:
-            raise ConfigError("previous linear layer was not fixed (call fix_scale first)")
         while self._idx < len(self.stack.layers):
             layer = self.stack.layers[self._idx]
             if isinstance(layer, Linear):
-                self._pending = layer
                 self._params(self.obs.alloc)
                 streams = list(self._streams.values())
                 return LinearTask(self._idx, layer, streams[-1], streams[0], streams[-1])
@@ -439,16 +429,13 @@ class CalibrationWalk:
         return None
 
     def fix_scale(self, scale: SmoothScale) -> None:
-        if self._pending is None:
-            raise ConfigError("no pending linear layer to fix")
-        layer, carriers = self._pending, STREAMS[self.strategy]
+        layer, carriers = self.stack.layers[self._idx], STREAMS[self.strategy]
         w_hat = quantized_weight(layer, scale, self.cfg_w) if "q" in carriers.values() else None
         for name, by in carriers.items():
             x = self._streams[name]
             new = _batch_fp(layer, x) if by == "fp" else apply_linear_quant(layer, x, scale, w_hat, self.cfg_a)
             self._replace_stream(name, new)
         self._params(self.obs.free)
-        self._pending = None
         self._idx += 1
 
 
@@ -496,7 +483,7 @@ def _calibration_loop(
     the selection passes and the walk, in order.
     """
     header = CalibrationResult((), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid)  # checks run first
-    if activations.ndim != 3:  # the walk's check; selection would take an (N, C) batch's rows for samples
+    if activations.ndim != 3:  # selection would take an (N, C) batch's rows for samples
         raise ShapeError(f"calibration activations must be (B, N, C), got {activations.shape}")
     # float64 in every stat mode; a copy, not ledgered, only for a batch that is not C-contiguous
     activations = _check_input(stack, activations)

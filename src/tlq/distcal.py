@@ -121,8 +121,6 @@ def baseline_peak(model_dims: tuple[int, int], batch_dims: tuple[int, int]) -> i
     """
     c_in, c_out = model_dims
     b, n = batch_dims
-    if min(c_in, c_out, b, n) <= 0:
-        raise ConfigError("baseline_peak dims must be positive")
     return 8 * (2 * b * n * c_in + 2 * b * n * c_out + c_in * c_out)
 
 
@@ -230,11 +228,11 @@ class _BaseTransport:
     """Point-to-point ordered channels with per-channel sequence numbers.
 
     `send`, the only way to write a frame, numbers it and hands it to `_put`,
-    which writes it on the channel its route names. `timeout` bounds a send
-    on a full channel and a worker's receive (None: no bound); a wait that
-    runs out of it raises ProtocolError. Subclasses provide `_put`, `_recv`
-    and `close_ends(worker)`, which closes the worker's end of each of its
-    channels, as its exit would.
+    which writes it on the channel its route names. `timeout` is the one
+    bound on a send to a full channel and on every receive (None: no bound);
+    a wait that runs out of it raises ProtocolError. Subclasses provide
+    `_put`, `_recv` and `close_ends(worker)`, which closes the worker's end
+    of each of its channels, as its exit would.
     """
 
     def __init__(self, worker_ids: Sequence[int]):
@@ -248,9 +246,9 @@ class _BaseTransport:
         seq = self._send_seq[key] = self._send_seq.get(key, -1) + 1
         self._put(replace(msg, seq=seq))
 
-    def recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
-        """Next message on channel sender->receiver, checked for order."""
-        msg = self._recv(receiver, sender, timeout)
+    def recv(self, receiver: int, sender: int) -> CalMessage:
+        """Next message on channel sender->receiver within `timeout`, checked for order."""
+        msg = self._recv(receiver, sender)
         key = (sender, receiver)
         last = self._recv_seq.get(key, -1)
         if msg.seq != last + 1:
@@ -301,11 +299,11 @@ class InProcessTransport(_BaseTransport):
             chan.append(msg)
             cond.notify_all()
 
-    def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
+    def _recv(self, receiver: int, sender: int) -> CalMessage:
         key = (sender, receiver)
         chan, cond = self._queues[key], self._conds[key]
         with cond:
-            self._wait(cond, lambda: chan or key in self._closed, timeout,
+            self._wait(cond, lambda: chan or key in self._closed, self.timeout,
                        f"timeout waiting for worker {sender} (receiver {receiver})")
             if not chan:
                 raise ProtocolError(f"connection closed while waiting for worker {sender} (receiver {receiver})")
@@ -355,8 +353,8 @@ class SocketTransport(_BaseTransport):
         except OSError as exc:  # TimeoutError: the receiver stopped reading; BrokenPipeError: it closed
             raise ProtocolError(f"send to worker {msg.receiver} (sender {msg.sender}) failed: {exc}") from None
 
-    def _read_exact(self, sock: socket.socket, n: int, who: str, deadline: float) -> np.ndarray:
-        """n bytes read straight into one new buffer before `deadline` (monotonic).
+    def _read_exact(self, sock: socket.socket, n: int, who: str, deadline: float | None) -> np.ndarray:
+        """n bytes read straight into one new buffer before `deadline` (monotonic; None: no bound).
 
         `np.empty` leaves the pages untouched, so a forged length costs
         nothing until bytes actually arrive.
@@ -369,7 +367,7 @@ class SocketTransport(_BaseTransport):
         got = 0
         while got < n:
             try:
-                sock.settimeout(max(0.0, deadline - time.monotonic()))
+                sock.settimeout(None if deadline is None else max(0.0, deadline - time.monotonic()))
                 k = sock.recv_into(view[got:])
             except (TimeoutError, BlockingIOError):  # BlockingIOError: past the deadline, nothing had arrived
                 raise ProtocolError(f"timeout waiting for {who}") from None
@@ -378,9 +376,9 @@ class SocketTransport(_BaseTransport):
             got += k
         return buf
 
-    def _recv(self, receiver: int, sender: int, timeout: float) -> CalMessage:
+    def _recv(self, receiver: int, sender: int) -> CalMessage:
         sock = self._ends[(receiver, sender)]
-        deadline = time.monotonic() + timeout
+        deadline = None if self.timeout is None else time.monotonic() + self.timeout
         who = f"worker {sender} (receiver {receiver})"
         (length,) = struct.unpack("<I", self._read_exact(sock, 4, who, deadline))
         return decode_message(self._read_exact(sock, length, who, deadline))
@@ -446,7 +444,7 @@ class _WorkerCtx:
 
     def recv(self, sender: int, kind: str | None = None, layer: int | None = None, stream: str | None = None):
         """Next message from `sender`; with a `kind`, exactly that step (same kind, layer and stream)."""
-        msg = self.transport.recv(self.me, sender, self.transport.timeout)
+        msg = self.transport.recv(self.me, sender)
         if kind is not None and (msg.kind, msg.layer, msg.stream) != (kind, layer, stream):
             raise ProtocolError(
                 f"worker {self.me} expected {kind} (layer {layer}, stream {stream}), "

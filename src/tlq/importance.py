@@ -25,8 +25,6 @@ from .smoothing import SmoothScale
 
 def channel_mean_abs(g: np.ndarray) -> np.ndarray:
     """Per-token mean of |g| over the channel dimension."""
-    if g.ndim != 2:
-        raise ShapeError(f"expected (tokens, channels) gradients, got {g.shape}")
     return np.mean(np.abs(g), axis=1)
 
 
@@ -104,8 +102,6 @@ def heatmap_rows(
     channel_indices: Sequence[int],
 ) -> list[tuple[int, int, float, list[float]]]:
     """Rows (token, modality, row gradient magnitude, |g| at sampled channels)."""
-    if g.ndim != 2 or modality.shape != (g.shape[0],):
-        raise ShapeError(f"gradients {g.shape} and modality {modality.shape} do not align")
     sums = channel_mean_abs(g)
     out = []
     for t in token_indices:

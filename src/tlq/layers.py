@@ -92,7 +92,8 @@ class LayerStack:
         if any("".join(name.splitlines()) != name for name in names):  # a result file holds one name a line
             raise ConfigError(f"layer names must not hold a line break: {names}")
         # Walking the widths validates that adjacent layers compose.
-        self.widths()
+        if 0 in (widths := self.widths()):
+            raise ShapeError(f"every layer width must be > 0, got {widths}")
 
     def widths(self) -> tuple[int, ...]:
         """Input width of every layer plus the final output width."""

@@ -109,8 +109,6 @@ def apply_layer_fp(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
 def _apply_fp(layer: LayerSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """`apply_layer_fp` and what the layer's backward reads: rmsnorm's per-token r, silu's sigmoid, else None."""
     if isinstance(layer, RMSNorm):
-        if x.shape[-1] != layer.gain.shape[0]:
-            raise ShapeError(f"layer {layer.name!r}: input width {x.shape[-1]} vs gain {layer.gain.shape[0]}")
         r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)
         return x / r * layer.gain, r
     if isinstance(layer, Linear):
@@ -150,13 +148,8 @@ def quantized_weight(layer: Linear, scale: SmoothScale, cfg_w: QuantConfig) -> n
 def quantized_weights(
     stack: LayerStack, scales: Mapping[str, SmoothScale], cfg_w: QuantConfig
 ) -> dict[str, np.ndarray]:
-    """`quantized_weight` of every linear of the stack, by name; every linear needs a scale."""
-    out = {}
-    for _, layer in stack.linears():
-        if layer.name not in scales:
-            raise ConfigError(f"missing smoothing scale for linear layer {layer.name!r}")
-        out[layer.name] = quantized_weight(layer, scales[layer.name], cfg_w)
-    return out
+    """`quantized_weight` of every linear of the stack, by name; every linear needs a scale (`check_result_layers`)."""
+    return {layer.name: quantized_weight(layer, scales[layer.name], cfg_w) for _, layer in stack.linears()}
 
 
 def apply_linear_quant(

@@ -100,8 +100,6 @@ def quantize(x: np.ndarray, cfg: QuantConfig) -> QuantizedTensor:
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct q * s; the result is within s/2 of the source elementwise."""
-    if qt.q.ndim != 2 or qt.scales.shape != (qt.q.shape[0],):
-        raise ShapeError(f"inconsistent quantized tensor: q {qt.q.shape}, scales {qt.scales.shape}")
     return qt.q * qt.scales[:, None]
 
 
@@ -111,8 +109,6 @@ def _qdq_inplace(x: np.ndarray, cfg: QuantConfig) -> None:
     Works through blocks of whole rows with one cache-sized scratch buffer,
     so no temporary of x's size is allocated.
     """
-    if x.ndim != 2:
-        raise ShapeError(f"quantize expects a rank-2 tensor, got shape {x.shape}")
     rows = max(1, _QDQ_CHUNK_ELEMS // max(1, x.shape[1]))
     scratch = np.empty((min(rows, x.shape[0]), x.shape[1]), dtype=x.dtype)
     sign = np.uint64(1 << 63)

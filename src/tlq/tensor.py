@@ -51,14 +51,9 @@ def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-def rand_normal(
-    rng: Rng, shape: Sequence[int], mean: float = 0.0, std: float = 1.0
-) -> np.ndarray:
-    """Normal(mean, std) tensor, deterministic for a fixed (rng, shape)."""
-    shape = _check_shape(shape)
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    return rng.generator().normal(mean, std, size=shape)
+def rand_normal(rng: Rng, shape: Sequence[int]) -> np.ndarray:
+    """Standard normal tensor, deterministic for a fixed (rng, shape)."""
+    return rng.generator().normal(0.0, 1.0, size=_check_shape(shape))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ def random_block_stack(seed: int, blocks: int, channels: int, act: str = "silu")
     for d in range(blocks):
         gain = rand_uniform(rng.split(f"gain{d}"), (channels,), 0.5, 1.5)
         w = rand_normal(rng.split(f"w{d}"), (channels, channels)) / np.sqrt(channels)
-        b = rand_normal(rng.split(f"b{d}"), (channels,), 0.0, 0.1)
+        b = rand_normal(rng.split(f"b{d}"), (channels,)) * 0.1
         layers.append(RMSNorm(f"norm{d}", gain, 1e-6))
         layers.append(Linear(f"lin{d}", w, b))
         layers.append(Activation(f"act{d}", act))
@@ -44,7 +44,7 @@ def random_block_stack(seed: int, blocks: int, channels: int, act: str = "silu")
 def single_linear_stack(seed: int, n_in: int, n_out: int) -> LayerStack:
     rng = Rng(seed)
     w = rand_normal(rng.split("w"), (n_out, n_in)) / np.sqrt(n_in)
-    b = rand_normal(rng.split("b"), (n_out,), 0.0, 0.1)
+    b = rand_normal(rng.split("b"), (n_out,)) * 0.1
     return LayerStack((Linear("lin", w, b),), n_in)
 
 

@@ -379,17 +379,17 @@ def faulty_transport(make_transport, fault, kind: str, stream: str | None, nth: 
         transport = make_transport(name, worker_ids)
         recv, seen, held = transport._recv, itertools.count(1), {}
 
-        def faulty(me: int, sender: int, timeout: float) -> CalMessage:
+        def faulty(me: int, sender: int) -> CalMessage:
             if (sender, me) in held:
                 return held.pop((sender, me))
-            msg = recv(me, sender, timeout)
+            msg = recv(me, sender)
             if (me, msg.kind, msg.stream) != (receiver, kind, stream) or next(seen) != nth:
                 return msg
             if fault == "drop":
-                return recv(me, sender, timeout)
+                return recv(me, sender)
             if fault in ("duplicate", "swap"):
                 held[(sender, me)] = msg
-                return msg if fault == "duplicate" else recv(me, sender, timeout)
+                return msg if fault == "duplicate" else recv(me, sender)
             return fault(msg)
 
         transport._recv = faulty

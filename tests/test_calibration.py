@@ -781,7 +781,7 @@ def test_batch_fp_has_the_bytes_of_per_sample_layers(layer, order):
     """Three sample blocks (the last one short) give the bytes of one apply_layer_fp per sample."""
     n = 64
     per_block = _QDQ_CHUNK_ELEMS // (n * 17)
-    xs = np.asarray(rand_normal(Rng(44), (2 * per_block + 3, n, 17), std=3.0), order=order)
+    xs = np.asarray(rand_normal(Rng(44), (2 * per_block + 3, n, 17)) * 3.0, order=order)
     got = _batch_fp(layer, xs)
     assert got.flags.c_contiguous
     assert got.tobytes() == np.stack([apply_layer_fp(layer, x) for x in xs]).tobytes()

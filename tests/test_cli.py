@@ -14,7 +14,7 @@ from helpers import BROKEN_RESULTS, broken_result_text, parse_heatmap_csv
 from tlq import fixtures
 from tlq.calibration import load_quantized, result_from_text
 from tlq.cli import _CAL_OPTIONS, _DIST_OPTIONS, main
-from tlq.layers import LayerStack
+from tlq.layers import Activation, LayerStack, Linear
 from tlq.model import CalibrationSet, load_calibset, load_checkpoint, save_calibset, save_checkpoint
 from test_model import UNSTACKABLE, checkpoint_of, checkpoint_with_linear_named
 
@@ -608,6 +608,30 @@ def test_a_checkpoint_whose_layers_make_no_stack_exits_two(tmp_path, capsys, how
                  "--out", str(out)])
     assert code == 2
     _one_error_line(capsys, f"error: inconsistent stack: {message}")
+    assert not out.exists()
+
+
+# stacks with a width of 0 -> (layers, input channels, the widths the refusal names)
+ZERO_WIDTH = {
+    "no_outputs": ((Linear("lin0", np.eye(16), np.zeros(16)), Linear("lin1", np.zeros((0, 16)), np.zeros(0))), 16,
+                   "(16, 16, 0)"),
+    "no_inputs": ((Linear("lin0", np.zeros((16, 0)), np.zeros(16)), Activation("act0")), 0, "(0, 16, 16)"),
+}
+
+
+@pytest.mark.parametrize("command", ["calibrate", "dist-calibrate", "eval"])
+@pytest.mark.parametrize("how", sorted(ZERO_WIDTH))
+def test_a_checkpoint_with_a_zero_width_exits_two_from_every_command(tmp_path, capsys, how, command):
+    layers, channels, widths = ZERO_WIDTH[how]
+    model, out = tmp_path / "m.ckpt", tmp_path / "out.txt"
+    model.write_bytes(checkpoint_of(layers, channels))
+    calib = tmp_path / "c.bin"
+    calib.write_bytes(save_calibset(CalibrationSet(np.ones((2, 4, channels)), np.zeros((2, 4), np.uint8))))
+    result = () if command != "eval" else ("--result", str(tmp_path / "r.txt"))  # eval reads the model first
+    capsys.readouterr()
+    code = main([command, "--model", str(model), "--calib", str(calib), "--out", str(out), *result])
+    assert code == 2
+    _one_error_line(capsys, f"error: inconsistent stack: every layer width must be > 0, got {widths}")
     assert not out.exists()
 
 

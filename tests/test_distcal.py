@@ -249,12 +249,13 @@ def test_readme_wire_protocol_states_the_codec_layouts():
 
 def test_transport_rejects_stale_sequence():
     chans = InProcessTransport([0, 1])
+    chans.timeout = 1.0
     chans.send(CalMessage("done", 0, 1))
-    chans.recv(1, 0, timeout=1.0)
+    chans.recv(1, 0)
     # replay an already-consumed sequence number
     chans._queues[(0, 1)].append(CalMessage("done", 0, 1, seq=0))
     with pytest.raises(ProtocolError, match="out-of-order"):
-        chans.recv(1, 0, timeout=1.0)
+        chans.recv(1, 0)
 
 
 def test_an_unknown_transport_fails_before_any_worker_starts(monkeypatch):
@@ -270,11 +271,13 @@ def test_an_unknown_transport_fails_before_any_worker_starts(monkeypatch):
 
 def test_transport_timeout():
     chans = InProcessTransport([0, 1])
+    chans.timeout = 0.05
     with pytest.raises(ProtocolError, match="timeout"):
-        chans.recv(1, 0, timeout=0.05)
+        chans.recv(1, 0)
     socks = SocketTransport([0, 1])
+    socks.timeout = 0.05
     with pytest.raises(ProtocolError, match="timeout"):
-        socks.recv(1, 0, timeout=0.05)
+        socks.recv(1, 0)
     socks.close()
 
 
@@ -292,9 +295,10 @@ def test_full_in_process_channel_fails_a_send_after_its_timeout():
 def test_transport_names_a_sequence_gap():
     chans = InProcessTransport([0, 1])
     chans._queues[(0, 1)].extend([CalMessage("done", 0, 1, seq=0), CalMessage("done", 0, 1, seq=2)])
-    chans.recv(1, 0, timeout=1.0)
+    chans.timeout = 1.0
+    chans.recv(1, 0)
     with pytest.raises(ProtocolError, match=r"channel \(0, 1\): expected seq 1, got 2"):
-        chans.recv(1, 0, timeout=1.0)
+        chans.recv(1, 0)
 
 
 @pytest.mark.parametrize("transport", ["in_process", "sockets"])
@@ -318,13 +322,15 @@ def test_closing_a_workers_ends_stops_only_its_channels(transport):
     with pytest.raises(ProtocolError, match=r"send to worker 1 \(sender 0\) failed"):
         chans.send(CalMessage("done", 0, 1))
     assert time.monotonic() - start < 0.5
+    chans.timeout = 1.0
     start = time.monotonic()
     with pytest.raises(ProtocolError, match=r"connection closed while waiting for worker 1 \(receiver 2\)"):
-        chans.recv(2, 1, timeout=1.0)
+        chans.recv(2, 1)
     assert time.monotonic() - start < 0.5
+    chans.timeout = 0.2
     start = time.monotonic()
     with pytest.raises(ProtocolError, match=r"timeout waiting for worker 0 \(receiver 2\)"):
-        chans.recv(2, 0, timeout=0.2)  # channel 0->2 is not worker 1's: its close does not end this wait
+        chans.recv(2, 0)  # channel 0->2 is not worker 1's: its close does not end this wait
     assert time.monotonic() - start >= 0.2
     chans.close()
 
@@ -335,7 +341,8 @@ def test_socket_transport_carries_tensors_exactly():
     before = t.copy()
     chans.send(CalMessage("layer_output", 0, 1, layer=0, stream="fp", tensor=t, count=1))
     t[...] = 0.0  # the send has returned, so its bytes are already on the wire
-    got = chans.recv(1, 0, timeout=2.0)
+    chans.timeout = 2.0
+    got = chans.recv(1, 0)
     chans.close()
     assert np.array_equal(got.tensor, before)
     assert got.tensor.flags.writeable
@@ -404,8 +411,9 @@ def test_frame_written_one_byte_at_a_time_decodes_to_the_same_message():
 
     writer = threading.Thread(target=trickle, daemon=True)
     writer.start()
+    chans.timeout = 5.0
     try:
-        got = chans.recv(1, 0, timeout=5.0)
+        got = chans.recv(1, 0)
         writer.join(timeout=5.0)
         assert not writer.is_alive()
     finally:
@@ -428,10 +436,11 @@ def test_trickled_frame_fails_within_one_receive_timeout():
 
     writer = threading.Thread(target=trickle, daemon=True)
     writer.start()
+    chans.timeout = 0.2
     t0 = time.monotonic()
     try:
         with pytest.raises(ProtocolError, match="timeout"):
-            chans.recv(1, 0, timeout=0.2)
+            chans.recv(1, 0)
         elapsed = time.monotonic() - t0
     finally:
         stop.set()
@@ -446,9 +455,10 @@ def test_peer_closing_mid_payload_is_a_protocol_error():
     frame = encode_message(CalMessage("layer_output", 0, 1, seq=0, layer=0, stream="fp", count=1, tensor=np.ones(64)))
     chans._ends[(0, 1)].sendall(frame[: len(frame) // 2])
     chans._ends[(0, 1)].close()
+    chans.timeout = 2.0
     try:
         with pytest.raises(ProtocolError, match="connection closed"):
-            chans.recv(1, 0, timeout=2.0)
+            chans.recv(1, 0)
     finally:
         chans.close()
 
@@ -458,11 +468,12 @@ def test_forged_length_prefix_costs_no_memory_or_time():
     chans = SocketTransport([0, 1])
     chans._ends[(0, 1)].sendall(struct.pack("<I", 0xFFFFFFFF))
     chans._ends[(0, 1)].close()
+    chans.timeout = 2.0
     rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t0 = time.perf_counter()
     try:
         with pytest.raises(ProtocolError):
-            chans.recv(1, 0, timeout=2.0)
+            chans.recv(1, 0)
     finally:
         chans.close()
     assert time.perf_counter() - t0 < 0.5
@@ -481,9 +492,10 @@ def test_unallocatable_frame_is_a_protocol_error(monkeypatch):
         return empty(n, *args, **kwargs)
 
     monkeypatch.setattr(distcal.np, "empty", no_memory)
+    chans.timeout = 2.0
     try:
         with pytest.raises(ProtocolError, match="cannot allocate a 4294967295-byte frame"):
-            chans.recv(1, 0, timeout=2.0)
+            chans.recv(1, 0)
     finally:
         chans.close()
 

@@ -9,7 +9,8 @@ from conftest import random_block_stack, single_linear_stack
 from helpers import rand_uniform, unit_scale
 from tlq import model
 from tlq.calibration import QuantizedLinear, QuantizedStack, load_quantized, save_quantized
-from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
+from tlq.distcal import MemoryAccount
+from tlq.errors import CheckpointError, ConfigError, LedgerError, NumericError, ShapeError
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
 from tlq.fixtures import build_calibset, build_stack
 from tlq.model import (
@@ -32,7 +33,7 @@ from tlq.model import (
     save_checkpoint,
 )
 from tlq.quantizer import QuantConfig, dequantize, quantize
-from tlq.smoothing import SmoothScale
+from tlq.smoothing import SmoothScale, power_scale
 from tlq.tensor import Rng, rand_normal
 
 CFG_W8 = QuantConfig(8, "per_channel")
@@ -545,6 +546,8 @@ def checkpoint_with_linear_named(name: str, channels: int = 4) -> bytes:
 UNSTACKABLE = {
     "narrow_gain": ((RMSNorm("norm", np.ones(3)),), "bad_dims", "layer 'norm': gain length 3 != input width 16"),
     "repeated_name": ((Activation("act"), Activation("act")), "bad_name", "duplicate layer names in stack"),
+    "zero_width": ((Linear("lin", np.zeros((0, 16)), np.zeros(0)),), "bad_dims",
+                   "every layer width must be > 0, got (16, 0)"),
 }
 
 
@@ -565,6 +568,43 @@ def test_a_layer_name_holding_a_line_break_is_refused(brk):
         load_checkpoint(checkpoint_with_linear_named(lin.name))
     assert err.value.code == "bad_name"
     assert len(str(err.value).splitlines()) == 1
+
+
+# a public constructor or entry point given a bad argument -> (call, error class, message, checkpoint code)
+BAD_ARGUMENTS = {
+    "rmsnorm_gain_rank": (lambda: RMSNorm("norm", np.ones((2, 2))), ShapeError,
+                          "rmsnorm 'norm': gain must be rank 1, got (2, 2)", None),
+    "linear_weight_rank": (lambda: Linear("lin", np.ones(3), np.ones(3)), ShapeError,
+                           "linear 'lin': weight must be rank 2, got (3,)", None),
+    "linear_bias_shape": (lambda: Linear("lin", np.ones((3, 2)), np.ones(2)), ShapeError,
+                          "linear 'lin': bias shape (2,) does not match weight (3, 2)", None),
+    "activation_fn": (lambda: Activation("act", "gelu"), ConfigError,
+                      "activation 'act': fn must be one of ('relu', 'silu'), got 'gelu'", None),
+    "calibset_rank": (lambda: CalibrationSet(np.ones((2, 3)), np.zeros(2, np.uint8)), ShapeError,
+                      "activations must be (B, N, C), got (2, 3)", None),
+    "calibset_modality_shape": (lambda: CalibrationSet(np.ones((2, 3, 4)), np.zeros((2, 4), np.uint8)), ShapeError,
+                                "modality shape (2, 4) does not match activations (2, 3, 4)", None),
+    "forward_rank_1": (lambda: forward_fp(LayerStack((), 4), np.ones(4)), ShapeError,
+                       "stack input must be (tokens, channels) or (samples, tokens, channels), got (4,)", None),
+    "forward_rank_4": (lambda: forward_fp(LayerStack((), 4), np.ones((1, 2, 3, 4))), ShapeError,
+                       "stack input must be (tokens, channels) or (samples, tokens, channels), got (1, 2, 3, 4)", None),
+    "checkpoint_name_length": (lambda: save_checkpoint(LayerStack((Activation("a" * 65_536),), 4)), CheckpointError,
+                               "layer name too long (65536 bytes)", "bad_name"),
+    "smooth_scale_rank": (lambda: SmoothScale(np.ones((2, 2))), ShapeError,
+                          "smoothing scale must be rank 1, got (2, 2)", None),
+    "power_scale_rank": (lambda: power_scale(np.ones((2, 2)), 0.5), ShapeError, "x_stat must be rank 1, got (2, 2)",
+                         None),
+    "ledger_free_zero": (lambda: MemoryAccount().free(0, "tag"), LedgerError, "free must be > 0 bytes, got 0 (tag)",
+                         None),
+}
+
+
+@pytest.mark.parametrize("how", sorted(BAD_ARGUMENTS))
+def test_a_public_entry_refuses_a_bad_argument_with_its_error(how):
+    call, error, message, code = BAD_ARGUMENTS[how]
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call()
+    assert getattr(err.value, "code", None) == code
 
 
 def _layout_digests(stack, x, scales, weights):

@@ -58,13 +58,6 @@ def test_rand_split_streams_are_independent():
     assert np.array_equal(a, rand_normal(Rng(5).split("alpha"), (8,)))
 
 
-def test_normal_zero_std_degenerates_to_mean():
-    x = rand_normal(Rng(1), (100,), mean=2.5, std=0.0)
-    assert np.array_equal(x, np.full(100, 2.5))
-    with pytest.raises(ValueError):
-        rand_normal(Rng(1), (3,), std=-1.0)
-
-
 def test_uniform_moments():
     u = rand_uniform(Rng(11), (1_000_000,))
     assert abs(u.mean() - 0.5) < 0.002
