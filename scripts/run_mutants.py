@@ -49,7 +49,8 @@ COVERING = {
     "smoothing": (
         "tests/test_smoothing.py", "tests/test_model.py", "tests/test_calibration.py", "tests/test_acceptance.py",
     ),
-    "distcal": ("tests/test_distcal.py", "tests/test_model.py", "tests/test_mutations.py", "tests/test_acceptance.py"),
+    "distcal": ("tests/test_distcal.py", "tests/test_mutations.py", "tests/test_acceptance.py"),
+    "fixtures": ("tests/test_fixtures.py", "tests/test_acceptance.py"),
     "cli": ("tests/test_cli.py", "tests/test_mutations.py", "tests/test_acceptance.py", "tests/test_scripts.py"),
 }
 
@@ -150,7 +151,6 @@ MUTANTS = (
         "dist-curve-freed-once", "distcal",
         'account.free(16 * len(curve), f"curve[L{layer}]")', 'account.free(16, f"curve[L{layer}]")',
     ),
-    Mutant("dist-encode-missing-field", "distcal", "    if missing:\n", "    if False:\n"),
     Mutant("dist-crc-unchecked", "distcal", "if zlib.crc32(fields[\"tensor\"]) != crc:", "if False:"),
     Mutant(
         "coord-scale-check-off", "distcal",
@@ -238,6 +238,8 @@ MUTANTS = (
     Mutant("calibset-modality-shape-unchecked", "model", "if self.modality.shape != self.activations.shape[:2]:",
            "if False:"),
     Mutant("stack-input-rank-unchecked", "model", "if x.ndim not in (2, 3):", "if False:"),
+    Mutant("quantized-weight-scale-unchecked", "model", "if scale.values.shape != (layer.weight.shape[1],):",
+           "if False:"),
     Mutant("checkpoint-name-length-unchecked", "model", "if len(name) > 0xFFFF:", "if False:"),
     Mutant("smooth-scale-rank-unchecked", "smoothing", "if self.values.ndim != 1:", "if False:"),
     Mutant("power-scale-rank-unchecked", "smoothing", "if x_stat.ndim != 1:", "if False:"),
@@ -245,6 +247,13 @@ MUTANTS = (
         "ledger-free-zero-allowed", "distcal",
         '        if nbytes <= 0:\n            raise LedgerError(f"free must',
         '        if nbytes < 0:\n            raise LedgerError(f"free must',
+    ),
+    Mutant("fixtures-channel-floor-15", "fixtures", "if channels < 16:", "if channels < 15:"),
+    Mutant("fixtures-depth-zero-allowed", "fixtures", "if depth < 1:", "if depth < 0:"),
+    Mutant("fixtures-empty-batch-allowed", "fixtures", "if batch < 1 or tokens < 1:", "if batch < 0 or tokens < 0:"),
+    Mutant(
+        "fixtures-visual-fraction-unbounded", "fixtures",
+        "if not 0.0 <= visual_fraction <= 1.0:", "if not 0.0 <= visual_fraction:",
     ),
 )
 

@@ -112,10 +112,6 @@ def _apply_fp(layer: LayerSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray |
         r = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + layer.eps)
         return x / r * layer.gain, r
     if isinstance(layer, Linear):
-        if x.shape[-1] != layer.weight.shape[1]:
-            raise ShapeError(
-                f"layer {layer.name!r}: input width {x.shape[-1]} vs weight {layer.weight.shape}"
-            )
         return matmul(x, layer.weight.T) + layer.bias, None
     if layer.fn == "relu":
         return np.maximum(x, 0.0), None
@@ -188,14 +184,11 @@ def _linear_quant_blocks(
     changes no byte), then goes through one stacked matmul, which keeps the
     per-sample gemms' bytes where a flattened (k*N, C) gemm would not, and
     gets the bias. `y` is the block's view of `out`, which holds the whole
-    batch or one block that every block reuses.
+    batch or one block that every block reuses. Its operands are checked where
+    they are built: `quantized_weight` checks the scale's width, and the walk
+    and `forward_quant` pass rank-3 inputs of the layer's width.
     """
     c_in = layer.weight.shape[1]
-    if xs.ndim != 3 or xs.shape[2] != c_in or scale.values.shape != (c_in,) or w_hat.shape != layer.weight.shape:
-        raise ShapeError(
-            f"layer {layer.name!r}: inputs {xs.shape}, smoothing scale {scale.values.shape} and "
-            f"quantized weight {w_hat.shape} vs weight {layer.weight.shape}"
-        )
     samples = _block_samples(xs)
     whole = out.shape[0] == xs.shape[0]
     x_hat = np.empty((min(samples, xs.shape[0]), *xs.shape[1:]))
@@ -239,15 +232,13 @@ def forward_quant(
 ) -> ForwardTrace:
     """Quantization-exposed forward; every linear needs a smoothing scale and, in `weights`, its built weight.
 
-    `quantized_weights` builds them all; the pass only reads them.
+    `quantized_weights` builds them all, for a result `check_result_layers` passed; the pass only reads them.
     """
     cur = _check_input(stack, x)
     inputs = []
     for layer in stack.layers:
         inputs.append(cur)
         if isinstance(layer, Linear):
-            if layer.name not in scales or layer.name not in weights:
-                raise ConfigError(f"missing smoothing scale or quantized weight for linear layer {layer.name!r}")
             xs = cur if cur.ndim == 3 else cur[None]
             y = apply_linear_quant(layer, xs, scales[layer.name], weights[layer.name], cfg_a)
             cur = y if cur.ndim == 3 else y[0]

@@ -1,4 +1,4 @@
-"""A seeded random source and a shape-checked matmul.
+"""A seeded random source and the matmul of the full-precision linear.
 
 `Rng` and `rand_normal` give the fixtures and the heatmap's token subsample
 the same draws for the same seed on every run. `matmul` is the product of
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .errors import ShapeError
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,30 +40,19 @@ class Rng:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(d) for d in shape)
-    if not 1 <= len(shape) <= 3:
-        raise ShapeError(f"rank must be 1..3, got shape {shape}")
-    if any(d < 0 for d in shape):
-        raise ShapeError(f"negative dimension in shape {shape}")
-    return shape
-
-
 def rand_normal(rng: Rng, shape: Sequence[int]) -> np.ndarray:
     """Standard normal tensor, deterministic for a fixed (rng, shape)."""
-    return rng.generator().normal(0.0, 1.0, size=_check_shape(shape))
+    return rng.generator().normal(0.0, 1.0, size=shape)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of a rank-2 or rank-3 `a` with a rank-2 `b`, with explicit shape validation.
+    """Product of a rank-2 or rank-3 `a` with a rank-2 `b`.
 
-    A rank-3 `a` is a stack of matrices, and numpy runs one gemm per slice:
-    for a C-contiguous `a` each slice has the bytes of a rank-2 call on it.
-    A flattened (k*N, C) product does not keep those bytes.
+    Both callers pass a linear's own weight against an input of its width
+    (the stack's width walk and `_check_input` check it). A rank-3 `a` is a
+    stack of matrices, and numpy runs one gemm per slice: for a C-contiguous
+    `a` each slice has the bytes of a rank-2 call on it. A flattened (k*N, C)
+    product does not keep those bytes.
     """
-    if a.ndim not in (2, 3) or b.ndim != 2:
-        raise ShapeError(f"matmul needs a rank-2 or rank-3 left and a rank-2 right input, got {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     return a @ b
 

@@ -41,7 +41,7 @@ from tlq.model import (
 from tlq.report import EvalReport, LayerEval
 from tlq.quantizer import DEFAULT_SCALE_FLOOR, QuantConfig, _qdq_inplace, dequantize, quantize
 from tlq.smoothing import SmoothScale, power_scale
-from tlq.tensor import Rng, _check_shape, matmul
+from tlq.tensor import Rng, matmul
 
 # --- tensors and scales ----------------------------------------------------------
 
@@ -50,7 +50,6 @@ def rand_uniform(
     rng: Rng, shape: Sequence[int], low: float = 0.0, high: float = 1.0
 ) -> np.ndarray:
     """Uniform(low, high) tensor, deterministic for a fixed (rng, shape)."""
-    shape = _check_shape(shape)
     return rng.generator().uniform(low, high, size=shape)
 
 

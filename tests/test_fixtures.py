@@ -78,6 +78,8 @@ def test_fixture_validation():
         build_stack(1, 0, 32)
     with pytest.raises(ConfigError):
         plant_profile(1, 8)
+    with pytest.raises(ConfigError, match="at least 16 channels, got 15"):
+        plant_profile(1, 15)
     with pytest.raises(ConfigError):
         build_calibset(1, 2, 4, 32, visual_fraction=1.5)
 

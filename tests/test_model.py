@@ -9,8 +9,7 @@ from conftest import random_block_stack, single_linear_stack
 from helpers import rand_uniform, unit_scale
 from tlq import model
 from tlq.calibration import QuantizedLinear, QuantizedStack, load_quantized, save_quantized
-from tlq.distcal import MemoryAccount
-from tlq.errors import CheckpointError, ConfigError, LedgerError, NumericError, ShapeError
+from tlq.errors import CheckpointError, ConfigError, NumericError, ShapeError
 from tlq.layers import Activation, LayerStack, Linear, RMSNorm
 from tlq.fixtures import build_calibset, build_stack
 from tlq.model import (
@@ -18,7 +17,6 @@ from tlq.model import (
     CalibrationSet,
     _pack_linear,
     ProxyLossSpec,
-    apply_layer_fp,
     backward_from_trace,
     backward_token_grads,
     forward_fp,
@@ -72,8 +70,6 @@ def test_three_layer_stack_matches_hand_composition():
 
 def test_dimension_error_names_layer():
     stack = single_linear_stack(1, 4, 3)
-    with pytest.raises(ShapeError, match="lin"):
-        apply_layer_fp(stack.layers[0], np.zeros((2, 5)))
     with pytest.raises(ShapeError):
         forward_fp(stack, np.zeros((2, 5)))
 
@@ -138,13 +134,6 @@ def test_single_layer_matches_hand_simulated_quantization():
     )
     got = forward_quant(stack, x, {"lin": s}, {"lin": quantized_weight(lin, s, cfg_w)}, cfg_a).output
     assert np.array_equal(got, want)
-
-
-def test_forward_quant_requires_scales():
-    stack = single_linear_stack(9, 4, 4)
-    x = rand_normal(Rng(9), (2, 4))
-    with pytest.raises(ConfigError, match="lin"):
-        forward_quant(stack, x, {}, {}, CFG_A8)
 
 
 def test_backward_single_linear_closed_form():
@@ -594,8 +583,11 @@ BAD_ARGUMENTS = {
                           "smoothing scale must be rank 1, got (2, 2)", None),
     "power_scale_rank": (lambda: power_scale(np.ones((2, 2)), 0.5), ShapeError, "x_stat must be rank 1, got (2, 2)",
                          None),
-    "ledger_free_zero": (lambda: MemoryAccount().free(0, "tag"), LedgerError, "free must be > 0 bytes, got 0 (tag)",
-                         None),
+    # a 1-wide scale would broadcast over every input channel
+    "quantized_weight_scale_width": (
+        lambda: quantized_weight(Linear("lin", np.ones((3, 2)), np.zeros(3)), SmoothScale(np.ones(1)), CFG_W8),
+        ShapeError, "layer 'lin': smoothing scale (1,) vs 2 input channels", None,
+    ),
 }
 
 

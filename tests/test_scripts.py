@@ -55,13 +55,13 @@ def test_every_mutant_edits_one_place_of_a_covered_module():
 def test_line_trace_lists_the_raises_that_one_test_file_leaves_unrun():
     env = dict(os.environ, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")  # loading hypothesis's plugin alone costs ~1 s
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "line_trace.py"), "-p", "no:cacheprovider", "tests/test_tensor.py"],
+        [sys.executable, str(ROOT / "scripts" / "line_trace.py"), "-p", "no:cacheprovider", "tests/test_fixtures.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 1, done.stdout + done.stderr  # the tests pass, and some raise never ran
     head, rows = done.stdout.split(" raise statement(s) in src/tlq that no test ran:\n")
     assert " passed" in head and " failed" not in head
     assert len(rows.splitlines()) == int(head.split()[-1])
-    # test_tensor builds no smoothing scale
+    # test_fixtures builds no smoothing scale
     assert re.search(r"^src/tlq/smoothing\.py:\d+: raise ShapeError\(f\"smoothing scale must be rank 1", rows, re.M)
-    assert "src/tlq/tensor.py:" not in rows  # it runs every check of its own module
+    assert "src/tlq/fixtures.py:" not in rows  # it runs every check of its own module
