@@ -192,6 +192,26 @@ def test_wire_unknown_stream_code_rejected():
         decode_message(bytes(frame))
 
 
+def test_encoding_an_unknown_kind_raises_rather_than_writing_a_frame():
+    # only distcal builds the messages it sends; a direct misuse still raises
+    with pytest.raises(KeyError, match="bogus"):
+        encode_message(CalMessage("bogus", 0, 1, seq=0))
+
+
+@pytest.mark.parametrize("msg, error", [
+    (CalMessage("loss_report", 2, 1, seq=0, layer=0, ratio=0.5), struct.error),
+    (CalMessage("stat_request", 0, 1, seq=0, layer=0, count=1), AttributeError),
+    (CalMessage("ratio_fixed", 1, 0, seq=0, layer=0, ratio=0.5, tensor=np.ones(2)), TypeError),
+    (CalMessage("layer_output", 0, 2, seq=0, stream="q", count=1, tensor=np.ones(2)), struct.error),
+    (CalMessage("done", 0, 1), struct.error),  # an unsent message's seq -1 is outside the wire range
+    (CalMessage("layer_output", 0, 2, seq=0, layer=0, tensor=np.ones(2)), ValueError),
+    (CalMessage("layer_output", 0, 2, seq=0, layer=0, stream="x", count=1, tensor=np.ones(2)), ValueError),
+])
+def test_encoding_a_message_with_a_missing_or_bad_field_raises_rather_than_writing_a_frame(msg, error):
+    with pytest.raises(error):
+        encode_message(msg)
+
+
 @pytest.mark.parametrize("code", [0, len(distcal.MSG_KINDS) + 1, 255])
 def test_decoding_an_unknown_kind_code_is_a_protocol_error(code):
     frame = bytearray(encode_message(CalMessage("done", 0, 1, seq=0))[4:])

@@ -136,6 +136,14 @@ def test_single_layer_matches_hand_simulated_quantization():
     assert np.array_equal(got, want)
 
 
+def test_forward_quant_requires_scales():
+    # evaluate builds every linear's scale and weight; a direct call without them still raises
+    stack = single_linear_stack(9, 4, 4)
+    x = rand_normal(Rng(9), (2, 4))
+    with pytest.raises(KeyError, match="lin"):
+        forward_quant(stack, x, {}, {}, CFG_A8)
+
+
 def test_backward_single_linear_closed_form():
     stack = single_linear_stack(10, 5, 3)
     lin = stack.layers[0]

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from helpers import rand_uniform
 from tlq.tensor import (
@@ -33,6 +34,21 @@ def test_matmul_matches_triple_loop_oracle():
             oracle[i, j] = acc
     got = matmul(a, b)
     assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_matmul_of_mismatched_inner_dimensions_raises():
+    # both library callers pass a linear's own weight; a direct misuse still raises numpy's error
+    with pytest.raises(ValueError):
+        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        matmul(np.zeros((4, 2, 3)), np.zeros((2, 3)))
+
+
+def test_bad_shapes_rejected():
+    with pytest.raises(ValueError):
+        rand_normal(Rng(1), (-1, 4))
+    with pytest.raises(ValueError):
+        rand_uniform(Rng(1), (-1, 4))
 
 
 def test_rand_deterministic_per_seed():
