@@ -205,7 +205,7 @@ MUTANTS = (
     Mutant("reader-text-decode-unhandled", "model", "except UnicodeDecodeError as exc:", "except () as exc:"),
     Mutant("reader-trailing-unchecked", "model", "if self.pos != len(self.data):", "if False:"),
     Mutant("cli-read-missing-unchecked", "cli", "    if not p.is_file():\n", "    if False:\n"),
-    Mutant("cli-out-dir-unchecked", "cli", "if p.parent and not p.parent.exists():", "if False:"),
+    Mutant("cli-out-dir-unchecked", "cli", "if not p.parent.exists():", "if False:"),
     Mutant("rmsnorm-eps-unbounded", "layers", 'if not 0 < self.eps < float("inf"):', "if not 0 < self.eps:"),
     Mutant(
         "smooth-scale-allows-inf", "smoothing",
@@ -247,6 +247,12 @@ MUTANTS = (
         "ledger-free-zero-allowed", "distcal",
         '        if nbytes <= 0:\n            raise LedgerError(f"free must',
         '        if nbytes < 0:\n            raise LedgerError(f"free must',
+    ),
+    Mutant("linear-quant-no-bias", "model", "        y += layer.bias\n", ""),
+    Mutant("search-skips-a-sample", "calibration", "range(0, b, samples)", "range(0, b, samples + 1)"),
+    Mutant(
+        "pool-rule-at-the-bound", "calibration",
+        "n * c_in * c_out > POOL_MAX_GEMM", "n * c_in * c_out >= POOL_MAX_GEMM",
     ),
     Mutant("fixtures-channel-floor-15", "fixtures", "if channels < 16:", "if channels < 15:"),
     Mutant("fixtures-depth-zero-allowed", "fixtures", "if depth < 1:", "if depth < 0:"),

@@ -8,13 +8,13 @@ a row of `STREAMS`, controls which activations later layers calibrate on;
 passact2 follows the real inference path, and none and passact1 are its
 ablations.
 
-Quantization-exposed batch work runs the block loop of
-`model.apply_linear_quant`, the one quantized linear, which the
-single-sample forwards call on a batch of one. It takes its weight half,
-Qw(W*s), built by `model.quantized_weight`: `search_ratio` and the
-distributed search build one per grid point, and `CalibrationWalk.fix_scale`
-one per fixed linear. `search_ratio` scores each block as it comes out of
-the loop, and may score several grid points at once on a thread pool.
+Quantization-exposed batch work runs `model.apply_linear_quant`, the one
+quantized linear and its one block loop, which the single-sample forwards
+call on a batch of one. It takes its weight half, Qw(W*s), built by
+`model.quantized_weight`: `search_ratio` and the distributed search build
+one per grid point, and `CalibrationWalk.fix_scale` one per fixed linear.
+`search_ratio` runs it on one block of whole samples at a time and scores
+several grid points at once on a thread pool.
 Full-precision batch work runs blocks of whole samples through the layer
 kernels the single-sample forwards use. A block's linear is one stacked
 matmul, which runs the per-sample gemms and keeps their bytes; a flattened
@@ -46,7 +46,6 @@ from .model import (
     _Reader,
     _block_samples,
     _check_input,
-    _linear_quant_blocks,
     apply_layer_fp,
     apply_linear_quant,
     backward_token_grads,
@@ -74,7 +73,7 @@ MAX_GRID_POINTS = 1001
 
 # OpenBLAS runs a gemm of up to 2^18 multiply-adds on one thread. After a
 # larger one its idle worker spins on another core, and numpy threads that
-# share the cores slow down, so `search_ratio` pools its points only up to it.
+# share the cores slow down, so above it `search_ratio`'s pool has one thread.
 POOL_MAX_GEMM = 1 << 18
 
 
@@ -197,17 +196,17 @@ def _usable_cpus() -> int:
 
 
 def _search_threads(points: int, xs: np.ndarray, c_out: int) -> int:
-    """Threads that score one layer's grid points; 1 scores them in grid order.
+    """Threads of the pool that scores one layer's grid points.
 
     Above POOL_MAX_GEMM the gemm itself runs on several BLAS threads, so the
-    points run in order. Otherwise the count is bounded by the points, the
-    usable CPUs, and the memory a point used to hold alone, a batch-sized
-    y_q beside its input and output blocks: each thread holds two blocks.
+    pool has one. Otherwise the count is bounded by the points, the usable
+    CPUs, and the memory a point used to hold alone, a batch-sized y_q
+    beside its input and output blocks: each thread holds two blocks.
     """
     b, n, c_in = xs.shape
     if n * c_in * c_out > POOL_MAX_GEMM:
         return 1
-    blocks = max(1, min(_block_samples(xs), b) * n * (c_in + c_out))  # an empty batch fails later, in order
+    blocks = max(1, min(_block_samples(xs), b) * n * (c_in + c_out))  # an empty batch must not divide by zero
     return max(1, min(points, _usable_cpus(), (b * n * c_out + blocks) // blocks))
 
 
@@ -222,35 +221,32 @@ def search_ratio(
 ) -> tuple[float, tuple[tuple[float, float], ...]]:
     """Evaluate the reconstruction loss at every grid point and pick r*.
 
-    Each point is scored one block of whole samples at a time, so no
-    batch-sized y_q is built; its loss has the bytes of `layer_loss` on
-    the whole batch. The points run on `_search_threads` threads and the
-    curve keeps grid order, so the thread count changes no byte.
+    Each point runs `apply_linear_quant` on one `_block_samples` block of
+    whole samples at a time, so no batch-sized y_q is built; its loss has
+    the bytes of `layer_loss` on the whole batch. The points run on a pool
+    of `_search_threads` threads and the curve keeps grid order, so the
+    thread count changes no byte.
     """
     if q_inputs.shape != fp_inputs.shape:
         raise ShapeError(f"layer {layer.name!r}: inputs differ: {q_inputs.shape} vs {fp_inputs.shape}")
     y_fp = _batch_fp(layer, fp_inputs)
-    b, n = q_inputs.shape[:2]
-    block_shape = (min(_block_samples(q_inputs), b), n, layer.weight.shape[0])
+    b = q_inputs.shape[0]
+    samples = _block_samples(q_inputs)
 
     def loss_at(r: float) -> float:
         scale = power_scale(x_stat, r)
-        blocks = _linear_quant_blocks(layer, q_inputs, scale, quantized_weight(layer, scale, cfg_w), cfg_a,
-                                      np.empty(block_shape))
+        w_hat = quantized_weight(layer, scale, cfg_w)
         sums = np.empty(b)
-        for start, y_q in blocks:
-            stop = start + y_q.shape[0]
-            sums[start:stop] = _sq_diff_sums(y_fp[start:stop], y_q)
+        for start in range(0, b, samples):
+            stop = start + samples
+            sums[start:stop] = _sq_diff_sums(y_fp[start:stop],
+                                             apply_linear_quant(layer, q_inputs[start:stop], scale, w_hat, cfg_a))
         return float(np.mean(sums))
 
     points = grid.points()
     threads = _search_threads(len(points), q_inputs, layer.weight.shape[0])
-    if threads == 1:
-        losses = list(map(loss_at, points))
-    else:
-        with ThreadPoolExecutor(threads, thread_name_prefix="tlq-search") as pool:
-            losses = list(pool.map(loss_at, points))
-    curve = tuple(zip(points, losses))
+    with ThreadPoolExecutor(threads, thread_name_prefix="tlq-search") as pool:
+        curve = tuple(zip(points, pool.map(loss_at, points)))
     return select_ratio(curve), curve
 
 

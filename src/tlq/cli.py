@@ -181,7 +181,7 @@ def _load_result(path: str):
 
 def _prepare_out(path: str) -> Path:
     p = Path(path)
-    if p.parent and not p.parent.exists():
+    if not p.parent.exists():
         raise ConfigError(f"output directory does not exist: {p.parent}")
     return p
 

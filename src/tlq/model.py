@@ -160,46 +160,27 @@ def apply_linear_quant(
     This is the activation half: `w_hat` is the weight half,
     `quantized_weight(layer, scale, cfg_w)`, built once by the caller for
     every call at this scale. Quantization is simulated (dequantize then
-    float matmul). Every call returns a new array, because the in-process
-    transport queues outputs by reference.
-    """
-    out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
-    for _ in _linear_quant_blocks(layer, xs, scale, w_hat, cfg_a, out):
-        pass
-    return out
-
-
-def _linear_quant_blocks(
-    layer: Linear,
-    xs: np.ndarray,
-    scale: SmoothScale,
-    w_hat: np.ndarray,
-    cfg_a: QuantConfig,
-    out: np.ndarray,
-):
-    """The block loop of `apply_linear_quant`: yield (start, y) for each block of whole samples.
-
-    Each block is divided and quantized in one buffer of about
-    `_QDQ_CHUNK_ELEMS` elements (the scales are per token, so the block size
-    changes no byte), then goes through one stacked matmul, which keeps the
-    per-sample gemms' bytes where a flattened (k*N, C) gemm would not, and
-    gets the bias. `y` is the block's view of `out`, which holds the whole
-    batch or one block that every block reuses. Its operands are checked where
-    they are built: `quantized_weight` checks the scale's width, and the walk
-    and `forward_quant` pass rank-3 inputs of the layer's width.
+    float matmul). Each block of whole samples is divided and quantized in
+    one buffer of about `_QDQ_CHUNK_ELEMS` elements (the scales are per
+    token, so the block size changes no byte), then runs one stacked matmul,
+    which keeps the per-sample gemms' bytes where a flattened (k*N, C) gemm
+    would not. Every call returns a new array, because the in-process
+    transport queues outputs by reference. `quantized_weight` checks the
+    scale's width; the walk and `forward_quant` pass rank-3 inputs of the
+    layer's width.
     """
     c_in = layer.weight.shape[1]
     samples = _block_samples(xs)
-    whole = out.shape[0] == xs.shape[0]
+    out = np.empty((*xs.shape[:2], layer.weight.shape[0]))
     x_hat = np.empty((min(samples, xs.shape[0]), *xs.shape[1:]))
     for start in range(0, xs.shape[0], samples):
         x_in = xs[start : start + samples]
         block = np.divide(x_in, scale.values, out=x_hat[: x_in.shape[0]])
         _qdq_inplace(block.reshape(-1, c_in), cfg_a)
-        y = out[start : start + samples] if whole else out[: x_in.shape[0]]
+        y = out[start : start + samples]
         np.matmul(block, w_hat.T, out=y)
         y += layer.bias
-        yield start, y
+    return out
 
 
 def _check_input(stack: LayerStack, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Measurements only the tests take: planted-fixture checks, heatmap readers,
-the rounding-error law, two small tensor builders, four reference kernels
-(explicit smoothing, the quantized artifact's forward pass, and the
-one-sample-at-a-time calibration and evaluation), and a transport
-wrapper that loses, repeats, reorders or relabels one frame."""
+the rounding-error law, two small tensor builders, five reference kernels
+(explicit smoothing, one sample's quantized linear, the quantized
+artifact's forward pass, and the one-sample-at-a-time calibration and
+evaluation), and a transport wrapper that loses, repeats, reorders or
+relabels one frame."""
 
 from __future__ import annotations
 
@@ -107,10 +108,10 @@ def _layer_fp_per_sample(layer, x: np.ndarray) -> np.ndarray:
     return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
 
 
-def _linear_quant_per_sample(lin: Linear, x: np.ndarray, s: np.ndarray, cfg_w, cfg_a) -> np.ndarray:
-    """Qa(x/s) @ Qw(W*s).T + b on one sample, from the public quantizer."""
-    w_hat = dequantize(quantize(lin.weight * s, cfg_w))
-    return dequantize(quantize(x / s, cfg_a)) @ w_hat.T + lin.bias
+def reference_linear_quant(lin: Linear, x: np.ndarray, scale: SmoothScale, cfg_w, cfg_a) -> np.ndarray:
+    """One sample's quantized linear from the public quantizer: Qa(x/s) @ Qw(W*s).T + b."""
+    w_hat = dequantize(quantize(lin.weight * scale.values, cfg_w))
+    return dequantize(quantize(x / scale.values, cfg_a)) @ w_hat.T + lin.bias
 
 
 def _stat_per_sample(xs: list, stat_mode: str, lin: Linear, selected) -> np.ndarray:
@@ -160,8 +161,8 @@ def calibrate_per_sample(
         y_fp = [_layer_fp_per_sample(layer, x) for x in fp_in]
         curve = []
         for r in grid.points():
-            s = power_scale(stat, r).values
-            diffs = [_linear_quant_per_sample(layer, x, s, cfg_w, cfg_a) - y for x, y in zip(q_in, y_fp)]
+            s = power_scale(stat, r)
+            diffs = [reference_linear_quant(layer, x, s, cfg_w, cfg_a) - y for x, y in zip(q_in, y_fp)]
             curve.append((r, float(np.mean([np.sum(d * d) for d in diffs]))))
         r_star = select_ratio(curve)
         scale = power_scale(stat, r_star)
@@ -169,7 +170,7 @@ def calibrate_per_sample(
         if strategy == "none":
             streams = {"main": y_fp}
             continue
-        q_out = [_linear_quant_per_sample(layer, x, scale.values, cfg_w, cfg_a) for x in q_in]
+        q_out = [reference_linear_quant(layer, x, scale, cfg_w, cfg_a) for x in q_in]
         streams = {"main": q_out} if strategy == "passact2" else {"fp": y_fp, "q": q_out}
     return CalibrationResult(tuple(rows), strategy, stat_mode, cfg_w.bits, cfg_a.bits, fraction, grid)
 

@@ -10,8 +10,10 @@ import time
 
 import numpy as np
 
-from conftest import random_block_stack, reference_linear_quant
-from helpers import forward_fp_from, near_zero_fraction, rand_uniform, rounding_error_stats, unit_scale
+from conftest import random_block_stack
+from helpers import (
+    forward_fp_from, near_zero_fraction, rand_uniform, reference_linear_quant, rounding_error_stats, unit_scale,
+)
 from test_calibration import conditioned_layer
 from tlq.calibration import (
     RatioGrid,

@@ -2,7 +2,7 @@
 
 The shapes sit on both sides of the grid-search pool rule and of the
 sample-block boundaries; the CPU count is pinned to 2 so that the pool
-side runs its thread pool on any host.
+side runs two threads on any host.
 """
 
 import itertools
@@ -23,7 +23,7 @@ SHAPES = {
     "pool-blocks": (130, 16, 32),  # blocks of 64, 64 and 2 samples; pooled
     "pool-big-sample": (3, 5500, 6),  # a sample above _QDQ_CHUNK_ELEMS, one per block; pooled
     "order-blocks": (13, 16, 160),  # blocks of 12 and 1; the gemm is above POOL_MAX_GEMM
-    "order-big-sample": (3, 260, 128),  # a sample above _QDQ_CHUNK_ELEMS; in grid order
+    "order-big-sample": (3, 260, 128),  # a sample above _QDQ_CHUNK_ELEMS; one thread
 }
 GRID = RatioGrid(0.0, 1.0, 0.25)
 

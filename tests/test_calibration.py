@@ -10,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_block_stack, reference_linear_quant, single_linear_stack
-from helpers import BROKEN_RESULTS, broken_result_text, forward_quantized, rand_uniform
+from conftest import random_block_stack, single_linear_stack
+from helpers import BROKEN_RESULTS, broken_result_text, forward_quantized, rand_uniform, reference_linear_quant
 from tlq import calibration
 from tlq.calibration import (
     STAT_MODES,
@@ -163,7 +163,7 @@ def conditioned_layer(seed, c=64, b=16, n=64, outliers=4):
     return lin, x
 
 
-def test_batch_quant_matches_per_sample_apply_linear_quant():
+def test_apply_linear_quant_matches_the_per_sample_reference():
     lin, xs = _planted_layer(3, 6)
     scale = power_scale(np.max(np.abs(xs.reshape(-1, 6)), axis=0), 0.35)
     before = xs.copy()
@@ -194,7 +194,7 @@ def test_sample_blocks_keep_the_bytes_of_per_sample_quantization(b, n, c, block)
     assert got.tobytes() == want.tobytes()
 
 
-def test_batch_quant_returns_fresh_arrays():
+def test_apply_linear_quant_returns_fresh_arrays():
     # queued y_q frames are held by reference, so no call may reuse a buffer
     lin, xs = _planted_layer(4, 6)
     stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
@@ -208,15 +208,17 @@ def test_batch_quant_returns_fresh_arrays():
 
 
 def test_search_ratio_curve_is_layer_loss_of_batch_outputs():
-    lin, xs = _planted_layer(5, 6)
-    fp_in = xs * 1.01
-    stat = np.max(np.abs(xs.reshape(-1, 6)), axis=0)
-    grid = RatioGrid(0.0, 1.0, 0.1)
-    _, curve = search_ratio(lin, xs, fp_in, stat, grid, CFG_W, CFG_A)
-    y_fp = _batch_fp(lin, fp_in)
-    for r, loss in curve:
-        scale = power_scale(stat, r)
-        assert loss == layer_loss(y_fp, apply_linear_quant(lin, xs, scale, quantized_weight(lin, scale, CFG_W), CFG_A))
+    many = (single_linear_stack(5, 64, 64).layers[0], _calib_inputs(6, 11, 64, 64))  # blocks of 8 and 3 samples
+    for lin, xs in (_planted_layer(5, 6), many):
+        fp_in = xs * 1.01
+        stat = np.max(np.abs(xs.reshape(-1, xs.shape[2])), axis=0)
+        grid = RatioGrid(0.0, 1.0, 0.1)
+        _, curve = search_ratio(lin, xs, fp_in, stat, grid, CFG_W, CFG_A)
+        y_fp = _batch_fp(lin, fp_in)
+        for r, loss in curve:
+            scale = power_scale(stat, r)
+            y_q = apply_linear_quant(lin, xs, scale, quantized_weight(lin, scale, CFG_W), CFG_A)
+            assert loss == layer_loss(y_fp, y_q)
 
 
 def _count_weight_builds(monkeypatch) -> list:
@@ -820,11 +822,14 @@ def test_pooled_grid_points_raise_as_in_grid_order_and_leave_no_thread(monkeypat
         return build(layer, scale, cfg_w)
 
     monkeypatch.setattr(calibration, "quantized_weight", recorded)
-    monkeypatch.setattr(calibration, "_usable_cpus", lambda: 2)
-    assert _search_threads(5, xs, 32) == 2
-    calibrate(stack, xs, **opts)
-    assert all(name.startswith("tlq-search") for name in point_threads[:5])  # the 6th builds fix_scale's weight
-    assert _search_thread_names() == set()
+    for cpus in (2, 1):
+        monkeypatch.setattr(calibration, "_usable_cpus", lambda: cpus)
+        assert _search_threads(5, xs, 32) == cpus
+        point_threads.clear()
+        calibrate(stack, xs, **opts)
+        assert all(name.startswith("tlq-search") for name in point_threads[:5])  # the 6th builds fix_scale's weight
+        assert cpus == 2 or len(set(point_threads[:5])) == 1
+        assert _search_thread_names() == set()
 
     xs[7, 3, 5] = np.inf
     messages = []
@@ -834,7 +839,8 @@ def test_pooled_grid_points_raise_as_in_grid_order_and_leave_no_thread(monkeypat
         with pytest.raises(NumericError) as err:
             calibrate(stack, xs, **opts)
         messages.append(str(err.value))
-        assert point_threads[0].startswith("tlq-search") == (cpus == 2)
+        assert point_threads and all(name.startswith("tlq-search") for name in point_threads)
+        assert cpus == 2 or len(set(point_threads)) == 1
         assert _search_thread_names() == set()
     assert messages[0] == messages[1] == "quantize input contains NaN or Inf"
 

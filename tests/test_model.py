@@ -68,9 +68,9 @@ def test_three_layer_stack_matches_hand_composition():
     assert len(forward_fp(stack, x).values()) == 4
 
 
-def test_dimension_error_names_layer():
+def test_a_stack_refuses_an_input_of_the_wrong_width():
     stack = single_linear_stack(1, 4, 3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^stack expects 4 input channels, got 5$"):
         forward_fp(stack, np.zeros((2, 5)))
 
 
